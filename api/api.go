@@ -331,7 +331,10 @@ type SchedInfo struct {
 }
 
 // ExecInfo reports the work-stealing executor: its effective
-// configuration and cumulative task/steal counters.
+// configuration and cumulative task/steal counters. It is the wire form of
+// the engine's ExecStats — same fields in the same order, so the service
+// converts one to the other with a plain type conversion and the two
+// cannot drift apart unnoticed.
 type ExecInfo struct {
 	// Workers and Balance are the effective executor configuration
 	// (worker count and task-granularity balance factor).
@@ -345,9 +348,9 @@ type ExecInfo struct {
 	// SkippedPartitions counts (job, partition) pairs excluded before
 	// scheduling because their frontier was empty (converged regions).
 	SkippedPartitions int64 `json:"skipped_partitions"`
-	// Imbalance is the heaviest worker's realized share of the last
+	// LastImbalance is the heaviest worker's realized share of the last
 	// round's task weight, ×Workers (1.0 = perfectly even).
-	Imbalance float64 `json:"imbalance"`
+	LastImbalance float64 `json:"imbalance"`
 	// FreshFolds counts contributions folded eagerly by fresh-state
 	// (async/delayed) jobs; zero on an all-BSP service.
 	FreshFolds int64 `json:"fresh_folds,omitempty"`

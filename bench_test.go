@@ -2,7 +2,7 @@
 // (one Benchmark per artifact, backed by internal/harness) plus
 // micro-benchmarks of the core mechanisms. The experiment scale defaults to
 // 0.25 to keep `go test -bench=.` tractable; set CGRAPH_BENCH_SCALE=1.0 for
-// the full reproduction scale used in EXPERIMENTS.md.
+// the full reproduction scale.
 package cgraph
 
 import (
@@ -69,7 +69,9 @@ func BenchmarkFig17(b *testing.B)  { benchTable(b, harness.Fig17) }
 func BenchmarkFig18(b *testing.B)  { benchTable(b, harness.Fig18) }
 func BenchmarkFig19(b *testing.B)  { benchTable(b, harness.Fig19) }
 
-// Ablation benches for the DESIGN.md design choices.
+// Ablation benches: straggler splitting (Fig. 6), the Eq. 1 load order, and
+// more-jobs-than-workers batching (§3.2.3), each against its switched-off
+// variant.
 
 func BenchmarkAblationStraggler(b *testing.B) { benchTable(b, harness.AblationStraggler) }
 func BenchmarkAblationScheduler(b *testing.B) { benchTable(b, harness.AblationScheduler) }
@@ -159,18 +161,11 @@ func BenchmarkPushSync(b *testing.B) {
 
 func BenchmarkEndToEndFourJobs(b *testing.B) {
 	// Full CGraph runs of the 4-job workload on a mid-size graph.
-	edges, g := microGraph(b)
+	edges, _ := microGraph(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		pg, err := graph.Cut(g, edges, graph.Options{NumPartitions: 32, CoreSubgraph: true})
-		if err != nil {
-			b.Fatal(err)
-		}
 		sys := NewSystem(WithWorkers(8), WithPartitions(32))
-		b.StartTimer()
-		_ = pg
 		if err := sys.LoadEdges(4000, edges); err != nil {
 			b.Fatal(err)
 		}

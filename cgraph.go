@@ -181,7 +181,6 @@ type config struct {
 	balance         float64
 	scheduler       Scheduler
 	coreSubgraph    bool
-	coreFraction    float64
 	numPartitions   int
 	cacheBytes      int64
 	memoryBytes     int64
@@ -193,7 +192,6 @@ type config struct {
 	maxVertexGrowth int
 	retainSnapshots int
 	traceDepth      int
-	spanStore       int
 	spanTaskEvery   int
 }
 
@@ -216,9 +214,6 @@ func WithScheduler(s Scheduler) Option { return func(c *config) { c.scheduler = 
 // static graphs; forced off when snapshots are used, which require
 // slot-stable plain partitioning).
 func WithCoreSubgraph(on bool) Option { return func(c *config) { c.coreSubgraph = on } }
-
-// WithCoreFraction sets the fraction of vertices classified as core.
-func WithCoreFraction(f float64) Option { return func(c *config) { c.coreFraction = f } }
 
 // WithPartitions overrides the partition count; by default it is derived
 // from the simulated cache capacity via the §3.2.1 Pg formula (or a
@@ -288,11 +283,6 @@ func WithRetainSnapshots(n int) Option { return func(c *config) { c.retainSnapsh
 // bookkeeping, so an untraced system pays nothing.
 func WithTraceDepth(n int) Option { return func(c *config) { c.traceDepth = n } }
 
-// WithSpanStore bounds the distributed-span store at n spans: beyond it the
-// oldest spans are evicted FIFO, so span memory stays bounded regardless of
-// traffic (default 4096).
-func WithSpanStore(n int) Option { return func(c *config) { c.spanStore = n } }
-
 // WithSpanSampling records a "pool.task" span for one in every n executor
 // tasks of span-carrying jobs. Zero (the default) samples 1-in-64; negative
 // disables task spans entirely while keeping job/round spans and
@@ -307,8 +297,9 @@ func WithSpanSampling(n int) Option { return func(c *config) { c.spanTaskEvery =
 type System struct {
 	cfg config
 	// tracer records the system's distributed spans (job lifecycle, rounds,
-	// sampled executor tasks, ingest flushes) in a bounded in-memory store.
-	// Always non-nil after NewSystem; internally locked.
+	// sampled executor tasks, ingest flushes) in a bounded in-memory store
+	// (span.Config's default capacity, oldest evicted first). Always non-nil
+	// after NewSystem; internally locked.
 	tracer *span.Tracer
 
 	mu       sync.Mutex
@@ -448,18 +439,9 @@ func (s *System) notifyIngest(ev IngestEvent) {
 	}
 }
 
-// JobUpdate reports one completed iteration of a submitted job: the
-// running totals as of the iteration's closing push.
-type JobUpdate struct {
-	// JobID is the engine-assigned ID (Job.ID).
-	JobID int
-	// Iteration is the number of completed iterations, 1-based.
-	Iteration int
-	// EdgesProcessed is the job's running edge total.
-	EdgesProcessed int64
-	// VirtualTimeUS is the engine's virtual clock at the iteration close.
-	VirtualTimeUS float64
-}
+// JobUpdate reports one completed iteration of a submitted job (alias of
+// the engine's core.JobProgress).
+type JobUpdate = core.JobProgress
 
 // OnJobProgress registers fn to observe every completed job iteration
 // (serve mode and batch runs alike). Observers accumulate: each
@@ -510,19 +492,10 @@ func (s *System) rebuildProgressListLocked() {
 // onJobProgress forwards engine progress to the registered observers, in
 // registration order. Runs once per completed job iteration on the
 // engine's round loop, so it only snapshots the prebuilt call list.
-func (s *System) onJobProgress(p core.JobProgress) {
+func (s *System) onJobProgress(u JobUpdate) {
 	s.mu.Lock()
 	fns := s.progressList
 	s.mu.Unlock()
-	if len(fns) == 0 {
-		return
-	}
-	u := JobUpdate{
-		JobID:          p.JobID,
-		Iteration:      p.Iteration,
-		EdgesProcessed: p.EdgesProcessed,
-		VirtualTimeUS:  p.VirtualTimeUS,
-	}
 	for _, fn := range fns {
 		fn(u)
 	}
@@ -530,11 +503,11 @@ func (s *System) onJobProgress(p core.JobProgress) {
 
 // NewSystem builds an empty system; load a graph before submitting jobs.
 func NewSystem(opts ...Option) *System {
-	cfg := config{coreSubgraph: true, coreFraction: 0.05}
+	cfg := config{coreSubgraph: true}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return &System{cfg: cfg, tracer: span.New(span.Config{Capacity: cfg.spanStore})}
+	return &System{cfg: cfg, tracer: span.New(span.Config{})}
 }
 
 // SpanTracer exposes the system's span tracer: services start transport and
@@ -573,7 +546,6 @@ func (s *System) LoadEdges(numVertices int, edges []Edge) error {
 	pg, err := graph.Cut(g, edges, graph.Options{
 		NumPartitions: parts,
 		CoreSubgraph:  s.cfg.coreSubgraph,
-		CoreFraction:  s.cfg.coreFraction,
 	})
 	if err != nil {
 		return err
@@ -670,35 +642,20 @@ func diffSlots(a, b []model.Edge) []int {
 	return out
 }
 
-// MutationOp is the kind of one streamed edge mutation.
-type MutationOp int
-
-const (
-	// MutationRewrite replaces the edge occupying an existing slot of the
-	// current list (slot count and partition chunking stay stable).
-	MutationRewrite MutationOp = MutationOp(ingest.Rewrite)
-	// MutationAdd appends a new edge slot; the vertex space grows to cover
-	// its endpoints, and the partition series re-chunks incrementally.
-	MutationAdd MutationOp = MutationOp(ingest.AddEdge)
-	// MutationRemove deletes one edge whose endpoints match Edge's (weight
-	// ignored); removing an absent edge is a counted no-op. An add
-	// followed by a remove of the same edge cancels in the buffer.
-	MutationRemove MutationOp = MutationOp(ingest.RemoveEdge)
-	// MutationAddVertex grows the vertex space to include Vertex, without
-	// edges — new vertices exist immediately and gain replicas once edges
-	// reach them.
-	MutationAddVertex MutationOp = MutationOp(ingest.AddVertex)
+// Mutation is one streamed edge mutation and MutationOp its kind (aliases of
+// the delta pipeline's ingest.Mutation and ingest.Op).
+type (
+	Mutation   = ingest.Mutation
+	MutationOp = ingest.Op
 )
 
-// Mutation is one streamed edge mutation. Slot is meaningful for
-// MutationRewrite, Edge for rewrite/add/remove, Vertex for
-// MutationAddVertex.
-type Mutation struct {
-	Op     MutationOp
-	Slot   int
-	Edge   Edge
-	Vertex VertexID
-}
+// The mutation kinds, re-exported from the delta pipeline.
+const (
+	MutationRewrite   = ingest.Rewrite
+	MutationAdd       = ingest.AddEdge
+	MutationRemove    = ingest.RemoveEdge
+	MutationAddVertex = ingest.AddVertex
+)
 
 // Delta is one streamed mutation batch for ApplyDelta.
 type Delta struct {
@@ -717,67 +674,12 @@ type Delta struct {
 	RequestID string
 }
 
-// DeltaAck confirms one accepted delta batch.
-type DeltaAck struct {
-	// Accepted mutations from this batch; Pending is the coalescing-buffer
-	// size afterwards (0 if the batch flushed).
-	Accepted int
-	Pending  int
-	// Flushed reports whether a snapshot was materialized by this call;
-	// Timestamp is its timestamp.
-	Flushed   bool
-	Timestamp int64
-}
+// DeltaAck confirms one accepted delta batch (alias of ingest.Ack).
+type DeltaAck = ingest.Ack
 
 // IngestStats reports the delta pipeline's counters plus the snapshot
-// store's lifecycle state.
-type IngestStats struct {
-	Batches, Mutations, Coalesced                              int64
-	Flushes, CountFlushes, AgeFlushes, ManualFlushes, Failures int64
-	// Accepted mutation records by op.
-	Rewrites, EdgeAdds, EdgeRemoves, VertexAdds int64
-	// Cancelled counts add/remove pairs of the same edge that annihilated
-	// in the buffer; RemoveMisses no-op mutations applied at materialize
-	// time (removes of absent edges, and rewrites of slots that vanished
-	// under a same-window structural remove); Shed whole batches rejected
-	// by the WithIngestCap admission control.
-	Cancelled    int64
-	RemoveMisses int64
-	Shed         int64
-	// SnapshotsBuilt counts snapshots materialized from deltas;
-	// SlotsApplied the edge slots actually changed across them.
-	SnapshotsBuilt int64
-	SlotsApplied   int64
-	// Compactions counts hole-compaction passes: flushes that squeezed the
-	// removal tombstones out of the edge list before building, because the
-	// free-slot ratio crossed the WithCompactionRatio trigger.
-	Compactions int64
-	// PartsRebuilt/PartsShared split the delta-built snapshots' partitions
-	// into rebuilt ones and ones pointer-shared with their predecessor;
-	// SharedRatio is shared/(shared+rebuilt), the incremental win.
-	PartsRebuilt int64
-	PartsShared  int64
-	SharedRatio  float64
-	// Pending is the current buffer size; LastTimestamp the newest
-	// delta-built snapshot's timestamp.
-	Pending       int
-	LastTimestamp int64
-	// Snapshot lifecycle: retained series length, evictions so far, and
-	// the configured retention cap (0 = unbounded).
-	SnapshotsLive    int
-	SnapshotsEvicted int
-	RetainSnapshots  int
-	// Retained-window bounds: the oldest and newest retained snapshots'
-	// series indices and timestamps. A job arriving with a timestamp
-	// before OldestTimestamp is served by the oldest retained version.
-	OldestSeq       int
-	OldestTimestamp int64
-	NewestSeq       int
-	NewestTimestamp int64
-	// NumVertices is the newest snapshot's vertex-space size; structural
-	// deltas grow it.
-	NumVertices int
-}
+// store's lifecycle state (alias of the wire type api.IngestStats).
+type IngestStats = api.IngestStats
 
 // ensureIngestLocked lazily builds the delta pipeline over the loaded
 // graph. Caller holds s.mu.
@@ -868,8 +770,7 @@ func (s *System) ApplyDelta(d Delta) (DeltaAck, error) {
 		}
 		return nil
 	}
-	muts := make([]ingest.Mutation, len(d.Mutations))
-	for i, m := range d.Mutations {
+	for _, m := range d.Mutations {
 		switch m.Op {
 		case MutationRewrite, MutationAdd:
 			if err := checkID(m.Edge.Src); err != nil {
@@ -883,16 +784,17 @@ func (s *System) ApplyDelta(d Delta) (DeltaAck, error) {
 				return DeltaAck{}, err
 			}
 		}
-		muts[i] = ingest.Mutation{Op: ingest.Op(m.Op), Slot: m.Slot, Edge: m.Edge, Vertex: m.Vertex}
 	}
-	ack, err := p.ApplyFrom(ingest.Origin{Span: d.Span, RequestID: d.RequestID}, muts, d.Timestamp, d.Flush)
+	// The pipeline copies each mutation into its coalescing buffer, so the
+	// caller's slice is passed through, not retained.
+	ack, err := p.ApplyFrom(ingest.Origin{Span: d.Span, RequestID: d.RequestID}, d.Mutations, d.Timestamp, d.Flush)
 	if err != nil {
 		if errors.Is(err, ingest.ErrSaturated) {
 			return DeltaAck{}, fmt.Errorf("%w: %v", ErrIngestSaturated, err)
 		}
 		return DeltaAck{}, err
 	}
-	return DeltaAck{Accepted: ack.Accepted, Pending: ack.Pending, Flushed: ack.Flushed, Timestamp: ack.Timestamp}, nil
+	return ack, nil
 }
 
 // FlushDeltas materializes any buffered mutations immediately. With an
@@ -1373,39 +1275,18 @@ func WithSpan(sc span.Context, jobID string) JobOption {
 	}
 }
 
-// JobState is the lifecycle state of a submitted job.
-type JobState int
+// JobState is the lifecycle state of a submitted job (alias of the
+// engine's core.JobState).
+type JobState = core.JobState
 
+// The job lifecycle states, re-exported from the engine.
 const (
-	// JobQueued: submitted, awaiting admission at a round boundary.
-	JobQueued JobState = iota
-	// JobRunning: being iterated by the engine.
-	JobRunning
-	// JobDone: converged; results are available.
-	JobDone
-	// JobCancelled: retired by Cancel or an expired job context.
-	JobCancelled
-	// JobFailed: retired by the engine without converging.
-	JobFailed
+	JobQueued    = core.JobQueued
+	JobRunning   = core.JobRunning
+	JobDone      = core.JobDone
+	JobCancelled = core.JobCancelled
+	JobFailed    = core.JobFailed
 )
-
-func (s JobState) String() string {
-	switch s {
-	case JobQueued:
-		return "queued"
-	case JobRunning:
-		return "running"
-	case JobDone:
-		return "done"
-	case JobCancelled:
-		return "cancelled"
-	default:
-		return "failed"
-	}
-}
-
-// Terminal reports whether the state is final.
-func (s JobState) Terminal() bool { return s >= JobDone }
 
 // Job is a handle to one submitted CGP job.
 type Job struct {
@@ -1457,6 +1338,14 @@ func (s *System) Submit(p Program, opts ...JobOption) (*Job, error) {
 	return j, nil
 }
 
+// currentEngine returns the engine, nil until the first Submit or Serve
+// builds it.
+func (s *System) currentEngine() *core.Engine {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.engine
+}
+
 func (s *System) ensureEngineLocked() {
 	if s.engine != nil {
 		return
@@ -1494,7 +1383,7 @@ func (s *System) onJobEvent(ev core.JobEvent) {
 		return
 	}
 	j.mu.Lock()
-	j.terminal = JobState(ev.State)
+	j.terminal = ev.State
 	switch ev.State {
 	case core.JobDone:
 		j.metrics = jobReportOf(ev.Metrics)
@@ -1525,9 +1414,7 @@ func schedKind(s Scheduler) sched.Kind {
 // Run executes every submitted job to convergence and returns the run
 // report. It may be called again after further submissions.
 func (s *System) Run() (*Report, error) {
-	s.mu.Lock()
-	eng := s.engine
-	s.mu.Unlock()
+	eng := s.currentEngine()
 	if eng == nil {
 		return nil, fmt.Errorf("cgraph: nothing submitted")
 	}
@@ -1566,75 +1453,29 @@ func jobReportOf(jm *metrics.JobMetrics) *JobReport {
 	}
 }
 
-// Stats is a point-in-time snapshot of a system's engine counters,
-// populated in serve mode (and after batch runs).
-type Stats struct {
-	Queued, Running, Done, Cancelled, Failed int
-	Rounds                                   int64
-	VirtualTimeUS                            float64
-}
+// Stats is a point-in-time snapshot of a system's engine counters (alias of
+// core.Stats).
+type Stats = core.Stats
 
 // Stats reports current job-state counts and round-loop progress; safe to
 // call while the system serves. Before any submission it returns zeros.
 func (s *System) Stats() Stats {
-	s.mu.Lock()
-	eng := s.engine
-	s.mu.Unlock()
+	eng := s.currentEngine()
 	if eng == nil {
 		return Stats{}
 	}
-	es := eng.ServeStats()
-	return Stats{
-		Queued:        es.Queued,
-		Running:       es.Running,
-		Done:          es.Done,
-		Cancelled:     es.Cancelled,
-		Failed:        es.Failed,
-		Rounds:        es.Rounds,
-		VirtualTimeUS: es.VirtualTimeUS,
-	}
+	return eng.ServeStats()
 }
 
 // ExecStats is a point-in-time snapshot of the work-stealing executor's
-// counters, populated once the engine exists.
-type ExecStats struct {
-	// Workers and Balance are the effective executor configuration.
-	Workers int
-	Balance float64
-	// Tasks / Steals / Stolen are cumulative across rounds: tasks
-	// executed, successful steal operations, and tasks moved by them.
-	Tasks  int64
-	Steals int64
-	Stolen int64
-	// SkippedPartitions counts (job, partition) pairs excluded before
-	// scheduling because their frontier was empty (converged regions).
-	SkippedPartitions int64
-	// LastImbalance is the heaviest worker's realized share of the last
-	// round's task weight, ×Workers (1.0 = perfectly even).
-	LastImbalance float64
-	// FreshFolds counts contributions folded eagerly by fresh-state
-	// (ExecAsync/ExecDelayed) jobs instead of being deferred to the merge
-	// barrier; zero on an all-BSP system.
-	FreshFolds int64
-	// BarriersSkipped / BarriersForced are the ExecDelayed bounded-staleness
-	// counters: iterations that skipped the merge barrier because local
-	// progress continued within the staleness bound, and iterations that
-	// paid one (bound hit or local frontier drained).
-	BarriersSkipped int64
-	BarriersForced  int64
-	// BSPJobs / AsyncJobs / DelayedJobs count submissions by execution mode.
-	BSPJobs     int64
-	AsyncJobs   int64
-	DelayedJobs int64
-}
+// counters (alias of core.ExecStats).
+type ExecStats = core.ExecStats
 
 // ExecStats reports the work-stealing executor's counters; safe to call
 // while the system serves. Before any submission it reports only the
 // configured workers and balance.
 func (s *System) ExecStats() ExecStats {
-	s.mu.Lock()
-	eng := s.engine
-	s.mu.Unlock()
+	eng := s.currentEngine()
 	if eng == nil {
 		w := s.cfg.workers
 		if w <= 0 {
@@ -1646,151 +1487,38 @@ func (s *System) ExecStats() ExecStats {
 		}
 		return ExecStats{Workers: w, Balance: b, LastImbalance: 1}
 	}
-	es := eng.ExecStats()
-	return ExecStats{
-		Workers:           es.Workers,
-		Balance:           es.Balance,
-		Tasks:             es.Tasks,
-		Steals:            es.Steals,
-		Stolen:            es.Stolen,
-		SkippedPartitions: es.SkippedPartitions,
-		LastImbalance:     es.LastImbalance,
-		FreshFolds:        es.FreshFolds,
-		BarriersSkipped:   es.BarriersSkipped,
-		BarriersForced:    es.BarriersForced,
-		BSPJobs:           es.BSPJobs,
-		AsyncJobs:         es.AsyncJobs,
-		DelayedJobs:       es.DelayedJobs,
-	}
+	return eng.ExecStats()
 }
 
-// SchedGroup reports one correlation group from the engine's last round.
-type SchedGroup struct {
-	// JobIDs are the engine job IDs scheduled together (Job.ID values).
-	JobIDs []int
-	// Priority is the group's aggregate (summed) job priority, the primary
-	// inter-group ordering key.
-	Priority int
-	// Parts is the unit load order: each partition's index within its own
-	// snapshot, parallel to UIDs.
-	Parts []int
-	// UIDs identifies the partition versions loaded, in load order.
-	UIDs []int64
-	// MakespanUS attributes the round's virtual time to this group.
-	MakespanUS float64
-}
-
-// SchedInfo reports the scheduler's state as of the engine's last round:
-// the policy, the current θ fit and how often it was refitted, and the
-// chosen group/load order.
-type SchedInfo struct {
-	Policy      string
-	Theta       float64
-	ThetaRefits int
-	Round       int64
-	Groups      []SchedGroup
-}
+// SchedInfo reports the scheduler's state as of the engine's last round and
+// SchedGroup one of its correlation groups (aliases of core.SchedInfo and
+// core.SchedGroup).
+type (
+	SchedInfo  = core.SchedInfo
+	SchedGroup = core.SchedGroup
+)
 
 // SchedInfo reports the latest scheduling decision; safe to call while the
 // system serves. Before any submission it reports only the policy.
 func (s *System) SchedInfo() SchedInfo {
-	s.mu.Lock()
-	eng := s.engine
-	s.mu.Unlock()
+	eng := s.currentEngine()
 	if eng == nil {
 		return SchedInfo{Policy: schedKind(s.cfg.scheduler).String()}
 	}
-	ci := eng.SchedInfo()
-	out := SchedInfo{
-		Policy:      ci.Policy,
-		Theta:       ci.Theta,
-		ThetaRefits: ci.Refits,
-		Round:       ci.Round,
-	}
-	for _, g := range ci.Groups {
-		out.Groups = append(out.Groups, SchedGroup{
-			JobIDs:     g.Jobs,
-			Priority:   g.Priority,
-			Parts:      g.Parts,
-			UIDs:       g.UIDs,
-			MakespanUS: g.MakespanUS,
-		})
-	}
-	return out
+	return eng.SchedInfo()
 }
 
-// RoundTraceGroup is one correlation group of a traced round's schedule.
-type RoundTraceGroup struct {
-	// JobIDs are the engine job IDs scheduled in the group.
-	JobIDs []int
-	// Priority is the aggregate job priority that ordered the group.
-	Priority int
-	// Units is the number of (snapshot, partition) units the group loaded.
-	Units int
-	// MakespanUS is the group's simulated span within the round.
-	MakespanUS float64
-}
-
-// JobRoundTrace is one job's share of one traced round.
-type JobRoundTrace struct {
-	// JobID is the engine job ID the entry belongs to.
-	JobID int
-	// Round is the 1-based engine round index.
-	Round int64
-	// Wall is the measured wall-clock duration of the whole round.
-	Wall time.Duration
-	// Parts is the number of active partitions the job had scheduled.
-	Parts int
-	// Pushes is the number of iterations the job closed this round.
-	Pushes int
-	// Mode is the job's execution discipline ("async", "delayed"); empty
-	// for default-BSP jobs, so pre-mode trace records are unchanged.
-	Mode string
-	// FreshFolds counts contributions the job folded eagerly (fresh-state)
-	// this round; zero for BSP jobs.
-	FreshFolds int64
-	// AccessUS / ComputeUS split the job's simulated time charged this
-	// round.
-	AccessUS  float64
-	ComputeUS float64
-	// VirtualTimeUS is the engine's simulated clock at round end.
-	VirtualTimeUS float64
-}
-
-// RoundTrace is one engine round's trace record (see WithTraceDepth).
-type RoundTrace struct {
-	Round         int64
-	Start         time.Time
-	Wall          time.Duration
-	VirtualTimeUS float64
-	Policy        string
-	Theta         float64
-	Groups        []RoundTraceGroup
-	Jobs          []JobRoundTrace
-	// Tasks / Steals are the work-stealing executor's per-round counts;
-	// Skipped is the number of (job, partition) pairs whose frontier was
-	// empty at round start (converged regions skipped before scheduling).
-	Tasks   int64
-	Steals  int64
-	Skipped int64
-	// FreshFolds counts contributions folded eagerly by fresh-state (async
-	// or delayed) jobs during the round; zero on all-BSP rounds.
-	FreshFolds int64
-}
-
-// JobTrace is one job's retained round-by-round timeline.
-type JobTrace struct {
-	// JobID is the engine job ID (Job.ID).
-	JobID int
-	// State is the terminal state name once the job retired, "" while it
-	// runs.
-	State string
-	// Dropped counts rounds truncated off the front of the bounded
-	// timeline.
-	Dropped int
-	// Rounds is the retained timeline, oldest first.
-	Rounds []JobRoundTrace
-}
+// RoundTrace is one engine round's trace record (see WithTraceDepth),
+// RoundTraceGroup one correlation group of its schedule, JobRoundTrace one
+// job's share of it, and JobTrace one job's retained round-by-round
+// timeline (aliases of the trace recorder's Round, Group, JobRound and
+// Timeline).
+type (
+	RoundTrace      = trace.Round
+	RoundTraceGroup = trace.Group
+	JobRoundTrace   = trace.JobRound
+	JobTrace        = trace.Timeline
+)
 
 // TraceDepth reports the configured trace ring depth (0 = disabled).
 func (s *System) TraceDepth() int { return s.cfg.traceDepth }
@@ -1799,100 +1527,37 @@ func (s *System) TraceDepth() int { return s.cfg.traceDepth }
 // oldest first (limit <= 0 returns the whole ring). Tracing must be enabled
 // with WithTraceDepth; otherwise, and before any round, it returns nil.
 func (s *System) RoundTraces(limit int) []RoundTrace {
-	s.mu.Lock()
-	eng := s.engine
-	s.mu.Unlock()
+	eng := s.currentEngine()
 	if eng == nil {
 		return nil
 	}
-	recs := eng.RoundTraces(limit)
-	out := make([]RoundTrace, 0, len(recs))
-	for _, r := range recs {
-		rt := RoundTrace{
-			Round:         r.Round,
-			Start:         r.Start,
-			Wall:          r.Wall,
-			VirtualTimeUS: r.VirtualTimeUS,
-			Policy:        r.Policy,
-			Theta:         r.Theta,
-			Tasks:         r.Tasks,
-			Steals:        r.Steals,
-			Skipped:       r.Skipped,
-			FreshFolds:    r.Fresh,
-		}
-		for _, g := range r.Groups {
-			rt.Groups = append(rt.Groups, RoundTraceGroup{
-				JobIDs:     g.Jobs,
-				Priority:   g.Priority,
-				Units:      g.Units,
-				MakespanUS: g.MakespanUS,
-			})
-		}
-		for _, jr := range r.Jobs {
-			rt.Jobs = append(rt.Jobs, jobRoundTraceOf(jr))
-		}
-		out = append(out, rt)
-	}
-	return out
+	return eng.RoundTraces(limit)
 }
 
 // JobTrace returns the round-by-round timeline recorded for an engine job
 // ID — live while it runs, retained after it retires — or false when
 // tracing is disabled or the timeline was evicted from the terminal ring.
 func (s *System) JobTrace(jobID int) (JobTrace, bool) {
-	s.mu.Lock()
-	eng := s.engine
-	s.mu.Unlock()
+	eng := s.currentEngine()
 	if eng == nil {
 		return JobTrace{}, false
 	}
-	tl, ok := eng.JobTrace(jobID)
-	if !ok {
-		return JobTrace{}, false
-	}
-	out := JobTrace{JobID: tl.JobID, State: tl.State, Dropped: tl.Dropped}
-	for _, jr := range tl.Rounds {
-		out.Rounds = append(out.Rounds, jobRoundTraceOf(jr))
-	}
-	return out, true
+	return eng.JobTrace(jobID)
 }
 
-func jobRoundTraceOf(jr trace.JobRound) JobRoundTrace {
-	return JobRoundTrace{
-		JobID:         jr.Job,
-		Round:         jr.Round,
-		Wall:          jr.Wall,
-		Parts:         jr.Parts,
-		Pushes:        jr.Pushes,
-		Mode:          jr.Mode,
-		FreshFolds:    jr.Fresh,
-		AccessUS:      jr.AccessUS,
-		ComputeUS:     jr.ComputeUS,
-		VirtualTimeUS: jr.VirtualTimeUS,
-	}
-}
-
-// HistogramStat is a point-in-time copy of an internal latency histogram:
-// per-bucket (non-cumulative) counts by upper bound, plus sum and count.
-type HistogramStat struct {
-	Bounds []float64
-	Counts []uint64
-	Sum    float64
-	Count  uint64
-}
+// HistogramStat is a point-in-time copy of an internal latency histogram
+// (alias of metrics.HistogramSnapshot).
+type HistogramStat = metrics.HistogramSnapshot
 
 // RoundDurationStats returns the wall-clock round-duration histogram
 // (seconds), observed for every round regardless of trace depth. Zero
 // before any submission.
 func (s *System) RoundDurationStats() HistogramStat {
-	s.mu.Lock()
-	eng := s.engine
-	s.mu.Unlock()
+	eng := s.currentEngine()
 	if eng == nil {
 		return HistogramStat{}
 	}
-	snap := eng.RoundDurations()
-	return HistogramStat{Bounds: snap.Bounds, Counts: snap.Counts, Sum: snap.Sum, Count: snap.Count}
+	return eng.RoundDurations()
 }
 
 // Serve runs the system as a resident service: the engine processes rounds
@@ -1951,9 +1616,7 @@ func (s *System) Shutdown(ctx context.Context) error {
 // Results returns the job's converged per-vertex values. Valid after the
 // job completes (batch Run, or Job.Wait/Done in serve mode).
 func (j *Job) Results() ([]float64, error) {
-	j.sys.mu.Lock()
-	eng := j.sys.engine
-	j.sys.mu.Unlock()
+	eng := j.sys.currentEngine()
 	if eng == nil {
 		return nil, fmt.Errorf("cgraph: job %q not run", j.name)
 	}
@@ -2000,23 +1663,18 @@ func (j *Job) State() JobState {
 	if term.Terminal() {
 		return term
 	}
-	j.sys.mu.Lock()
-	eng := j.sys.engine
-	j.sys.mu.Unlock()
+	eng := j.sys.currentEngine()
 	st, ok := eng.JobState(j.id)
 	if !ok {
 		return JobQueued
 	}
-	return JobState(st)
+	return st
 }
 
 // Cancel retires the job at the next round boundary. Cancelling a job that
 // already reached a terminal state is an error.
 func (j *Job) Cancel() error {
-	j.sys.mu.Lock()
-	eng := j.sys.engine
-	j.sys.mu.Unlock()
-	return eng.Cancel(j.id)
+	return j.sys.currentEngine().Cancel(j.id)
 }
 
 // Metrics returns the job's report after it converged, or nil before then
@@ -2035,10 +1693,7 @@ func (j *Job) Metrics() *JobReport {
 // releasing an unfinished job is a no-op. The handle's State/Err/Metrics
 // remain valid.
 func (j *Job) Release() {
-	j.sys.mu.Lock()
-	eng := j.sys.engine
-	j.sys.mu.Unlock()
-	eng.Release(j.id)
+	j.sys.currentEngine().Release(j.id)
 }
 
 // Report summarizes one Run.

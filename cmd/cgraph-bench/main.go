@@ -1,5 +1,5 @@
 // Command cgraph-bench regenerates the paper's evaluation tables and
-// figures (see DESIGN.md for the experiment index).
+// figures; the experiment names below are the index.
 //
 // Usage:
 //

@@ -204,8 +204,9 @@ type Engine struct {
 	nextID    int
 	state     map[int]JobState
 	cancelReq map[int]bool
-	// snapObs queues snapshots added while the loop runs; the round loop
-	// drains it so the scheduler (single-goroutine) can refit θ.
+	// snapObs queues snapshots added while the loop runs; the loop drains
+	// it — every round, and before parking when idle — so the scheduler
+	// (single-goroutine) can refit θ.
 	snapObs []*graph.PGraph
 	// lastSched summarizes the plan of the most recent round for the
 	// control plane.
@@ -214,7 +215,7 @@ type Engine struct {
 	// so ServeStats stays accurate while the state map stays bounded.
 	releasedDone, releasedCancelled, releasedFailed int
 
-	// wake nudges an idle Serve loop after Submit or Cancel.
+	// wake nudges an idle Serve loop after Submit, Cancel, or AddSnapshot.
 	wake chan struct{}
 	// driving excludes concurrent Run/Serve calls.
 	driving atomic.Bool
@@ -325,7 +326,7 @@ func New(cfg Config, store *storage.SnapshotStore) *Engine {
 	for _, snap := range store.Snapshots() {
 		e.sched.ObserveSnapshot(snap.PG)
 	}
-	e.lastSched = SchedInfo{Policy: cfg.Scheduler.String(), Theta: e.sched.Theta(), Refits: e.sched.Refits()}
+	e.lastSched = SchedInfo{Policy: cfg.Scheduler.String(), Theta: e.sched.Theta(), ThetaRefits: e.sched.Refits()}
 	return e
 }
 
@@ -562,6 +563,8 @@ func (e *Engine) Serve(ctx context.Context) error {
 			return nil
 		}
 		if len(e.jobs) == 0 {
+			// No round will drain the snapshot observations while idle.
+			e.drainSnapshotObservations()
 			select {
 			case <-ctx.Done():
 				return nil
@@ -629,18 +632,25 @@ func (e *Engine) JobState(jobID int) (JobState, bool) {
 // AddSnapshot appends a newer graph version to the snapshot store, safely
 // with respect to a concurrent Serve loop; jobs submitted afterwards with a
 // matching arrival timestamp bind to it. The scheduler observes the new
-// version at the next round boundary (refitting θ if its degrees demand it).
+// version at the next round boundary (refitting θ if its degrees demand it);
+// an idle Serve loop is woken to observe it at once, so the observation
+// queue never pins a snapshot the store has already evicted.
 func (e *Engine) AddSnapshot(pg *graph.PGraph, timestamp int64) error {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := e.store.Add(pg, timestamp); err != nil {
-		return err
+	err := e.store.Add(pg, timestamp)
+	if err == nil {
+		e.snapObs = append(e.snapObs, pg)
 	}
-	e.snapObs = append(e.snapObs, pg)
-	return nil
+	e.mu.Unlock()
+	if err == nil {
+		e.signalWake()
+	}
+	return err
 }
 
-// Stats is a point-in-time snapshot of the engine's service counters.
+// Stats is a point-in-time snapshot of the engine's counters — jobs by
+// lifecycle state and round-loop progress — populated under Serve and after
+// batch runs alike.
 type Stats struct {
 	Queued    int
 	Running   int
@@ -702,8 +712,8 @@ func (e *Engine) Now() float64 { return math.Float64frombits(e.nowBits.Load()) }
 
 // SchedGroup reports one correlation group of the last scheduled round.
 type SchedGroup struct {
-	// Jobs lists the engine job IDs grouped together.
-	Jobs []int
+	// JobIDs lists the engine job IDs scheduled together (Job.ID values).
+	JobIDs []int
 	// Priority is the group's aggregate (summed) job priority, the primary
 	// inter-group ordering key.
 	Priority int
@@ -718,19 +728,19 @@ type SchedGroup struct {
 }
 
 // SchedInfo is a point-in-time snapshot of the scheduler's state: the
-// policy, the current θ fit, and the group/load order chosen in the most
-// recent round.
+// policy, the current θ fit and how often it was refitted, and the
+// group/load order chosen in the most recent round.
 type SchedInfo struct {
-	Policy string
-	Theta  float64
-	Refits int
+	Policy      string
+	Theta       float64
+	ThetaRefits int
 	// Round is the round the plan below was computed for (0 before any).
 	Round  int64
 	Groups []SchedGroup
 }
 
 // SchedInfo reports the scheduler's latest plan. Safe to call concurrently
-// with Run or Serve: recordPlan replaces lastSched wholesale and published
+// with Run or Serve: recordRound replaces lastSched wholesale and published
 // plans are never mutated in place, so the shared slices are immutable.
 func (e *Engine) SchedInfo() SchedInfo {
 	e.mu.Lock()
@@ -848,15 +858,7 @@ func (e *Engine) round() {
 	e.execSkipped.Add(e.rtSkipped)
 	e.execFresh.Add(e.rtFresh)
 	e.imbBits.Store(math.Float64bits(e.rtImb))
-	e.recordPlan(plan, spans)
-	wall := time.Since(roundStart) //cgraph:wallclock wall stamp paired with the round start above
-	e.roundHist.Observe(wall.Seconds())
-	if e.tracer != nil {
-		e.recordTrace(roundStart, wall, plan, spans, pre)
-	}
-	if e.cfg.Tracer != nil {
-		e.recordRoundSpans(roundStart, wall, plan, spans, pre, virtStart)
-	}
+	e.recordRound(roundStart, virtStart, plan, spans, pre)
 	e.rounds.Add(1)
 	e.nowBits.Store(math.Float64bits(e.now))
 }
@@ -882,84 +884,109 @@ func traceMode(m exec.Mode) string {
 	return m.String()
 }
 
-// recordTrace folds one finished round into the trace recorder.
-func (e *Engine) recordTrace(start time.Time, wall time.Duration, plan []sched.Group, spans []float64, pre []jobPreRound) {
-	rec := trace.Round{
-		Round:         e.rounds.Load() + 1,
-		Start:         start,
-		Wall:          wall,
-		VirtualTimeUS: e.now,
-		Policy:        e.cfg.Scheduler.String(),
-		Theta:         e.sched.Theta(),
-		Tasks:         e.rtTasks,
-		Steals:        e.rtSteals,
-		Skipped:       e.rtSkipped,
-		Fresh:         e.rtFresh,
+// recordRound builds the finished round's record once and feeds every
+// read-out from it: the SchedInfo snapshot for the control plane (always),
+// the wall-duration histogram (always), the trace ring (Config.TraceDepth),
+// and one retro-recorded "job.round" span per span-carrying job
+// (Config.Tracer). Each job's per-round deltas are computed here and nowhere
+// else, so the trace entry and the span attributes cannot disagree. The
+// spans share the round's wall edges (one start stamp, one duration) and
+// virtual edges — the raw material of the per-job resource attribution the
+// service computes from the span store.
+func (e *Engine) recordRound(start time.Time, virtStart float64, plan []sched.Group, spans []float64, pre []jobPreRound) {
+	info := SchedInfo{
+		Policy:      e.cfg.Scheduler.String(),
+		Theta:       e.sched.Theta(),
+		ThetaRefits: e.sched.Refits(),
+		Round:       e.rounds.Load() + 1,
 	}
 	for gi, g := range plan {
-		rec.Groups = append(rec.Groups, trace.Group{
-			Jobs:       g.Jobs,
-			Priority:   g.Priority,
-			Units:      len(g.Units),
-			MakespanUS: spans[gi],
-		})
+		sg := SchedGroup{JobIDs: g.Jobs, Priority: g.Priority, MakespanUS: spans[gi]}
+		for _, u := range g.Units {
+			sg.Parts = append(sg.Parts, u.Part.ID)
+			sg.UIDs = append(sg.UIDs, u.Part.UID)
+		}
+		info.Groups = append(info.Groups, sg)
 	}
-	for _, p := range pre {
-		rec.Jobs = append(rec.Jobs, trace.JobRound{
-			Job:           p.rj.ID,
-			Round:         rec.Round,
-			Wall:          wall,
-			Parts:         p.parts,
-			Pushes:        p.rj.Iterations - p.iters,
-			Mode:          traceMode(p.rj.Mode),
-			Fresh:         p.rj.FreshFolds - p.fresh,
-			AccessUS:      p.rj.m.AccessTime - p.access,
-			ComputeUS:     p.rj.m.ComputeTime - p.compute,
-			VirtualTimeUS: e.now,
-		})
+	e.mu.Lock()
+	e.lastSched = info
+	e.mu.Unlock()
+	wall := time.Since(start) //cgraph:wallclock wall stamp paired with the round start in round()
+	e.roundHist.Observe(wall.Seconds())
+	traced := e.tracer != nil
+	if !traced && e.cfg.Tracer == nil {
+		return
 	}
-	e.tracer.RecordRound(rec)
-}
 
-// recordRoundSpans retro-records one "job.round" span per span-carrying job
-// that participated in the finished round. The spans share the round's wall
-// edges (one start stamp, one duration) and virtual edges, and carry the
-// job's per-round deltas as attributes — the raw material of the per-job
-// resource attribution the service computes from the span store.
-func (e *Engine) recordRoundSpans(start time.Time, wall time.Duration, plan []sched.Group, spans []float64, pre []jobPreRound, virtStart float64) {
-	round := e.rounds.Load() + 1
-	var jobGroup map[int]int
+	var rec trace.Round
+	if traced {
+		rec = trace.Round{
+			Round:         info.Round,
+			Start:         start,
+			Wall:          wall,
+			VirtualTimeUS: e.now,
+			Policy:        info.Policy,
+			Theta:         info.Theta,
+			Tasks:         e.rtTasks,
+			Steals:        e.rtSteals,
+			Skipped:       e.rtSkipped,
+			FreshFolds:    e.rtFresh,
+		}
+		for _, sg := range info.Groups {
+			rec.Groups = append(rec.Groups, trace.Group{
+				JobIDs:     sg.JobIDs,
+				Priority:   sg.Priority,
+				Units:      len(sg.Parts),
+				MakespanUS: sg.MakespanUS,
+			})
+		}
+	}
+	// groupSpan maps a job to its group's makespan; built on the first
+	// span-carrying job, so span-less rounds pay nothing for it.
+	var groupSpan map[int]float64
 	for _, p := range pre {
 		rj := p.rj
-		if !rj.span.Valid() {
+		jr := trace.JobRound{
+			JobID:         rj.ID,
+			Round:         info.Round,
+			Wall:          wall,
+			Parts:         p.parts,
+			Pushes:        rj.Iterations - p.iters,
+			Mode:          traceMode(rj.Mode),
+			FreshFolds:    rj.FreshFolds - p.fresh,
+			AccessUS:      rj.m.AccessTime - p.access,
+			ComputeUS:     rj.m.ComputeTime - p.compute,
+			VirtualTimeUS: e.now,
+		}
+		if traced {
+			rec.Jobs = append(rec.Jobs, jr)
+		}
+		if e.cfg.Tracer == nil || !rj.span.Valid() {
 			continue
 		}
-		if jobGroup == nil {
-			jobGroup = make(map[int]int, len(plan))
-			for gi, g := range plan {
-				for _, id := range g.Jobs {
-					jobGroup[id] = gi
+		if groupSpan == nil {
+			groupSpan = make(map[int]float64, len(pre))
+			for _, sg := range info.Groups {
+				for _, id := range sg.JobIDs {
+					groupSpan[id] = sg.MakespanUS
 				}
 			}
 		}
 		attrs := []span.Attr{
-			span.Int("round", round),
-			span.Int("parts", int64(p.parts)),
-			span.Int("pushes", int64(rj.Iterations-p.iters)),
-			span.Float("access_us", rj.m.AccessTime-p.access),
-			span.Float("compute_us", rj.m.ComputeTime-p.compute),
+			span.Int("round", jr.Round),
+			span.Int("parts", int64(jr.Parts)),
+			span.Int("pushes", int64(jr.Pushes)),
+			span.Float("access_us", jr.AccessUS),
+			span.Float("compute_us", jr.ComputeUS),
 			span.Int("tasks", rj.roundTasks),
 			span.Int("stolen", rj.roundStolen.Load()),
 			span.Int("skipped_parts", int64(p.skipped)),
 		}
-		if rj.Mode != exec.ModeBSP {
-			attrs = append(attrs,
-				span.Str("exec_mode", rj.Mode.String()),
-				span.Int("fresh_folds", rj.FreshFolds-p.fresh),
-			)
+		if jr.Mode != "" {
+			attrs = append(attrs, span.Str("exec_mode", jr.Mode), span.Int("fresh_folds", jr.FreshFolds))
 		}
-		if gi, ok := jobGroup[rj.ID]; ok {
-			attrs = append(attrs, span.Float("group_makespan_us", spans[gi]))
+		if us, ok := groupSpan[rj.ID]; ok {
+			attrs = append(attrs, span.Float("group_makespan_us", us))
 		}
 		e.cfg.Tracer.Record(span.Data{
 			Trace:          rj.span.Trace,
@@ -972,6 +999,9 @@ func (e *Engine) recordRoundSpans(start time.Time, wall time.Duration, plan []sc
 			EndVirtualUS:   e.now,
 			Attrs:          attrs,
 		})
+	}
+	if traced {
+		e.tracer.RecordRound(rec)
 	}
 }
 
@@ -1002,7 +1032,7 @@ func (e *Engine) RoundDurations() metrics.HistogramSnapshot {
 	return e.roundHist.Snapshot()
 }
 
-// drainSnapshotObservations feeds snapshots added since the last round to
+// drainSnapshotObservations feeds snapshots added since the last drain to
 // the scheduler, on the loop goroutine, so θ refits for new versions.
 func (e *Engine) drainSnapshotObservations() {
 	e.mu.Lock()
@@ -1012,28 +1042,6 @@ func (e *Engine) drainSnapshotObservations() {
 	for _, pg := range obs {
 		e.sched.ObserveSnapshot(pg)
 	}
-}
-
-// recordPlan publishes the round's chosen groups, load order, and per-group
-// makespan attribution for the control plane.
-func (e *Engine) recordPlan(plan []sched.Group, spans []float64) {
-	info := SchedInfo{
-		Policy: e.cfg.Scheduler.String(),
-		Theta:  e.sched.Theta(),
-		Refits: e.sched.Refits(),
-		Round:  e.rounds.Load() + 1,
-	}
-	for gi, g := range plan {
-		sg := SchedGroup{Jobs: g.Jobs, Priority: g.Priority, MakespanUS: spans[gi]}
-		for _, u := range g.Units {
-			sg.Parts = append(sg.Parts, u.Part.ID)
-			sg.UIDs = append(sg.UIDs, u.Part.UID)
-		}
-		info.Groups = append(info.Groups, sg)
-	}
-	e.mu.Lock()
-	e.lastSched = info
-	e.mu.Unlock()
 }
 
 func structID(p *graph.Partition) memsim.ItemID {
@@ -1370,8 +1378,6 @@ type ExecStats struct {
 	// Workers and Balance are the effective executor configuration.
 	Workers int
 	Balance float64
-	// Static reports whether the legacy vertex-count chunking is active.
-	Static bool
 	// Tasks / Steals / Stolen are cumulative across rounds: tasks
 	// executed, successful steal operations, and tasks moved by them.
 	Tasks  int64
@@ -1401,7 +1407,6 @@ func (e *Engine) ExecStats() ExecStats {
 	return ExecStats{
 		Workers:           e.cfg.Workers,
 		Balance:           e.cfg.Balance,
-		Static:            e.cfg.StaticChunking,
 		Tasks:             e.execTasks.Load(),
 		Steals:            e.execSteals.Load(),
 		Stolen:            e.execStolen.Load(),

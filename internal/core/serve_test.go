@@ -10,6 +10,7 @@ import (
 
 	"cgraph/algo"
 	"cgraph/internal/gen"
+	"cgraph/internal/graph"
 	"cgraph/internal/refimpl"
 	"cgraph/internal/sched"
 	"cgraph/internal/storage"
@@ -341,6 +342,51 @@ func TestServeSnapshotWithDifferentPartitionCount(t *testing.T) {
 			t.Fatalf("sched info policy %q, want %q", info.Policy, kind)
 		}
 		stop()
+	}
+}
+
+// TestServeDrainsSnapshotsWhileIdle: snapshots added to an idle resident
+// loop are handed to the scheduler at once instead of queueing until the
+// next job's first round — the queue used to pin every added PGraph (even
+// ones the store had already evicted) for as long as the service sat idle.
+// A job submitted afterwards still binds to the newest snapshot.
+func TestServeDrainsSnapshotsWhileIdle(t *testing.T) {
+	base := buildPG(t, gen.RMAT(44, 200, 3500, 0.57, 0.19, 0.19), 200, 4, false)
+	rec := newEventRecorder()
+	e := New(Config{Workers: 2, Hier: smallHier(), Scheduler: sched.TwoLevel, OnJobEvent: func(ev JobEvent) { rec.ch <- ev }},
+		storage.NewSnapshotStore(base, 0))
+	stop := startServe(t, e)
+	defer stop()
+
+	var newest *graph.PGraph
+	for i := int64(1); i <= 5; i++ {
+		newest = buildPG(t, gen.RMAT(44+i, 200, 3500, 0.57, 0.19, 0.19), 200, 4, false)
+		if err := e.AddSnapshot(newest, 10*i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	testutil.WaitFor(t, 10*time.Second, func() bool {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		return len(e.snapObs) == 0
+	}, "idle serve loop left snapshot observations queued")
+	if r := e.ServeStats().Rounds; r != 0 {
+		t.Fatalf("%d rounds ran with no job submitted", r)
+	}
+
+	id := e.Submit(algo.NewSSSP(0), 50)
+	if ev := rec.wait(t, id); ev.State != JobDone {
+		t.Fatalf("sssp on the newest snapshot ended %v (%v)", ev.State, ev.Err)
+	}
+	res, err := e.Results(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := refimpl.SSSP(newest.G, 0)
+	for v := range res {
+		if res[v] != want[v] && !(math.IsInf(res[v], 1) && math.IsInf(want[v], 1)) {
+			t.Fatalf("sssp vertex %d: got %v want %v (job not bound to the newest snapshot)", v, res[v], want[v])
+		}
 	}
 }
 

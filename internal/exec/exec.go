@@ -285,11 +285,13 @@ type PushSummary struct {
 
 // Push is Algorithm 2: collect the Δ of every mirror replica that received
 // contributions into Snew entries, sort them by master location, fold them
-// into the masters, then — deviating from the paper's literal pseudocode as
-// documented in DESIGN.md — store the aggregated Δ into every replica of
+// into the masters, then — where the paper's pseudocode copies the master's
+// new state to its mirrors — store the aggregated Δ into every replica of
 // each still-active vertex and mark those replicas active for the next
-// iteration. Residual sub-threshold deltas stay accumulated at the master so
-// no contribution mass is ever lost.
+// iteration: every replica applies the same Δ to the same value itself, so
+// replicas stay value-identical (CheckReplicaConsistency) without a second
+// state write-back. Residual sub-threshold deltas stay accumulated at the
+// master so no contribution mass is ever lost.
 func (j *Job) Push() PushSummary {
 	ident := j.Prog.Identity()
 	pg := j.PG
@@ -471,8 +473,8 @@ func (v stateView) Set(id model.VertexID, s model.State, active bool) {
 	}
 }
 
-// CheckReplicaConsistency verifies that every replica of every vertex holds
-// the same value (the Push invariant from DESIGN.md §5); used by tests.
+// CheckReplicaConsistency verifies the Push invariant — after a push every
+// replica of every vertex holds the same value; used by tests.
 func (j *Job) CheckReplicaConsistency() error {
 	for v, locs := range j.PG.Replicas {
 		first := j.PT.States[locs[0].Part][locs[0].Local].Value

@@ -95,7 +95,11 @@ func TestPartitionErrors(t *testing.T) {
 	}
 }
 
-// checkInvariants verifies the partitioning invariants from DESIGN.md §5.
+// checkInvariants verifies the vertex-cut partitioning invariants: every edge
+// lands in exactly one partition, each partition's CSRs and sorted vertex
+// table agree with LocalOf, every vertex with an edge has exactly one master
+// replica (isolated vertices none) that each mirror's MasterPart reaches, and
+// the replica lists invert partition membership.
 func checkInvariants(t *testing.T, g *Graph, edges []model.Edge, pg *PGraph) {
 	t.Helper()
 	// Every edge appears exactly once across partitions.

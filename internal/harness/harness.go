@@ -2,8 +2,8 @@
 // evaluation (§4) on the reproduction substrate: it sizes a simulated
 // memory hierarchy per dataset, runs the CGraph engine and the baseline
 // systems over the benchmark workloads, and renders the same rows and
-// series the paper reports. DESIGN.md carries the experiment index; each
-// FigNN function below maps one-to-one to it.
+// series the paper reports. Each FigNN function maps one-to-one to the
+// paper's figure of that number; All is the index.
 package harness
 
 import (

@@ -13,8 +13,8 @@ import (
 
 // Group is one correlation group of a round's schedule.
 type Group struct {
-	// Jobs are the engine job IDs scheduled in this group.
-	Jobs []int
+	// JobIDs are the engine job IDs scheduled in this group.
+	JobIDs []int
 	// Priority is the aggregate job priority that ordered the group.
 	Priority int
 	// Units is the number of (snapshot, partition) units the group loaded.
@@ -25,8 +25,8 @@ type Group struct {
 
 // JobRound is one job's share of one round.
 type JobRound struct {
-	// Job is the engine job ID the entry belongs to.
-	Job int
+	// JobID is the engine job ID the entry belongs to.
+	JobID int
 	// Round is the 1-based engine round index.
 	Round int64
 	// Wall is the measured wall-clock duration of the whole round.
@@ -38,9 +38,9 @@ type JobRound struct {
 	// Mode is the job's execution discipline ("async", "delayed"); empty
 	// for default-BSP jobs so pre-mode records are unchanged.
 	Mode string
-	// Fresh counts contributions the job folded eagerly (fresh-state) this
-	// round; zero for BSP jobs.
-	Fresh int64
+	// FreshFolds counts contributions the job folded eagerly (fresh-state)
+	// this round; zero for BSP jobs.
+	FreshFolds int64
 	// AccessUS / ComputeUS are the job's simulated access and compute time
 	// charged during the round.
 	AccessUS  float64
@@ -49,7 +49,8 @@ type JobRound struct {
 	VirtualTimeUS float64
 }
 
-// Round is the per-round trace record.
+// Round is the per-round trace record (one per engine round while the
+// recorder's depth is positive).
 type Round struct {
 	// Round is the 1-based engine round index.
 	Round int64
@@ -74,18 +75,23 @@ type Round struct {
 	// Skipped counts the (job, partition) pairs whose frontier was empty
 	// at round start — converged regions excluded before scheduling.
 	Skipped int64
-	// Fresh counts contributions folded eagerly by fresh-state (async or
-	// delayed) jobs during the round; zero on all-BSP rounds.
-	Fresh int64
+	// FreshFolds counts contributions folded eagerly by fresh-state (async
+	// or delayed) jobs during the round; zero on all-BSP rounds.
+	FreshFolds int64
 }
 
-// Timeline is one job's round-by-round history. Rounds is bounded by the
-// recorder depth; Dropped counts rounds truncated off the front.
+// Timeline is one job's retained round-by-round history.
 type Timeline struct {
-	JobID   int
-	State   string // terminal state name once retired, "" while live
+	// JobID is the engine job ID.
+	JobID int
+	// State is the terminal state name once the job retired, "" while it
+	// runs.
+	State string
+	// Dropped counts rounds truncated off the front of the timeline, which
+	// is bounded by the recorder depth.
 	Dropped int
-	Rounds  []JobRound
+	// Rounds is the retained timeline, oldest first.
+	Rounds []JobRound
 }
 
 // Recorder holds the bounded rings. The zero value is unusable; a nil
@@ -128,16 +134,16 @@ func (r *Recorder) RecordRound(rd Round) {
 		r.rounds = r.rounds[1:]
 	}
 	for _, jr := range rd.Jobs {
-		tl, ok := r.live[jr.Job]
+		tl, ok := r.live[jr.JobID]
 		if !ok {
 			// Completion is detected mid-round, before the round record is
 			// cut, so a job's final round arrives after its Retire. Fold it
 			// into the retained timeline rather than resurrecting a live one
 			// (which would shadow the full history on lookup).
-			if rtl, retired := r.retiredIdx[jr.Job]; retired {
+			if rtl, retired := r.retiredIdx[jr.JobID]; retired {
 				tl = rtl
 			} else {
-				tl = &Timeline{JobID: jr.Job}
+				tl = &Timeline{JobID: jr.JobID}
 				r.live[tl.JobID] = tl
 			}
 		}

@@ -246,12 +246,7 @@ func (s *Service) IngestDelta(ctx context.Context, delta api.Delta) (api.DeltaAc
 		return api.DeltaAck{}, &api.Error{Code: api.CodeBadRequest, Message: err.Error()}
 	}
 	accept.Attr(span.Int("accepted", int64(ack.Accepted)), span.Int("pending", int64(ack.Pending)), span.Bool("flushed", ack.Flushed))
-	return api.DeltaAck{
-		Accepted:  ack.Accepted,
-		Pending:   ack.Pending,
-		Flushed:   ack.Flushed,
-		Timestamp: ack.Timestamp,
-	}, nil
+	return api.DeltaAck(ack), nil
 }
 
 // SpansOf returns one job's retained span tree plus its resource
@@ -430,44 +425,6 @@ func buildVersion() api.VersionInfo {
 	return v
 }
 
-// ingestInfo reports the system's ingest counters in wire form.
-func (s *Service) ingestInfo() api.IngestStats {
-	st := s.sys.IngestStats()
-	return api.IngestStats{
-		Batches:          st.Batches,
-		Mutations:        st.Mutations,
-		Coalesced:        st.Coalesced,
-		Flushes:          st.Flushes,
-		CountFlushes:     st.CountFlushes,
-		AgeFlushes:       st.AgeFlushes,
-		ManualFlushes:    st.ManualFlushes,
-		Failures:         st.Failures,
-		Rewrites:         st.Rewrites,
-		EdgeAdds:         st.EdgeAdds,
-		EdgeRemoves:      st.EdgeRemoves,
-		VertexAdds:       st.VertexAdds,
-		Cancelled:        st.Cancelled,
-		RemoveMisses:     st.RemoveMisses,
-		Shed:             st.Shed,
-		SnapshotsBuilt:   st.SnapshotsBuilt,
-		SlotsApplied:     st.SlotsApplied,
-		Compactions:      st.Compactions,
-		PartsRebuilt:     st.PartsRebuilt,
-		PartsShared:      st.PartsShared,
-		SharedRatio:      st.SharedRatio,
-		Pending:          st.Pending,
-		LastTimestamp:    st.LastTimestamp,
-		SnapshotsLive:    st.SnapshotsLive,
-		SnapshotsEvicted: st.SnapshotsEvicted,
-		RetainSnapshots:  st.RetainSnapshots,
-		OldestSeq:        st.OldestSeq,
-		OldestTimestamp:  st.OldestTimestamp,
-		NewestSeq:        st.NewestSeq,
-		NewestTimestamp:  st.NewestTimestamp,
-		NumVertices:      st.NumVertices,
-	}
-}
-
 // MetricsInfo reports job-state counts (compacted history included),
 // round-loop progress, and the scheduler's last plan in wire form.
 func (s *Service) MetricsInfo() api.Metrics {
@@ -487,7 +444,7 @@ func (s *Service) metricsSnapshot() (api.Metrics, []api.JobStatus) {
 			StateQueued: 0, StateRunning: 0, StateDone: 0, StateCancelled: 0, StateFailed: 0,
 		},
 		Sched:  s.SchedInfo(),
-		Ingest: s.ingestInfo(),
+		Ingest: s.sys.IngestStats(),
 	}
 	history, jobs, evicted := s.snapshotJobs()
 	for state, n := range evicted {
@@ -505,22 +462,7 @@ func (s *Service) metricsSnapshot() (api.Metrics, []api.JobStatus) {
 	stats := s.sys.Stats()
 	m.Rounds = stats.Rounds
 	m.VirtualTimeUS = stats.VirtualTimeUS
-	es := s.sys.ExecStats()
-	m.Exec = api.ExecInfo{
-		Workers:           es.Workers,
-		Balance:           es.Balance,
-		Tasks:             es.Tasks,
-		Steals:            es.Steals,
-		Stolen:            es.Stolen,
-		SkippedPartitions: es.SkippedPartitions,
-		Imbalance:         es.LastImbalance,
-		FreshFolds:        es.FreshFolds,
-		BarriersSkipped:   es.BarriersSkipped,
-		BarriersForced:    es.BarriersForced,
-		BSPJobs:           es.BSPJobs,
-		AsyncJobs:         es.AsyncJobs,
-		DelayedJobs:       es.DelayedJobs,
-	}
+	m.Exec = api.ExecInfo(s.sys.ExecStats())
 	m.Attribution = s.attributions()
 	return m, live
 }
@@ -659,6 +601,7 @@ func (s *Service) RoundTraces(limit int) api.RoundTraces {
 			Tasks:             r.Tasks,
 			Steals:            r.Steals,
 			SkippedPartitions: r.Skipped,
+			FreshFolds:        r.FreshFolds,
 		}
 		for _, g := range r.Groups {
 			wg := api.RoundTraceGroup{Priority: g.Priority, Units: g.Units, MakespanUS: g.MakespanUS}
@@ -685,6 +628,8 @@ func wireJobRound(jr cgraph.JobRoundTrace, job string) api.JobRoundTrace {
 		WallUS:        float64(jr.Wall) / float64(time.Microsecond),
 		Parts:         jr.Parts,
 		Pushes:        jr.Pushes,
+		ExecMode:      jr.Mode,
+		FreshFolds:    jr.FreshFolds,
 		AccessUS:      jr.AccessUS,
 		ComputeUS:     jr.ComputeUS,
 		VirtualTimeUS: jr.VirtualTimeUS,

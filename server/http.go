@@ -561,7 +561,7 @@ func (h *httpAPI) metrics(w http.ResponseWriter, r *http.Request) {
 	e.Declare("cgraph_exec_skipped_partitions_total", "counter", "Converged (job, partition) pairs skipped before scheduling (empty frontier).")
 	e.Add("cgraph_exec_skipped_partitions_total", nil, float64(ex.SkippedPartitions))
 	e.Declare("cgraph_exec_imbalance", "gauge", "Heaviest worker's share of last round's task weight, x workers (1.0 = even).")
-	e.Add("cgraph_exec_imbalance", nil, ex.Imbalance)
+	e.Add("cgraph_exec_imbalance", nil, ex.LastImbalance)
 	e.Declare("cgraph_exec_fresh_folds_total", "counter", "Contributions folded eagerly by fresh-state (async/delayed) jobs.")
 	e.Add("cgraph_exec_fresh_folds_total", nil, float64(ex.FreshFolds))
 	e.Declare("cgraph_exec_barriers_total", "counter", "Delayed-mode merge-barrier outcomes: skipped within the staleness bound vs forced.")
@@ -622,10 +622,8 @@ func (h *httpAPI) metrics(w http.ResponseWriter, r *http.Request) {
 		e.Add("cgraph_job_simulated_compute_us", labels, st.SimulatedComputeUS)
 	}
 	obs := h.svc.obs
-	rd := h.svc.sys.RoundDurationStats()
 	e.Declare("cgraph_round_duration_seconds", "histogram", "Wall-clock LTP round duration, traced or not.")
-	e.AddHistogram("cgraph_round_duration_seconds", nil,
-		metrics.HistogramSnapshot{Bounds: rd.Bounds, Counts: rd.Counts, Sum: rd.Sum, Count: rd.Count})
+	e.AddHistogram("cgraph_round_duration_seconds", nil, h.svc.sys.RoundDurationStats())
 	e.Declare("cgraph_job_queue_wait_seconds", "histogram", "Job submission to engine admission.")
 	e.AddHistogram("cgraph_job_queue_wait_seconds", nil, obs.queueWait.Snapshot())
 	e.Declare("cgraph_job_exec_seconds", "histogram", "Job engine admission to terminal state, by algorithm.")

@@ -946,7 +946,7 @@ func TestHTTPResumeCompactedJob(t *testing.T) {
 // pre-mode clients see byte-identical payloads.
 func TestHTTPExecModeWire(t *testing.T) {
 	edges := gen.RMAT(43, 400, 8000, 0.57, 0.19, 0.19)
-	sys := cgraph.NewSystem(cgraph.WithWorkers(2), cgraph.WithCoreSubgraph(false))
+	sys := cgraph.NewSystem(cgraph.WithWorkers(2), cgraph.WithCoreSubgraph(false), cgraph.WithTraceDepth(512))
 	if err := sys.LoadEdges(400, edges); err != nil {
 		t.Fatal(err)
 	}
@@ -1069,5 +1069,53 @@ func TestHTTPExecModeWire(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Fatalf("Prometheus exposition missing %q:\n%s", want, text)
 		}
+	}
+	// Both trace surfaces carry the per-job mode and fresh-fold counts for
+	// the non-BSP jobs and neither key for the default job.
+	checkRounds := func(where, id string, rounds []any) {
+		t.Helper()
+		var folds float64
+		for _, r := range rounds {
+			jr := r.(map[string]any)
+			_, hasMode := jr["exec_mode"]
+			f, hasFolds := jr["fresh_folds"].(float64)
+			folds += f
+			if id == defID && (hasMode || hasFolds) {
+				t.Fatalf("%s: default job leaked exec_mode/fresh_folds: %v", where, jr)
+			}
+			if id == asyncID && jr["exec_mode"] != "async" {
+				t.Fatalf("%s: async job's round = %v, want exec_mode async", where, jr)
+			}
+		}
+		if len(rounds) == 0 || (id == asyncID && folds <= 0) {
+			t.Fatalf("%s: job %s has %d rounds carrying %v fresh_folds", where, id, len(rounds), folds)
+		}
+	}
+	code, rt := httpJSON(t, c, "GET", ts.URL+"/v1/trace/rounds", nil)
+	if code != http.StatusOK {
+		t.Fatalf("GET /v1/trace/rounds = %d", code)
+	}
+	byJob := map[string][]any{}
+	var roundFolds float64
+	for _, r := range rt["rounds"].([]any) {
+		rd := r.(map[string]any)
+		f, _ := rd["fresh_folds"].(float64)
+		roundFolds += f
+		jobs, _ := rd["jobs"].([]any)
+		for _, j := range jobs {
+			id := j.(map[string]any)["job"].(string)
+			byJob[id] = append(byJob[id], j)
+		}
+	}
+	if roundFolds <= 0 {
+		t.Fatalf("/v1/trace/rounds: no round carries fresh_folds")
+	}
+	for _, id := range []string{defID, asyncID} {
+		checkRounds("/v1/trace/rounds", id, byJob[id])
+		code, tr := httpJSON(t, c, "GET", ts.URL+"/v1/jobs/"+id+"/trace", nil)
+		if code != http.StatusOK {
+			t.Fatalf("GET /v1/jobs/%s/trace = %d", id, code)
+		}
+		checkRounds("/v1/jobs/"+id+"/trace", id, tr["rounds"].([]any))
 	}
 }
