@@ -6,9 +6,12 @@
 package cgraph
 
 import (
+	"math"
 	"os"
+	"runtime"
 	"strconv"
 	"testing"
+	"time"
 
 	"cgraph/algo"
 	"cgraph/internal/exec"
@@ -16,6 +19,7 @@ import (
 	"cgraph/internal/graph"
 	"cgraph/internal/harness"
 	"cgraph/internal/memsim"
+	"cgraph/internal/pool"
 	"cgraph/internal/sched"
 )
 
@@ -138,25 +142,117 @@ func BenchmarkTriggerIteration(b *testing.B) {
 	b.SetBytes(int64(len(edges)) * 16)
 }
 
+// heapBytes reads the cumulative bytes allocated, for the per-layer B/…
+// metrics below (the benchmark/ legs' exec.*_b_per_* and push_kb_per_iter).
+func heapBytes() uint64 {
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.TotalAlloc
+}
+
+// BenchmarkPushSync times Algorithm 2 at every iteration close of a whole
+// PageRank run (the sweeps between closes are untimed) and reports what
+// benchmark/ calls exec.push_ns_per_entry and exec.push_kb_per_iter.
 func BenchmarkPushSync(b *testing.B) {
-	// Algorithm 2 over a first PageRank iteration's mirror deltas.
 	edges, g := microGraph(b)
 	pg, err := graph.Cut(g, edges, graph.Options{NumPartitions: 32})
 	if err != nil {
 		b.Fatal(err)
 	}
+	var push time.Duration
+	var entries, iters int64
+	var bytes uint64
+	sc := &exec.Scratch{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		j := exec.NewJob(0, algo.NewPageRank(), pg)
-		sc := &exec.Scratch{}
-		for pid := range pg.Parts {
-			j.ProcessPartition(pid, sc)
+		for !j.Done {
+			for pid := range pg.Parts {
+				if j.PT.ActiveCount[pid] > 0 {
+					j.ProcessPartition(pid, sc)
+				}
+			}
+			b0 := heapBytes()
+			b.StartTimer()
+			t0 := time.Now()
+			entries += j.FinishIteration().Entries
+			push += time.Since(t0)
+			b.StopTimer()
+			bytes += heapBytes() - b0
+			iters++
 		}
-		b.StartTimer()
-		j.Push()
 	}
+	b.ReportMetric(float64(push.Nanoseconds())/float64(entries), "ns/entry")
+	b.ReportMetric(float64(bytes)/float64(iters), "B/iter")
+}
+
+// BenchmarkApplyRange sweeps every partition of a first PageRank iteration
+// the way the engine's trigger does — the frontier sliced into weighted
+// ranges, one scratch per range — with the scratches either fresh per range
+// (what benchmark/'s exec leg replays) or recycled by task position (what
+// the engine does), and reports exec.apply_ns_per_edge / apply_b_per_edge.
+func BenchmarkApplyRange(b *testing.B) {
+	edges, g := microGraph(b)
+	pg, err := graph.Cut(g, edges, graph.Options{NumPartitions: 32})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, mode := range []string{"fresh", "recycled"} {
+		b.Run(mode, func(b *testing.B) {
+			var slab []*exec.Scratch
+			var ranges []exec.Range
+			var apply time.Duration
+			var edgesDone int64
+			var bytes uint64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				j := exec.NewJob(0, algo.NewPageRank(), pg)
+				for pid := range pg.Parts {
+					ranges = j.SliceActive(pid, j.ActiveWeight(pid)/8+1, ranges[:0])
+					for len(slab) < len(ranges) {
+						slab = append(slab, &exec.Scratch{})
+					}
+					b0 := heapBytes()
+					b.StartTimer()
+					t0 := time.Now()
+					for k, r := range ranges {
+						sc := slab[k]
+						if mode == "fresh" {
+							sc = &exec.Scratch{}
+						}
+						sc.Reset()
+						edgesDone += j.ApplyRange(pid, r, sc).Edges
+					}
+					apply += time.Since(t0)
+					b.StopTimer()
+					bytes += heapBytes() - b0
+				}
+			}
+			b.ReportMetric(float64(apply.Nanoseconds())/float64(edgesDone), "ns/edge")
+			b.ReportMetric(float64(bytes)/float64(edgesDone), "B/edge")
+		})
+	}
+}
+
+// BenchmarkPoolRun dispatches no-op tasks shaped like one dense trigger
+// batch (a few heavy ranges, many light ones) through a two-worker pool:
+// benchmark/'s pool.dispatch_ns_per_task, plus the allocations a run costs.
+func BenchmarkPoolRun(b *testing.B) {
+	tasks := make([]pool.Task, 16)
+	for i := range tasks {
+		tasks[i] = pool.Task{Weight: int64(math.Pow(2, float64(i%5))) * 512, Run: func(int) {}}
+	}
+	p := pool.New(2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Run(tasks)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(tasks)), "ns/task")
 }
 
 func BenchmarkEndToEndFourJobs(b *testing.B) {

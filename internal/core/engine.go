@@ -255,6 +255,21 @@ type Engine struct {
 
 	jobs []*runJob
 
+	// Round-path buffers (loop-goroutine only), reused so that a
+	// steady-state round allocates nothing for them. slab[i] is the i-th
+	// task of the trigger batch in flight and scs[i] its scratch; indexing
+	// by task position — not by worker or through a sync.Pool — keeps each
+	// scratch's growth history, and so the bytes a run allocates, a
+	// function of the (deterministic) task lists alone. merges is the same
+	// for the merge phase.
+	slab   []*triggerTask
+	scs    []*exec.Scratch
+	merges []*mergeTask
+	ranges []exec.Range
+	ptasks []pool.Task
+	mtasks []pool.Task
+	perJob []exec.Stats
+
 	now      float64
 	busyCore float64
 	// cPrev holds last round's C(U) keyed by partition-version UID, so
@@ -766,7 +781,7 @@ func (e *Engine) round() {
 	e.rtFresh = 0
 	for _, rj := range e.jobs {
 		byID[rj.ID] = rj
-		rj.remaining = make(map[int64]int)
+		clear(rj.remaining)
 		jf := sched.JobFootprint{JobID: rj.ID, Priority: rj.priority, Fresh: rj.Mode != exec.ModeBSP}
 		activeParts := rj.PT.ActiveParts()
 		for _, pid := range activeParts {
@@ -833,7 +848,7 @@ func (e *Engine) round() {
 
 	// Close iterations for jobs that had nothing to do this round and
 	// collect next-round C(U) statistics, keyed by partition version.
-	var still []*runJob
+	still := e.jobs[:0]
 	for _, rj := range e.jobs {
 		if !rj.Done && len(rj.remaining) == 0 && !rj.PT.HasActive() {
 			e.finishIteration(rj)
@@ -843,13 +858,12 @@ func (e *Engine) round() {
 		}
 		still = append(still, rj)
 	}
+	clear(e.jobs[len(still):])
 	clear(e.cPrev)
 	for _, rj := range still {
-		for pid, s := range rj.TakeDeltaStats() {
-			if s != 0 {
-				e.cPrev[rj.PG.Parts[pid].UID] += s
-			}
-		}
+		rj.DrainDeltaStats(func(pid int, sum float64) {
+			e.cPrev[rj.PG.Parts[pid].UID] += sum
+		})
 	}
 	e.jobs = still
 	e.execTasks.Add(e.rtTasks)
@@ -1125,16 +1139,64 @@ func (e *Engine) processUnit(p *graph.Partition, items []unitJob) {
 // triggerTask is one executor task of a trigger batch: a degree-weighted
 // slice of a job's active frontier (frontier mode) or a fixed-size chunk of
 // its materialized active locals (static mode), with its private scratch
-// and result stats.
+// and result stats. Tasks live in Engine.slab and are refilled by every
+// trigger call; the scratch keeps its capacity across calls.
 type triggerTask struct {
 	rj     *runJob
 	pid    int
 	weight int64
 	r      exec.Range
+	// locals is the static-mode chunk (static set); r is unused then.
 	locals []uint32
+	static bool
 	sc     exec.Scratch
 	stats  exec.Stats
+	// apply is run as a func value, bound once when the slab entry is made
+	// so that building a pool task from it allocates nothing.
+	apply func(int)
 }
+
+// run is the task's pool body: the BSP or fresh-state apply variant by the
+// job's mode and the decomposition that built the task.
+func (t *triggerTask) run(int) {
+	fresh := t.rj.Mode != exec.ModeBSP
+	switch {
+	case t.static && fresh:
+		t.stats = t.rj.ApplyChunkFresh(t.pid, t.locals, &t.sc)
+	case t.static:
+		t.stats = t.rj.ApplyChunk(t.pid, t.locals, &t.sc)
+	case fresh:
+		t.stats = t.rj.ApplyRangeFresh(t.pid, t.r, &t.sc)
+	default:
+		t.stats = t.rj.ApplyRange(t.pid, t.r, &t.sc)
+	}
+}
+
+// task returns the slab entry for position i of the trigger batch being
+// built, emptied for reuse.
+func (e *Engine) task(i int) *triggerTask {
+	if i == len(e.slab) {
+		t := &triggerTask{}
+		t.apply = t.run
+		e.slab = append(e.slab, t)
+		e.scs = append(e.scs, &t.sc)
+	}
+	t := e.slab[i]
+	t.sc.Reset()
+	t.stats = exec.Stats{}
+	return t
+}
+
+// mergeTask folds the scratches of one (job, partition)'s tasks, in task
+// order. Like triggerTask it is slab-resident with its pool body bound once.
+type mergeTask struct {
+	rj    *runJob
+	pid   int
+	scs   []*exec.Scratch
+	merge func(int)
+}
+
+func (m *mergeTask) run(int) { m.rj.Merge(m.pid, m.scs...) }
 
 // trigger processes one loaded partition version for a batch of jobs on the
 // shared work-stealing pool, returning the virtual compute time of the
@@ -1158,11 +1220,11 @@ func (e *Engine) trigger(batch []unitJob) float64 {
 	// block order by the task builders — are chained into one sequenced
 	// pool task: the block order is preserved on a single worker while
 	// distinct jobs and partitions still balance across the pool.
-	ptasks := make([]pool.Task, 0, len(tasks))
+	ptasks := e.ptasks[:0]
 	for i := 0; i < len(tasks); {
 		t := tasks[i]
 		if t.rj.Mode == exec.ModeBSP {
-			pt := e.applyTask(t)
+			pt := pool.Task{Weight: t.weight, Run: t.apply}
 			if e.cfg.Tracer != nil && t.rj.span.Valid() {
 				pt.Trace = e.taskTrace(t.rj, t.weight)
 			}
@@ -1177,7 +1239,7 @@ func (e *Engine) trigger(batch []unitJob) float64 {
 		}
 		sub := make([]pool.Task, 0, i-start)
 		for _, ft := range tasks[start:i] {
-			sub = append(sub, e.applyTask(ft))
+			sub = append(sub, pool.Task{Weight: ft.weight, Run: ft.apply})
 		}
 		ct := pool.Chain(sub)
 		if e.cfg.Tracer != nil && t.rj.span.Valid() {
@@ -1186,31 +1248,37 @@ func (e *Engine) trigger(batch []unitJob) float64 {
 		ptasks = append(ptasks, ct)
 		t.rj.roundTasks++
 	}
+	e.ptasks = ptasks
 	applySt := e.pool.Run(ptasks)
 
 	// Merge phase on the same bounded pool — one task per job folds its
 	// scratches in task order (deterministic float accumulation) — instead
-	// of one unbounded goroutine per job.
-	perJob := make([]exec.Stats, len(batch))
-	mtasks := make([]pool.Task, 0, len(batch))
-	for i, it := range batch {
-		var scs []*exec.Scratch
+	// of one unbounded goroutine per job. The builders emit a job's tasks
+	// contiguously and in batch order, so one pass groups them.
+	e.perJob = append(e.perJob[:0], make([]exec.Stats, len(batch))...)
+	perJob := e.perJob
+	mtasks := e.mtasks[:0]
+	for i, bi := 0, 0; i < len(tasks); {
+		t := tasks[i]
+		for batch[bi].rj != t.rj {
+			bi++
+		}
+		start := i
 		var w int64
-		for _, t := range tasks {
-			if t.rj == it.rj {
-				scs = append(scs, &t.sc)
-				perJob[i].Add(t.stats)
-				w += int64(t.sc.Len())
-			}
+		for ; i < len(tasks) && tasks[i].rj == t.rj && tasks[i].pid == t.pid; i++ {
+			perJob[bi].Add(tasks[i].stats)
+			w += int64(tasks[i].sc.Len())
 		}
-		if len(scs) == 0 {
-			continue
+		if len(mtasks) == len(e.merges) {
+			m := &mergeTask{}
+			m.merge = m.run
+			e.merges = append(e.merges, m)
 		}
-		rj, pid, scs := it.rj, it.pid, scs
-		mtasks = append(mtasks, pool.Task{Weight: w, Run: func(int) {
-			rj.Merge(pid, scs...)
-		}})
+		m := e.merges[len(mtasks)]
+		m.rj, m.pid, m.scs = t.rj, t.pid, e.scs[start:i]
+		mtasks = append(mtasks, pool.Task{Weight: w, Run: m.merge})
 	}
+	e.mtasks = mtasks
 	mergeSt := e.pool.Run(mtasks)
 
 	// Virtual-time accounting: the phase takes the makespan lower bound of
@@ -1265,27 +1333,17 @@ func (e *Engine) trigger(batch []unitJob) float64 {
 	if imb := applySt.Imbalance(e.cfg.Workers); imb > e.rtImb {
 		e.rtImb = imb
 	}
-	return elapsed
-}
-
-// applyTask builds the pool task body for one trigger subtask, picking the
-// BSP or fresh-state apply variant by the job's mode and the configured
-// decomposition. Trace hooks are attached by the caller (per task for BSP,
-// per chain for fresh-state jobs).
-func (e *Engine) applyTask(t *triggerTask) pool.Task {
-	fresh := t.rj.Mode != exec.ModeBSP
-	var run func(int)
-	switch {
-	case e.cfg.StaticChunking && fresh:
-		run = func(int) { t.stats = t.rj.ApplyChunkFresh(t.pid, t.locals, &t.sc) }
-	case e.cfg.StaticChunking:
-		run = func(int) { t.stats = t.rj.ApplyChunk(t.pid, t.locals, &t.sc) }
-	case fresh:
-		run = func(int) { t.stats = t.rj.ApplyRangeFresh(t.pid, t.r, &t.sc) }
-	default:
-		run = func(int) { t.stats = t.rj.ApplyRange(t.pid, t.r, &t.sc) }
+	// The buffers outlive the batch: drop their job references (held by the
+	// slab entries and the apply tasks' trace hooks) so a retired job's
+	// private table is not pinned by an idle engine.
+	for _, t := range tasks {
+		t.rj, t.locals = nil, nil
 	}
-	return pool.Task{Weight: t.weight, Run: run}
+	for _, m := range e.merges[:len(mtasks)] {
+		m.rj = nil
+	}
+	clear(ptasks)
+	return elapsed
 }
 
 // taskTrace builds the pool bracket for one span-carrying job's task: every
@@ -1323,21 +1381,20 @@ func (e *Engine) frontierTasks(batch []unitJob, split bool) []*triggerTask {
 	if split {
 		var totalW int64
 		for _, it := range batch {
-			for _, r := range it.rj.SliceActive(it.pid, math.MaxInt64, nil) {
-				totalW += r.Weight
-			}
+			totalW += it.rj.ActiveWeight(it.pid)
 		}
 		target = int64(float64(totalW)/(float64(e.cfg.Workers)*e.cfg.Balance)) + 1
 	}
-	var tasks []*triggerTask
-	var buf []exec.Range
+	n := 0
 	for _, it := range batch {
-		buf = it.rj.SliceActive(it.pid, target, buf[:0])
-		for _, r := range buf {
-			tasks = append(tasks, &triggerTask{rj: it.rj, pid: it.pid, r: r, weight: r.Weight})
+		e.ranges = it.rj.SliceActive(it.pid, target, e.ranges[:0])
+		for _, r := range e.ranges {
+			t := e.task(n)
+			t.rj, t.pid, t.r, t.weight, t.static = it.rj, it.pid, r, r.Weight, false
+			n++
 		}
 	}
-	return tasks
+	return e.slab[:n]
 }
 
 // staticTasks is the legacy skew-blind decomposition (ablation/bench
@@ -1354,22 +1411,23 @@ func (e *Engine) staticTasks(batch []unitJob, split bool) []*triggerTask {
 	if chunk < 32 {
 		chunk = 32
 	}
-	var tasks []*triggerTask
+	n := 0
+	add := func(it unitJob, locals []uint32) {
+		t := e.task(n)
+		t.rj, t.pid, t.locals, t.weight, t.static = it.rj, it.pid, locals, int64(len(locals)), true
+		n++
+	}
 	for i, it := range batch {
 		locals := jobLocals[i]
 		if !split || len(locals) <= chunk {
-			tasks = append(tasks, &triggerTask{rj: it.rj, pid: it.pid, locals: locals, weight: int64(len(locals))})
+			add(it, locals)
 			continue
 		}
 		for lo := 0; lo < len(locals); lo += chunk {
-			hi := lo + chunk
-			if hi > len(locals) {
-				hi = len(locals)
-			}
-			tasks = append(tasks, &triggerTask{rj: it.rj, pid: it.pid, locals: locals[lo:hi], weight: int64(hi - lo)})
+			add(it, locals[lo:min(lo+chunk, len(locals))])
 		}
 	}
-	return tasks
+	return e.slab[:n]
 }
 
 // ExecStats is a point-in-time snapshot of the work-stealing executor's

@@ -108,7 +108,7 @@ func (j *Job) freshSink(pid int, sc *Scratch, st *Stats) func(dst uint32, c floa
 	recv := j.PT.Received[pid]
 	filter, filtered := j.Prog.(model.Filterer)
 	return func(dst uint32, c float64) {
-		if _, replicated := j.PG.Replicas[p.Globals[dst]]; replicated {
+		if j.PG.IsReplicated(p.Globals[dst]) {
 			sc.dst = append(sc.dst, dst)
 			sc.contrib = append(sc.contrib, c)
 			return
@@ -226,7 +226,7 @@ func (j *Job) localNext() int {
 			if states[li].Delta == ident {
 				return true
 			}
-			if _, replicated := j.PG.Replicas[p.Globals[li]]; replicated {
+			if j.PG.IsReplicated(p.Globals[li]) {
 				return true
 			}
 			if j.Prog.IsActive(states[li]) {

@@ -4,12 +4,24 @@
 // batched replica synchronization of Algorithm 2. Centralizing the vertex
 // arithmetic guarantees that all engines compute identical results and
 // differ only in orchestration and data-movement behaviour.
+//
+// The BSP kernel allocates nothing in steady state. ApplyRange buffers a
+// range's contributions into a Scratch it grows at most once, to the range's
+// weight; callers that keep their scratches (the engine keeps one per task
+// position) stop allocating after the first sweep. Push folds each mirror's
+// Δ directly into its master's slot while walking the receivers in ascending
+// (partition, local) order — a master sits in the lowest partition holding
+// its vertex, so its folds arrive in ascending source-partition order, which
+// fixes the float accumulation order — and keeps its working set (a
+// master-hit bitset per partition, a touched flag per partition) on the Job.
+// PushSummary.TouchedParts aliases one of those buffers: it is valid until
+// the job's next Push, so consume it before closing another iteration.
 package exec
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"cgraph/internal/bitset"
 	"cgraph/internal/graph"
@@ -80,6 +92,15 @@ type Job struct {
 	// advances (lazily allocated, delayed mode only).
 	sinceBarrier int
 	pending      []*bitset.Set
+
+	// Push's working set, allocated by its first call and reset by every
+	// call: hit[p] marks the masters of partition p that received a Δ this
+	// iteration (directly or folded from a mirror), touched flags the
+	// partitions read or written, and touchedParts backs the returned
+	// PushSummary.TouchedParts.
+	hit          []*bitset.Set
+	touched      []bool
+	touchedParts []int
 }
 
 // NewJob builds a job over the given snapshot, initializing its private
@@ -95,11 +116,16 @@ func NewJob(id int, prog model.Program, pg *graph.PGraph) *Job {
 	}
 }
 
-// Scratch is a per-worker buffer for the BSP scatter path, reusable across
-// partitions.
+// Scratch buffers the contributions one apply call scatters, as parallel
+// (destination local, contribution) arrays that Merge folds afterwards. It
+// is reusable across partitions and iterations: Reset keeps the capacity,
+// and ApplyRange grows it at most once per call, to the range's weight. The
+// zero value is ready to use.
 type Scratch struct {
 	dst     []uint32
 	contrib []float64
+	// locals is ProcessPartition's materialized frontier.
+	locals []uint32
 }
 
 // Reset empties the scratch, retaining capacity.
@@ -159,6 +185,30 @@ func (j *Job) SliceActive(pid int, target int64, buf []Range) []Range {
 	return buf
 }
 
+// ActiveWeight returns the total weight of partition pid's active frontier:
+// the sum of the Range weights SliceActive cuts it into, whatever the target.
+// A full frontier — the steady state of the dense programs — is read off the
+// partition's edge counts without walking the bitset.
+func (j *Job) ActiveWeight(pid int) int64 {
+	p := j.PG.Parts[pid]
+	if n := p.NumVertices(); j.PT.ActiveCount[pid] == n {
+		w := int64(n)
+		if j.Dir == model.Out || j.Dir == model.Both {
+			w += int64(len(p.OutDst))
+		}
+		if j.Dir == model.In || j.Dir == model.Both {
+			w += int64(len(p.InDst))
+		}
+		return w
+	}
+	var w int64
+	act := j.PT.Active[pid]
+	for li := act.NextSet(0); li >= 0; li = act.NextSet(li + 1) {
+		w += 1 + p.EdgeWork(uint32(li), j.Dir)
+	}
+	return w
+}
+
 // ApplyRange applies the active vertices of partition pid inside r's
 // window, buffering scattered contributions into sc. It walks the active
 // bitset directly (no materialized locals slice) and touches only those
@@ -168,6 +218,10 @@ func (j *Job) ApplyRange(pid int, r Range, sc *Scratch) Stats {
 	p := j.PG.Parts[pid]
 	states := j.PT.States[pid]
 	act := j.PT.Active[pid]
+	// r.Weight counts 1 + EdgeWork per active vertex, an upper bound on the
+	// contributions buffered below, so neither array reallocates mid-loop.
+	sc.dst = slices.Grow(sc.dst, int(r.Weight))
+	sc.contrib = slices.Grow(sc.contrib, int(r.Weight))
 	var st Stats
 	for li := act.NextSet(r.Lo); li >= 0 && li < r.Hi; li = act.NextSet(li + 1) {
 		s := &states[li]
@@ -260,17 +314,12 @@ func (j *Job) Merge(pid int, scratches ...*Scratch) {
 // across systems.
 func (j *Job) ProcessPartition(pid int, sc *Scratch) Stats {
 	sc.Reset()
-	locals := localsPool(j.PT.ActiveCount[pid])
-	locals = j.ActiveLocals(pid, locals)
-	st := j.ApplyChunk(pid, locals, sc)
+	sc.locals = j.ActiveLocals(pid, sc.locals[:0])
+	st := j.ApplyChunk(pid, sc.locals, sc)
 	j.Merge(pid, sc)
 	j.EdgesProcessed += st.Edges
 	j.VerticesApplied += st.Vertices
 	return st
-}
-
-func localsPool(n int) []uint32 {
-	return make([]uint32, 0, n)
 }
 
 // PushSummary reports the cost-relevant effects of one Push for the
@@ -279,118 +328,96 @@ type PushSummary struct {
 	// Entries is the number of Snew sync entries handled.
 	Entries int64
 	// TouchedParts lists the distinct partitions whose private slices were
-	// read or written, in ascending order.
+	// read or written, in ascending order. It aliases a buffer owned by the
+	// job and is valid only until the job's next Push.
 	TouchedParts []int
 }
 
-// Push is Algorithm 2: collect the Δ of every mirror replica that received
-// contributions into Snew entries, sort them by master location, fold them
-// into the masters, then — where the paper's pseudocode copies the master's
-// new state to its mirrors — store the aggregated Δ into every replica of
-// each still-active vertex and mark those replicas active for the next
-// iteration: every replica applies the same Δ to the same value itself, so
-// replicas stay value-identical (CheckReplicaConsistency) without a second
-// state write-back. Residual sub-threshold deltas stay accumulated at the
-// master so no contribution mass is ever lost.
+// Push is Algorithm 2. Every mirror replica that received a non-identity Δ
+// is one Snew entry: its Δ is folded straight into the master's slot and the
+// mirror is reset. Receivers are visited in ascending (partition, local)
+// order and a master lives in the lowest partition holding its vertex, so a
+// master's folds arrive in ascending source-partition order after its own
+// direct receipts — a fixed order, which keeps float accumulation
+// deterministic. Then, walking the masters that received anything in
+// ascending (partition, local) order — where the paper's pseudocode copies
+// the master's new state to its mirrors — the aggregated Δ is stored into
+// every replica of each still-active vertex and those replicas are marked
+// active for the next iteration: every replica applies the same Δ to the
+// same value itself, so replicas stay value-identical
+// (CheckReplicaConsistency) without a second state write-back. Residual
+// sub-threshold deltas stay accumulated at the master so no contribution
+// mass is ever lost. A steady-state call allocates nothing.
 func (j *Job) Push() PushSummary {
 	ident := j.Prog.Identity()
 	pg := j.PG
-
-	type entry struct {
-		v          model.VertexID
-		masterPart int32
-		delta      float64
+	if j.hit == nil {
+		j.hit = make([]*bitset.Set, len(pg.Parts))
+		for pid, p := range pg.Parts {
+			j.hit[pid] = bitset.New(p.NumVertices())
+		}
+		j.touched = make([]bool, len(pg.Parts))
 	}
-	var entries []entry
-	touched := make(map[int]bool)
-	type pv struct {
-		part  int32
-		local uint32
-	}
-	masterSeen := make(map[pv]bool)
-	var masters []pv
+	hit, touched := j.hit, j.touched
 
-	// Gather: mirrors hand their Δ to Snew and reset; masters with direct
-	// receipts join the aggregation set.
-	for pid := range pg.Parts {
+	// Gather and fold.
+	var entries int64
+	for pid, p := range pg.Parts {
 		states := j.PT.States[pid]
-		j.PT.Received[pid].Range(func(li int) bool {
-			if states[li].Delta == ident {
-				return true
+		masters := pg.Masters[pid]
+		recv := j.PT.Received[pid]
+		for li := recv.NextSet(0); li >= 0; li = recv.NextSet(li + 1) {
+			d := states[li].Delta
+			if d == ident {
+				continue
 			}
 			touched[pid] = true
-			if pg.IsMaster(pid, uint32(li)) {
-				key := pv{int32(pid), uint32(li)}
-				if !masterSeen[key] {
-					masterSeen[key] = true
-					masters = append(masters, key)
-				}
-				return true
+			if masters[li] {
+				hit[pid].Set(li)
+				continue
 			}
-			entries = append(entries, entry{
-				v:          pg.Parts[pid].Globals[li],
-				masterPart: pg.MasterPart(pid, uint32(li)),
-				delta:      states[li].Delta,
-			})
+			m := pg.MasterOf[p.Globals[li]]
+			st := &j.PT.States[m.Part][m.Local]
+			st.Delta = j.Prog.Acc(st.Delta, d)
 			states[li].Delta = ident
-			return true
-		})
-	}
-
-	// SortD: batch entries by master partition so the master-side updates
-	// are sequential per private partition.
-	sort.Slice(entries, func(a, b int) bool {
-		if entries[a].masterPart != entries[b].masterPart {
-			return entries[a].masterPart < entries[b].masterPart
-		}
-		return entries[a].v < entries[b].v
-	})
-
-	// Accumulate into masters.
-	for _, e := range entries {
-		m := pg.MasterOf[e.v]
-		st := &j.PT.States[m.Part][m.Local]
-		st.Delta = j.Prog.Acc(st.Delta, e.delta)
-		touched[int(m.Part)] = true
-		key := pv{m.Part, m.Local}
-		if !masterSeen[key] {
-			masterSeen[key] = true
-			masters = append(masters, key)
+			hit[m.Part].Set(int(m.Local))
+			touched[m.Part] = true
+			entries++
 		}
 	}
-
-	// Deterministic master order.
-	sort.Slice(masters, func(a, b int) bool {
-		if masters[a].part != masters[b].part {
-			return masters[a].part < masters[b].part
-		}
-		return masters[a].local < masters[b].local
-	})
 
 	// Decide activation and broadcast the aggregated Δ to the replicas of
-	// still-active vertices (SortS write-back, batched per partition by
-	// the ReplicaLocations ordering).
-	for _, m := range masters {
-		st := &j.PT.States[m.part][m.local]
-		if st.Delta == ident || !j.Prog.IsActive(*st) {
-			continue // residual stays at the master
+	// still-active vertices. A partition with a hit master is already
+	// flagged touched; the broadcast only adds partitions without one.
+	for pid, p := range pg.Parts {
+		if !touched[pid] {
+			continue
 		}
-		v := pg.Parts[m.part].Globals[m.local]
-		final := st.Delta
-		for _, loc := range pg.ReplicaLocations(v) {
-			j.PT.States[loc.Part][loc.Local].Delta = final
-			j.PT.Next[loc.Part].Set(int(loc.Local))
-			touched[int(loc.Part)] = true
+		states := j.PT.States[pid]
+		h := hit[pid]
+		for li := h.NextSet(0); li >= 0; li = h.NextSet(li + 1) {
+			st := states[li]
+			if st.Delta == ident || !j.Prog.IsActive(st) {
+				continue // residual stays at the master
+			}
+			for _, loc := range pg.ReplicaLocations(p.Globals[li]) {
+				j.PT.States[loc.Part][loc.Local].Delta = st.Delta
+				j.PT.Next[loc.Part].Set(int(loc.Local))
+				touched[loc.Part] = true
+			}
 		}
+		h.Reset()
 	}
 
-	sum := PushSummary{Entries: int64(len(entries))}
-	for pid := range touched {
-		sum.TouchedParts = append(sum.TouchedParts, pid)
+	j.touchedParts = j.touchedParts[:0]
+	for pid, t := range touched {
+		if t {
+			j.touchedParts = append(j.touchedParts, pid)
+			touched[pid] = false
+		}
 	}
-	sort.Ints(sum.TouchedParts)
-	j.SyncEntries += sum.Entries
-	return sum
+	j.SyncEntries += entries
+	return PushSummary{Entries: entries, TouchedParts: j.touchedParts}
 }
 
 // FinishIteration closes one iteration. In bsp and async modes (and at
@@ -405,12 +432,17 @@ func (j *Job) FinishIteration() PushSummary {
 		}
 	}
 	sum := j.Push()
+	j.advance()
+	return sum
+}
+
+// advance moves the job past a pushed iteration.
+func (j *Job) advance() {
 	j.PT.Advance()
 	j.Iterations++
 	if !j.PT.HasActive() {
 		j.advancePhaseOrFinish()
 	}
-	return sum
 }
 
 func (j *Job) advancePhaseOrFinish() {
@@ -435,14 +467,15 @@ func (j *Job) recountActive() {
 	}
 }
 
-// TakeDeltaStats returns and resets the per-partition |Δ| sums, the C(P)
-// input sampled by the scheduler each round.
-func (j *Job) TakeDeltaStats() []float64 {
-	out := append([]float64(nil), j.DeltaSum...)
-	for i := range j.DeltaSum {
-		j.DeltaSum[i] = 0
+// DrainDeltaStats hands every non-zero per-partition |Δ| sum — the C(P)
+// input sampled by the scheduler each round — to fn and resets it.
+func (j *Job) DrainDeltaStats(fn func(pid int, sum float64)) {
+	for pid, s := range j.DeltaSum {
+		if s != 0 {
+			fn(pid, s)
+			j.DeltaSum[pid] = 0
+		}
 	}
-	return out
 }
 
 // Results materializes the job's per-vertex values.
@@ -476,7 +509,11 @@ func (v stateView) Set(id model.VertexID, s model.State, active bool) {
 // CheckReplicaConsistency verifies the Push invariant — after a push every
 // replica of every vertex holds the same value; used by tests.
 func (j *Job) CheckReplicaConsistency() error {
-	for v, locs := range j.PG.Replicas {
+	for v := 0; v < j.PG.G.N; v++ {
+		locs := j.PG.ReplicaLocations(model.VertexID(v))
+		if len(locs) < 2 {
+			continue
+		}
 		first := j.PT.States[locs[0].Part][locs[0].Local].Value
 		for _, loc := range locs[1:] {
 			got := j.PT.States[loc.Part][loc.Local].Value
@@ -537,7 +574,7 @@ func (j *Job) ProcessPartitionReentrant(pid, maxPasses int) Stats {
 	var deferred Scratch
 
 	scatterTo := func(dst uint32, c float64) {
-		if _, replicated := j.PG.Replicas[p.Globals[dst]]; replicated {
+		if j.PG.IsReplicated(p.Globals[dst]) {
 			// Replicated receivers are reconciled by the push; fold
 			// after the eager passes to keep replicas consistent.
 			deferred.dst = append(deferred.dst, dst)

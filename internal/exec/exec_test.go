@@ -291,21 +291,20 @@ func TestDeltaStatsTakeAndReset(t *testing.T) {
 	for pid := range pg.Parts {
 		j.ProcessPartition(pid, sc)
 	}
-	stats := j.TakeDeltaStats()
-	nonzero := false
-	for _, s := range stats {
-		if s > 0 {
-			nonzero = true
+	want := append([]float64(nil), j.DeltaSum...)
+	drained := 0
+	j.DrainDeltaStats(func(pid int, sum float64) {
+		if sum <= 0 || sum != want[pid] {
+			t.Fatalf("partition %d drained %v, accumulated %v", pid, sum, want[pid])
 		}
-	}
-	if !nonzero {
+		drained++
+	})
+	if drained == 0 {
 		t.Fatal("first PageRank iteration must move delta mass")
 	}
-	for _, s := range j.TakeDeltaStats() {
-		if s != 0 {
-			t.Fatal("TakeDeltaStats did not reset")
-		}
-	}
+	j.DrainDeltaStats(func(pid int, sum float64) {
+		t.Fatalf("DrainDeltaStats did not reset partition %d (%v)", pid, sum)
+	})
 }
 
 func TestSingleVsManyPartitionsAgree(t *testing.T) {

@@ -3,6 +3,13 @@
 // same-sized (by edge count) partitions in plain or core-subgraph mode,
 // master/mirror replica assignment, and the partition-size formula that ties
 // partition bytes to the simulated cache capacity.
+//
+// Replica assignment is recomputed per snapshot (Cut, Overlay, Restructure)
+// and stored densely: MasterOf per vertex, master flags per replica, and a
+// CSR replica index (RepOff/RepLoc) listing each vertex's locations master
+// first, mirrors in ascending partition order. The master is always the
+// lowest partition holding the vertex — the order exec.Push's direct fold
+// relies on for a deterministic accumulation order.
 package graph
 
 import (
@@ -202,9 +209,11 @@ type PGraph struct {
 	// MasterOf locates the master replica of every vertex; vertices with
 	// no edges have Part == -1.
 	MasterOf []PartVertex
-	// Replicas lists every replica location (master first) for vertices
-	// with more than one replica; single-replica vertices are omitted.
-	Replicas map[model.VertexID][]PartVertex
+	// RepOff/RepLoc are the replica index in CSR form: the replicas of
+	// vertex v are RepLoc[RepOff[v]:RepOff[v+1]], master first, mirrors in
+	// ascending partition order; an edge-less vertex has none.
+	RepOff []uint32
+	RepLoc []PartVertex
 	// ChunkSize is the number of edge slots per partition, fixed so that
 	// snapshot mutations map slots to partitions stably.
 	ChunkSize int
@@ -279,16 +288,7 @@ func Cut(g *Graph, edges []model.Edge, opt Options) (*PGraph, error) {
 		groups = chunkEdges(edges, chunk)
 	}
 
-	pg := &PGraph{
-		G:         g,
-		MasterOf:  make([]PartVertex, g.N),
-		Replicas:  make(map[model.VertexID][]PartVertex),
-		ChunkSize: chunk,
-		NumCore:   numCore,
-	}
-	for i := range pg.MasterOf {
-		pg.MasterOf[i] = PartVertex{Part: -1}
-	}
+	pg := &PGraph{G: g, ChunkSize: chunk, NumCore: numCore}
 	for id, group := range groups {
 		pg.Parts = append(pg.Parts, buildPartition(g, id, group, id < numCore))
 	}
@@ -411,44 +411,59 @@ func buildPartition(g *Graph, id int, edges []model.Edge, core bool) *Partition 
 }
 
 // assignMasters nominates the lowest-numbered partition containing each
-// vertex as its master location and records replica lists for vertices that
-// appear in more than one partition.
+// vertex as its master location and builds the replica index by count,
+// prefix sum and fill. Both passes walk the partitions in ascending order,
+// so the first location filled for a vertex is its master and its mirrors
+// follow in ascending partition order.
 func (pg *PGraph) assignMasters() {
+	n := pg.G.N
+	pg.RepOff = make([]uint32, n+1)
+	total := 0
 	for _, p := range pg.Parts {
-		for li, v := range p.Globals {
-			if pg.MasterOf[v].Part == -1 {
-				pg.MasterOf[v] = PartVertex{Part: int32(p.ID), Local: uint32(li)}
-			} else {
-				pg.Replicas[v] = append(pg.Replicas[v], PartVertex{Part: int32(p.ID), Local: uint32(li)})
-			}
+		total += len(p.Globals)
+		for _, v := range p.Globals {
+			pg.RepOff[v+1]++
 		}
 	}
-	// Prepend the master so Replicas lists every location, master first.
-	for v, mirrors := range pg.Replicas {
-		pg.Replicas[v] = append([]PartVertex{pg.MasterOf[v]}, mirrors...)
+	for v := 0; v < n; v++ {
+		pg.RepOff[v+1] += pg.RepOff[v]
 	}
+	pg.RepLoc = make([]PartVertex, total)
 	pg.Masters = make([][]bool, len(pg.Parts))
 	pg.MasterParts = make([][]int32, len(pg.Parts))
+	pos := append([]uint32(nil), pg.RepOff[:n]...)
 	for pi, p := range pg.Parts {
-		pg.Masters[pi] = make([]bool, len(p.Globals))
-		pg.MasterParts[pi] = make([]int32, len(p.Globals))
+		masters := make([]bool, len(p.Globals))
+		masterParts := make([]int32, len(p.Globals))
 		for li, v := range p.Globals {
-			m := pg.MasterOf[v]
-			pg.MasterParts[pi][li] = m.Part
-			pg.Masters[pi][li] = m.Part == int32(p.ID) && m.Local == uint32(li)
+			first := pg.RepOff[v]
+			pg.RepLoc[pos[v]] = PartVertex{Part: int32(p.ID), Local: uint32(li)}
+			masters[li] = pos[v] == first
+			masterParts[li] = pg.RepLoc[first].Part
+			pos[v]++
+		}
+		pg.Masters[pi], pg.MasterParts[pi] = masters, masterParts
+	}
+	pg.MasterOf = make([]PartVertex, n)
+	for v := range pg.MasterOf {
+		if pg.RepOff[v] == pg.RepOff[v+1] {
+			pg.MasterOf[v] = PartVertex{Part: -1}
+		} else {
+			pg.MasterOf[v] = pg.RepLoc[pg.RepOff[v]]
 		}
 	}
 }
 
-// ReplicaLocations returns every replica location of v (master first).
+// ReplicaLocations returns every replica location of v (master first,
+// mirrors in ascending partition order) as a view into the replica index:
+// callers must not modify it. Edge-less vertices have none.
 func (pg *PGraph) ReplicaLocations(v model.VertexID) []PartVertex {
-	if r, ok := pg.Replicas[v]; ok {
-		return r
-	}
-	if pg.MasterOf[v].Part == -1 {
-		return nil
-	}
-	return []PartVertex{pg.MasterOf[v]}
+	return pg.RepLoc[pg.RepOff[v]:pg.RepOff[v+1]]
+}
+
+// IsReplicated reports whether v has replicas in more than one partition.
+func (pg *PGraph) IsReplicated(v model.VertexID) bool {
+	return pg.RepOff[v+1]-pg.RepOff[v] > 1
 }
 
 // TotalStructBytes sums the structure bytes across partitions.
@@ -559,16 +574,7 @@ func Restructure(prev *PGraph, numVertices int, edges []model.Edge, changedSlots
 	}
 
 	g := Build(numVertices, edges)
-	pg := &PGraph{
-		G:         g,
-		Parts:     make([]*Partition, wantParts),
-		MasterOf:  make([]PartVertex, g.N),
-		Replicas:  make(map[model.VertexID][]PartVertex),
-		ChunkSize: chunk,
-	}
-	for i := range pg.MasterOf {
-		pg.MasterOf[i] = PartVertex{Part: -1}
-	}
+	pg := &PGraph{G: g, Parts: make([]*Partition, wantParts), ChunkSize: chunk}
 	var rebuilt []int
 	for id := 0; id < wantParts; id++ {
 		if id < len(prev.Parts) && !rebuild[id] {
@@ -600,16 +606,7 @@ func Overlay(prev *PGraph, edges []model.Edge, changedParts []int) (*PGraph, err
 		return nil, fmt.Errorf("graph: Overlay edge count changed partition count (%d -> %d)", len(prev.Parts), wantParts)
 	}
 	g := Build(prev.G.N, edges)
-	pg := &PGraph{
-		G:         g,
-		Parts:     append([]*Partition(nil), prev.Parts...),
-		MasterOf:  make([]PartVertex, g.N),
-		Replicas:  make(map[model.VertexID][]PartVertex),
-		ChunkSize: prev.ChunkSize,
-	}
-	for i := range pg.MasterOf {
-		pg.MasterOf[i] = PartVertex{Part: -1}
-	}
+	pg := &PGraph{G: g, Parts: append([]*Partition(nil), prev.Parts...), ChunkSize: prev.ChunkSize}
 	for _, id := range changedParts {
 		if id < 0 || id >= len(pg.Parts) {
 			return nil, fmt.Errorf("graph: Overlay changed partition %d out of range", id)

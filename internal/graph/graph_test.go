@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -95,11 +96,12 @@ func TestPartitionErrors(t *testing.T) {
 	}
 }
 
-// checkInvariants verifies the vertex-cut partitioning invariants: every edge
-// lands in exactly one partition, each partition's CSRs and sorted vertex
-// table agree with LocalOf, every vertex with an edge has exactly one master
-// replica (isolated vertices none) that each mirror's MasterPart reaches, and
-// the replica lists invert partition membership.
+// checkInvariants verifies the vertex-cut partitioning invariants: every live
+// edge lands in exactly one partition, each partition's CSRs and sorted
+// vertex table agree with LocalOf, every vertex with an edge has exactly one
+// master replica (isolated vertices none) that each mirror's MasterPart
+// reaches, and the replica index equals a brute-force scan of the vertex
+// tables with the lowest partition as master.
 func checkInvariants(t *testing.T, g *Graph, edges []model.Edge, pg *PGraph) {
 	t.Helper()
 	// Every edge appears exactly once across partitions.
@@ -129,8 +131,14 @@ func checkInvariants(t *testing.T, g *Graph, edges []model.Edge, pg *PGraph) {
 			t.Fatalf("part %d: LocalOf found absent vertex", p.ID)
 		}
 	}
-	if totalEdges != len(edges) {
-		t.Fatalf("edges across partitions = %d, want %d", totalEdges, len(edges))
+	live := 0
+	for _, e := range edges {
+		if !e.IsHole() {
+			live++
+		}
+	}
+	if totalEdges != live {
+		t.Fatalf("edges across partitions = %d, want %d", totalEdges, live)
 	}
 	// Exactly one master per vertex with at least one edge.
 	masterCount := make(map[model.VertexID]int)
@@ -157,14 +165,82 @@ func checkInvariants(t *testing.T, g *Graph, edges []model.Edge, pg *PGraph) {
 			t.Fatalf("isolated vertex %d has a master", v)
 		}
 	}
-	// Replica lists invert membership.
-	for v := 0; v < g.N; v++ {
-		locs := pg.ReplicaLocations(model.VertexID(v))
-		for _, l := range locs {
-			if pg.Parts[l.Part].Globals[l.Local] != model.VertexID(v) {
-				t.Fatalf("replica list of %d names wrong slot", v)
+	// The replica index lists exactly the locations a scan of the vertex
+	// tables finds, in ascending partition order — so the master, the
+	// lowest partition holding the vertex, comes first.
+	scan := make([][]PartVertex, g.N)
+	for pi, p := range pg.Parts {
+		for li, v := range p.Globals {
+			scan[v] = append(scan[v], PartVertex{Part: int32(pi), Local: uint32(li)})
+		}
+	}
+	if len(pg.RepOff) != g.N+1 || int(pg.RepOff[g.N]) != len(pg.RepLoc) {
+		t.Fatalf("replica index shape: %d offsets for %d vertices, %d locations, last offset %d",
+			len(pg.RepOff), g.N, len(pg.RepLoc), pg.RepOff[len(pg.RepOff)-1])
+	}
+	for v, want := range scan {
+		id := model.VertexID(v)
+		if got := pg.ReplicaLocations(id); !slices.Equal(got, want) {
+			t.Fatalf("ReplicaLocations(%d) = %v, scan finds %v", v, got, want)
+		}
+		if got := pg.IsReplicated(id); got != (len(want) > 1) {
+			t.Fatalf("IsReplicated(%d) = %v with %d replicas", v, got, len(want))
+		}
+		if len(want) == 0 {
+			if pg.MasterOf[v].Part != -1 {
+				t.Fatalf("edge-less vertex %d has master %v", v, pg.MasterOf[v])
+			}
+			continue
+		}
+		if pg.MasterOf[v] != want[0] {
+			t.Fatalf("MasterOf[%d] = %v, lowest partition holding it is %v", v, pg.MasterOf[v], want[0])
+		}
+		for _, l := range want {
+			if pg.Masters[l.Part][l.Local] != (l == want[0]) || pg.MasterParts[l.Part][l.Local] != want[0].Part {
+				t.Fatalf("replica %v of %d: master flag %v, master part %d, want master %v",
+					l, v, pg.Masters[l.Part][l.Local], pg.MasterParts[l.Part][l.Local], want[0])
 			}
 		}
+	}
+}
+
+// TestOverlayReplicaIndex: an overlay that frees slots and moves edges
+// re-derives the replica index for the partitions it shares and the ones it
+// rebuilds alike, and a vertex whose last edge was freed loses its replicas.
+func TestOverlayReplicaIndex(t *testing.T) {
+	edges := gen.ER(16, 70, 420)
+	edges = append(edges, model.Edge{Src: 70, Dst: 71, Weight: 1}) // the only edge of 70 and 71
+	g := Build(72, edges)
+	prev, err := Cut(g, edges, Options{NumPartitions: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkInvariants(t, g, edges, prev)
+	if len(prev.ReplicaLocations(70)) != 1 {
+		t.Fatalf("vertex 70 replicas = %v, want one", prev.ReplicaLocations(70))
+	}
+
+	mut := slices.Clone(edges)
+	slots := []int{len(mut) - 1}
+	mut[len(mut)-1] = model.HoleEdge()
+	for s := 5; s < len(mut)-1; s += 9 {
+		mut[s] = model.HoleEdge()
+		slots = append(slots, s)
+	}
+	for s := 2; s < len(mut)-1; s += 13 {
+		if mut[s].IsHole() {
+			continue
+		}
+		mut[s] = model.Edge{Src: mut[s].Dst, Dst: model.VertexID(s % 70), Weight: 2}
+		slots = append(slots, s)
+	}
+	next, err := Overlay(prev, mut, ChangedPartitions(slots, prev.ChunkSize, len(prev.Parts)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkInvariants(t, next.G, mut, next)
+	if locs := next.ReplicaLocations(70); len(locs) != 0 || next.MasterOf[70].Part != -1 {
+		t.Fatalf("vertex 70 lost its only edge but keeps replicas %v, master %v", locs, next.MasterOf[70])
 	}
 }
 
@@ -339,6 +415,11 @@ func TestRestructureGrow(t *testing.T) {
 		t.Fatal("growth rebuilt every partition")
 	}
 	checkInvariants(t, next.G, grown, next)
+	for v := model.VertexID(80); v < 82; v++ {
+		if locs := next.ReplicaLocations(v); len(locs) == 0 || next.MasterOf[v] != locs[0] {
+			t.Fatalf("vertex %d, added with its edges, has replicas %v and master %v", v, locs, next.MasterOf[v])
+		}
+	}
 
 	// The restructured snapshot must equal a from-scratch chunking of the
 	// same list: identical vertex tables and CSRs per partition.
@@ -421,7 +502,7 @@ func TestRestructureVertexOnlyGrowth(t *testing.T) {
 			t.Fatalf("part %d not shared", i)
 		}
 	}
-	if next.MasterOf[45].Part != -1 {
+	if next.MasterOf[45].Part != -1 || len(next.ReplicaLocations(45)) != 0 || next.IsReplicated(45) {
 		t.Fatal("edge-less new vertex has a master replica")
 	}
 	checkInvariants(t, next.G, edges, next)

@@ -13,7 +13,8 @@
 package pool
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -104,6 +105,9 @@ func (s Stats) Imbalance(workers int) float64 {
 type deque struct {
 	mu    sync.Mutex
 	tasks []Task
+	// loot stages a steal between the victim's lock and the owner's; only
+	// the owning worker touches it.
+	loot []Task
 }
 
 func (d *deque) popTail() (Task, bool) {
@@ -120,7 +124,8 @@ func (d *deque) popTail() (Task, bool) {
 	return t, true
 }
 
-// stealHalf moves ceil(len/2) tasks from the victim's head into dst.
+// stealHalf moves ceil(len/2) tasks from the victim's head into dst, the
+// calling worker's own deque. The two locks are never held together.
 func (d *deque) stealHalf(dst *deque) int {
 	d.mu.Lock()
 	n := len(d.tasks)
@@ -129,23 +134,35 @@ func (d *deque) stealHalf(dst *deque) int {
 		return 0
 	}
 	take := (n + 1) / 2
-	batch := make([]Task, take)
-	copy(batch, d.tasks[:take])
-	d.tasks = d.tasks[:copy(d.tasks, d.tasks[take:])]
+	dst.loot = append(dst.loot[:0], d.tasks[:take]...)
+	rest := copy(d.tasks, d.tasks[take:])
+	clear(d.tasks[rest:]) // the deques outlive the run: keep no stale task
+	d.tasks = d.tasks[:rest]
 	d.mu.Unlock()
 
 	dst.mu.Lock()
-	dst.tasks = append(dst.tasks, batch...)
+	dst.tasks = append(dst.tasks, dst.loot...)
 	dst.mu.Unlock()
+	clear(dst.loot)
 	return take
 }
 
 // Pool executes task sets on a fixed number of workers. Goroutines are
-// spawned per Run (none are resident between rounds); the zero-value Pool
-// is not usable — construct with New.
+// spawned per Run (none are resident between rounds); everything else a run
+// needs — the deques and the seeding and accounting buffers below — is kept
+// on the pool and reused, so a warmed pool allocates only those spawns. The
+// zero-value Pool is not usable — construct with New.
 type Pool struct {
 	workers int
-	runMu   sync.Mutex // one task set at a time
+	runMu   sync.Mutex // one task set at a time; guards every field below
+
+	deques   []*deque
+	order    []int   // seed: task indices, heaviest first
+	load     []int64 // seed: weight placed per worker
+	executed []int64 // per-worker executed weight, owner-written
+	steals   atomic.Int64
+	stolen   atomic.Int64
+	wg       sync.WaitGroup
 }
 
 // New returns a pool with the given worker bound (minimum 1).
@@ -153,7 +170,16 @@ func New(workers int) *Pool {
 	if workers < 1 {
 		workers = 1
 	}
-	return &Pool{workers: workers}
+	p := &Pool{
+		workers:  workers,
+		deques:   make([]*deque, workers),
+		load:     make([]int64, workers),
+		executed: make([]int64, workers),
+	}
+	for i := range p.deques {
+		p.deques[i] = &deque{}
+	}
+	return p
 }
 
 // Workers returns the worker bound.
@@ -183,47 +209,39 @@ func (p *Pool) Run(tasks []Task) Stats {
 	p.runMu.Lock()
 	defer p.runMu.Unlock()
 
-	n := p.workers
-	if len(tasks) < n {
-		n = len(tasks)
-	}
-	deques := make([]*deque, n)
-	for i := range deques {
-		deques[i] = &deque{}
-	}
-	seed(deques, tasks)
-
-	var steals, stolen atomic.Int64
-	executed := make([]int64, n) // per-worker executed weight, owner-written
-	var wg sync.WaitGroup
+	n := min(p.workers, len(tasks))
+	p.seed(n, tasks)
+	p.steals.Store(0)
+	p.stolen.Store(0)
+	clear(p.executed)
+	p.wg.Add(n)
 	for w := 0; w < n; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			self := deques[id]
-			for {
-				t, ok := self.popTail()
-				if !ok {
-					if !stealSweep(id, deques, &steals, &stolen) {
-						return
-					}
-					continue
-				}
-				t.exec(id)
-				executed[id] += taskWeight(t)
-			}
-		}(w)
+		go p.work(w, p.deques[:n])
 	}
-	wg.Wait()
+	p.wg.Wait()
 
-	st.Steals = steals.Load()
-	st.Stolen = stolen.Load()
-	for _, w := range executed {
-		if w > st.MaxWorkerWeight {
-			st.MaxWorkerWeight = w
-		}
-	}
+	st.Steals = p.steals.Load()
+	st.Stolen = p.stolen.Load()
+	st.MaxWorkerWeight = slices.Max(p.executed)
 	return st
+}
+
+// work is one worker's loop: drain the own deque from the tail, steal when
+// it runs dry, exit after a full idle sweep.
+func (p *Pool) work(id int, deques []*deque) {
+	defer p.wg.Done()
+	self := deques[id]
+	for {
+		t, ok := self.popTail()
+		if !ok {
+			if !p.stealSweep(id, deques) {
+				return
+			}
+			continue
+		}
+		t.exec(id)
+		p.executed[id] += taskWeight(t)
+	}
 }
 
 func taskWeight(t Task) int64 {
@@ -233,21 +251,22 @@ func taskWeight(t Task) int64 {
 	return t.Weight
 }
 
-// seed distributes tasks LPT-greedy: heaviest task onto the worker with
-// the least seeded weight. Equal-weight (or unweighted) tasks degrade to a
-// round-robin spread.
-func seed(deques []*deque, tasks []Task) {
-	order := make([]int, len(tasks))
-	for i := range order {
-		order[i] = i
+// seed distributes tasks LPT-greedy over the first n deques: heaviest task
+// onto the worker with the least seeded weight. Equal-weight (or
+// unweighted) tasks degrade to a round-robin spread.
+func (p *Pool) seed(n int, tasks []Task) {
+	p.order = p.order[:0]
+	for i := range tasks {
+		p.order = append(p.order, i)
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return taskWeight(tasks[order[a]]) > taskWeight(tasks[order[b]])
+	slices.SortStableFunc(p.order, func(a, b int) int {
+		return cmp.Compare(taskWeight(tasks[b]), taskWeight(tasks[a]))
 	})
-	load := make([]int64, len(deques))
-	for _, ti := range order {
+	deques, load := p.deques[:n], p.load[:n]
+	clear(load)
+	for _, ti := range p.order {
 		light := 0
-		for w := 1; w < len(load); w++ {
+		for w := 1; w < n; w++ {
 			if load[w] < load[light] {
 				light = w
 			}
@@ -260,21 +279,19 @@ func seed(deques []*deque, tasks []Task) {
 	// Owners pop from the tail; reverse so the heaviest seeded task runs
 	// first and the small tail tasks remain stealable at the head.
 	for _, d := range deques {
-		for i, j := 0, len(d.tasks)-1; i < j; i, j = i+1, j-1 {
-			d.tasks[i], d.tasks[j] = d.tasks[j], d.tasks[i]
-		}
+		slices.Reverse(d.tasks)
 	}
 }
 
 // stealSweep tries every other deque once, starting after the thief.
 // Returns false only after a full idle sweep, which (with a fixed task
 // set) means no queued work remains anywhere.
-func stealSweep(id int, deques []*deque, steals, stolen *atomic.Int64) bool {
+func (p *Pool) stealSweep(id int, deques []*deque) bool {
 	for off := 1; off < len(deques); off++ {
 		victim := deques[(id+off)%len(deques)]
 		if got := victim.stealHalf(deques[id]); got > 0 {
-			steals.Add(1)
-			stolen.Add(int64(got))
+			p.steals.Add(1)
+			p.stolen.Add(int64(got))
 			return true
 		}
 	}

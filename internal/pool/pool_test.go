@@ -2,9 +2,12 @@ package pool
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"cgraph/internal/testutil"
 )
 
 func TestRunExecutesEveryTaskOnce(t *testing.T) {
@@ -276,4 +279,54 @@ func TestChainWeightAndDegenerates(t *testing.T) {
 	}
 	empty := Chain(nil)
 	empty.Run(0) // must not panic
+}
+
+// TestRunAllocatesOnlySpawns: on a warmed pool a run allocates nothing but
+// its worker goroutines' start-up (at most a closure each) — deques, seeding
+// order and steal staging are all reused.
+func TestRunAllocatesOnlySpawns(t *testing.T) {
+	testutil.SkipUnderRace(t)
+	const workers = 4
+	p := New(workers)
+	tasks := make([]Task, 256)
+	for i := range tasks {
+		// Skewed weights seed unevenly, so the run steals.
+		tasks[i] = Task{Run: func(int) {}, Weight: int64(1 + i%3*i)}
+	}
+	for i := 0; i < 20; i++ {
+		p.Run(tasks)
+	}
+	if got := testing.AllocsPerRun(50, func() { p.Run(tasks) }); got > workers {
+		t.Fatalf("warmed Run allocates %v times, want <= %d (one spawn per worker)", got, workers)
+	}
+}
+
+// TestSeedMatchesLPT pins the seeding the engine's virtual-time accounting
+// and Stats rest on: heaviest first (ties in input order) onto the lightest
+// worker (ties to the lowest), each deque reversed so its heaviest task pops
+// first.
+func TestSeedMatchesLPT(t *testing.T) {
+	p := New(3)
+	weights := []int64{5, 9, 0, 9, 2, 7, 5}
+	tasks := make([]Task, len(weights))
+	for i, w := range weights {
+		tasks[i] = Task{Weight: w}
+	}
+	p.seed(3, tasks)
+	// Order 1 3 5 0 6 4 2 (weights 9 9 7 5 5 2 1): 1→w0, 3→w1, 5→w2, 0→w2
+	// (7 is lightest), 6→w0, 4→w1, 2→w1 (11 < 12, 14).
+	want := [][]int64{{5, 9}, {0, 2, 9}, {5, 7}}
+	for w, d := range p.deques {
+		var got []int64
+		for _, tk := range d.tasks {
+			got = append(got, tk.Weight)
+			if tk.seed != w {
+				t.Fatalf("deque %d holds a task seeded for %d", w, tk.seed)
+			}
+		}
+		if !slices.Equal(got, want[w]) {
+			t.Fatalf("deque %d = %v, want %v", w, got, want[w])
+		}
+		d.tasks = d.tasks[:0]
+	}
 }

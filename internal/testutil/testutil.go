@@ -24,3 +24,12 @@ func WaitFor(t *testing.T, timeout time.Duration, cond func() bool, format strin
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// SkipUnderRace skips an allocation-count guard when the race detector is
+// compiled in: its instrumentation allocates, so the counts mean nothing.
+func SkipUnderRace(t testing.TB) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+}
