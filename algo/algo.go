@@ -14,6 +14,17 @@ import (
 	"cgraph/model"
 )
 
+// The closed-form arithmetic the bundled programs declare (model.Algebraic):
+// each pair is exactly the program's Acc and Contribution, which
+// TestAlgebraMatchesMethods holds it to.
+var (
+	sumCopy      = model.Algebra{Acc: model.Sum, Edge: model.Copy}
+	minCopy      = model.Algebra{Acc: model.Min, Edge: model.Copy}
+	minAddOne    = model.Algebra{Acc: model.Min, Edge: model.AddOne}
+	minAddWeight = model.Algebra{Acc: model.Min, Edge: model.AddWeight}
+	maxMinWeight = model.Algebra{Acc: model.Max, Edge: model.MinWeight}
+)
+
 // PageRank is the delta-accumulative PageRank of Fig. 7(a): each vertex
 // absorbs the accumulated Δ into its rank and forwards d·Δ/outdeg to its
 // out-neighbours until every pending Δ falls below Epsilon. The fixed point
@@ -30,6 +41,7 @@ func (p *PageRank) Name() string               { return "PageRank" }
 func (p *PageRank) Direction() model.Direction { return model.Out }
 func (p *PageRank) Identity() float64          { return 0 }
 func (p *PageRank) Acc(a, b float64) float64   { return a + b }
+func (p *PageRank) Algebra() model.Algebra     { return sumCopy }
 func (p *PageRank) IsActive(s model.State) bool {
 	return math.Abs(s.Delta) > p.Epsilon
 }
@@ -64,6 +76,7 @@ func (p *PPR) Name() string               { return "PPR" }
 func (p *PPR) Direction() model.Direction { return model.Out }
 func (p *PPR) Identity() float64          { return 0 }
 func (p *PPR) Acc(a, b float64) float64   { return a + b }
+func (p *PPR) Algebra() model.Algebra     { return sumCopy }
 func (p *PPR) IsActive(s model.State) bool {
 	return math.Abs(s.Delta) > p.Epsilon
 }
@@ -96,7 +109,8 @@ func NewSSSP(source model.VertexID) *SSSP { return &SSSP{Source: source} }
 func (p *SSSP) Name() string               { return "SSSP" }
 func (p *SSSP) Direction() model.Direction { return model.Out }
 func (p *SSSP) Identity() float64          { return model.Inf }
-func (p *SSSP) Acc(a, b float64) float64   { return math.Min(a, b) }
+func (p *SSSP) Acc(a, b float64) float64   { return min(a, b) }
+func (p *SSSP) Algebra() model.Algebra     { return minAddWeight }
 func (p *SSSP) IsActive(s model.State) bool {
 	return s.Delta < s.Value
 }
@@ -129,7 +143,8 @@ func NewBFS(source model.VertexID) *BFS { return &BFS{Source: source} }
 func (p *BFS) Name() string               { return "BFS" }
 func (p *BFS) Direction() model.Direction { return model.Out }
 func (p *BFS) Identity() float64          { return model.Inf }
-func (p *BFS) Acc(a, b float64) float64   { return math.Min(a, b) }
+func (p *BFS) Acc(a, b float64) float64   { return min(a, b) }
+func (p *BFS) Algebra() model.Algebra     { return minAddOne }
 func (p *BFS) IsActive(s model.State) bool {
 	return s.Delta < s.Value
 }
@@ -159,7 +174,8 @@ func NewWCC() *WCC { return &WCC{} }
 func (p *WCC) Name() string               { return "WCC" }
 func (p *WCC) Direction() model.Direction { return model.Both }
 func (p *WCC) Identity() float64          { return model.Inf }
-func (p *WCC) Acc(a, b float64) float64   { return math.Min(a, b) }
+func (p *WCC) Acc(a, b float64) float64   { return min(a, b) }
+func (p *WCC) Algebra() model.Algebra     { return minCopy }
 func (p *WCC) IsActive(s model.State) bool {
 	return s.Delta < s.Value
 }
@@ -188,7 +204,8 @@ func NewSSWP(source model.VertexID) *SSWP { return &SSWP{Source: source} }
 func (p *SSWP) Name() string               { return "SSWP" }
 func (p *SSWP) Direction() model.Direction { return model.Out }
 func (p *SSWP) Identity() float64          { return math.Inf(-1) }
-func (p *SSWP) Acc(a, b float64) float64   { return math.Max(a, b) }
+func (p *SSWP) Acc(a, b float64) float64   { return max(a, b) }
+func (p *SSWP) Algebra() model.Algebra     { return maxMinWeight }
 func (p *SSWP) IsActive(s model.State) bool {
 	return s.Delta > s.Value
 }
@@ -207,7 +224,7 @@ func (p *SSWP) Apply(_ model.VertexID, s *model.State, _ int) (float64, bool) {
 	return s.Value, improved
 }
 func (p *SSWP) Contribution(seed float64, w float32) float64 {
-	return math.Min(seed, float64(w))
+	return min(seed, float64(w))
 }
 
 // KCore marks the k-core: vertices keep their effective undirected degree as
@@ -225,6 +242,7 @@ func (p *KCore) Name() string               { return "KCore" }
 func (p *KCore) Direction() model.Direction { return model.Both }
 func (p *KCore) Identity() float64          { return 0 }
 func (p *KCore) Acc(a, b float64) float64   { return a + b }
+func (p *KCore) Algebra() model.Algebra     { return sumCopy }
 func (p *KCore) IsActive(s model.State) bool {
 	return s.Delta != 0
 }
@@ -254,6 +272,7 @@ func (p *Degree) Name() string                { return "Degree" }
 func (p *Degree) Direction() model.Direction  { return model.Out }
 func (p *Degree) Identity() float64           { return 0 }
 func (p *Degree) Acc(a, b float64) float64    { return a + b }
+func (p *Degree) Algebra() model.Algebra      { return sumCopy }
 func (p *Degree) IsActive(s model.State) bool { return s.Delta != 0 }
 func (p *Degree) Init(v model.VertexID, g model.GraphInfo) (model.State, bool) {
 	return model.State{Value: 0, Delta: float64(g.OutDegree(v))}, true

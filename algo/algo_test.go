@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"cgraph/internal/testutil"
 	"cgraph/model"
 )
 
@@ -244,5 +245,42 @@ func TestNamesAreUnique(t *testing.T) {
 			t.Fatalf("duplicate program name %q", p.Name())
 		}
 		seen[p.Name()] = true
+	}
+}
+
+// TestAlgebraMatchesMethods: every bundled program the engines could run on
+// declared arithmetic declares it (model.Algebraic), and the declaration is
+// the program's own Acc and Contribution bit for bit — on signed zeros,
+// infinities and NaN too (NaN for NaN, testutil.SameFloat), where the min and
+// max builtins the declaration means differ from math.Min / math.Max or from
+// a hand-written comparison. The engines run
+// the declared arithmetic without checking it. A Filterer (SCC) always runs
+// through its methods, so it has nothing to declare.
+func TestAlgebraMatchesMethods(t *testing.T) {
+	values := []float64{0, math.Copysign(0, -1), 1, -1, 0.3, 2.5e9, math.Inf(1), math.Inf(-1), math.NaN()}
+	weights := []float32{0, float32(math.Copysign(0, -1)), 1, 0.25, 7, float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}
+	same := testutil.SameFloat
+	for _, p := range allPrograms() {
+		if _, filtered := p.(model.Filterer); filtered {
+			continue
+		}
+		al, ok := p.(model.Algebraic)
+		if !ok || !al.Algebra().Declared() {
+			t.Errorf("%s declares no algebra", p.Name())
+			continue
+		}
+		alg := al.Algebra()
+		for _, a := range values {
+			for _, c := range values {
+				if got, want := alg.Fold(a, c), p.Acc(a, c); !same(got, want) {
+					t.Errorf("%s: declared Fold(%v, %v) = %v, Acc = %v", p.Name(), a, c, got, want)
+				}
+			}
+			for _, w := range weights {
+				if got, want := alg.Along(a, w), p.Contribution(a, w); !same(got, want) {
+					t.Errorf("%s: declared Along(%v, %v) = %v, Contribution = %v", p.Name(), a, w, got, want)
+				}
+			}
+		}
 	}
 }

@@ -47,6 +47,7 @@ func (p *HITS) Direction() model.Direction {
 
 func (p *HITS) Identity() float64        { return 0 }
 func (p *HITS) Acc(a, b float64) float64 { return a + b }
+func (p *HITS) Algebra() model.Algebra   { return sumCopy }
 
 // IsActive is always false: a phase is a single sweep; accumulated deltas
 // are harvested by NextPhase instead of re-activating vertices.
@@ -162,6 +163,7 @@ func (p *Katz) Name() string               { return "Katz" }
 func (p *Katz) Direction() model.Direction { return model.Out }
 func (p *Katz) Identity() float64          { return 0 }
 func (p *Katz) Acc(a, b float64) float64   { return a + b }
+func (p *Katz) Algebra() model.Algebra     { return sumCopy }
 func (p *Katz) IsActive(s model.State) bool {
 	return math.Abs(s.Delta) > p.Epsilon
 }

@@ -238,6 +238,59 @@ func BenchmarkApplyRange(b *testing.B) {
 	}
 }
 
+// BenchmarkSweep sweeps every partition of a first PageRank iteration the way
+// the engine's trigger does when no job is a straggler — one Sweep per
+// partition, scratch recycled — with the program's Algebra declared (the
+// arithmetic in line) and hidden behind a wrapper (Acc and Contribution
+// called through the interface per edge), in BenchmarkApplyRange's units.
+func BenchmarkSweep(b *testing.B) {
+	edges, g := microGraph(b)
+	pg, err := graph.Cut(g, edges, graph.Options{NumPartitions: 32})
+	if err != nil {
+		b.Fatal(err)
+	}
+	modes := []struct {
+		name string
+		prog func() Program
+	}{
+		{"declared", func() Program { return algo.NewPageRank() }},
+		{"interface", func() Program { return struct{ Program }{algo.NewPageRank()} }},
+	}
+	for _, mode := range modes {
+		b.Run(mode.name, func(b *testing.B) {
+			sc := &exec.Scratch{}
+			var sweep time.Duration
+			var edgesDone int64
+			var bytes uint64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				j := exec.NewJob(0, mode.prog(), pg)
+				if i == 0 {
+					// Size the scratch outside the measurement, as the
+					// engine's first round does.
+					warm := exec.NewJob(0, mode.prog(), pg)
+					for pid := range pg.Parts {
+						warm.Sweep(pid, sc)
+					}
+				}
+				b0 := heapBytes()
+				b.StartTimer()
+				t0 := time.Now()
+				for pid := range pg.Parts {
+					edgesDone += j.Sweep(pid, sc).Edges
+				}
+				sweep += time.Since(t0)
+				b.StopTimer()
+				bytes += heapBytes() - b0
+			}
+			b.ReportMetric(float64(sweep.Nanoseconds())/float64(edgesDone), "ns/edge")
+			b.ReportMetric(float64(bytes)/float64(edgesDone), "B/edge")
+		})
+	}
+}
+
 // BenchmarkPoolRun dispatches no-op tasks shaped like one dense trigger
 // batch (a few heavy ranges, many light ones) through a two-worker pool:
 // benchmark/'s pool.dispatch_ns_per_task, plus the allocations a run costs.

@@ -239,7 +239,7 @@ type Engine struct {
 	rtSteals    int64
 	rtStolen    int64
 	rtSkipped   int64
-	rtImb       float64
+	rtImb       imbalance
 	// Fresh-state accounting: cumulative eager folds (atomic mirror plus
 	// the loop-private per-round accumulator), delayed-mode barrier
 	// counters, and per-mode submission counts indexed by exec.Mode.
@@ -261,11 +261,12 @@ type Engine struct {
 	// by task position — not by worker or through a sync.Pool — keeps each
 	// scratch's growth history, and so the bytes a run allocates, a
 	// function of the (deterministic) task lists alone. merges is the same
-	// for the merge phase.
+	// for the merge phase; sweepW[i] is the frontier weight of batch item i.
 	slab   []*triggerTask
 	scs    []*exec.Scratch
 	merges []*mergeTask
 	ranges []exec.Range
+	sweepW []int64
 	ptasks []pool.Task
 	mtasks []pool.Task
 	perJob []exec.Stats
@@ -777,7 +778,7 @@ func (e *Engine) round() {
 	// pre snapshots each job's counters at round start so the tracer can
 	// attribute this round's deltas; only populated when tracing is on.
 	var pre []jobPreRound
-	e.rtTasks, e.rtSteals, e.rtStolen, e.rtSkipped, e.rtImb = 0, 0, 0, 0, 1
+	e.rtTasks, e.rtSteals, e.rtStolen, e.rtSkipped, e.rtImb = 0, 0, 0, 0, imbalance{}
 	e.rtFresh = 0
 	for _, rj := range e.jobs {
 		byID[rj.ID] = rj
@@ -871,7 +872,7 @@ func (e *Engine) round() {
 	e.execStolen.Add(e.rtStolen)
 	e.execSkipped.Add(e.rtSkipped)
 	e.execFresh.Add(e.rtFresh)
-	e.imbBits.Store(math.Float64bits(e.rtImb))
+	e.imbBits.Store(math.Float64bits(e.rtImb.factor(e.cfg.Workers)))
 	e.recordRound(roundStart, virtStart, plan, spans, pre)
 	e.rounds.Add(1)
 	e.nowBits.Store(math.Float64bits(e.now))
@@ -1136,19 +1137,32 @@ func (e *Engine) processUnit(p *graph.Partition, items []unitJob) {
 	h.Unpin(structID(p))
 }
 
-// triggerTask is one executor task of a trigger batch: a degree-weighted
-// slice of a job's active frontier (frontier mode) or a fixed-size chunk of
-// its materialized active locals (static mode), with its private scratch
-// and result stats. Tasks live in Engine.slab and are refilled by every
-// trigger call; the scratch keeps its capacity across calls.
+// taskShape is how a triggerTask covers its (job, partition) sweep.
+type taskShape uint8
+
+const (
+	// rangeTask is a degree-weighted slice of the active frontier: one of
+	// the ranges a straggler's sweep is split into (Fig. 6), buffered into
+	// the task's scratch and folded by the sweep's merge task afterwards.
+	rangeTask taskShape = iota
+	// wholeTask is the entire sweep — apply, scatter and fold — in one task
+	// that needs no merge.
+	wholeTask
+	// chunkTask is a fixed-size chunk of the materialized active locals
+	// (static mode), merged like a range.
+	chunkTask
+)
+
+// triggerTask is one executor task of a trigger batch, with its private
+// scratch and result stats. Tasks live in Engine.slab and are refilled by
+// every trigger call; the scratch keeps its capacity across calls.
 type triggerTask struct {
 	rj     *runJob
 	pid    int
 	weight int64
-	r      exec.Range
-	// locals is the static-mode chunk (static set); r is unused then.
-	locals []uint32
-	static bool
+	shape  taskShape
+	r      exec.Range // rangeTask
+	locals []uint32   // chunkTask
 	sc     exec.Scratch
 	stats  exec.Stats
 	// apply is run as a func value, bound once when the slab entry is made
@@ -1161,9 +1175,11 @@ type triggerTask struct {
 func (t *triggerTask) run(int) {
 	fresh := t.rj.Mode != exec.ModeBSP
 	switch {
-	case t.static && fresh:
+	case t.shape == wholeTask:
+		t.stats = t.rj.Sweep(t.pid, &t.sc)
+	case t.shape == chunkTask && fresh:
 		t.stats = t.rj.ApplyChunkFresh(t.pid, t.locals, &t.sc)
-	case t.static:
+	case t.shape == chunkTask:
 		t.stats = t.rj.ApplyChunk(t.pid, t.locals, &t.sc)
 	case fresh:
 		t.stats = t.rj.ApplyRangeFresh(t.pid, t.r, &t.sc)
@@ -1198,19 +1214,52 @@ type mergeTask struct {
 
 func (m *mergeTask) run(int) { m.rj.Merge(m.pid, m.scs...) }
 
-// trigger processes one loaded partition version for a batch of jobs on the
-// shared work-stealing pool, returning the virtual compute time of the
-// phase. Each item carries its job-local partition index. With straggler
-// splitting each job's frontier is sliced into edge-weighted tasks so idle
-// cores steal from the heaviest job (Fig. 6 generalized); without it, each
-// job's work stays one task.
+// inlineWeight is the weight (1 + scatter edges per active vertex, summed
+// over the batch) below which a BSP trigger batch runs on the round
+// goroutine: spawning and joining the pool's workers costs more than a few
+// thousand edges of work saves by sharing them. Batches with a fresh-state
+// job, and StaticChunking ones (whose task weights count vertices), always go
+// to the pool. Calibrated on the benchmark's four workloads; the runs are in
+// CHANGES.md (PR 21).
+const inlineWeight = 8192
+
+// imbalance accumulates the load balance of a round's pool runs, weighted by
+// the work of each. Only runs dispatched to more than one worker count: an
+// inline run puts all of its weight on "one worker" by construction.
+type imbalance struct{ heaviest, total int64 }
+
+func (b *imbalance) add(st pool.Stats) {
+	if st.Workers > 1 {
+		b.heaviest += st.MaxWorkerWeight
+		b.total += st.TotalWeight
+	}
+}
+
+// factor is the heaviest worker's share of the counted runs' weight,
+// ×workers (1.0 = perfectly even, and when no run was dispatched).
+func (b imbalance) factor(workers int) float64 {
+	return pool.Stats{MaxWorkerWeight: b.heaviest, TotalWeight: b.total}.Imbalance(workers)
+}
+
+// trigger processes one loaded partition version for a batch of jobs,
+// returning the virtual compute time of the phase. Each item carries its
+// job-local partition index. A job's sweep of the partition is one task that
+// applies, scatters and folds (exec.Job.Sweep) unless it is the batch's
+// straggler; the straggler's frontier is sliced into edge-weighted ranges
+// that idle cores steal, buffered and merged afterwards (Fig. 6). Tasks run
+// on the shared work-stealing pool, or on this goroutine when the whole
+// batch is too light to be worth waking it.
 func (e *Engine) trigger(batch []unitJob) float64 {
 	split := !e.cfg.DisableStragglerSplit
 	var tasks []*triggerTask
+	run := e.pool.Run
 	if e.cfg.StaticChunking {
 		tasks = e.staticTasks(batch, split)
 	} else {
-		tasks = e.frontierTasks(batch, split)
+		var light bool
+		if tasks, light = e.frontierTasks(batch, split); light {
+			run = pool.Inline
+		}
 	}
 
 	// Apply phase: BSP tasks touch disjoint vertex states, so they are
@@ -1249,12 +1298,14 @@ func (e *Engine) trigger(batch []unitJob) float64 {
 		t.rj.roundTasks++
 	}
 	e.ptasks = ptasks
-	applySt := e.pool.Run(ptasks)
+	applySt := run(ptasks)
 
-	// Merge phase on the same bounded pool — one task per job folds its
-	// scratches in task order (deterministic float accumulation) — instead
-	// of one unbounded goroutine per job. The builders emit a job's tasks
-	// contiguously and in batch order, so one pass groups them.
+	// Merge phase, for the sweeps that were cut into ranges or chunks: one
+	// task per (job, partition) folds its scratches in task order
+	// (deterministic float accumulation). A whole sweep has folded its own
+	// contributions, so a batch without a straggler ends here. The builders
+	// emit a job's tasks contiguously and in batch order, so one pass groups
+	// them.
 	e.perJob = append(e.perJob[:0], make([]exec.Stats, len(batch))...)
 	perJob := e.perJob
 	mtasks := e.mtasks[:0]
@@ -1269,6 +1320,9 @@ func (e *Engine) trigger(batch []unitJob) float64 {
 			perJob[bi].Add(tasks[i].stats)
 			w += int64(tasks[i].sc.Len())
 		}
+		if t.shape == wholeTask {
+			continue
+		}
 		if len(mtasks) == len(e.merges) {
 			m := &mergeTask{}
 			m.merge = m.run
@@ -1279,7 +1333,7 @@ func (e *Engine) trigger(batch []unitJob) float64 {
 		mtasks = append(mtasks, pool.Task{Weight: w, Run: m.merge})
 	}
 	e.mtasks = mtasks
-	mergeSt := e.pool.Run(mtasks)
+	mergeSt := run(mtasks)
 
 	// Virtual-time accounting: the phase takes the makespan lower bound of
 	// the realized task set — perfect rebalance (totalWork/Workers) unless
@@ -1330,9 +1384,7 @@ func (e *Engine) trigger(batch []unitJob) float64 {
 	e.rtTasks += applySt.Tasks + mergeSt.Tasks
 	e.rtSteals += applySt.Steals + mergeSt.Steals
 	e.rtStolen += applySt.Stolen + mergeSt.Stolen
-	if imb := applySt.Imbalance(e.cfg.Workers); imb > e.rtImb {
-		e.rtImb = imb
-	}
+	e.rtImb.add(applySt)
 	// The buffers outlive the batch: drop their job references (held by the
 	// slab entries and the apply tasks' trace hooks) so a retired job's
 	// private table is not pinned by an idle engine.
@@ -1372,29 +1424,50 @@ func (e *Engine) taskTrace(rj *runJob, weight int64) func(worker int, stolen boo
 	}
 }
 
-// frontierTasks slices each job's active frontier into edge-weighted ranges
-// of roughly totalWeight/(Workers·Balance) scatter edges each. The weight
-// walk uses the partition CSR prefix sums, so a hub vertex becomes a task
-// of its own while runs of leaves coalesce.
-func (e *Engine) frontierTasks(batch []unitJob, split bool) []*triggerTask {
+// frontierTasks builds the batch's tasks from the weight of each job's active
+// frontier (1 + scatter edges per active vertex, walked once). A BSP sweep
+// no heavier than (1 + 1/Balance) × totalWeight/Workers — the heaviest load
+// the splitter itself lets a worker end up with, since its ranges weigh up to
+// totalWeight/(Workers·Balance) each — is not a straggler and becomes one
+// whole task; so does every BSP sweep when splitting is off. The others are
+// sliced into ranges of that weight by the partition CSR prefix sums, so a hub
+// vertex becomes a task of its own while runs of leaves coalesce. Fresh-state
+// sweeps are always ranges (one, when splitting is off): trigger chains them.
+// light reports an all-BSP batch weighing less than inlineWeight.
+func (e *Engine) frontierTasks(batch []unitJob, split bool) (tasks []*triggerTask, light bool) {
+	e.sweepW = e.sweepW[:0]
+	var totalW int64
+	light = true
+	for _, it := range batch {
+		w := it.rj.ActiveWeight(it.pid)
+		e.sweepW = append(e.sweepW, w)
+		totalW += w
+		light = light && it.rj.Mode == exec.ModeBSP
+	}
+	light = light && totalW < inlineWeight
 	target := int64(math.MaxInt64)
+	whole := float64(math.MaxInt64)
 	if split {
-		var totalW int64
-		for _, it := range batch {
-			totalW += it.rj.ActiveWeight(it.pid)
-		}
 		target = int64(float64(totalW)/(float64(e.cfg.Workers)*e.cfg.Balance)) + 1
+		whole = (1 + 1/e.cfg.Balance) * float64(totalW) / float64(e.cfg.Workers)
 	}
 	n := 0
-	for _, it := range batch {
-		e.ranges = it.rj.SliceActive(it.pid, target, e.ranges[:0])
+	for i, it := range batch {
+		w := e.sweepW[i]
+		if it.rj.Mode == exec.ModeBSP && float64(w) <= whole {
+			t := e.task(n)
+			t.rj, t.pid, t.weight, t.shape = it.rj, it.pid, w, wholeTask
+			n++
+			continue
+		}
+		e.ranges = it.rj.SliceWeighted(it.pid, target, w, e.ranges[:0])
 		for _, r := range e.ranges {
 			t := e.task(n)
-			t.rj, t.pid, t.r, t.weight, t.static = it.rj, it.pid, r, r.Weight, false
+			t.rj, t.pid, t.r, t.weight, t.shape = it.rj, it.pid, r, r.Weight, rangeTask
 			n++
 		}
 	}
-	return e.slab[:n]
+	return e.slab[:n], light
 }
 
 // staticTasks is the legacy skew-blind decomposition (ablation/bench
@@ -1414,7 +1487,7 @@ func (e *Engine) staticTasks(batch []unitJob, split bool) []*triggerTask {
 	n := 0
 	add := func(it unitJob, locals []uint32) {
 		t := e.task(n)
-		t.rj, t.pid, t.locals, t.weight, t.static = it.rj, it.pid, locals, int64(len(locals)), true
+		t.rj, t.pid, t.locals, t.weight, t.shape = it.rj, it.pid, locals, int64(len(locals)), chunkTask
 		n++
 	}
 	for i, it := range batch {

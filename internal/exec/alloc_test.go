@@ -78,3 +78,32 @@ func TestApplyRangeAllocations(t *testing.T) {
 		t.Fatalf("setup: buffered %d contributions, cap %d, weight %d", fresh.Len(), cap(fresh.dst), r.Weight)
 	}
 }
+
+// TestSweepAllocatesNothing: a whole sweep keeps one pair per scattering
+// vertex, so a warmed scratch absorbs it with no allocation and a zero
+// scratch grows each of its two arrays once, to the partition's active count.
+func TestSweepAllocatesNothing(t *testing.T) {
+	j := warmedPageRank(t, &Scratch{})
+	pid := 0
+	// Sweep consumes the vertices' deltas and folds into their neighbours',
+	// so every measured call needs its own copy of the partition's states.
+	saved := append([]model.State(nil), j.PT.States[pid]...)
+	var edges int64
+	measure := func(sc func() *Scratch) float64 {
+		return testing.AllocsPerRun(5, func() {
+			copy(j.PT.States[pid], saved)
+			edges += j.Sweep(pid, sc()).Edges
+		})
+	}
+	warm := &Scratch{}
+	if got := measure(func() *Scratch { return warm }); got != 0 {
+		t.Fatalf("Sweep with a warmed scratch allocates %v times, want 0", got)
+	}
+	var fresh Scratch
+	if got := measure(func() *Scratch { fresh = Scratch{}; return &fresh }); got > 2 {
+		t.Fatalf("Sweep with a zero scratch allocates %v times, want <= 2", got)
+	}
+	if edges == 0 || fresh.Len() == 0 || fresh.Len() > j.PT.ActiveCount[pid] {
+		t.Fatalf("setup: %d edges swept, %d pairs kept for %d active vertices", edges, fresh.Len(), j.PT.ActiveCount[pid])
+	}
+}

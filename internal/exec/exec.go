@@ -5,17 +5,40 @@
 // arithmetic guarantees that all engines compute identical results and
 // differ only in orchestration and data-movement behaviour.
 //
-// The BSP kernel allocates nothing in steady state. ApplyRange buffers a
-// range's contributions into a Scratch it grows at most once, to the range's
-// weight; callers that keep their scratches (the engine keeps one per task
-// position) stop allocating after the first sweep. Push folds each mirror's
-// Δ directly into its master's slot while walking the receivers in ascending
-// (partition, local) order — a master sits in the lowest partition holding
-// its vertex, so its folds arrive in ascending source-partition order, which
-// fixes the float accumulation order — and keeps its working set (a
-// master-hit bitset per partition, a touched flag per partition) on the Job.
-// PushSummary.TouchedParts aliases one of those buffers: it is valid until
-// the job's next Push, so consume it before closing another iteration.
+// A (job, partition) BSP step — apply every active vertex, scatter what it
+// seeds along its edges, fold the contributions into the receivers' Δ — comes
+// in two shapes. Sweep is the step as one task: it applies the whole frontier
+// first, keeping a (local, seed) pair per vertex that scatters, then walks
+// the pairs and folds each edge's contribution straight into the receiver,
+// with no per-edge buffer and no second task. ApplyRange + Merge is the step
+// cut up for the straggler split of Fig. 6: disjoint ranges of the frontier
+// are applied concurrently, each buffering a (destination, contribution) pair
+// per edge into its own Scratch, and one Merge folds the scratches in range
+// order. The engine runs Sweep for every sweep that is not its batch's
+// straggler (core.frontierTasks has the rule), the serial callers —
+// ProcessPartition, RunToConvergence, the baselines — always. The two leave
+// identical bits, because they fold the same values in the same order onto
+// the same base: both apply every vertex of the partition before the first
+// fold (Apply resets a vertex's own Δ, so a fold that ran ahead of it would
+// be lost), and both visit scattering vertices in ascending local order,
+// each vertex's out-edges before its in-edges, each list in CSR order — the
+// order in which ranges are merged, ApplyRange walks a range, and buffer
+// appends. Float accumulation into Δ and DeltaSum is therefore the same
+// sequence of operations either way; TestSweepMatchesApplyMerge holds every
+// bundled program to it. The edge arithmetic itself also comes in two forms,
+// by what the program declares (kernel.go, model.Algebraic).
+//
+// The BSP kernel allocates nothing in steady state. ApplyRange grows its
+// Scratch at most once, to the range's weight, and Sweep to the partition's
+// active count; callers that keep their scratches (the engine keeps one per
+// task position) stop allocating after the first sweep. Push folds each
+// mirror's Δ directly into its master's slot while walking the receivers in
+// ascending (partition, local) order — a master sits in the lowest partition
+// holding its vertex, so its folds arrive in ascending source-partition
+// order, which fixes the float accumulation order — and keeps its working set
+// (a master-hit bitset per partition, a touched flag per partition) on the
+// Job. PushSummary.TouchedParts aliases one of those buffers: it is valid
+// until the job's next Push, so consume it before closing another iteration.
 package exec
 
 import (
@@ -55,6 +78,11 @@ type Job struct {
 	PT   *storage.PrivateTable
 	// Dir caches Prog.Direction() for the current phase.
 	Dir model.Direction
+	// What the BSP edge loops run, resolved once from Prog (see kernel.go):
+	// alg is the arithmetic that stands in for Acc and Contribution (zero
+	// sends them through the interface), filter is Prog as a Filterer or nil.
+	alg    model.Algebra
+	filter model.Filterer
 
 	// Mode selects the execution discipline (bsp, async, delayed); see
 	// async.go. Staleness bounds delayed-mode barrier skipping (0 means
@@ -106,26 +134,29 @@ type Job struct {
 // NewJob builds a job over the given snapshot, initializing its private
 // table and activity sets.
 func NewJob(id int, prog model.Program, pg *graph.PGraph) *Job {
+	filter, _ := prog.(model.Filterer)
 	return &Job{
 		ID:       id,
 		Prog:     prog,
 		PG:       pg,
 		PT:       storage.NewPrivateTable(id, pg, prog),
 		Dir:      prog.Direction(),
+		alg:      algebraOf(prog),
+		filter:   filter,
 		DeltaSum: make([]float64, len(pg.Parts)),
 	}
 }
 
-// Scratch buffers the contributions one apply call scatters, as parallel
-// (destination local, contribution) arrays that Merge folds afterwards. It
-// is reusable across partitions and iterations: Reset keeps the capacity,
-// and ApplyRange grows it at most once per call, to the range's weight. The
-// zero value is ready to use.
+// Scratch is the side buffer of one apply call, as two parallel arrays. Under
+// ApplyRange and ApplyChunk it holds one (destination local, contribution)
+// pair per scattered edge, which Merge folds afterwards; under Sweep it holds
+// one (local, seed) pair per scattering vertex, which Sweep itself consumes.
+// It is reusable across partitions and iterations: Reset keeps the capacity,
+// and ApplyRange and Sweep grow it at most once per call, to the range's
+// weight and to the partition's active count. The zero value is ready to use.
 type Scratch struct {
 	dst     []uint32
 	contrib []float64
-	// locals is ProcessPartition's materialized frontier.
-	locals []uint32
 }
 
 // Reset empties the scratch, retaining capacity.
@@ -134,7 +165,7 @@ func (sc *Scratch) Reset() {
 	sc.contrib = sc.contrib[:0]
 }
 
-// Len returns the number of buffered contributions.
+// Len returns the number of buffered pairs.
 func (sc *Scratch) Len() int { return len(sc.dst) }
 
 // ActiveLocals appends the active local indices of partition pid to buf.
@@ -162,7 +193,17 @@ type Range struct {
 // task sizing that replaces vertex-count chunking. An empty frontier
 // appends nothing.
 func (j *Job) SliceActive(pid int, target int64, buf []Range) []Range {
+	return j.SliceWeighted(pid, target, -1, buf)
+}
+
+// SliceWeighted is SliceActive for a caller that already holds the
+// frontier's ActiveWeight in total: the walk stops as soon as what is left
+// of total is too light to be cut again, and that remainder becomes the last
+// range unwalked — the whole frontier, when total is below target. The
+// ranges are SliceActive's. A negative total means unknown.
+func (j *Job) SliceWeighted(pid int, target, total int64, buf []Range) []Range {
 	p := j.PG.Parts[pid]
+	n := p.NumVertices()
 	if target < 1 {
 		target = 1
 	}
@@ -170,17 +211,22 @@ func (j *Job) SliceActive(pid int, target int64, buf []Range) []Range {
 	var w int64
 	j.PT.Active[pid].Range(func(li int) bool {
 		if start < 0 {
+			if total >= 0 && total < target {
+				start, w = li, total
+				return false
+			}
 			start = li
 		}
 		w += 1 + p.EdgeWork(uint32(li), j.Dir)
 		if w >= target {
 			buf = append(buf, Range{Lo: start, Hi: li + 1, Weight: w})
+			total -= w
 			start, w = -1, 0
 		}
 		return true
 	})
 	if start >= 0 {
-		buf = append(buf, Range{Lo: start, Hi: p.NumVertices(), Weight: w})
+		buf = append(buf, Range{Lo: start, Hi: n, Weight: w})
 	}
 	return buf
 }
@@ -213,10 +259,10 @@ func (j *Job) ActiveWeight(pid int) int64 {
 // window, buffering scattered contributions into sc. It walks the active
 // bitset directly (no materialized locals slice) and touches only those
 // vertices' own states plus sc, so disjoint ranges may run on different
-// workers concurrently.
+// workers concurrently — the range half of the straggler split of Fig. 6;
+// Merge is the other half.
 func (j *Job) ApplyRange(pid int, r Range, sc *Scratch) Stats {
-	p := j.PG.Parts[pid]
-	states := j.PT.States[pid]
+	v := j.view(pid)
 	act := j.PT.Active[pid]
 	// r.Weight counts 1 + EdgeWork per active vertex, an upper bound on the
 	// contributions buffered below, so neither array reallocates mid-loop.
@@ -224,62 +270,24 @@ func (j *Job) ApplyRange(pid int, r Range, sc *Scratch) Stats {
 	sc.contrib = slices.Grow(sc.contrib, int(r.Weight))
 	var st Stats
 	for li := act.NextSet(r.Lo); li >= 0 && li < r.Hi; li = act.NextSet(li + 1) {
-		s := &states[li]
-		v := p.Globals[li]
-		deg := j.PG.G.Degree(v, j.Dir)
-		seed, scatter := j.Prog.Apply(v, s, deg)
 		st.Vertices++
-		if !scatter {
-			continue
-		}
-		if j.Dir == model.Out || j.Dir == model.Both {
-			for ei := p.OutOff[li]; ei < p.OutOff[li+1]; ei++ {
-				sc.dst = append(sc.dst, p.OutDst[ei])
-				sc.contrib = append(sc.contrib, j.Prog.Contribution(seed, p.OutW[ei]))
-				st.Edges++
-			}
-		}
-		if j.Dir == model.In || j.Dir == model.Both {
-			for ei := p.InOff[li]; ei < p.InOff[li+1]; ei++ {
-				sc.dst = append(sc.dst, p.InDst[ei])
-				sc.contrib = append(sc.contrib, j.Prog.Contribution(seed, p.InW[ei]))
-				st.Edges++
-			}
+		if seed, scatter := v.apply(uint32(li)); scatter {
+			st.Edges += j.buffer(sc, &v, uint32(li), seed)
 		}
 	}
 	return st
 }
 
-// ApplyChunk applies the given active locals of partition pid, buffering
-// scattered contributions into sc. It touches only the locals' own states
-// plus sc, so disjoint chunks may run on different goroutines concurrently —
-// this is what the straggler-splitting of Fig. 6 builds on.
+// ApplyChunk is ApplyRange over an explicit list of active locals — the
+// static, vertex-count decomposition. Disjoint chunks may run on different
+// goroutines concurrently.
 func (j *Job) ApplyChunk(pid int, locals []uint32, sc *Scratch) Stats {
-	p := j.PG.Parts[pid]
-	states := j.PT.States[pid]
+	v := j.view(pid)
 	var st Stats
 	for _, li := range locals {
-		s := &states[li]
-		v := p.Globals[li]
-		deg := j.PG.G.Degree(v, j.Dir)
-		seed, scatter := j.Prog.Apply(v, s, deg)
 		st.Vertices++
-		if !scatter {
-			continue
-		}
-		if j.Dir == model.Out || j.Dir == model.Both {
-			for ei := p.OutOff[li]; ei < p.OutOff[li+1]; ei++ {
-				sc.dst = append(sc.dst, p.OutDst[ei])
-				sc.contrib = append(sc.contrib, j.Prog.Contribution(seed, p.OutW[ei]))
-				st.Edges++
-			}
-		}
-		if j.Dir == model.In || j.Dir == model.Both {
-			for ei := p.InOff[li]; ei < p.InOff[li+1]; ei++ {
-				sc.dst = append(sc.dst, p.InDst[ei])
-				sc.contrib = append(sc.contrib, j.Prog.Contribution(seed, p.InW[ei]))
-				st.Edges++
-			}
+		if seed, scatter := v.apply(li); scatter {
+			st.Edges += j.buffer(sc, &v, li, seed)
 		}
 	}
 	return st
@@ -292,31 +300,46 @@ func (j *Job) ApplyChunk(pid int, locals []uint32, sc *Scratch) Stats {
 func (j *Job) Merge(pid int, scratches ...*Scratch) {
 	states := j.PT.States[pid]
 	recv := j.PT.Received[pid]
-	filter, filtered := j.Prog.(model.Filterer)
 	var sum float64
 	for _, sc := range scratches {
-		for i, dst := range sc.dst {
-			c := sc.contrib[i]
-			if filtered && !filter.Accept(states[dst], c) {
-				continue
-			}
-			states[dst].Delta = j.Prog.Acc(states[dst].Delta, c)
-			recv.Set(int(dst))
-			sum += math.Abs(c)
-		}
+		sum = j.foldBuffered(states, recv, sc.dst, sc.contrib, sum)
 	}
 	j.DeltaSum[pid] += sum
 }
 
-// ProcessPartition runs the whole-partition BSP step serially: apply every
-// active vertex, then merge the buffered contributions. All engines except
-// CLIP use these synchronous semantics, so iteration counts are comparable
-// across systems.
-func (j *Job) ProcessPartition(pid int, sc *Scratch) Stats {
+// Sweep is one whole (job, partition) BSP step as a single task: it applies
+// every active vertex of partition pid, keeping in sc one (local, seed) pair
+// per vertex that scatters, then walks those pairs and folds each edge's
+// contribution straight into the receiver's Delta — no per-edge buffer, no
+// Merge. Every vertex is applied before the first fold, and the folds run in
+// the order ApplyRange would have buffered them, so the partition's States,
+// Received and DeltaSum end bit-identical to any ApplyRange slicing followed
+// by Merge. It writes the whole partition's private state: one goroutine per
+// (job, partition), as for Merge.
+func (j *Job) Sweep(pid int, sc *Scratch) Stats {
+	v := j.view(pid)
+	act := j.PT.Active[pid]
 	sc.Reset()
-	sc.locals = j.ActiveLocals(pid, sc.locals[:0])
-	st := j.ApplyChunk(pid, sc.locals, sc)
-	j.Merge(pid, sc)
+	sc.dst = slices.Grow(sc.dst, j.PT.ActiveCount[pid])
+	sc.contrib = slices.Grow(sc.contrib, j.PT.ActiveCount[pid])
+	var st Stats
+	for li := act.NextSet(0); li >= 0; li = act.NextSet(li + 1) {
+		st.Vertices++
+		if seed, scatter := v.apply(uint32(li)); scatter {
+			sc.dst = append(sc.dst, uint32(li))
+			sc.contrib = append(sc.contrib, seed)
+			st.Edges += v.p.EdgeWork(uint32(li), v.dir)
+		}
+	}
+	j.DeltaSum[pid] += j.scatter(&v, j.PT.Received[pid], sc.dst, sc.contrib)
+	return st
+}
+
+// ProcessPartition runs the whole-partition BSP step serially and books its
+// work on the job. All engines except CLIP use these synchronous semantics,
+// so iteration counts are comparable across systems.
+func (j *Job) ProcessPartition(pid int, sc *Scratch) Stats {
+	st := j.Sweep(pid, sc)
 	j.EdgesProcessed += st.Edges
 	j.VerticesApplied += st.Vertices
 	return st

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -231,5 +232,29 @@ func TestWeightedSlicingBeatsVertexCount(t *testing.T) {
 	}
 	if maxWeighted > target+maxVertex {
 		t.Fatalf("weighted slice %d exceeds target %d + heaviest vertex %d", maxWeighted, target, maxVertex)
+	}
+}
+
+// TestSliceWeightedMatchesSliceActive: handing the slicer the frontier's
+// weight changes how far it walks, never what it returns — on full and
+// partial frontiers, for targets from one vertex to more than everything.
+func TestSliceWeightedMatchesSliceActive(t *testing.T) {
+	edges, n := testGraph(17)
+	pg := buildPG(t, edges, n, 4)
+	j := NewJob(0, algo.NewSSSP(0), pg)
+	for it := 0; it < 4; it++ {
+		for pid := range pg.Parts {
+			total := j.ActiveWeight(pid)
+			for _, target := range []int64{1, 7, total / 3, total - 1, total, total + 1, 1 << 62} {
+				want := j.SliceActive(pid, target, nil)
+				if got := j.SliceWeighted(pid, target, total, nil); !slices.Equal(got, want) {
+					t.Fatalf("iteration %d partition %d target %d of %d: %v, SliceActive %v", it, pid, target, total, got, want)
+				}
+			}
+		}
+		for pid := range pg.Parts {
+			j.ProcessPartition(pid, &Scratch{})
+		}
+		j.FinishIteration()
 	}
 }

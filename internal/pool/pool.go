@@ -89,6 +89,10 @@ type Stats struct {
 	// (1.0 = perfectly even).
 	MaxWorkerWeight int64
 	TotalWeight     int64
+	// Workers is the number of workers the run was dispatched to: 1 when it
+	// ran inline on the caller, where MaxWorkerWeight = TotalWeight says
+	// nothing about balance.
+	Workers int
 }
 
 // Imbalance returns MaxWorkerWeight·workers/TotalWeight, or 1 when no
@@ -185,31 +189,37 @@ func New(workers int) *Pool {
 // Workers returns the worker bound.
 func (p *Pool) Workers() int { return p.workers }
 
+// Inline executes every task on the calling goroutine, in order, as worker 0
+// — what Run does with one worker or a single task, for callers that know a
+// task set is too light to be worth waking workers for.
+func Inline(tasks []Task) Stats {
+	st := Stats{Tasks: int64(len(tasks)), Workers: 1}
+	for i := range tasks {
+		st.TotalWeight += taskWeight(tasks[i])
+		tasks[i].exec(0)
+	}
+	st.MaxWorkerWeight = st.TotalWeight
+	return st
+}
+
 // Run executes every task and returns the run's stats. Tasks are seeded
 // LPT (heaviest first onto the currently lightest worker) and rebalanced
 // by stealing as workers drain. With one worker, or a single task, the
 // pool runs inline on the calling goroutine with zero scheduling overhead.
 func (p *Pool) Run(tasks []Task) Stats {
-	if len(tasks) == 0 {
-		return Stats{}
+	if p.workers == 1 || len(tasks) <= 1 {
+		return Inline(tasks)
 	}
-	var st Stats
+	st := Stats{Tasks: int64(len(tasks))}
 	for _, t := range tasks {
 		st.TotalWeight += taskWeight(t)
-	}
-	st.Tasks = int64(len(tasks))
-	if p.workers == 1 || len(tasks) == 1 {
-		for i := range tasks {
-			tasks[i].exec(0)
-		}
-		st.MaxWorkerWeight = st.TotalWeight
-		return st
 	}
 
 	p.runMu.Lock()
 	defer p.runMu.Unlock()
 
 	n := min(p.workers, len(tasks))
+	st.Workers = n
 	p.seed(n, tasks)
 	p.steals.Store(0)
 	p.stolen.Store(0)

@@ -2,6 +2,7 @@
 package testutil
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -32,4 +33,14 @@ func SkipUnderRace(t testing.TB) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
+}
+
+// SameFloat reports whether a and b are the same bits, or both NaN: what
+// "bit-identical" can mean for two correct float computations. A NaN's
+// payload is not part of any result, and it is the one thing two correct
+// loops may disagree on — x86 hands back the first operand's payload when
+// both operands are NaN, and which operand of a + b comes first is the
+// compiler's choice, loop by loop and build mode by build mode.
+func SameFloat(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
 }

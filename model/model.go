@@ -114,6 +114,98 @@ type Program interface {
 	Contribution(seed float64, w float32) float64
 }
 
+// AccOp names an accumulator in closed form.
+type AccOp uint8
+
+const (
+	// Sum is Acc(a, c) = a + c.
+	Sum AccOp = iota + 1
+	// Min is Acc(a, c) = min(a, c), the builtin.
+	Min
+	// Max is Acc(a, c) = max(a, c), the builtin.
+	Max
+)
+
+// EdgeOp names a per-edge contribution in closed form.
+type EdgeOp uint8
+
+const (
+	// Copy is Contribution(seed, w) = seed.
+	Copy EdgeOp = iota + 1
+	// AddWeight is Contribution(seed, w) = seed + float64(w).
+	AddWeight
+	// AddOne is Contribution(seed, w) = seed + 1.
+	AddOne
+	// MinWeight is Contribution(seed, w) = min(seed, float64(w)).
+	MinWeight
+)
+
+// Algebra is a program's per-edge arithmetic in closed form. The zero value
+// declares nothing.
+type Algebra struct {
+	Acc  AccOp
+	Edge EdgeOp
+}
+
+// Declared reports whether a names one of the closed forms above on both
+// sides; anything else sends the program down the interface path.
+func (a Algebra) Declared() bool {
+	return a.Acc >= Sum && a.Acc <= Max && a.Edge >= Copy && a.Edge <= MinWeight
+}
+
+// Fold is the accumulator a declares: what the program's Acc must return on
+// every pair of inputs. Fold and Along are the only place the closed forms
+// are written out: the engines' edge loops call them, and both are small
+// enough to be inlined there. That is why Min and Max are the builtins and
+// not math.Min and math.Max, which are calls; the two agree except that the
+// builtins return NaN whenever an operand is NaN, math.Min(NaN, −Inf) is
+// −Inf and math.Max(NaN, +Inf) is +Inf.
+func (a Algebra) Fold(acc, contribution float64) float64 {
+	switch a.Acc {
+	case Min:
+		return min(acc, contribution)
+	case Max:
+		return max(acc, contribution)
+	default:
+		return acc + contribution
+	}
+}
+
+// Along is the contribution a declares: what the program's Contribution must
+// return on every pair of inputs.
+func (a Algebra) Along(seed float64, w float32) float64 {
+	switch a.Edge {
+	case AddWeight:
+		return seed + float64(w)
+	case AddOne:
+		return seed + 1
+	case MinWeight:
+		return min(seed, float64(w))
+	default:
+		return seed
+	}
+}
+
+// Algebraic is an optional Program extension declaring that the program's
+// Acc and Contribution are exactly Algebra().Fold and Algebra().Along.
+// The engines then run edge loops with those two inlined instead of calling
+// Acc and Contribution through the interface once per edge; Apply,
+// IsActive and Init are still the program's own. A program that is also a
+// Filterer, or that declares nothing, keeps the interface path.
+//
+// The declaration is a promise the engines do not check at run time. A wrong
+// one does not crash: the job converges to whatever the declared arithmetic
+// computes — SSSP declared AddOne silently returns hop counts. Two tests
+// catch it for the bundled programs: algo's TestAlgebraMatchesMethods holds
+// every declaration against the program's own methods on ordinary and
+// special values (NaN, ±0, ±Inf), and internal/exec's
+// TestSweepMatchesApplyMerge runs each program with its declaration visible
+// and hidden and requires bit-identical state after every iteration. Add a
+// new program to both lists.
+type Algebraic interface {
+	Algebra() Algebra
+}
+
 // StateView gives phased programs whole-graph access to their private state
 // between phases. Set writes the state to every replica of v and marks the
 // vertex active or inactive for the next phase.
