@@ -72,15 +72,6 @@ type JobSpec struct {
 	// AtTimestamp binds the job to the newest graph snapshot not younger
 	// than this; absent means the latest snapshot at launch.
 	AtTimestamp *int64 `json:"at_timestamp,omitempty"`
-	// ExecMode selects the job's execution discipline: "bsp" (default,
-	// synchronous), "async" (fresh-state, eager folds within an
-	// iteration), or "delayed" (bounded-staleness async: merge barriers
-	// skipped up to the staleness bound). Unknown modes are rejected.
-	ExecMode string `json:"exec_mode,omitempty"`
-	// Staleness is the "delayed" mode's barrier bound (consecutive
-	// iterations allowed to skip the merge barrier); values < 1 use the
-	// service default. Ignored for other modes.
-	Staleness int `json:"staleness,omitempty"`
 }
 
 // JobStatus is the wire snapshot of one job's lifecycle.
@@ -101,9 +92,6 @@ type JobStatus struct {
 	// Iterations counts completed iterations; it advances while the job
 	// runs and is final once the job is terminal.
 	Iterations int `json:"iterations,omitempty"`
-	// ExecMode echoes the execution discipline the job runs under; empty
-	// for default-BSP jobs, so pre-mode payloads are unchanged.
-	ExecMode string `json:"exec_mode,omitempty"`
 	// Engine metrics, populated once the job converges.
 	EdgesProcessed     int64   `json:"edges_processed,omitempty"`
 	SimulatedAccessUS  float64 `json:"simulated_access_us,omitempty"`
@@ -348,22 +336,11 @@ type ExecInfo struct {
 	// SkippedPartitions counts (job, partition) pairs excluded before
 	// scheduling because their frontier was empty (converged regions).
 	SkippedPartitions int64 `json:"skipped_partitions"`
-	// LastImbalance is the heaviest worker's realized share of the last
-	// round's task weight, ×Workers (1.0 = perfectly even).
+	// LastImbalance is the work-weighted imbalance of the last round's pool
+	// runs that were dispatched to more than one worker: the heaviest
+	// worker's share of their weight, ×Workers (1.0 = perfectly even, and
+	// 1.0 when no run was dispatched).
 	LastImbalance float64 `json:"imbalance"`
-	// FreshFolds counts contributions folded eagerly by fresh-state
-	// (async/delayed) jobs; zero on an all-BSP service.
-	FreshFolds int64 `json:"fresh_folds,omitempty"`
-	// BarriersSkipped / BarriersForced are the delayed-mode
-	// bounded-staleness counters: iterations that skipped the merge
-	// barrier within the staleness bound, and iterations that paid one.
-	BarriersSkipped int64 `json:"barriers_skipped,omitempty"`
-	BarriersForced  int64 `json:"barriers_forced,omitempty"`
-	// BSPJobs / AsyncJobs / DelayedJobs count submissions by execution
-	// mode.
-	BSPJobs     int64 `json:"bsp_jobs,omitempty"`
-	AsyncJobs   int64 `json:"async_jobs,omitempty"`
-	DelayedJobs int64 `json:"delayed_jobs,omitempty"`
 }
 
 // Metrics is the structured (JSON) counterpart of the Prometheus text

@@ -37,12 +37,6 @@ type JobRoundTrace struct {
 	Parts int `json:"parts"`
 	// Pushes is the number of iterations the job closed this round.
 	Pushes int `json:"pushes"`
-	// ExecMode is the job's execution discipline ("async", "delayed") and
-	// FreshFolds the contributions it folded eagerly (fresh-state) this
-	// round; both absent for default-BSP jobs, so pre-mode payloads are
-	// unchanged.
-	ExecMode   string `json:"exec_mode,omitempty"`
-	FreshFolds int64  `json:"fresh_folds,omitempty"`
 	// AccessUS / ComputeUS split the job's simulated time charged this
 	// round.
 	AccessUS  float64 `json:"access_us"`
@@ -75,9 +69,6 @@ type RoundTrace struct {
 	Tasks             int64 `json:"tasks,omitempty"`
 	Steals            int64 `json:"steals,omitempty"`
 	SkippedPartitions int64 `json:"skipped_partitions,omitempty"`
-	// FreshFolds counts contributions folded eagerly by fresh-state (async
-	// or delayed) jobs during the round; absent on all-BSP rounds.
-	FreshFolds int64 `json:"fresh_folds,omitempty"`
 }
 
 // RoundTraces is the GET /v1/trace/rounds payload.

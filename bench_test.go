@@ -81,18 +81,6 @@ func BenchmarkAblationStraggler(b *testing.B) { benchTable(b, harness.AblationSt
 func BenchmarkAblationScheduler(b *testing.B) { benchTable(b, harness.AblationScheduler) }
 func BenchmarkAblationBatching(b *testing.B)  { benchTable(b, harness.AblationBatching) }
 
-// BenchmarkAsyncModes prices the execution-mode sweep (bsp vs async vs
-// delayed on PageRank + SSSP), the artifact behind BENCH_async.json.
-func BenchmarkAsyncModes(b *testing.B) {
-	opt := benchOpts()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := harness.BenchAsync(opt); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // Micro-benchmarks of the core mechanisms.
 
 func microGraph(b *testing.B) ([]Edge, *graph.Graph) {

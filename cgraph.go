@@ -48,7 +48,6 @@ import (
 
 	"cgraph/api"
 	"cgraph/internal/core"
-	"cgraph/internal/exec"
 	"cgraph/internal/gen"
 	"cgraph/internal/graph"
 	"cgraph/internal/ingest"
@@ -184,7 +183,6 @@ type config struct {
 	numPartitions   int
 	cacheBytes      int64
 	memoryBytes     int64
-	disableSplit    bool
 	ingestWindow    time.Duration
 	ingestBatch     int
 	ingestCap       int
@@ -229,10 +227,6 @@ func WithCacheSimulation(cacheBytes, memoryBytes int64) Option {
 		c.memoryBytes = memoryBytes
 	}
 }
-
-// WithoutStragglerSplitting disables the Fig. 6 intra-partition load
-// balancing (ablation/debugging).
-func WithoutStragglerSplitting() Option { return func(c *config) { c.disableSplit = true } }
 
 // WithIngestWindow sets the delta pipeline's batching window: buffered
 // mutations older than d flush into a snapshot even if the count trigger
@@ -1200,56 +1194,12 @@ func (s *System) materializeDeltaLocked(muts []ingest.Mutation, minTS int64) (in
 type JobOption func(*jobConfig)
 
 type jobConfig struct {
-	arrival   int64
-	priority  int
-	ctx       context.Context
-	span      span.Context
-	spanJob   string
-	mode      ExecMode
-	staleness int
+	arrival  int64
+	priority int
+	ctx      context.Context
+	span     span.Context
+	spanJob  string
 }
-
-// ExecMode selects a job's execution discipline.
-type ExecMode string
-
-const (
-	// ExecBSP is the default synchronous discipline: every iteration ends
-	// with an Algorithm 2 push that reconciles replicas before any vertex
-	// reads a neighbor's new value. Pre-existing behavior, byte-identical
-	// results round for round.
-	ExecBSP ExecMode = "bsp"
-	// ExecAsync is the fresh-state discipline: within an iteration,
-	// single-replica vertices fold incoming contributions immediately
-	// (Gauss-Seidel style), so later blocks of the same partition sweep
-	// read already-updated state. Monotonic programs (SSSP, WCC) converge
-	// to the exact BSP fixpoint in fewer iterations; PageRank converges to
-	// the same values within tolerance.
-	ExecAsync ExecMode = "async"
-	// ExecDelayed is the bounded-staleness variant of ExecAsync: merge
-	// barriers (pushes) are skipped while the job still has local progress,
-	// up to the WithStaleness bound, then forced. Fewer synchronizations at
-	// the price of bounded-stale replica reads.
-	ExecDelayed ExecMode = "delayed"
-)
-
-// ParseExecMode parses an execution-mode name ("bsp", "async", "delayed");
-// the empty string is ExecBSP.
-func ParseExecMode(s string) (ExecMode, error) {
-	m, err := exec.ParseMode(s)
-	if err != nil {
-		return ExecBSP, err
-	}
-	return ExecMode(m.String()), nil
-}
-
-// WithExecMode sets the job's execution discipline (default ExecBSP).
-// Unknown modes fail the submission.
-func WithExecMode(m ExecMode) JobOption { return func(c *jobConfig) { c.mode = m } }
-
-// WithStaleness sets an ExecDelayed job's staleness bound: the number of
-// consecutive iterations allowed to skip the merge barrier before one is
-// forced (default 3). Ignored for other modes; values < 1 use the default.
-func WithStaleness(k int) JobOption { return func(c *jobConfig) { c.staleness = k } }
 
 // AtTimestamp binds the job to the newest snapshot not younger than ts.
 func AtTimestamp(ts int64) JobOption { return func(c *jobConfig) { c.arrival = ts } }
@@ -1319,18 +1269,12 @@ func (s *System) Submit(p Program, opts ...JobOption) (*Job, error) {
 	for _, o := range opts {
 		o(&jc)
 	}
-	mode, err := exec.ParseMode(string(jc.mode))
-	if err != nil {
-		return nil, fmt.Errorf("cgraph: unknown execution mode %q (want bsp, async, or delayed)", jc.mode)
-	}
 	s.ensureEngineLocked()
 	id := s.engine.SubmitWith(jc.ctx, p, core.SubmitOpts{
-		Arrival:   jc.arrival,
-		Priority:  jc.priority,
-		Span:      jc.span,
-		SpanJob:   jc.spanJob,
-		Mode:      mode,
-		Staleness: jc.staleness,
+		Arrival:  jc.arrival,
+		Priority: jc.priority,
+		Span:     jc.span,
+		SpanJob:  jc.spanJob,
 	})
 	j := &Job{sys: s, id: id, name: p.Name(), done: make(chan struct{})}
 	s.jobs = append(s.jobs, j)
@@ -1360,16 +1304,15 @@ func (s *System) ensureEngineLocked() {
 	}
 	s.byID = make(map[int]*Job)
 	s.engine = core.New(core.Config{
-		Workers:               s.cfg.workers,
-		Balance:               s.cfg.balance,
-		Hier:                  hier,
-		Scheduler:             schedKind(s.cfg.scheduler),
-		DisableStragglerSplit: s.cfg.disableSplit,
-		OnJobEvent:            s.onJobEvent,
-		OnJobProgress:         s.onJobProgress,
-		TraceDepth:            s.cfg.traceDepth,
-		Tracer:                s.tracer,
-		TaskSampleEvery:       s.cfg.spanTaskEvery,
+		Workers:         s.cfg.workers,
+		Balance:         s.cfg.balance,
+		Hier:            hier,
+		Scheduler:       schedKind(s.cfg.scheduler),
+		OnJobEvent:      s.onJobEvent,
+		OnJobProgress:   s.onJobProgress,
+		TraceDepth:      s.cfg.traceDepth,
+		Tracer:          s.tracer,
+		TaskSampleEvery: s.cfg.spanTaskEvery,
 	}, s.store)
 }
 
@@ -1446,10 +1389,6 @@ func jobReportOf(jm *metrics.JobMetrics) *JobReport {
 		SimulatedComputeUS:  jm.ComputeTime,
 		SimulatedFinishedUS: jm.FinishAt,
 		EdgesProcessed:      jm.Edges,
-		ExecMode:            ExecMode(jm.Mode),
-		FreshFolds:          jm.FreshFolds,
-		BarriersSkipped:     jm.BarriersSkipped,
-		BarriersForced:      jm.BarriersForced,
 	}
 }
 
@@ -1717,12 +1656,4 @@ type JobReport struct {
 	SimulatedComputeUS  float64
 	SimulatedFinishedUS float64
 	EdgesProcessed      int64
-	// ExecMode is the execution discipline the job ran under.
-	ExecMode ExecMode
-	// FreshFolds counts contributions folded eagerly under the fresh-state
-	// disciplines; BarriersSkipped / BarriersForced are the delayed-mode
-	// bounded-staleness counters. All zero for BSP jobs.
-	FreshFolds      int64
-	BarriersSkipped int64
-	BarriersForced  int64
 }

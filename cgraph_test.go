@@ -369,7 +369,7 @@ func TestCacheSimulationReportsMetrics(t *testing.T) {
 
 func TestRerunAfterMoreSubmissions(t *testing.T) {
 	edges := gen.ER(8, 100, 900)
-	sys := NewSystem(WithWorkers(2), WithScheduler(StaticScheduler), WithoutStragglerSplitting(), WithPartitions(5))
+	sys := NewSystem(WithWorkers(2), WithScheduler(StaticScheduler), WithPartitions(5))
 	if err := sys.LoadEdges(0, edges); err != nil {
 		t.Fatal(err)
 	}
@@ -1015,99 +1015,5 @@ func TestHoleCompactionDisabled(t *testing.T) {
 	}
 	if got := sys.IngestStats().Compactions; got != 0 {
 		t.Fatalf("compactions = %d, want 0", got)
-	}
-}
-
-// TestSubmitExecModes drives the public execution-mode surface: async and
-// delayed submissions converge to the BSP fixpoint (within tolerance for
-// PageRank), the per-job report and executor counters attribute the mode,
-// round traces carry it, and an unknown mode fails the submission.
-func TestSubmitExecModes(t *testing.T) {
-	const n = 400
-	base := gen.RMAT(31, n, 8000, 0.57, 0.19, 0.19)
-	sys := NewSystem(WithWorkers(4), WithPartitions(8), WithTraceDepth(1024))
-	if err := sys.LoadEdges(n, base); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Submit(&algo.PageRank{Damping: 0.85, Epsilon: 1e-9},
-		WithExecMode("bogus")); err == nil {
-		t.Fatal("unknown exec mode accepted")
-	}
-
-	bsp, err := sys.Submit(&algo.PageRank{Damping: 0.85, Epsilon: 1e-9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	asy, err := sys.Submit(&algo.PageRank{Damping: 0.85, Epsilon: 1e-9}, WithExecMode(ExecAsync))
-	if err != nil {
-		t.Fatal(err)
-	}
-	del, err := sys.Submit(&algo.PageRank{Damping: 0.85, Epsilon: 1e-9},
-		WithExecMode(ExecDelayed), WithStaleness(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Run(); err != nil {
-		t.Fatal(err)
-	}
-
-	ref := refimpl.PageRank(graph.Build(n, base), 0.85, 1e-12, 3000)
-	for _, job := range []*Job{bsp, asy, del} {
-		got, err := job.Results()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := range got {
-			if math.Abs(got[v]-ref[v]) > 1e-6 {
-				t.Fatalf("job %d vertex %d: %v != refimpl %v", job.ID(), v, got[v], ref[v])
-			}
-		}
-	}
-
-	rb := bsp.Metrics()
-	ra := asy.Metrics()
-	rd := del.Metrics()
-	if rb.ExecMode != ExecBSP || ra.ExecMode != ExecAsync || rd.ExecMode != ExecDelayed {
-		t.Fatalf("report modes = %q/%q/%q", rb.ExecMode, ra.ExecMode, rd.ExecMode)
-	}
-	if ra.Iterations >= rb.Iterations {
-		t.Fatalf("async took %d iterations, BSP %d — fresh state should converge faster",
-			ra.Iterations, rb.Iterations)
-	}
-	if ra.FreshFolds == 0 || rd.FreshFolds == 0 {
-		t.Fatalf("fresh folds not attributed: async=%d delayed=%d", ra.FreshFolds, rd.FreshFolds)
-	}
-	if rd.BarriersSkipped == 0 || rd.BarriersForced == 0 {
-		t.Fatalf("delayed barrier counters empty: %+v", rd)
-	}
-	if rb.FreshFolds != 0 || rb.BarriersSkipped != 0 || rb.BarriersForced != 0 {
-		t.Fatalf("BSP job recorded async counters: %+v", rb)
-	}
-
-	es := sys.ExecStats()
-	if es.FreshFolds == 0 || es.BarriersSkipped == 0 || es.BarriersForced == 0 {
-		t.Fatalf("executor async counters empty: %+v", es)
-	}
-	if es.BSPJobs != 1 || es.AsyncJobs != 1 || es.DelayedJobs != 1 {
-		t.Fatalf("per-mode job counts = %d/%d/%d, want 1/1/1",
-			es.BSPJobs, es.AsyncJobs, es.DelayedJobs)
-	}
-
-	modes := map[string]bool{}
-	var traceFresh int64
-	for _, rt := range sys.RoundTraces(0) {
-		traceFresh += rt.FreshFolds
-		for _, jr := range rt.Jobs {
-			modes[jr.Mode] = true
-		}
-	}
-	if !modes["async"] || !modes["delayed"] {
-		t.Fatalf("round traces missing mode attribution: %v", modes)
-	}
-	if modes["bsp"] {
-		t.Fatal("BSP rounds must keep an empty Mode field (pre-mode trace shape)")
-	}
-	if traceFresh == 0 {
-		t.Fatal("round traces carry no fresh-fold counts")
 	}
 }

@@ -588,8 +588,7 @@ func TestClientWatchNoReconnectBudget(t *testing.T) {
 
 // TestClientTraceParity: JobTrace and RoundTrace return byte-identical
 // wire payloads through the in-process and HTTP clients, for live and
-// terminal jobs alike — including the per-job exec_mode / fresh_folds an
-// async job's rounds carry.
+// terminal jobs alike.
 func TestClientTraceParity(t *testing.T) {
 	ctx := testCtx(t)
 	local, remote, _ := harness(t, server.Config{})
@@ -601,7 +600,7 @@ func TestClientTraceParity(t *testing.T) {
 		}
 	}
 
-	st, err := local.Submit(ctx, api.JobSpec{Algo: "pagerank", ExecMode: "async"})
+	st, err := local.Submit(ctx, api.JobSpec{Algo: "pagerank"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -625,18 +624,6 @@ func TestClientTraceParity(t *testing.T) {
 	if ltr.State != api.JobDone || len(ltr.Rounds) == 0 || ltr.ExecMS <= 0 {
 		t.Fatalf("local trace = %+v", ltr)
 	}
-	for name, tr := range map[string]api.JobTrace{"local": ltr, "http": rtr} {
-		var folds int64
-		for _, jr := range tr.Rounds {
-			if jr.ExecMode != "async" {
-				t.Fatalf("%s: async job's round %d carries exec_mode %q", name, jr.Round, jr.ExecMode)
-			}
-			folds += jr.FreshFolds
-		}
-		if folds <= 0 {
-			t.Fatalf("%s: async job's timeline carries no fresh_folds: %+v", name, tr.Rounds)
-		}
-	}
 	lb, _ := json.Marshal(ltr)
 	rb, _ := json.Marshal(rtr)
 	if string(lb) != string(rb) {
@@ -657,20 +644,6 @@ func TestClientTraceParity(t *testing.T) {
 		}
 		if opts.Limit > 0 && len(lrt.Rounds) > opts.Limit {
 			t.Fatalf("limit %d returned %d rounds", opts.Limit, len(lrt.Rounds))
-		}
-		for name, rt := range map[string]api.RoundTraces{"local": lrt, "http": rrt} {
-			for _, r := range rt.Rounds {
-				var folds int64
-				for _, jr := range r.Jobs {
-					if jr.Job == st.ID && jr.ExecMode != "async" {
-						t.Fatalf("%s: round %d lists the async job with exec_mode %q", name, r.Round, jr.ExecMode)
-					}
-					folds += jr.FreshFolds
-				}
-				if r.FreshFolds != folds {
-					t.Fatalf("%s: round %d fresh_folds = %d, its jobs sum to %d", name, r.Round, r.FreshFolds, folds)
-				}
-			}
 		}
 		lb, _ := json.Marshal(lrt)
 		rb, _ := json.Marshal(rrt)

@@ -8,7 +8,7 @@
 // With no experiment arguments every experiment runs in paper order.
 // Experiment names: table1, fig1, fig2, fig8..fig19, ablation-straggler,
 // ablation-scheduler, ablation-batching, ablation-two-level, concurrent,
-// scaling, async.
+// scaling.
 //
 // The `concurrent` experiment measures round-tracing overhead (traced vs
 // TraceDepth=0) on the 4-job workload, plus a third leg with the span
@@ -16,14 +16,8 @@
 // -json writes its machine-readable result (BENCH_concurrent.json in CI).
 //
 // The `scaling` experiment sweeps simulated core counts 1, 2, 4, …
-// -max-cores over a skewed power-law workload, comparing the
-// work-stealing degree-weighted executor against legacy static
-// vertex-count chunking; -json writes its result (BENCH_scaling.json).
-//
-// The `async` experiment compares the three execution disciplines (bsp,
-// async, delayed) on the same PageRank + SSSP workload, reporting
-// iterations-to-convergence and virtual makespan per leg; -json writes
-// its result (BENCH_async.json).
+// -max-cores over a skewed power-law workload on the work-stealing
+// degree-weighted executor; -json writes its result (BENCH_scaling.json).
 package main
 
 import (
@@ -92,14 +86,6 @@ func main() {
 		}
 		if name == "scaling" || name == "bench-scaling" {
 			t, res, err := harness.BenchScaling(opt, *maxCores)
-			if err != nil {
-				return err
-			}
-			tables = append(tables, t)
-			return writeJSON(res)
-		}
-		if name == "async" || name == "bench-async" {
-			t, res, err := harness.BenchAsync(opt)
 			if err != nil {
 				return err
 			}

@@ -33,8 +33,6 @@ func main() {
 	workers := flag.Int("workers", 0, "worker count of the work-stealing execution pool (default GOMAXPROCS)")
 	balance := flag.Float64("balance", 0, "task-granularity balance factor: ~workers*balance tasks per partition sweep (default 4)")
 	top := flag.Int("top", 5, "print the top-k vertices per job")
-	execMode := flag.String("exec-mode", "", "execution mode for every job: bsp, async, or delayed (default bsp)")
-	staleness := flag.Int("staleness", 0, "staleness bound for delayed mode: iterations between forced merge barriers (default 3)")
 	flag.Parse()
 
 	if flag.NArg() != 1 {
@@ -60,27 +58,13 @@ func main() {
 		fatal(fmt.Errorf("one of -graph or -dataset is required"))
 	}
 
-	mode, err := cgraph.ParseExecMode(*execMode)
-	if err != nil {
-		fatal(err)
-	}
-	var jobOpts []cgraph.JobOption
-	if *execMode != "" {
-		jobOpts = append(jobOpts, cgraph.WithExecMode(mode))
-	}
-	if *staleness > 0 {
-		jobOpts = append(jobOpts, cgraph.WithStaleness(*staleness))
-	} else if *staleness < 0 {
-		fatal(fmt.Errorf("negative -staleness %d", *staleness))
-	}
-
 	var jobs []*cgraph.Job
 	for _, spec := range strings.Split(flag.Arg(0), ",") {
 		prog, err := parseJob(spec)
 		if err != nil {
 			fatal(err)
 		}
-		j, err := sys.Submit(prog, jobOpts...)
+		j, err := sys.Submit(prog)
 		if err != nil {
 			fatal(err)
 		}
@@ -93,14 +77,8 @@ func main() {
 	}
 	fmt.Printf("ran %d jobs on %d workers in %v (simulated %.0f µs)\n\n",
 		len(rep.Jobs), rep.Workers, rep.WallClock, rep.SimulatedMakespanUS)
-	for i, jr := range rep.Jobs {
-		fmt.Printf("%-10s %3d iterations, %d edges processed", jr.Name, jr.Iterations, jr.EdgesProcessed)
-		if jr.ExecMode != "" && jr.ExecMode != cgraph.ExecBSP {
-			fmt.Printf(" [%s: %d fresh folds, %d/%d barriers skipped/forced]",
-				jr.ExecMode, jr.FreshFolds, jr.BarriersSkipped, jr.BarriersForced)
-		}
-		fmt.Println()
-		_ = i
+	for _, jr := range rep.Jobs {
+		fmt.Printf("%-10s %3d iterations, %d edges processed\n", jr.Name, jr.Iterations, jr.EdgesProcessed)
 	}
 	fmt.Println()
 	for _, j := range jobs {

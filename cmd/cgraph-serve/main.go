@@ -90,8 +90,6 @@ func main() {
 	ingestCap := flag.Int("ingest-cap", 0, "delta admission cap: shed batches (429 ingest_saturated) once this many mutations are pending, 0 = unbounded")
 	coreSubgraph := flag.Bool("core-subgraph", false, "enable §3.3 core-subgraph partitioning (disables snapshot ingestion)")
 	scheduler := flag.String("scheduler", "two-level", "partition-load policy: static, priority (one-level Eq. 1), or two-level (correlation groups + Eq. 1)")
-	execMode := flag.String("exec-mode", "", "default execution mode for jobs submitted without one: bsp, async, or delayed (default bsp)")
-	staleness := flag.Int("staleness", 0, "default staleness bound for delayed-mode jobs: iterations between forced merge barriers (default 3)")
 	traceDepth := flag.Int("trace-depth", 256, "round-trace ring depth for /v1/trace/rounds and /v1/jobs/{id}/trace, 0 disables tracing")
 	logFormat := flag.String("log-format", "text", "structured log format: text or json")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")
@@ -113,13 +111,6 @@ func main() {
 	policy, err := cgraph.ParseScheduler(*scheduler)
 	if err != nil {
 		fatal(err)
-	}
-	mode, err := cgraph.ParseExecMode(*execMode)
-	if err != nil {
-		fatal(err)
-	}
-	if *staleness < 0 {
-		fatal(fmt.Errorf("negative -staleness %d", *staleness))
 	}
 	sys := cgraph.NewSystem(
 		cgraph.WithWorkers(*workers),
@@ -149,19 +140,12 @@ func main() {
 		fatal(fmt.Errorf("one of -graph or -dataset is required (or -connect for admin mode)"))
 	}
 
-	cfg := server.Config{
-		MaxInFlight:      *maxInflight,
-		DefaultTimeout:   *defaultTimeout,
-		RetainTerminal:   *retainTerminal,
-		Logger:           logger,
-		DefaultStaleness: *staleness,
-	}
-	if *execMode != "" {
-		// An unset flag keeps the default empty so default submissions stay
-		// byte-identical on the wire (no exec_mode field).
-		cfg.DefaultExecMode = mode
-	}
-	svc := server.New(sys, cfg)
+	svc := server.New(sys, server.Config{
+		MaxInFlight:    *maxInflight,
+		DefaultTimeout: *defaultTimeout,
+		RetainTerminal: *retainTerminal,
+		Logger:         logger,
+	})
 	if err := svc.Start(); err != nil {
 		fatal(err)
 	}

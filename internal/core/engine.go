@@ -118,10 +118,6 @@ type Config struct {
 	// Higher values cut finer tasks — better balance, more per-task
 	// overhead.
 	Balance float64
-	// StaticChunking reverts the executor to the legacy skew-blind
-	// vertex-count chunking (the pre-pool behaviour); kept as the
-	// ablation/bench baseline for the degree-weighted slicing.
-	StaticChunking bool
 	// DisableStragglerSplit turns off the Fig. 6 load balancing, leaving
 	// each job's partition work on a single core (ablation).
 	DisableStragglerSplit bool
@@ -240,14 +236,6 @@ type Engine struct {
 	rtStolen    int64
 	rtSkipped   int64
 	rtImb       imbalance
-	// Fresh-state accounting: cumulative eager folds (atomic mirror plus
-	// the loop-private per-round accumulator), delayed-mode barrier
-	// counters, and per-mode submission counts indexed by exec.Mode.
-	execFresh      atomic.Int64
-	rtFresh        int64
-	execBarSkipped atomic.Int64
-	execBarForced  atomic.Int64
-	modeJobs       [3]atomic.Int64
 	// taskSeq numbers span-eligible executor tasks across rounds for the
 	// 1-in-N "pool.task" sampling; loop-goroutine only (sampling is decided
 	// at task construction, not execution).
@@ -379,12 +367,6 @@ type SubmitOpts struct {
 	Span span.Context
 	// SpanJob is the service-level job ID span records are attributed to.
 	SpanJob string
-	// Mode selects the job's execution discipline (default exec.ModeBSP,
-	// the byte-stable bulk-synchronous path).
-	Mode exec.Mode
-	// Staleness bounds delayed-mode barrier skipping (0 = exec default;
-	// ignored outside exec.ModeDelayed).
-	Staleness int
 }
 
 // SubmitWith is SubmitCtx with the full submission envelope. The job takes
@@ -396,11 +378,6 @@ func (e *Engine) SubmitWith(ctx context.Context, prog model.Program, opts Submit
 	e.nextID++
 	snap := e.store.Acquire(opts.Arrival)
 	j := exec.NewJob(id, prog, snap.PG)
-	j.Mode = opts.Mode
-	j.Staleness = opts.Staleness
-	if int(opts.Mode) < len(e.modeJobs) {
-		e.modeJobs[opts.Mode].Add(1)
-	}
 	rj := &runJob{
 		Job:       j,
 		remaining: make(map[int64]int),
@@ -779,11 +756,10 @@ func (e *Engine) round() {
 	// attribute this round's deltas; only populated when tracing is on.
 	var pre []jobPreRound
 	e.rtTasks, e.rtSteals, e.rtStolen, e.rtSkipped, e.rtImb = 0, 0, 0, 0, imbalance{}
-	e.rtFresh = 0
 	for _, rj := range e.jobs {
 		byID[rj.ID] = rj
 		clear(rj.remaining)
-		jf := sched.JobFootprint{JobID: rj.ID, Priority: rj.priority, Fresh: rj.Mode != exec.ModeBSP}
+		jf := sched.JobFootprint{JobID: rj.ID, Priority: rj.priority}
 		activeParts := rj.PT.ActiveParts()
 		for _, pid := range activeParts {
 			p := rj.PG.Parts[pid]
@@ -806,7 +782,6 @@ func (e *Engine) round() {
 				access:  rj.m.AccessTime,
 				compute: rj.m.ComputeTime,
 				skipped: skipped,
-				fresh:   rj.FreshFolds,
 			})
 		}
 		// Jobs admitted with no active vertices (degenerate programs)
@@ -871,7 +846,6 @@ func (e *Engine) round() {
 	e.execSteals.Add(e.rtSteals)
 	e.execStolen.Add(e.rtStolen)
 	e.execSkipped.Add(e.rtSkipped)
-	e.execFresh.Add(e.rtFresh)
 	e.imbBits.Store(math.Float64bits(e.rtImb.factor(e.cfg.Workers)))
 	e.recordRound(roundStart, virtStart, plan, spans, pre)
 	e.rounds.Add(1)
@@ -886,17 +860,6 @@ type jobPreRound struct {
 	// skipped is the job's converged-partition count this round (frontier
 	// empty, excluded before scheduling).
 	skipped int
-	// fresh is the job's cumulative fresh-fold count at round start.
-	fresh int64
-}
-
-// traceMode renders a job's execution mode for trace records: empty for
-// default-BSP jobs, so pre-mode records and wire payloads are unchanged.
-func traceMode(m exec.Mode) string {
-	if m == exec.ModeBSP {
-		return ""
-	}
-	return m.String()
 }
 
 // recordRound builds the finished round's record once and feeds every
@@ -945,7 +908,6 @@ func (e *Engine) recordRound(start time.Time, virtStart float64, plan []sched.Gr
 			Tasks:         e.rtTasks,
 			Steals:        e.rtSteals,
 			Skipped:       e.rtSkipped,
-			FreshFolds:    e.rtFresh,
 		}
 		for _, sg := range info.Groups {
 			rec.Groups = append(rec.Groups, trace.Group{
@@ -967,8 +929,6 @@ func (e *Engine) recordRound(start time.Time, virtStart float64, plan []sched.Gr
 			Wall:          wall,
 			Parts:         p.parts,
 			Pushes:        rj.Iterations - p.iters,
-			Mode:          traceMode(rj.Mode),
-			FreshFolds:    rj.FreshFolds - p.fresh,
 			AccessUS:      rj.m.AccessTime - p.access,
 			ComputeUS:     rj.m.ComputeTime - p.compute,
 			VirtualTimeUS: e.now,
@@ -996,9 +956,6 @@ func (e *Engine) recordRound(start time.Time, virtStart float64, plan []sched.Gr
 			span.Int("tasks", rj.roundTasks),
 			span.Int("stolen", rj.roundStolen.Load()),
 			span.Int("skipped_parts", int64(p.skipped)),
-		}
-		if jr.Mode != "" {
-			attrs = append(attrs, span.Str("exec_mode", jr.Mode), span.Int("fresh_folds", jr.FreshFolds))
 		}
 		if us, ok := groupSpan[rj.ID]; ok {
 			attrs = append(attrs, span.Float("group_makespan_us", us))
@@ -1148,9 +1105,6 @@ const (
 	// wholeTask is the entire sweep — apply, scatter and fold — in one task
 	// that needs no merge.
 	wholeTask
-	// chunkTask is a fixed-size chunk of the materialized active locals
-	// (static mode), merged like a range.
-	chunkTask
 )
 
 // triggerTask is one executor task of a trigger batch, with its private
@@ -1162,7 +1116,6 @@ type triggerTask struct {
 	weight int64
 	shape  taskShape
 	r      exec.Range // rangeTask
-	locals []uint32   // chunkTask
 	sc     exec.Scratch
 	stats  exec.Stats
 	// apply is run as a func value, bound once when the slab entry is made
@@ -1170,20 +1123,11 @@ type triggerTask struct {
 	apply func(int)
 }
 
-// run is the task's pool body: the BSP or fresh-state apply variant by the
-// job's mode and the decomposition that built the task.
+// run is the task's pool body.
 func (t *triggerTask) run(int) {
-	fresh := t.rj.Mode != exec.ModeBSP
-	switch {
-	case t.shape == wholeTask:
+	if t.shape == wholeTask {
 		t.stats = t.rj.Sweep(t.pid, &t.sc)
-	case t.shape == chunkTask && fresh:
-		t.stats = t.rj.ApplyChunkFresh(t.pid, t.locals, &t.sc)
-	case t.shape == chunkTask:
-		t.stats = t.rj.ApplyChunk(t.pid, t.locals, &t.sc)
-	case fresh:
-		t.stats = t.rj.ApplyRangeFresh(t.pid, t.r, &t.sc)
-	default:
+	} else {
 		t.stats = t.rj.ApplyRange(t.pid, t.r, &t.sc)
 	}
 }
@@ -1215,12 +1159,10 @@ type mergeTask struct {
 func (m *mergeTask) run(int) { m.rj.Merge(m.pid, m.scs...) }
 
 // inlineWeight is the weight (1 + scatter edges per active vertex, summed
-// over the batch) below which a BSP trigger batch runs on the round
-// goroutine: spawning and joining the pool's workers costs more than a few
-// thousand edges of work saves by sharing them. Batches with a fresh-state
-// job, and StaticChunking ones (whose task weights count vertices), always go
-// to the pool. Calibrated on the benchmark's four workloads; the runs are in
-// CHANGES.md (PR 21).
+// over the batch) below which a trigger batch runs on the round goroutine:
+// spawning and joining the pool's workers costs more than a few thousand
+// edges of work saves by sharing them. Calibrated on the benchmark's four
+// workloads; the runs are in CHANGES.md.
 const inlineWeight = 8192
 
 // imbalance accumulates the load balance of a round's pool runs, weighted by
@@ -1251,61 +1193,31 @@ func (b imbalance) factor(workers int) float64 {
 // batch is too light to be worth waking it.
 func (e *Engine) trigger(batch []unitJob) float64 {
 	split := !e.cfg.DisableStragglerSplit
-	var tasks []*triggerTask
+	tasks, light := e.frontierTasks(batch, split)
 	run := e.pool.Run
-	if e.cfg.StaticChunking {
-		tasks = e.staticTasks(batch, split)
-	} else {
-		var light bool
-		if tasks, light = e.frontierTasks(batch, split); light {
-			run = pool.Inline
-		}
+	if light {
+		run = pool.Inline
 	}
 
-	// Apply phase: BSP tasks touch disjoint vertex states, so they are
-	// free to run on any worker. Fresh-state (async/delayed) jobs
-	// additionally read neighbor state written earlier in the same sweep,
-	// so their per-(job, partition) subtasks — emitted contiguously and in
-	// block order by the task builders — are chained into one sequenced
-	// pool task: the block order is preserved on a single worker while
-	// distinct jobs and partitions still balance across the pool.
+	// Apply phase: tasks touch disjoint vertex states, so they are free to
+	// run on any worker.
 	ptasks := e.ptasks[:0]
-	for i := 0; i < len(tasks); {
-		t := tasks[i]
-		if t.rj.Mode == exec.ModeBSP {
-			pt := pool.Task{Weight: t.weight, Run: t.apply}
-			if e.cfg.Tracer != nil && t.rj.span.Valid() {
-				pt.Trace = e.taskTrace(t.rj, t.weight)
-			}
-			ptasks = append(ptasks, pt)
-			t.rj.roundTasks++
-			i++
-			continue
-		}
-		start := i
-		for i < len(tasks) && tasks[i].rj == t.rj && tasks[i].pid == t.pid {
-			i++
-		}
-		sub := make([]pool.Task, 0, i-start)
-		for _, ft := range tasks[start:i] {
-			sub = append(sub, pool.Task{Weight: ft.weight, Run: ft.apply})
-		}
-		ct := pool.Chain(sub)
+	for _, t := range tasks {
+		pt := pool.Task{Weight: t.weight, Run: t.apply}
 		if e.cfg.Tracer != nil && t.rj.span.Valid() {
-			ct.Trace = e.taskTrace(t.rj, ct.Weight)
+			pt.Trace = e.taskTrace(t.rj, t.weight)
 		}
-		ptasks = append(ptasks, ct)
+		ptasks = append(ptasks, pt)
 		t.rj.roundTasks++
 	}
 	e.ptasks = ptasks
 	applySt := run(ptasks)
 
-	// Merge phase, for the sweeps that were cut into ranges or chunks: one
-	// task per (job, partition) folds its scratches in task order
-	// (deterministic float accumulation). A whole sweep has folded its own
-	// contributions, so a batch without a straggler ends here. The builders
-	// emit a job's tasks contiguously and in batch order, so one pass groups
-	// them.
+	// Merge phase, for the sweeps that were cut into ranges: one task per
+	// (job, partition) folds its scratches in task order (deterministic
+	// float accumulation). A whole sweep has folded its own contributions,
+	// so a batch without a straggler ends here. frontierTasks emits a job's
+	// tasks contiguously and in batch order, so one pass groups them.
 	e.perJob = append(e.perJob[:0], make([]exec.Stats, len(batch))...)
 	perJob := e.perJob
 	mtasks := e.mtasks[:0]
@@ -1337,10 +1249,8 @@ func (e *Engine) trigger(batch []unitJob) float64 {
 
 	// Virtual-time accounting: the phase takes the makespan lower bound of
 	// the realized task set — perfect rebalance (totalWork/Workers) unless
-	// a single indivisible task (a hub vertex's scatter, or a fresh-state
-	// chain, which is sequenced onto one worker by construction) exceeds
-	// it. Pricing the whole chain as one unit keeps async virtual time
-	// honestly comparable to BSP.
+	// a single indivisible task (a hub vertex's scatter, or a sweep that
+	// stays whole) exceeds it.
 	cost := e.cfg.Hier.Cost()
 	var totalWork, maxWork, maxTask float64
 	for i, it := range batch {
@@ -1348,24 +1258,13 @@ func (e *Engine) trigger(batch []unitJob) float64 {
 		it.rj.m.ComputeTime += w
 		it.rj.EdgesProcessed += perJob[i].Edges
 		it.rj.VerticesApplied += perJob[i].Vertices
-		it.rj.FreshFolds += perJob[i].Fresh
-		e.rtFresh += perJob[i].Fresh
 		totalWork += w
 		if w > maxWork {
 			maxWork = w
 		}
 	}
-	for i := 0; i < len(tasks); {
-		t := tasks[i]
-		st := t.stats
-		i++
-		if t.rj.Mode != exec.ModeBSP {
-			for i < len(tasks) && tasks[i].rj == t.rj && tasks[i].pid == t.pid {
-				st.Add(tasks[i].stats)
-				i++
-			}
-		}
-		if w := cost.ComputeTime(st.Edges, st.Vertices); w > maxTask {
+	for _, t := range tasks {
+		if w := cost.ComputeTime(t.stats.Edges, t.stats.Vertices); w > maxTask {
 			maxTask = w
 		}
 	}
@@ -1389,7 +1288,7 @@ func (e *Engine) trigger(batch []unitJob) float64 {
 	// slab entries and the apply tasks' trace hooks) so a retired job's
 	// private table is not pinned by an idle engine.
 	for _, t := range tasks {
-		t.rj, t.locals = nil, nil
+		t.rj = nil
 	}
 	for _, m := range e.merges[:len(mtasks)] {
 		m.rj = nil
@@ -1425,26 +1324,23 @@ func (e *Engine) taskTrace(rj *runJob, weight int64) func(worker int, stolen boo
 }
 
 // frontierTasks builds the batch's tasks from the weight of each job's active
-// frontier (1 + scatter edges per active vertex, walked once). A BSP sweep
-// no heavier than (1 + 1/Balance) × totalWeight/Workers — the heaviest load
-// the splitter itself lets a worker end up with, since its ranges weigh up to
+// frontier (1 + scatter edges per active vertex, walked once). A sweep no
+// heavier than (1 + 1/Balance) × totalWeight/Workers — the heaviest load the
+// splitter itself lets a worker end up with, since its ranges weigh up to
 // totalWeight/(Workers·Balance) each — is not a straggler and becomes one
-// whole task; so does every BSP sweep when splitting is off. The others are
+// whole task; so does every sweep when splitting is off. The others are
 // sliced into ranges of that weight by the partition CSR prefix sums, so a hub
-// vertex becomes a task of its own while runs of leaves coalesce. Fresh-state
-// sweeps are always ranges (one, when splitting is off): trigger chains them.
-// light reports an all-BSP batch weighing less than inlineWeight.
+// vertex becomes a task of its own while runs of leaves coalesce. light
+// reports a batch weighing less than inlineWeight.
 func (e *Engine) frontierTasks(batch []unitJob, split bool) (tasks []*triggerTask, light bool) {
 	e.sweepW = e.sweepW[:0]
 	var totalW int64
-	light = true
 	for _, it := range batch {
 		w := it.rj.ActiveWeight(it.pid)
 		e.sweepW = append(e.sweepW, w)
 		totalW += w
-		light = light && it.rj.Mode == exec.ModeBSP
 	}
-	light = light && totalW < inlineWeight
+	light = totalW < inlineWeight
 	target := int64(math.MaxInt64)
 	whole := float64(math.MaxInt64)
 	if split {
@@ -1454,7 +1350,7 @@ func (e *Engine) frontierTasks(batch []unitJob, split bool) (tasks []*triggerTas
 	n := 0
 	for i, it := range batch {
 		w := e.sweepW[i]
-		if it.rj.Mode == exec.ModeBSP && float64(w) <= whole {
+		if float64(w) <= whole {
 			t := e.task(n)
 			t.rj, t.pid, t.weight, t.shape = it.rj, it.pid, w, wholeTask
 			n++
@@ -1468,39 +1364,6 @@ func (e *Engine) frontierTasks(batch []unitJob, split bool) (tasks []*triggerTas
 		}
 	}
 	return e.slab[:n], light
-}
-
-// staticTasks is the legacy skew-blind decomposition (ablation/bench
-// baseline): materialize each job's active locals and cut them into
-// fixed-size vertex-count chunks, hub or leaf alike.
-func (e *Engine) staticTasks(batch []unitJob, split bool) []*triggerTask {
-	jobLocals := make([][]uint32, len(batch))
-	total := 0
-	for i, it := range batch {
-		jobLocals[i] = it.rj.ActiveLocals(it.pid, nil)
-		total += len(jobLocals[i])
-	}
-	chunk := total/(e.cfg.Workers*2) + 1
-	if chunk < 32 {
-		chunk = 32
-	}
-	n := 0
-	add := func(it unitJob, locals []uint32) {
-		t := e.task(n)
-		t.rj, t.pid, t.locals, t.weight, t.shape = it.rj, it.pid, locals, int64(len(locals)), chunkTask
-		n++
-	}
-	for i, it := range batch {
-		locals := jobLocals[i]
-		if !split || len(locals) <= chunk {
-			add(it, locals)
-			continue
-		}
-		for lo := 0; lo < len(locals); lo += chunk {
-			add(it, locals[lo:min(lo+chunk, len(locals))])
-		}
-	}
-	return e.slab[:n]
 }
 
 // ExecStats is a point-in-time snapshot of the work-stealing executor's
@@ -1517,20 +1380,11 @@ type ExecStats struct {
 	// SkippedPartitions counts (job, partition) pairs excluded before
 	// scheduling because their frontier was empty (converged regions).
 	SkippedPartitions int64
-	// LastImbalance is the heaviest worker's realized share of the last
-	// round's task weight, ×Workers (1.0 = perfectly even).
+	// LastImbalance is the work-weighted imbalance of the last round's pool
+	// runs that were dispatched to more than one worker: the heaviest
+	// worker's share of their weight, ×Workers (1.0 = perfectly even, and
+	// 1.0 when no run was dispatched).
 	LastImbalance float64
-	// FreshFolds is the cumulative count of contributions folded eagerly
-	// by fresh-state (async/delayed) jobs; BarriersSkipped/BarriersForced
-	// count delayed-mode iteration closes that skipped vs. performed the
-	// merge barrier. All zero on BSP-only workloads.
-	FreshFolds      int64
-	BarriersSkipped int64
-	BarriersForced  int64
-	// BSPJobs/AsyncJobs/DelayedJobs count submissions per execution mode.
-	BSPJobs     int64
-	AsyncJobs   int64
-	DelayedJobs int64
 }
 
 // ExecStats reports the executor's counters.
@@ -1543,12 +1397,6 @@ func (e *Engine) ExecStats() ExecStats {
 		Stolen:            e.execStolen.Load(),
 		SkippedPartitions: e.execSkipped.Load(),
 		LastImbalance:     math.Float64frombits(e.imbBits.Load()),
-		FreshFolds:        e.execFresh.Load(),
-		BarriersSkipped:   e.execBarSkipped.Load(),
-		BarriersForced:    e.execBarForced.Load(),
-		BSPJobs:           e.modeJobs[exec.ModeBSP].Load(),
-		AsyncJobs:         e.modeJobs[exec.ModeAsync].Load(),
-		DelayedJobs:       e.modeJobs[exec.ModeDelayed].Load(),
 	}
 }
 
@@ -1558,10 +1406,7 @@ func (e *Engine) finishIteration(rj *runJob) {
 	if rj.Done {
 		return
 	}
-	preSkipped, preForced := rj.BarriersSkipped, rj.BarriersForced
 	sum := rj.FinishIteration()
-	e.execBarSkipped.Add(rj.BarriersSkipped - preSkipped)
-	e.execBarForced.Add(rj.BarriersForced - preForced)
 	h := e.cfg.Hier
 	t := h.Cost().SyncTime(sum.Entries)
 	for _, tp := range sum.TouchedParts {
@@ -1589,10 +1434,6 @@ func (e *Engine) finishIteration(rj *runJob) {
 		rj.m.Edges = rj.EdgesProcessed
 		rj.m.Vertices = rj.VerticesApplied
 		rj.m.SyncEntries = rj.SyncEntries
-		rj.m.Mode = rj.Mode.String()
-		rj.m.FreshFolds = rj.FreshFolds
-		rj.m.BarriersSkipped = rj.BarriersSkipped
-		rj.m.BarriersForced = rj.BarriersForced
 		e.mu.Lock()
 		e.finished = append(e.finished, rj)
 		e.state[rj.ID] = JobDone

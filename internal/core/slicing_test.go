@@ -1,13 +1,11 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"testing"
 
 	"cgraph/algo"
-	"cgraph/internal/exec"
 	"cgraph/internal/gen"
 	"cgraph/internal/pool"
 	"cgraph/internal/sched"
@@ -151,18 +149,11 @@ func TestImbalanceCountsDispatchedRuns(t *testing.T) {
 	if es := e.ExecStats(); es.LastImbalance != 1 || es.Tasks == 0 {
 		t.Fatalf("all-inline run: LastImbalance %v over %d tasks, want 1", es.LastImbalance, es.Tasks)
 	}
-
-	// The gate is for BSP batches only: the same light batch with a
-	// fresh-state job in it goes to the pool, as it always did.
 	e = NewSingle(Config{Workers: 2}, buildPG(t, edges, 64, 4, false))
 	e.Submit(algo.NewPageRank(), 0)
-	e.SubmitWith(context.Background(), algo.NewBFS(0), SubmitOpts{Mode: exec.ModeAsync})
 	e.admitPending()
-	bsp, async := e.jobs[0], e.jobs[1]
-	if _, light := e.frontierTasks([]unitJob{{bsp, bsp.PT.ActiveParts()[0]}}, true); !light {
-		t.Fatal("a BSP batch of a few hundred edges is not light")
-	}
-	if _, light := e.frontierTasks([]unitJob{{bsp, bsp.PT.ActiveParts()[0]}, {async, async.PT.ActiveParts()[0]}}, true); light {
-		t.Fatal("a batch with a fresh-state job is light: it would leave the pool")
+	rj := e.jobs[0]
+	if _, light := e.frontierTasks([]unitJob{{rj, rj.PT.ActiveParts()[0]}}, true); !light {
+		t.Fatal("a batch of a few hundred edges is not light")
 	}
 }

@@ -57,16 +57,12 @@ import (
 type Stats struct {
 	Edges    int64
 	Vertices int64
-	// Fresh counts contributions folded eagerly into the private table by
-	// the fresh-state (async/delayed) path; zero on the BSP path.
-	Fresh int64
 }
 
 // Add accumulates other into s.
 func (s *Stats) Add(other Stats) {
 	s.Edges += other.Edges
 	s.Vertices += other.Vertices
-	s.Fresh += other.Fresh
 }
 
 // Job is one running CGP job: a program bound to a snapshot, its private
@@ -84,12 +80,6 @@ type Job struct {
 	alg    model.Algebra
 	filter model.Filterer
 
-	// Mode selects the execution discipline (bsp, async, delayed); see
-	// async.go. Staleness bounds delayed-mode barrier skipping (0 means
-	// DefaultStaleness; ignored outside ModeDelayed).
-	Mode      Mode
-	Staleness int
-
 	Iterations int
 	Phases     int
 	Done       bool
@@ -106,20 +96,6 @@ type Job struct {
 	EdgesProcessed  int64
 	VerticesApplied int64
 	SyncEntries     int64
-	// FreshFolds counts contributions folded eagerly by the fresh-state
-	// path; BarriersSkipped / BarriersForced count delayed-mode iteration
-	// closes that skipped the push (local advance) vs. performed it (the
-	// staleness bound was hit or the local frontier drained). All three
-	// stay zero under ModeBSP.
-	FreshFolds      int64
-	BarriersSkipped int64
-	BarriersForced  int64
-
-	// sinceBarrier counts delayed-mode iteration closes since the last
-	// push; pending preserves Received bits across barrier-skipping
-	// advances (lazily allocated, delayed mode only).
-	sinceBarrier int
-	pending      []*bitset.Set
 
 	// Push's working set, allocated by its first call and reset by every
 	// call: hit[p] marks the masters of partition p that received a Δ this
@@ -148,7 +124,7 @@ func NewJob(id int, prog model.Program, pg *graph.PGraph) *Job {
 }
 
 // Scratch is the side buffer of one apply call, as two parallel arrays. Under
-// ApplyRange and ApplyChunk it holds one (destination local, contribution)
+// ApplyRange it holds one (destination local, contribution)
 // pair per scattered edge, which Merge folds afterwards; under Sweep it holds
 // one (local, seed) pair per scattering vertex, which Sweep itself consumes.
 // It is reusable across partitions and iterations: Reset keeps the capacity,
@@ -167,15 +143,6 @@ func (sc *Scratch) Reset() {
 
 // Len returns the number of buffered pairs.
 func (sc *Scratch) Len() int { return len(sc.dst) }
-
-// ActiveLocals appends the active local indices of partition pid to buf.
-func (j *Job) ActiveLocals(pid int, buf []uint32) []uint32 {
-	j.PT.Active[pid].Range(func(li int) bool {
-		buf = append(buf, uint32(li))
-		return true
-	})
-	return buf
-}
 
 // Range is one edge-weighted slice of a partition's active frontier: the
 // local-index window [Lo, Hi) of which only active vertices are applied.
@@ -273,21 +240,6 @@ func (j *Job) ApplyRange(pid int, r Range, sc *Scratch) Stats {
 		st.Vertices++
 		if seed, scatter := v.apply(uint32(li)); scatter {
 			st.Edges += j.buffer(sc, &v, uint32(li), seed)
-		}
-	}
-	return st
-}
-
-// ApplyChunk is ApplyRange over an explicit list of active locals — the
-// static, vertex-count decomposition. Disjoint chunks may run on different
-// goroutines concurrently.
-func (j *Job) ApplyChunk(pid int, locals []uint32, sc *Scratch) Stats {
-	v := j.view(pid)
-	var st Stats
-	for _, li := range locals {
-		st.Vertices++
-		if seed, scatter := v.apply(li); scatter {
-			st.Edges += j.buffer(sc, &v, li, seed)
 		}
 	}
 	return st
@@ -443,17 +395,10 @@ func (j *Job) Push() PushSummary {
 	return PushSummary{Entries: entries, TouchedParts: j.touchedParts}
 }
 
-// FinishIteration closes one iteration. In bsp and async modes (and at
-// delayed-mode merge barriers) it runs Push, advances the activity sets,
-// and — when the job ran dry — steps phased programs forward or marks the
-// job done. In delayed mode the push is skipped while the staleness bound
-// allows and local single-replica work remains (see closeIterationDelayed).
+// FinishIteration closes one iteration: it runs Push, advances the activity
+// sets, and — when the job ran dry — steps phased programs forward or marks
+// the job done.
 func (j *Job) FinishIteration() PushSummary {
-	if j.Mode == ModeDelayed {
-		if sum, skipped := j.closeIterationDelayed(); skipped {
-			return sum
-		}
-	}
 	sum := j.Push()
 	j.advance()
 	return sum
@@ -560,11 +505,7 @@ func RunToConvergence(j *Job, maxRounds int) error {
 		}
 		for pid := range j.PG.Parts {
 			if j.PT.ActiveCount[pid] > 0 {
-				if j.Mode == ModeBSP {
-					j.ProcessPartition(pid, sc)
-				} else {
-					j.ProcessPartitionFresh(pid, sc)
-				}
+				j.ProcessPartition(pid, sc)
 			}
 		}
 		j.FinishIteration()

@@ -230,22 +230,20 @@ func TestParallelChunksSameAsSerial(t *testing.T) {
 	edges, n := testGraph(11)
 	pg := buildPG(t, edges, n, 4)
 
-	// Chunked mini-engine: split active locals into 3 scratches per
-	// partition, exactly what the straggler splitter does.
+	// Chunked mini-engine: split each partition's local index space into 3
+	// windows, each applied into its own scratch, then merged in order.
 	jc := NewJob(0, algo.NewSSSP(0), pg)
 	for r := 0; r < 10000 && !jc.Done; r++ {
-		for pid := range pg.Parts {
+		for pid, p := range pg.Parts {
 			if jc.PT.ActiveCount[pid] == 0 {
 				continue
 			}
-			locals := jc.ActiveLocals(pid, nil)
+			n := p.NumVertices()
 			var scratches []*Scratch
 			var stats Stats
 			for c := 0; c < 3; c++ {
-				lo := c * len(locals) / 3
-				hi := (c + 1) * len(locals) / 3
 				sc := &Scratch{}
-				stats.Add(jc.ApplyChunk(pid, locals[lo:hi], sc))
+				stats.Add(jc.ApplyRange(pid, Range{Lo: c * n / 3, Hi: (c + 1) * n / 3}, sc))
 				scratches = append(scratches, sc)
 			}
 			jc.Merge(pid, scratches...)

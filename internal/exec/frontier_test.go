@@ -11,6 +11,16 @@ import (
 	"cgraph/model"
 )
 
+// activeLocals lists the active local indices of partition pid.
+func activeLocals(j *Job, pid int) []uint32 {
+	var out []uint32
+	act := j.PT.Active[pid]
+	for li := act.NextSet(0); li >= 0; li = act.NextSet(li + 1) {
+		out = append(out, uint32(li))
+	}
+	return out
+}
+
 // TestSliceActiveCoversFrontier checks that the edge-weighted slicer is a
 // partition of the active frontier: every active vertex falls in exactly
 // one range, weights match the 1+EdgeWork sum, and no inactive vertex is
@@ -26,7 +36,7 @@ func TestSliceActiveCoversFrontier(t *testing.T) {
 	}
 
 	for pid, p := range pg.Parts {
-		want := j.ActiveLocals(pid, nil)
+		want := activeLocals(j, pid)
 		for _, target := range []int64{1, 7, 100, 1 << 40} {
 			ranges := j.SliceActive(pid, target, nil)
 			var got []uint32
@@ -185,7 +195,7 @@ func TestWeightedSlicingBeatsVertexCount(t *testing.T) {
 
 	// First iteration: everything active, the worst case for skew.
 	p := pg.Parts[0]
-	locals := j.ActiveLocals(0, nil)
+	locals := activeLocals(j, 0)
 
 	// Static splitter, verbatim from the legacy engine: equal vertex
 	// counts, total/(workers*2)+1 per chunk, minimum 32.

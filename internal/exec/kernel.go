@@ -8,8 +8,8 @@ import (
 	"cgraph/model"
 )
 
-// The edge loops of the BSP kernel: one set, shared by Sweep, ApplyRange,
-// ApplyChunk and Merge. A job whose program declared its arithmetic
+// The edge loops of the BSP kernel: one set, shared by Sweep, ApplyRange and
+// Merge. A job whose program declared its arithmetic
 // (model.Algebraic) runs loops with model.Algebra's Fold and Along inlined;
 // a Filterer, and a program that declared nothing, runs the loops that call
 // Acc, Contribution and Accept through the interface. Either way a loop visits

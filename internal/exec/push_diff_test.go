@@ -199,10 +199,26 @@ func holePunched(t testing.TB, edges []model.Edge, n, parts int) *graph.PGraph {
 	return pg
 }
 
-// TestPushMatchesReference drives every bundled program under every
-// execution mode and, at each iteration close that pushes, runs Push and
-// pushReference on clones of the same private table: states, Next, Received
-// and the summary must agree bit for bit.
+// pushSweeps are the ways TestPushMatchesReference fills the private table
+// before each push. bsp is the whole-partition Sweep. async is the
+// fresh-state sweep ProcessPartitionReentrant makes in one pass: deltas to
+// single-replica receivers fold mid-sweep, so vertices later in block order
+// read state written in the same iteration. delayed lets that sweep
+// re-process locally re-activated vertices for up to three more passes
+// before the push, as a bounded-staleness merge barrier would.
+var pushSweeps = []struct {
+	name   string
+	passes int // 0: Sweep; otherwise ProcessPartitionReentrant's maxPasses
+}{
+	{"bsp", 0},
+	{"async", 1},
+	{"delayed", 4},
+}
+
+// TestPushMatchesReference drives every bundled program under every sweep in
+// pushSweeps and, at each iteration close, runs Push and pushReference on
+// clones of the same private table: states, Next, Received and the summary
+// must agree bit for bit.
 func TestPushMatchesReference(t *testing.T) {
 	programs := []struct {
 		name string
@@ -230,9 +246,9 @@ func TestPushMatchesReference(t *testing.T) {
 		}
 		for _, gr := range graphs {
 			for _, p := range programs {
-				for _, mode := range []Mode{ModeBSP, ModeAsync, ModeDelayed} {
-					t.Run(fmt.Sprintf("%s/p%d/%s/%s", gr.name, parts, p.name, mode), func(t *testing.T) {
-						diffPush(t, gr.pg, p.mk(), mode)
+				for _, sw := range pushSweeps {
+					t.Run(fmt.Sprintf("%s/p%d/%s/%s", gr.name, parts, p.name, sw.name), func(t *testing.T) {
+						diffPush(t, gr.pg, p.mk(), sw.passes)
 					})
 				}
 			}
@@ -240,9 +256,8 @@ func TestPushMatchesReference(t *testing.T) {
 	}
 }
 
-func diffPush(t *testing.T, pg *graph.PGraph, prog model.Program, mode Mode) {
+func diffPush(t *testing.T, pg *graph.PGraph, prog model.Program, passes int) {
 	j := NewJob(0, prog, pg)
-	j.Mode = mode
 	sc := &Scratch{}
 	pushes := 0
 	for it := 0; !j.Done; it++ {
@@ -253,15 +268,10 @@ func diffPush(t *testing.T, pg *graph.PGraph, prog model.Program, mode Mode) {
 			if j.PT.ActiveCount[pid] == 0 {
 				continue
 			}
-			if mode == ModeBSP {
+			if passes == 0 {
 				j.ProcessPartition(pid, sc)
 			} else {
-				j.ProcessPartitionFresh(pid, sc)
-			}
-		}
-		if mode == ModeDelayed {
-			if _, skipped := j.closeIterationDelayed(); skipped {
-				continue
+				j.ProcessPartitionReentrant(pid, passes)
 			}
 		}
 		ref := *j

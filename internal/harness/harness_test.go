@@ -2,6 +2,8 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -355,97 +357,43 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
+// TestBenchScalingInvariants regenerates the scaling sweep at the
+// configuration of the committed BENCH_scaling.json (cgraph-bench
+// -max-cores 8 scaling) and pins it: virtual time is deterministic, so every
+// point's makespan must equal the committed one exactly; the makespan falls
+// strictly as cores double, a second core steals, and converged regions are
+// skipped on the PageRank tail.
 func TestBenchScalingInvariants(t *testing.T) {
-	_, res, err := BenchScaling(testOpt(), 4)
+	raw, err := os.ReadFile("../../BENCH_scaling.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) != 3 { // cores 1, 2, 4
-		t.Fatalf("want 3 sweep points, got %d", len(res.Points))
+	var committed BenchScalingResult
+	if err := json.Unmarshal(raw, &committed); err != nil {
+		t.Fatal(err)
 	}
-	one := res.Points[0]
-	if one.Workers != 1 {
-		t.Fatalf("first point at %d cores, want 1", one.Workers)
-	}
-	// At one core the two legs must tie exactly: same total work, no
-	// parallelism for static chunking to squander.
-	if one.StealMakespanUS != one.StaticMakespanUS {
-		t.Fatalf("1-core legs differ: steal %v, static %v", one.StealMakespanUS, one.StaticMakespanUS)
-	}
-	if one.Steals != 0 {
-		t.Fatalf("1-core leg stole %d times", one.Steals)
-	}
-	for _, p := range res.Points {
-		// Work stealing must never lose to static chunking (beyond float
-		// accumulation jitter).
-		if p.Speedup < 0.999 {
-			t.Fatalf("%d cores: work stealing slower than static (%.4fx)", p.Workers, p.Speedup)
-		}
-		if p.SkippedPartitions <= 0 || p.TailSkipped <= 0 {
-			t.Fatalf("%d cores: no converged-region skips recorded (%+v)", p.Workers, p)
-		}
-	}
-	last := res.Points[len(res.Points)-1]
-	if last.Speedup <= 1.0 {
-		t.Fatalf("no speedup at %d cores on the skewed workload: %.4fx", last.Workers, last.Speedup)
-	}
-	if last.Steals == 0 {
-		t.Fatalf("no steals at %d cores", last.Workers)
-	}
-}
-
-// TestBenchAsyncInvariants regenerates the execution-mode sweep at the
-// exact configuration that produces the committed BENCH_async.json and
-// pins its claims: the fresh-state path converges PageRank in measurably
-// fewer iterations than BSP, SSSP (a monotonic min program) is never
-// worse, and the delayed leg's barrier ledger balances against its
-// iteration count.
-func TestBenchAsyncInvariants(t *testing.T) {
-	_, res, err := BenchAsync(Options{Scale: 1, Workers: 8, Epsilon: 1e-3})
+	_, res, err := BenchScaling(Options{Scale: 1, Workers: 8, Epsilon: 1e-3}, committed.MaxCores)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Legs) != 3 {
-		t.Fatalf("want 3 legs, got %d", len(res.Legs))
+	if len(res.Points) != len(committed.Points) {
+		t.Fatalf("%d sweep points, committed file has %d", len(res.Points), len(committed.Points))
 	}
-	bsp, async, delayed := res.Leg("bsp"), res.Leg("async"), res.Leg("delayed")
-	if bsp == nil || async == nil || delayed == nil {
-		t.Fatalf("missing leg: %+v", res.Legs)
-	}
-
-	// BSP by definition never folds eagerly and never touches barriers.
-	if bsp.FreshFolds != 0 || bsp.BarriersSkipped != 0 || bsp.BarriersForced != 0 {
-		t.Fatalf("bsp leg has fresh-state counters: %+v", bsp)
-	}
-	// The headline claim: async PageRank converges in measurably fewer
-	// iterations than BSP, and SSSP is no worse under either fresh mode.
-	if async.PageRankIterations >= bsp.PageRankIterations {
-		t.Fatalf("async PageRank took %d iterations, bsp %d — no convergence win",
-			async.PageRankIterations, bsp.PageRankIterations)
-	}
-	if async.SSSPIterations > bsp.SSSPIterations {
-		t.Fatalf("async SSSP took %d iterations, bsp %d", async.SSSPIterations, bsp.SSSPIterations)
-	}
-	if async.FreshFolds == 0 || delayed.FreshFolds == 0 {
-		t.Fatalf("fresh legs folded nothing: async %+v, delayed %+v", async, delayed)
-	}
-	if res.PageRankSpeedup <= 1 {
-		t.Fatalf("pagerank speedup %.4f, want > 1", res.PageRankSpeedup)
-	}
-	// Delayed-mode accounting: every iteration either skipped its merge
-	// barrier or was forced through one, and the staleness bound makes
-	// both legs of that ledger non-empty on this workload.
-	if delayed.BarriersSkipped == 0 || delayed.BarriersForced == 0 {
-		t.Fatalf("delayed barrier ledger empty: %+v", delayed)
-	}
-	if got, want := delayed.BarriersSkipped+delayed.BarriersForced,
-		delayed.PageRankIterations+delayed.SSSPIterations; got != want {
-		t.Fatalf("delayed barriers skipped+forced = %d, want iterations total %d", got, want)
-	}
-	// Virtual time is deterministic and positive on every leg.
-	for _, l := range res.Legs {
-		if l.MakespanUS <= 0 {
-			t.Fatalf("leg %s has non-positive makespan %v", l.Mode, l.MakespanUS)
+	for i, p := range res.Points {
+		want := committed.Points[i]
+		if p.Workers != want.Workers || p.StealMakespanUS != want.StealMakespanUS {
+			t.Fatalf("point %d: %d cores, makespan %v; committed %d cores, %v",
+				i, p.Workers, p.StealMakespanUS, want.Workers, want.StealMakespanUS)
+		}
+		if i > 0 && p.StealMakespanUS >= res.Points[i-1].StealMakespanUS {
+			t.Fatalf("%d cores: makespan %v not below %d cores' %v",
+				p.Workers, p.StealMakespanUS, res.Points[i-1].Workers, res.Points[i-1].StealMakespanUS)
+		}
+		if p.Workers > 1 && p.Steals == 0 {
+			t.Fatalf("no steals at %d cores", p.Workers)
+		}
+		if p.TailSkipped <= 0 {
+			t.Fatalf("%d cores: no converged-region skips on the tail (%+v)", p.Workers, p)
 		}
 	}
 }

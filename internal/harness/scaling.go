@@ -11,8 +11,8 @@ import (
 
 // scalingSeed and the Zipf shape below define the skewed power-law
 // workload of the scaling sweep: a handful of hub vertices carry a large
-// share of all edges, the regime where skew-blind vertex-count chunking
-// parks the hubs on one worker.
+// share of all edges, the regime where an executor that cannot split a
+// hub's sweep parks it on one worker.
 const (
 	scalingSeed     = 42
 	scalingVertices = 20000
@@ -20,34 +20,33 @@ const (
 	scalingZipfS    = 1.2
 )
 
-// BenchScalingPoint is one simulated-core count of the sweep: the same
-// 4-job workload run on the work-stealing degree-weighted executor and on
-// the legacy static vertex-count chunking, both reported in simulated
-// makespan (the repo's standard currency — wall clock on a shared CI box
-// is noise).
+// BenchScalingPoint is one simulated-core count of the sweep: the 4-job
+// workload on the work-stealing degree-weighted executor, reported in
+// simulated makespan (the repo's standard currency — wall clock on a
+// shared CI box is noise).
 type BenchScalingPoint struct {
 	// Workers is the simulated core count of this point.
 	Workers int `json:"workers"`
-	// StealMakespanUS / StaticMakespanUS are the virtual total execution
-	// times of the two legs.
-	StealMakespanUS  float64 `json:"steal_makespan_us"`
-	StaticMakespanUS float64 `json:"static_makespan_us"`
-	// Speedup is static/steal (>1 = work stealing wins).
+	// StealMakespanUS is the virtual total execution time of the run.
+	StealMakespanUS float64 `json:"steal_makespan_us"`
+	// Speedup is the 1-core makespan over this point's (>1 = more cores
+	// pay).
 	Speedup float64 `json:"speedup"`
 	// Steals / Stolen are the pool's cumulative steal operations and
-	// moved tasks over the steal leg.
+	// moved tasks.
 	Steals int64 `json:"steals"`
 	Stolen int64 `json:"stolen"`
-	// Tasks counts pool tasks executed over the steal leg.
+	// Tasks counts pool tasks executed.
 	Tasks int64 `json:"tasks"`
-	// SkippedPartitions is the steal leg's cumulative count of converged
+	// SkippedPartitions is the cumulative count of converged
 	// (job, partition) pairs excluded before scheduling.
 	SkippedPartitions int64 `json:"skipped_partitions"`
 	// TailSkipped sums the skipped-partition counts over the last traced
 	// rounds (the PageRank convergence tail), where frontiers go sparse.
 	TailSkipped int64 `json:"tail_skipped"`
-	// Imbalance is the heaviest worker's realized share of the last
-	// round's task weight, ×Workers, on the steal leg.
+	// Imbalance is the work-weighted imbalance of the last round's pool
+	// runs that were dispatched to more than one worker, ×Workers (1.0 when
+	// none were).
 	Imbalance float64 `json:"imbalance"`
 }
 
@@ -107,18 +106,17 @@ func scalingEnv(workers int, scale float64) *Env {
 // scalingLeg runs the 4-job workload once at the given simulated core
 // count and returns the engine (virtual time is deterministic, so a
 // single run is exact — there is no wall-clock noise to best-of away).
-func (e *Env) scalingLeg(o Options, workers int, static bool) (*core.Engine, float64, error) {
+func (e *Env) scalingLeg(o Options, workers int) (*core.Engine, float64, error) {
 	store, err := e.Store(false)
 	if err != nil {
 		return nil, 0, err
 	}
 	eng := core.New(core.Config{
-		Workers:        workers,
-		Hier:           e.Hier(),
-		Scheduler:      sched.Priority,
-		Label:          "CGraph",
-		StaticChunking: static,
-		TraceDepth:     256,
+		Workers:    workers,
+		Hier:       e.Hier(),
+		Scheduler:  sched.Priority,
+		Label:      "CGraph",
+		TraceDepth: 256,
 	}, store)
 	for _, s := range benchmarks(4, o.Epsilon, func(int) int64 { return 0 }) {
 		eng.Submit(s.Prog, s.Arrival)
@@ -131,11 +129,10 @@ func (e *Env) scalingLeg(o Options, workers int, static bool) (*core.Engine, flo
 }
 
 // BenchScaling sweeps simulated core counts 1, 2, 4, … maxCores over the
-// skewed power-law workload, comparing the work-stealing degree-weighted
-// executor against legacy static vertex-count chunking. At one core the
-// two must tie (same total work, no parallelism to lose); at higher core
-// counts the static leg is gated by the hub-heavy chunk while the steal
-// leg divides edge work evenly — the gap is the sweep's speedup.
+// skewed power-law workload on the work-stealing degree-weighted executor.
+// Each point's speedup is the 1-core makespan over its own: the executor
+// divides edge work evenly, splitting a hub-heavy straggler's sweep into
+// ranges that idle cores steal.
 func BenchScaling(opt Options, maxCores int) (*Table, *BenchScalingResult, error) {
 	o := opt.withDefaults()
 	if maxCores <= 0 {
@@ -161,21 +158,20 @@ func BenchScaling(opt Options, maxCores int) (*Table, *BenchScalingResult, error
 
 	t := &Table{
 		ID:      "bench-scaling",
-		Title:   fmt.Sprintf("Work-stealing vs static chunking on %s (V=%d, E=%d, s=%.1f)", env.Dataset.Name, env.G.N, len(env.Edges), scalingZipfS),
-		Columns: []string{"Cores", "Steal µs", "Static µs", "Speedup", "Steals", "Skipped", "Tail skipped", "Imbalance"},
-		Notes:   "simulated makespan of the 4-job workload; tail skipped = converged (job,partition) pairs excluded over the last traced rounds",
+		Title:   fmt.Sprintf("Work-stealing scaling on %s (V=%d, E=%d, s=%.1f)", env.Dataset.Name, env.G.N, len(env.Edges), scalingZipfS),
+		Columns: []string{"Cores", "Makespan µs", "Speedup", "Steals", "Skipped", "Tail skipped", "Imbalance"},
+		Notes:   "simulated makespan of the 4-job workload; speedup = 1-core makespan / this point's; tail skipped = converged (job,partition) pairs excluded over the last traced rounds",
 	}
 
+	var oneCore float64
 	for _, w := range cores {
-		o.logf("bench-scaling: %d cores, steal leg", w)
-		eng, steal, err := env.scalingLeg(o, w, false)
+		o.logf("bench-scaling: %d cores", w)
+		eng, steal, err := env.scalingLeg(o, w)
 		if err != nil {
 			return nil, nil, err
 		}
-		o.logf("bench-scaling: %d cores, static leg", w)
-		_, static, err := env.scalingLeg(o, w, true)
-		if err != nil {
-			return nil, nil, err
+		if w == 1 {
+			oneCore = steal
 		}
 
 		es := eng.ExecStats()
@@ -192,7 +188,6 @@ func BenchScaling(opt Options, maxCores int) (*Table, *BenchScalingResult, error
 		p := BenchScalingPoint{
 			Workers:           w,
 			StealMakespanUS:   steal,
-			StaticMakespanUS:  static,
 			Steals:            es.Steals,
 			Stolen:            es.Stolen,
 			Tasks:             es.Tasks,
@@ -201,14 +196,14 @@ func BenchScaling(opt Options, maxCores int) (*Table, *BenchScalingResult, error
 			Imbalance:         es.LastImbalance,
 		}
 		if steal > 0 {
-			p.Speedup = static / steal
+			p.Speedup = oneCore / steal
 		}
 		if p.Speedup > res.MaxSpeedup {
 			res.MaxSpeedup = p.Speedup
 		}
 		res.Points = append(res.Points, p)
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", w), f2(steal), f2(static), fmt.Sprintf("%.2fx", p.Speedup),
+			fmt.Sprintf("%d", w), f2(steal), fmt.Sprintf("%.2fx", p.Speedup),
 			fmt.Sprintf("%d", p.Steals), fmt.Sprintf("%d", p.SkippedPartitions),
 			fmt.Sprintf("%d", p.TailSkipped), f2(p.Imbalance),
 		})

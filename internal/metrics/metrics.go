@@ -33,16 +33,6 @@ type JobMetrics struct {
 	Edges       int64
 	Vertices    int64
 	SyncEntries int64
-
-	// Mode is the execution discipline the job ran under ("bsp", "async",
-	// "delayed").
-	Mode string
-	// FreshFolds counts contributions folded eagerly under the fresh-state
-	// disciplines; BarriersSkipped / BarriersForced are the delayed-mode
-	// bounded-staleness counters. All zero for BSP jobs.
-	FreshFolds      int64
-	BarriersSkipped int64
-	BarriersForced  int64
 }
 
 // ExecTime is the job's virtual wall time from submission to convergence.

@@ -46,35 +46,6 @@ func (t *Task) exec(w int) {
 	t.Run(w)
 }
 
-// Chain composes an ordered sequence of subtasks into one task: the
-// subtasks run back to back, in order, on whichever single worker executes
-// the chain — never concurrently, and never reordered by steals, which
-// move the chain as a unit. The engine uses this for fresh-state (async)
-// jobs, whose per-partition block sequence must be preserved while
-// distinct partitions still balance across workers. The chain's weight is
-// the sum of its subtasks' weights. Subtask Trace hooks are ignored;
-// attach one to the returned task to bracket the whole chain.
-func Chain(sub []Task) Task {
-	if len(sub) == 0 {
-		return Task{Run: func(int) {}}
-	}
-	if len(sub) == 1 {
-		return Task{Run: sub[0].Run, Weight: taskWeight(sub[0])}
-	}
-	var w int64
-	for _, t := range sub {
-		w += taskWeight(t)
-	}
-	return Task{
-		Weight: w,
-		Run: func(worker int) {
-			for i := range sub {
-				sub[i].Run(worker)
-			}
-		},
-	}
-}
-
 // Stats is the account of one Run call.
 type Stats struct {
 	// Tasks is the number of tasks executed.

@@ -208,79 +208,6 @@ func TestTraceBracket(t *testing.T) {
 	}
 }
 
-// TestChainPreservesOrder: a chained task's subtasks must run in order on
-// one worker even while the pool rebalances other tasks around it.
-func TestChainPreservesOrder(t *testing.T) {
-	for _, workers := range []int{1, 4, 8} {
-		p := New(workers)
-		const chains, perChain = 16, 32
-		type rec struct {
-			order   []int
-			workers map[int]bool
-		}
-		recs := make([]rec, chains)
-		var tasks []Task
-		for c := 0; c < chains; c++ {
-			c := c
-			recs[c].workers = make(map[int]bool)
-			sub := make([]Task, perChain)
-			for i := range sub {
-				i := i
-				sub[i] = Task{Weight: int64(i%5 + 1), Run: func(w int) {
-					recs[c].order = append(recs[c].order, i)
-					recs[c].workers[w] = true
-				}}
-			}
-			tasks = append(tasks, Chain(sub))
-		}
-		// Interleave independent ballast so steals actually happen.
-		var ballast atomic.Int64
-		for i := 0; i < 64; i++ {
-			tasks = append(tasks, Task{Weight: 3, Run: func(int) { ballast.Add(1) }})
-		}
-		st := p.Run(tasks)
-		if st.Tasks != chains+64 {
-			t.Fatalf("workers=%d: Tasks = %d, want %d", workers, st.Tasks, chains+64)
-		}
-		if ballast.Load() != 64 {
-			t.Fatalf("workers=%d: ballast ran %d times", workers, ballast.Load())
-		}
-		for c := range recs {
-			if len(recs[c].order) != perChain {
-				t.Fatalf("workers=%d: chain %d ran %d subtasks", workers, c, len(recs[c].order))
-			}
-			for i, got := range recs[c].order {
-				if got != i {
-					t.Fatalf("workers=%d: chain %d position %d ran subtask %d", workers, c, i, got)
-				}
-			}
-			if len(recs[c].workers) != 1 {
-				t.Fatalf("workers=%d: chain %d spanned %d workers", workers, c, len(recs[c].workers))
-			}
-		}
-	}
-}
-
-// TestChainWeightAndDegenerates: weights sum; empty and single chains are
-// well-formed tasks.
-func TestChainWeightAndDegenerates(t *testing.T) {
-	ct := Chain([]Task{{Weight: 2}, {Weight: 0}, {Weight: 5}})
-	if ct.Weight != 8 { // zero weights count as 1
-		t.Fatalf("chain weight = %d, want 8", ct.Weight)
-	}
-	ran := false
-	single := Chain([]Task{{Weight: 4, Run: func(int) { ran = true }}})
-	if single.Weight != 4 {
-		t.Fatalf("single chain weight = %d, want 4", single.Weight)
-	}
-	single.Run(0)
-	if !ran {
-		t.Fatal("single chain did not run its subtask")
-	}
-	empty := Chain(nil)
-	empty.Run(0) // must not panic
-}
-
 // TestRunAllocatesOnlySpawns: on a warmed pool a run allocates nothing but
 // its worker goroutines' start-up (at most a closure each) — deques, seeding
 // order and steal staging are all reused.

@@ -83,14 +83,6 @@ type JobFootprint struct {
 	// work actually remaining rather than the partition's full size. Nil
 	// means "assume fully active" (backward compatible).
 	Active []int
-	// Fresh marks async/delayed jobs: the fresh-state sweep consumes
-	// pending delta written earlier in the same load, so a loaded unit
-	// retires more state change than the previous round's C(U) sample
-	// suggests. Units carrying a fresh job get their D·C tie-break term
-	// boosted by freshBoost (still clamped by the dominance budget, so the
-	// Eq. 1 N-dominance guarantee is unaffected). False for BSP jobs
-	// leaves the plan byte-identical to pre-mode behavior.
-	Fresh bool
 }
 
 // UnitPlan is one entry of a group's load order: a snapshot partition
@@ -125,12 +117,6 @@ const (
 	dominanceBudget  = 0.5
 	refitMinInterval = 32
 	cmaxCeiling      = 1e150
-	// freshBoost scales the D·C term of units carrying at least one
-	// fresh-state (async/delayed) job: intra-block propagation consumes
-	// extra pending delta per load, making those loads more valuable than
-	// the BSP-sampled C(U) alone indicates. Applied before the dominance
-	// clamp, so it can only reorder the tie-break, never violate Eq. 1.
-	freshBoost = 1.5
 	// windowDecay ages the running D/C maxima a little every plan
 	// (half-life ≈ 23 plans), so the estimates — and through them θ —
 	// also track *shrinking* workloads: when dense snapshots or hot jobs
@@ -211,8 +197,6 @@ type unit struct {
 	// frac is the highest active-vertex fraction any job has in this
 	// unit, scaling the D·C term of Eq. 1 down as frontiers shrink.
 	frac float64
-	// fresh reports whether any job needing the unit runs fresh-state.
-	fresh bool
 }
 
 // Plan orders this round's loads. jobs lists each job's footprint; c maps a
@@ -271,9 +255,6 @@ func (s *Scheduler) Plan(jobs []JobFootprint, c map[int64]float64) []Group {
 			}
 			if f > u.frac {
 				u.frac = f
-			}
-			if jf.Fresh {
-				u.fresh = true
 			}
 		}
 	}
@@ -390,9 +371,6 @@ func (s *Scheduler) orderUnits(us []*unit, c map[int64]float64) {
 		// chased. The frontier fraction scales D·C down to the work
 		// actually remaining in the unit.
 		term := s.theta * u.part.AvgDegree * u.frac * c[u.part.UID]
-		if u.fresh {
-			term *= freshBoost
-		}
 		if !(term < dominanceBudget) {
 			term = dominanceBudget
 		}

@@ -35,12 +35,6 @@ type JobRound struct {
 	Parts int
 	// Pushes is the number of iterations the job closed (sync pushes).
 	Pushes int
-	// Mode is the job's execution discipline ("async", "delayed"); empty
-	// for default-BSP jobs so pre-mode records are unchanged.
-	Mode string
-	// FreshFolds counts contributions the job folded eagerly (fresh-state)
-	// this round; zero for BSP jobs.
-	FreshFolds int64
 	// AccessUS / ComputeUS are the job's simulated access and compute time
 	// charged during the round.
 	AccessUS  float64
@@ -75,9 +69,6 @@ type Round struct {
 	// Skipped counts the (job, partition) pairs whose frontier was empty
 	// at round start — converged regions excluded before scheduling.
 	Skipped int64
-	// FreshFolds counts contributions folded eagerly by fresh-state (async
-	// or delayed) jobs during the round; zero on all-BSP rounds.
-	FreshFolds int64
 }
 
 // Timeline is one job's retained round-by-round history.

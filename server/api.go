@@ -33,14 +33,6 @@ func (s *Service) SubmitSpec(ctx context.Context, reg Registry, spec api.JobSpec
 	if spec.TimeoutMS < 0 {
 		return api.JobStatus{}, api.Errorf(api.CodeBadRequest, "negative timeout_ms %d", spec.TimeoutMS)
 	}
-	mode, err := cgraph.ParseExecMode(spec.ExecMode)
-	if err != nil {
-		return api.JobStatus{}, api.Errorf(api.CodeBadRequest,
-			"unknown exec_mode %q (want bsp, async, or delayed)", spec.ExecMode)
-	}
-	if spec.Staleness < 0 {
-		return api.JobStatus{}, api.Errorf(api.CodeBadRequest, "negative staleness %d", spec.Staleness)
-	}
 	prog, err := reg.Build(spec.Algo, ProgramParams{Source: model.VertexID(spec.Source), K: spec.K})
 	if err != nil {
 		return api.JobStatus{}, &api.Error{Code: api.CodeUnknownAlgorithm, Message: err.Error()}
@@ -52,12 +44,6 @@ func (s *Service) SubmitSpec(ctx context.Context, reg Registry, spec api.JobSpec
 		Priority:  spec.Priority,
 		Span:      span.FromContext(ctx),
 		RequestID: requestIDFrom(ctx),
-		Staleness: spec.Staleness,
-	}
-	// Echo the caller's non-default mode; an absent/empty exec_mode keeps
-	// the pre-mode status payload byte-identical.
-	if spec.ExecMode != "" {
-		sspec.ExecMode = mode
 	}
 	if spec.TimeoutMS > 0 {
 		sspec.Timeout = time.Duration(spec.TimeoutMS) * time.Millisecond
@@ -601,7 +587,6 @@ func (s *Service) RoundTraces(limit int) api.RoundTraces {
 			Tasks:             r.Tasks,
 			Steals:            r.Steals,
 			SkippedPartitions: r.Skipped,
-			FreshFolds:        r.FreshFolds,
 		}
 		for _, g := range r.Groups {
 			wg := api.RoundTraceGroup{Priority: g.Priority, Units: g.Units, MakespanUS: g.MakespanUS}
@@ -628,8 +613,6 @@ func wireJobRound(jr cgraph.JobRoundTrace, job string) api.JobRoundTrace {
 		WallUS:        float64(jr.Wall) / float64(time.Microsecond),
 		Parts:         jr.Parts,
 		Pushes:        jr.Pushes,
-		ExecMode:      jr.Mode,
-		FreshFolds:    jr.FreshFolds,
 		AccessUS:      jr.AccessUS,
 		ComputeUS:     jr.ComputeUS,
 		VirtualTimeUS: jr.VirtualTimeUS,

@@ -560,17 +560,8 @@ func (h *httpAPI) metrics(w http.ResponseWriter, r *http.Request) {
 	e.Add("cgraph_exec_stolen_tasks_total", nil, float64(ex.Stolen))
 	e.Declare("cgraph_exec_skipped_partitions_total", "counter", "Converged (job, partition) pairs skipped before scheduling (empty frontier).")
 	e.Add("cgraph_exec_skipped_partitions_total", nil, float64(ex.SkippedPartitions))
-	e.Declare("cgraph_exec_imbalance", "gauge", "Heaviest worker's share of last round's task weight, x workers (1.0 = even).")
+	e.Declare("cgraph_exec_imbalance", "gauge", "Work-weighted imbalance of last round's pool runs dispatched to more than one worker, x workers (1.0 = even or none dispatched).")
 	e.Add("cgraph_exec_imbalance", nil, ex.LastImbalance)
-	e.Declare("cgraph_exec_fresh_folds_total", "counter", "Contributions folded eagerly by fresh-state (async/delayed) jobs.")
-	e.Add("cgraph_exec_fresh_folds_total", nil, float64(ex.FreshFolds))
-	e.Declare("cgraph_exec_barriers_total", "counter", "Delayed-mode merge-barrier outcomes: skipped within the staleness bound vs forced.")
-	e.Add("cgraph_exec_barriers_total", map[string]string{"result": "skipped"}, float64(ex.BarriersSkipped))
-	e.Add("cgraph_exec_barriers_total", map[string]string{"result": "forced"}, float64(ex.BarriersForced))
-	e.Declare("cgraph_exec_mode_jobs", "gauge", "Jobs submitted to the engine by execution mode.")
-	e.Add("cgraph_exec_mode_jobs", map[string]string{"cgraph_exec_mode": "bsp"}, float64(ex.BSPJobs))
-	e.Add("cgraph_exec_mode_jobs", map[string]string{"cgraph_exec_mode": "async"}, float64(ex.AsyncJobs))
-	e.Add("cgraph_exec_mode_jobs", map[string]string{"cgraph_exec_mode": "delayed"}, float64(ex.DelayedJobs))
 	ing := info.Ingest
 	e.Declare("cgraph_ingest_batches_total", "counter", "Delta batches accepted by the ingestion pipeline.")
 	e.Add("cgraph_ingest_batches_total", nil, float64(ing.Batches))

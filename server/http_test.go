@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"cgraph"
-	"cgraph/algo"
 	"cgraph/api"
 	"cgraph/internal/gen"
 	"cgraph/internal/graph"
@@ -939,183 +938,27 @@ func TestHTTPResumeCompactedJob(t *testing.T) {
 	}
 }
 
-// TestHTTPExecModeWire drives the exec-mode vertical through the wire
-// contract: per-job exec_mode is validated, echoed on status, and the
-// fresh-state counters surface in both /v1/metrics and the Prometheus text
-// exposition. Default submissions keep exec_mode off the wire entirely so
-// pre-mode clients see byte-identical payloads.
+// TestHTTPExecModeWire pins the exec-mode wire contract: the job spec has no
+// execution-mode fields — every job runs bulk-synchronously — so strict
+// decoding refuses a body that carries exec_mode or staleness, naming the
+// field, and creates no job.
 func TestHTTPExecModeWire(t *testing.T) {
-	edges := gen.RMAT(43, 400, 8000, 0.57, 0.19, 0.19)
-	sys := cgraph.NewSystem(cgraph.WithWorkers(2), cgraph.WithCoreSubgraph(false), cgraph.WithTraceDepth(512))
-	if err := sys.LoadEdges(400, edges); err != nil {
-		t.Fatal(err)
-	}
-	svc := server.New(sys, server.Config{})
-	if err := svc.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		ctx, cancel := contextWithTimeout(t)
-		defer cancel()
-		svc.Stop(ctx)
-	}()
-	// Tighten PageRank's tolerance so every mode can be checked against the
-	// reference implementation, not just against each other.
-	reg := server.DefaultRegistry()
-	reg["pagerank"] = func(server.ProgramParams) model.Program {
-		return &algo.PageRank{Damping: 0.85, Epsilon: 1e-9}
-	}
-	ts := httptest.NewServer(svc.Handler(reg))
+	svc := startService(t, server.Config{}, testEdges(), 300)
+	ts := httptest.NewServer(svc.Handler(nil))
 	defer ts.Close()
 	c := ts.Client()
 
-	// Bad requests are rejected before a job is created.
-	code, body := httpJSON(t, c, "POST", ts.URL+"/v1/jobs", map[string]any{
-		"algo": "pagerank", "exec_mode": "bogus",
-	})
-	if code != http.StatusBadRequest || errCode(t, body) != string(api.CodeBadRequest) {
-		t.Fatalf("bogus exec_mode = %d %v, want 400 bad_request", code, body)
-	}
-	code, body = httpJSON(t, c, "POST", ts.URL+"/v1/jobs", map[string]any{
-		"algo": "pagerank", "exec_mode": "delayed", "staleness": -2,
-	})
-	if code != http.StatusBadRequest || errCode(t, body) != string(api.CodeBadRequest) {
-		t.Fatalf("negative staleness = %d %v, want 400 bad_request", code, body)
-	}
-
-	// One job per mode; the default submission must not carry exec_mode.
-	submit := func(spec map[string]any) string {
-		t.Helper()
-		code, st := httpJSON(t, c, "POST", ts.URL+"/v1/jobs", spec)
-		if code != http.StatusAccepted {
-			t.Fatalf("POST /v1/jobs %v = %d (%v)", spec, code, st)
+	for field, v := range map[string]any{"exec_mode": "async", "staleness": 2} {
+		code, body := httpJSON(t, c, "POST", ts.URL+"/v1/jobs", map[string]any{"algo": "pagerank", field: v})
+		if code != http.StatusBadRequest || errCode(t, body) != string(api.CodeBadRequest) {
+			t.Fatalf("%s = %d (%v), want 400 bad_request", field, code, body)
 		}
-		return st["id"].(string)
-	}
-	defID := submit(map[string]any{"algo": "pagerank"})
-	asyncID := submit(map[string]any{"algo": "pagerank", "exec_mode": "async"})
-	delayID := submit(map[string]any{"algo": "pagerank", "exec_mode": "delayed", "staleness": 2})
-
-	defSt := pollState(t, c, ts.URL, defID, server.StateDone)
-	if _, present := defSt["exec_mode"]; present {
-		t.Fatalf("default job leaked exec_mode on the wire: %v", defSt)
-	}
-	asyncSt := pollState(t, c, ts.URL, asyncID, server.StateDone)
-	if asyncSt["exec_mode"] != "async" {
-		t.Fatalf("async job status = %v, want exec_mode async", asyncSt)
-	}
-	delaySt := pollState(t, c, ts.URL, delayID, server.StateDone)
-	if delaySt["exec_mode"] != "delayed" {
-		t.Fatalf("delayed job status = %v, want exec_mode delayed", delaySt)
-	}
-
-	// Results still match the reference implementation in every mode.
-	g := graph.Build(400, edges)
-	want := refimpl.PageRank(g, 0.85, 1e-12, 3000)
-	for _, id := range []string{defID, asyncID, delayID} {
-		code, res := httpJSON(t, c, "GET", ts.URL+"/v1/jobs/"+id+"/results", nil)
-		if code != http.StatusOK {
-			t.Fatalf("GET results %s = %d (%v)", id, code, res)
-		}
-		vals := res["values"].([]any)
-		for v := range want {
-			if math.Abs(vals[v].(float64)-want[v]) > 1e-6 {
-				t.Fatalf("job %s vertex %d: got %v want %v", id, v, vals[v], want[v])
-			}
+		msg, _ := body["error"].(map[string]any)["message"].(string)
+		if !strings.Contains(msg, `unknown field "`+field+`"`) {
+			t.Fatalf("%s: error message %q does not name the unknown field", field, msg)
 		}
 	}
-
-	// Structured metrics carry the fresh-state counters and per-mode tallies.
-	code, m := httpJSON(t, c, "GET", ts.URL+"/v1/metrics", nil)
-	if code != http.StatusOK {
-		t.Fatalf("GET /v1/metrics = %d", code)
-	}
-	ex, _ := m["exec"].(map[string]any)
-	if ex == nil {
-		t.Fatalf("metrics missing exec block: %v", m)
-	}
-	if ff, _ := ex["fresh_folds"].(float64); ff <= 0 {
-		t.Fatalf("exec.fresh_folds = %v, want > 0", ex["fresh_folds"])
-	}
-	if aj, _ := ex["async_jobs"].(float64); aj != 1 {
-		t.Fatalf("exec.async_jobs = %v, want 1", ex["async_jobs"])
-	}
-	if dj, _ := ex["delayed_jobs"].(float64); dj != 1 {
-		t.Fatalf("exec.delayed_jobs = %v, want 1", ex["delayed_jobs"])
-	}
-	if bj, _ := ex["bsp_jobs"].(float64); bj < 1 {
-		t.Fatalf("exec.bsp_jobs = %v, want >= 1", ex["bsp_jobs"])
-	}
-
-	// Prometheus text exposition declares the mode-labeled families.
-	resp, err := c.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := string(raw)
-	for _, want := range []string{
-		"cgraph_exec_fresh_folds_total",
-		`cgraph_exec_barriers_total{result="skipped"}`,
-		`cgraph_exec_barriers_total{result="forced"}`,
-		`cgraph_exec_mode_jobs{cgraph_exec_mode="async"} 1`,
-		`cgraph_exec_mode_jobs{cgraph_exec_mode="delayed"} 1`,
-		"cgraph_ingest_compactions_total",
-	} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("Prometheus exposition missing %q:\n%s", want, text)
-		}
-	}
-	// Both trace surfaces carry the per-job mode and fresh-fold counts for
-	// the non-BSP jobs and neither key for the default job.
-	checkRounds := func(where, id string, rounds []any) {
-		t.Helper()
-		var folds float64
-		for _, r := range rounds {
-			jr := r.(map[string]any)
-			_, hasMode := jr["exec_mode"]
-			f, hasFolds := jr["fresh_folds"].(float64)
-			folds += f
-			if id == defID && (hasMode || hasFolds) {
-				t.Fatalf("%s: default job leaked exec_mode/fresh_folds: %v", where, jr)
-			}
-			if id == asyncID && jr["exec_mode"] != "async" {
-				t.Fatalf("%s: async job's round = %v, want exec_mode async", where, jr)
-			}
-		}
-		if len(rounds) == 0 || (id == asyncID && folds <= 0) {
-			t.Fatalf("%s: job %s has %d rounds carrying %v fresh_folds", where, id, len(rounds), folds)
-		}
-	}
-	code, rt := httpJSON(t, c, "GET", ts.URL+"/v1/trace/rounds", nil)
-	if code != http.StatusOK {
-		t.Fatalf("GET /v1/trace/rounds = %d", code)
-	}
-	byJob := map[string][]any{}
-	var roundFolds float64
-	for _, r := range rt["rounds"].([]any) {
-		rd := r.(map[string]any)
-		f, _ := rd["fresh_folds"].(float64)
-		roundFolds += f
-		jobs, _ := rd["jobs"].([]any)
-		for _, j := range jobs {
-			id := j.(map[string]any)["job"].(string)
-			byJob[id] = append(byJob[id], j)
-		}
-	}
-	if roundFolds <= 0 {
-		t.Fatalf("/v1/trace/rounds: no round carries fresh_folds")
-	}
-	for _, id := range []string{defID, asyncID} {
-		checkRounds("/v1/trace/rounds", id, byJob[id])
-		code, tr := httpJSON(t, c, "GET", ts.URL+"/v1/jobs/"+id+"/trace", nil)
-		if code != http.StatusOK {
-			t.Fatalf("GET /v1/jobs/%s/trace = %d", id, code)
-		}
-		checkRounds("/v1/jobs/"+id+"/trace", id, tr["rounds"].([]any))
+	if code, list := httpJSON(t, c, "GET", ts.URL+"/v1/jobs", nil); code != http.StatusOK || list["total"] != float64(0) {
+		t.Fatalf("GET /v1/jobs = %d (%v), want an empty listing", code, list)
 	}
 }

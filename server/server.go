@@ -92,13 +92,6 @@ type Config struct {
 	// (through the HTTP middleware) every request with its per-request ID.
 	// Nil discards everything.
 	Logger *slog.Logger
-	// DefaultExecMode applies to submissions without an explicit execution
-	// mode. Empty keeps the engine default (BSP) and keeps exec_mode off
-	// the wire for such jobs.
-	DefaultExecMode cgraph.ExecMode
-	// DefaultStaleness applies to delayed-mode submissions without an
-	// explicit staleness bound. Zero keeps the engine default.
-	DefaultStaleness int
 }
 
 // Spec describes one job submission.
@@ -126,12 +119,6 @@ type Spec struct {
 	// RequestID joins the job's log lines to the HTTP request that
 	// submitted it (empty for in-process submissions without one).
 	RequestID string
-	// ExecMode selects the job's execution discipline (cgraph.ExecBSP /
-	// ExecAsync / ExecDelayed); empty runs the default BSP discipline.
-	ExecMode cgraph.ExecMode
-	// Staleness is the delayed mode's barrier bound; values < 1 use the
-	// library default. Ignored for other modes.
-	Staleness int
 }
 
 // Service is a resident CGraph job service over one shared graph.
@@ -215,12 +202,6 @@ func (s *Service) Start() error {
 	}
 	if s.stopped {
 		return fmt.Errorf("server: service stopped")
-	}
-	if _, err := cgraph.ParseExecMode(string(s.cfg.DefaultExecMode)); err != nil {
-		return fmt.Errorf("server: config: %w", err)
-	}
-	if s.cfg.DefaultStaleness < 0 {
-		return fmt.Errorf("server: config: negative default staleness %d", s.cfg.DefaultStaleness)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s.stop = cancel
@@ -309,12 +290,6 @@ func (s *Service) Submit(spec Spec) (*Job, error) {
 	}
 	if spec.Timeout == 0 {
 		spec.Timeout = s.cfg.DefaultTimeout
-	}
-	if spec.ExecMode == "" {
-		spec.ExecMode = s.cfg.DefaultExecMode
-	}
-	if spec.Staleness == 0 && spec.ExecMode == cgraph.ExecDelayed {
-		spec.Staleness = s.cfg.DefaultStaleness
 	}
 	// The stored labels must not alias the submitter's map.
 	spec.Labels = maps.Clone(spec.Labels)
@@ -412,12 +387,6 @@ func (s *Service) launch(j *Job) error {
 	}
 	if j.spec.Arrival != nil {
 		opts = append(opts, cgraph.AtTimestamp(*j.spec.Arrival))
-	}
-	if j.spec.ExecMode != "" {
-		opts = append(opts, cgraph.WithExecMode(j.spec.ExecMode))
-	}
-	if j.spec.Staleness > 0 {
-		opts = append(opts, cgraph.WithStaleness(j.spec.Staleness))
 	}
 	h, err := s.sys.Submit(j.spec.Program, opts...)
 	if err != nil {
@@ -976,8 +945,6 @@ func (j *Job) Status() Status {
 		Priority:   j.spec.Priority,
 		Submitted:  j.submitted,
 		Iterations: j.iterations,
-		// Empty for default-BSP jobs, so pre-mode payloads are unchanged.
-		ExecMode: string(j.spec.ExecMode),
 	}
 	st.Error = apiError(j.err)
 	if !j.started.IsZero() {
