@@ -1,5 +1,5 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (one Benchmark per artifact, backed by internal/harness) plus
+// (one sub-benchmark per artifact, backed by internal/harness) plus
 // micro-benchmarks of the core mechanisms. The experiment scale defaults to
 // 0.25 to keep `go test -bench=.` tractable; set CGRAPH_BENCH_SCALE=1.0 for
 // the full reproduction scale.
@@ -33,53 +33,22 @@ func benchOpts() harness.Options {
 	return harness.Options{Scale: scale, Workers: 8, Epsilon: 1e-3}
 }
 
-func benchTable(b *testing.B, fn func(harness.Options) (*harness.Table, error)) {
-	b.Helper()
+// BenchmarkExperiments regenerates every table and figure of the paper's
+// evaluation and every ablation, one sub-benchmark per harness.Experiments
+// entry (e.g. -bench 'Experiments/fig14').
+func BenchmarkExperiments(b *testing.B) {
 	opt := benchOpts()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := fn(opt); err != nil {
-			b.Fatal(err)
-		}
+	for _, x := range harness.Experiments {
+		b.Run(x.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := x.Run(opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
-
-func benchTables(b *testing.B, fn func(harness.Options) ([]*harness.Table, error)) {
-	b.Helper()
-	opt := benchOpts()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := fn(opt); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// One benchmark per paper artifact.
-
-func BenchmarkTable1(b *testing.B) { benchTable(b, harness.Table1) }
-func BenchmarkFig1(b *testing.B)   { benchTables(b, harness.Fig1) }
-func BenchmarkFig2(b *testing.B)   { benchTables(b, harness.Fig2) }
-func BenchmarkFig8(b *testing.B)   { benchTable(b, harness.Fig8) }
-func BenchmarkFig9(b *testing.B)   { benchTable(b, harness.Fig9) }
-func BenchmarkFig10(b *testing.B)  { benchTable(b, harness.Fig10) }
-func BenchmarkFig11(b *testing.B)  { benchTable(b, harness.Fig11) }
-func BenchmarkFig12(b *testing.B)  { benchTable(b, harness.Fig12) }
-func BenchmarkFig13(b *testing.B)  { benchTable(b, harness.Fig13) }
-func BenchmarkFig14(b *testing.B)  { benchTable(b, harness.Fig14) }
-func BenchmarkFig15(b *testing.B)  { benchTable(b, harness.Fig15) }
-func BenchmarkFig16(b *testing.B)  { benchTable(b, harness.Fig16) }
-func BenchmarkFig17(b *testing.B)  { benchTable(b, harness.Fig17) }
-func BenchmarkFig18(b *testing.B)  { benchTable(b, harness.Fig18) }
-func BenchmarkFig19(b *testing.B)  { benchTable(b, harness.Fig19) }
-
-// Ablation benches: straggler splitting (Fig. 6), the Eq. 1 load order, and
-// more-jobs-than-workers batching (§3.2.3), each against its switched-off
-// variant.
-
-func BenchmarkAblationStraggler(b *testing.B) { benchTable(b, harness.AblationStraggler) }
-func BenchmarkAblationScheduler(b *testing.B) { benchTable(b, harness.AblationScheduler) }
-func BenchmarkAblationBatching(b *testing.B)  { benchTable(b, harness.AblationBatching) }
 
 // Micro-benchmarks of the core mechanisms.
 

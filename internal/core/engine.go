@@ -116,11 +116,9 @@ type Config struct {
 	// executor: a trigger batch is sliced into tasks of roughly
 	// totalWeight/(Workers·Balance) scatter edges each (default 4).
 	// Higher values cut finer tasks — better balance, more per-task
-	// overhead.
+	// overhead. A value at or below 1/Workers keeps every sweep one whole
+	// task on one core, which turns the Fig. 6 straggler split off.
 	Balance float64
-	// DisableStragglerSplit turns off the Fig. 6 load balancing, leaving
-	// each job's partition work on a single core (ablation).
-	DisableStragglerSplit bool
 	// MaxRounds bounds the total rounds of a Run, and the per-job
 	// iteration budget under Serve, as a safety net (default 1<<20).
 	MaxRounds int
@@ -1192,8 +1190,7 @@ func (b imbalance) factor(workers int) float64 {
 // on the shared work-stealing pool, or on this goroutine when the whole
 // batch is too light to be worth waking it.
 func (e *Engine) trigger(batch []unitJob) float64 {
-	split := !e.cfg.DisableStragglerSplit
-	tasks, light := e.frontierTasks(batch, split)
+	tasks, light := e.frontierTasks(batch)
 	run := e.pool.Run
 	if light {
 		run = pool.Inline
@@ -1252,31 +1249,22 @@ func (e *Engine) trigger(batch []unitJob) float64 {
 	// a single indivisible task (a hub vertex's scatter, or a sweep that
 	// stays whole) exceeds it.
 	cost := e.cfg.Hier.Cost()
-	var totalWork, maxWork, maxTask float64
+	var totalWork, maxTask float64
 	for i, it := range batch {
 		w := cost.ComputeTime(perJob[i].Edges, perJob[i].Vertices)
 		it.rj.m.ComputeTime += w
 		it.rj.EdgesProcessed += perJob[i].Edges
 		it.rj.VerticesApplied += perJob[i].Vertices
 		totalWork += w
-		if w > maxWork {
-			maxWork = w
-		}
 	}
 	for _, t := range tasks {
 		if w := cost.ComputeTime(t.stats.Edges, t.stats.Vertices); w > maxTask {
 			maxTask = w
 		}
 	}
-	var elapsed float64
-	if split {
-		elapsed = totalWork / float64(e.cfg.Workers)
-		if maxTask > elapsed {
-			elapsed = maxTask
-		}
-	} else {
-		// One core per job: the straggler dominates.
-		elapsed = maxWork
+	elapsed := totalWork / float64(e.cfg.Workers)
+	if maxTask > elapsed {
+		elapsed = maxTask
 	}
 	e.busyCore += totalWork
 
@@ -1328,11 +1316,11 @@ func (e *Engine) taskTrace(rj *runJob, weight int64) func(worker int, stolen boo
 // heavier than (1 + 1/Balance) × totalWeight/Workers — the heaviest load the
 // splitter itself lets a worker end up with, since its ranges weigh up to
 // totalWeight/(Workers·Balance) each — is not a straggler and becomes one
-// whole task; so does every sweep when splitting is off. The others are
-// sliced into ranges of that weight by the partition CSR prefix sums, so a hub
-// vertex becomes a task of its own while runs of leaves coalesce. light
-// reports a batch weighing less than inlineWeight.
-func (e *Engine) frontierTasks(batch []unitJob, split bool) (tasks []*triggerTask, light bool) {
+// whole task. The others are sliced into ranges of that weight by the
+// partition CSR prefix sums, so a hub vertex becomes a task of its own while
+// runs of leaves coalesce. light reports a batch weighing less than
+// inlineWeight.
+func (e *Engine) frontierTasks(batch []unitJob) (tasks []*triggerTask, light bool) {
 	e.sweepW = e.sweepW[:0]
 	var totalW int64
 	for _, it := range batch {
@@ -1341,12 +1329,8 @@ func (e *Engine) frontierTasks(batch []unitJob, split bool) (tasks []*triggerTas
 		totalW += w
 	}
 	light = totalW < inlineWeight
-	target := int64(math.MaxInt64)
-	whole := float64(math.MaxInt64)
-	if split {
-		target = int64(float64(totalW)/(float64(e.cfg.Workers)*e.cfg.Balance)) + 1
-		whole = (1 + 1/e.cfg.Balance) * float64(totalW) / float64(e.cfg.Workers)
-	}
+	target := int64(float64(totalW)/(float64(e.cfg.Workers)*e.cfg.Balance)) + 1
+	whole := (1 + 1/e.cfg.Balance) * float64(totalW) / float64(e.cfg.Workers)
 	n := 0
 	for i, it := range batch {
 		w := e.sweepW[i]

@@ -224,9 +224,10 @@ func TestEngineSchedulerAblation(t *testing.T) {
 
 func TestEngineStragglerSplitAblation(t *testing.T) {
 	edges := gen.RMAT(26, 250, 5000, 0.57, 0.19, 0.19)
-	run := func(disable bool) (*Engine, float64) {
+	// Balance at 1/Workers keeps every sweep whole: splitting off.
+	run := func(balance float64) (*Engine, float64) {
 		pg := buildPG(t, edges, 250, 6, false)
-		e := NewSingle(Config{Workers: 8, Hier: smallHier(), DisableStragglerSplit: disable}, pg)
+		e := NewSingle(Config{Workers: 8, Hier: smallHier(), Balance: balance}, pg)
 		e.Submit(&algo.PageRank{Damping: 0.85, Epsilon: 1e-6}, 0)
 		e.Submit(algo.NewWCC(), 0)
 		rep, err := e.Run()
@@ -235,8 +236,8 @@ func TestEngineStragglerSplitAblation(t *testing.T) {
 		}
 		return e, rep.Makespan
 	}
-	eOn, tOn := run(false)
-	eOff, tOff := run(true)
+	eOn, tOn := run(0)
+	eOff, tOff := run(1 / float64(8))
 	// Splitting must speed up the virtual makespan (8 workers, 2 jobs).
 	if tOn >= tOff {
 		t.Fatalf("straggler splitting did not help: %v >= %v", tOn, tOff)
@@ -247,6 +248,55 @@ func TestEngineStragglerSplitAblation(t *testing.T) {
 	for v := range rOn {
 		if rOn[v] != rOff[v] && !(math.IsInf(rOn[v], 1) && math.IsInf(rOff[v], 1)) {
 			t.Fatalf("wcc vertex %d differs between split modes", v)
+		}
+	}
+}
+
+// TestEngineScalingInvariants runs the four-job mix (PageRank, SSSP, SCC,
+// BFS) on a skewed Zipf graph at 1, 2, 4 and 8 workers. The hierarchy holds
+// the whole graph and edges cost 10× the experiment model, so the trigger
+// phase's scatter work, not the load stream, sets the makespan: it must fall
+// strictly as workers double, a second worker must steal, and converged
+// regions must be skipped, on the PageRank tail too.
+func TestEngineScalingInvariants(t *testing.T) {
+	const n = 20000
+	edges := gen.Zipf(42, n, 300000, 1.2)
+	cost := memsim.CostModel{
+		MemBandwidth: 2000, MemLatency: 1, DiskBandwidth: 100, DiskLatency: 200,
+		EdgeCost: 0.5, VertexCost: 0.02, SyncEntryCost: 0.05, ChannelStreams: 1.6,
+	}
+	prev := math.Inf(1)
+	for _, workers := range []int{1, 2, 4, 8} {
+		e := NewSingle(Config{
+			Workers:    workers,
+			Hier:       memsim.New(memsim.Config{CacheBytes: 16 << 20, MemoryBytes: 128 << 20, Cost: cost}),
+			Scheduler:  sched.Priority,
+			TraceDepth: 256,
+		}, buildPG(t, edges, n, 32, false))
+		e.Submit(&algo.PageRank{Damping: 0.85, Epsilon: 1e-3}, 0)
+		e.Submit(algo.NewSSSP(0), 0)
+		e.Submit(algo.NewSCC(), 0)
+		e.Submit(algo.NewBFS(0), 0)
+		rep, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		es := e.ExecStats()
+		var tail int64
+		rounds := e.RoundTraces(0)
+		for _, r := range rounds[max(0, len(rounds)-32):] {
+			tail += r.Skipped
+		}
+		t.Logf("workers=%d makespan=%.0fµs steals=%d skipped=%d tail=%d", workers, rep.Makespan, es.Steals, es.SkippedPartitions, tail)
+		if rep.Makespan >= prev {
+			t.Errorf("workers=%d: makespan %v not below %v at half the workers", workers, rep.Makespan, prev)
+		}
+		prev = rep.Makespan
+		if workers > 1 && es.Steals == 0 {
+			t.Errorf("workers=%d: no steals", workers)
+		}
+		if es.SkippedPartitions == 0 || tail == 0 {
+			t.Errorf("workers=%d: %d partitions skipped, %d over the last 32 rounds; want both > 0", workers, es.SkippedPartitions, tail)
 		}
 	}
 }

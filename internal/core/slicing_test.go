@@ -51,7 +51,12 @@ func TestEngineResultsIndependentOfSlicing(t *testing.T) {
 				for _, balance := range []float64{1, 4} {
 					for _, noSplit := range []bool{false, true} {
 						cell := fmt.Sprintf("workers=%d balance=%v split=%v", workers, balance, !noSplit)
-						e := NewSingle(Config{Workers: workers, Balance: balance, DisableStragglerSplit: noSplit, Scheduler: sched.TwoLevel}, pg)
+						b := balance
+						if noSplit {
+							// At or below 1/Workers every sweep stays whole.
+							b = 1 / float64(workers)
+						}
+						e := NewSingle(Config{Workers: workers, Balance: b, Scheduler: sched.TwoLevel}, pg)
 						progs := mix()
 						for _, p := range progs {
 							e.Submit(p, 0)
@@ -153,7 +158,7 @@ func TestImbalanceCountsDispatchedRuns(t *testing.T) {
 	e.Submit(algo.NewPageRank(), 0)
 	e.admitPending()
 	rj := e.jobs[0]
-	if _, light := e.frontierTasks([]unitJob{{rj, rj.PT.ActiveParts()[0]}}, true); !light {
+	if _, light := e.frontierTasks([]unitJob{{rj, rj.PT.ActiveParts()[0]}}); !light {
 		t.Fatal("a batch of a few hundred edges is not light")
 	}
 }

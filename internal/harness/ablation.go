@@ -9,7 +9,8 @@ import (
 )
 
 // AblationStraggler measures the Fig. 6 straggler-splitting mechanism: the
-// four-job workload with intra-partition work splitting on and off.
+// four-job workload with intra-partition work splitting on and off. Off is
+// core.Config.Balance at 1/Workers, which leaves every sweep one whole task.
 func AblationStraggler(opt Options) (*Table, error) {
 	opt = opt.withDefaults()
 	t := &Table{
@@ -22,16 +23,16 @@ func AblationStraggler(opt Options) (*Table, error) {
 		opt.logf("ablation-straggler: %s", d.Name)
 		env := NewEnv(d, opt.Workers, opt.Scale)
 		specs := benchmarks(4, opt.Epsilon, func(int) int64 { return 0 })
-		run := func(disable bool) (float64, error) {
+		run := func(balance float64) (float64, error) {
 			store, err := env.Store(true)
 			if err != nil {
 				return 0, err
 			}
 			eng := core.New(core.Config{
-				Workers:               opt.Workers,
-				Hier:                  env.Hier(),
-				Scheduler:             sched.Priority,
-				DisableStragglerSplit: disable,
+				Workers:   opt.Workers,
+				Hier:      env.Hier(),
+				Scheduler: sched.Priority,
+				Balance:   balance,
 			}, store)
 			for _, s := range specs {
 				eng.Submit(s.Prog, s.Arrival)
@@ -42,11 +43,11 @@ func AblationStraggler(opt Options) (*Table, error) {
 			}
 			return rep.Makespan, nil
 		}
-		off, err := run(true)
+		off, err := run(1 / float64(opt.Workers))
 		if err != nil {
 			return nil, err
 		}
-		on, err := run(false)
+		on, err := run(0)
 		if err != nil {
 			return nil, err
 		}
@@ -173,44 +174,4 @@ func AblationTwoLevel(opt Options) (*Table, error) {
 		})
 	}
 	return t, nil
-}
-
-// All runs every experiment at the given options, in paper order.
-func All(opt Options) ([]*Table, error) {
-	opt = opt.withDefaults()
-	var out []*Table
-	add := func(t *Table, err error) error {
-		if err != nil {
-			return err
-		}
-		out = append(out, t)
-		return nil
-	}
-	addN := func(ts []*Table, err error) error {
-		if err != nil {
-			return err
-		}
-		out = append(out, ts...)
-		return nil
-	}
-	if err := add(Table1(opt)); err != nil {
-		return nil, err
-	}
-	if err := addN(Fig1(opt)); err != nil {
-		return nil, err
-	}
-	if err := addN(Fig2(opt)); err != nil {
-		return nil, err
-	}
-	for _, fn := range []func(Options) (*Table, error){
-		Fig8, Fig9, Fig10, Fig11, Fig12, Fig13, Fig14, Fig15,
-		Fig16, Fig17, Fig18, Fig19,
-		AblationStraggler, AblationScheduler, AblationBatching,
-		AblationTwoLevel,
-	} {
-		if err := add(fn(opt)); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

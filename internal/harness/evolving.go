@@ -7,7 +7,6 @@ import (
 	"cgraph/internal/gen"
 	"cgraph/internal/metrics"
 	"cgraph/internal/sched"
-	"cgraph/internal/storage"
 )
 
 // evolvingDataset is the §4.4 workload graph. The paper uses hyperlink14;
@@ -98,7 +97,7 @@ func evolvingGrid(opt Options) (map[string]map[int]*metrics.RunReport, map[int]*
 			return nil, nil, err
 		}
 		specs := benchmarks(njobs, opt.Epsilon, func(i int) int64 { return int64(i) })
-		rep, err := env.runBaseline(baseline.Sequential, storeCopy(store), specs, 0)
+		rep, err := env.runBaseline(baseline.Sequential, store, specs, 0)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -106,10 +105,6 @@ func evolvingGrid(opt Options) (map[string]map[int]*metrics.RunReport, map[int]*
 	}
 	return out, seq, nil
 }
-
-// storeCopy exists to make the sequential reference use the same snapshot
-// series object; snapshot stores are read-only during runs.
-func storeCopy(s *storage.SnapshotStore) *storage.SnapshotStore { return s }
 
 // Fig17 regenerates Figure 17: the average execution-time breakdown as the
 // number of jobs grows, on snapshots with 5% change.

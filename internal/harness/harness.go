@@ -3,7 +3,7 @@
 // memory hierarchy per dataset, runs the CGraph engine and the baseline
 // systems over the benchmark workloads, and renders the same rows and
 // series the paper reports. Each FigNN function maps one-to-one to the
-// paper's figure of that number; All is the index.
+// paper's figure of that number; Experiments is the index.
 package harness
 
 import (
@@ -52,6 +52,64 @@ func (o Options) logf(format string, args ...any) {
 	if o.Log != nil {
 		fmt.Fprintf(o.Log, format+"\n", args...)
 	}
+}
+
+// Experiment is one entry of the evaluation index: the name cgraph-bench
+// takes on its command line and the function regenerating its tables.
+type Experiment struct {
+	Name string
+	Run  func(Options) ([]*Table, error)
+}
+
+// one adapts a single-table experiment to Experiment.Run.
+func one(fn func(Options) (*Table, error)) func(Options) ([]*Table, error) {
+	return func(opt Options) ([]*Table, error) {
+		t, err := fn(opt)
+		if err != nil {
+			return nil, err
+		}
+		return []*Table{t}, nil
+	}
+}
+
+// Experiments is the evaluation index, in paper order.
+var Experiments = []Experiment{
+	{"table1", one(Table1)}, {"fig1", Fig1}, {"fig2", Fig2},
+	{"fig8", one(Fig8)}, {"fig9", one(Fig9)}, {"fig10", one(Fig10)},
+	{"fig11", one(Fig11)}, {"fig12", one(Fig12)}, {"fig13", one(Fig13)},
+	{"fig14", one(Fig14)}, {"fig15", one(Fig15)}, {"fig16", one(Fig16)},
+	{"fig17", one(Fig17)}, {"fig18", one(Fig18)}, {"fig19", one(Fig19)},
+	{"ablation-straggler", one(AblationStraggler)},
+	{"ablation-scheduler", one(AblationScheduler)},
+	{"ablation-batching", one(AblationBatching)},
+	{"ablation-two-level", one(AblationTwoLevel)},
+}
+
+// Lookup returns the experiment registered under name (case-insensitive);
+// the error for an unknown name lists the valid ones.
+func Lookup(name string) (Experiment, error) {
+	names := make([]string, len(Experiments))
+	for i, x := range Experiments {
+		if strings.EqualFold(x.Name, name) {
+			return x, nil
+		}
+		names[i] = x.Name
+	}
+	return Experiment{}, fmt.Errorf("unknown experiment %q (valid: %s)", name, strings.Join(names, ", "))
+}
+
+// All runs every experiment at the given options, in paper order.
+func All(opt Options) ([]*Table, error) {
+	opt = opt.withDefaults()
+	var out []*Table
+	for _, x := range Experiments {
+		ts, err := x.Run(opt)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, ts...)
+	}
+	return out, nil
 }
 
 // ExperimentCost is the cost model calibrated for the reproduction's

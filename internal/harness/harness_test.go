@@ -2,8 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -354,46 +352,5 @@ func TestTableRendering(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), `"hello,world"`) {
 		t.Fatal("CSV escaping broken")
-	}
-}
-
-// TestBenchScalingInvariants regenerates the scaling sweep at the
-// configuration of the committed BENCH_scaling.json (cgraph-bench
-// -max-cores 8 scaling) and pins it: virtual time is deterministic, so every
-// point's makespan must equal the committed one exactly; the makespan falls
-// strictly as cores double, a second core steals, and converged regions are
-// skipped on the PageRank tail.
-func TestBenchScalingInvariants(t *testing.T) {
-	raw, err := os.ReadFile("../../BENCH_scaling.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var committed BenchScalingResult
-	if err := json.Unmarshal(raw, &committed); err != nil {
-		t.Fatal(err)
-	}
-	_, res, err := BenchScaling(Options{Scale: 1, Workers: 8, Epsilon: 1e-3}, committed.MaxCores)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Points) != len(committed.Points) {
-		t.Fatalf("%d sweep points, committed file has %d", len(res.Points), len(committed.Points))
-	}
-	for i, p := range res.Points {
-		want := committed.Points[i]
-		if p.Workers != want.Workers || p.StealMakespanUS != want.StealMakespanUS {
-			t.Fatalf("point %d: %d cores, makespan %v; committed %d cores, %v",
-				i, p.Workers, p.StealMakespanUS, want.Workers, want.StealMakespanUS)
-		}
-		if i > 0 && p.StealMakespanUS >= res.Points[i-1].StealMakespanUS {
-			t.Fatalf("%d cores: makespan %v not below %d cores' %v",
-				p.Workers, p.StealMakespanUS, res.Points[i-1].Workers, res.Points[i-1].StealMakespanUS)
-		}
-		if p.Workers > 1 && p.Steals == 0 {
-			t.Fatalf("no steals at %d cores", p.Workers)
-		}
-		if p.TailSkipped <= 0 {
-			t.Fatalf("%d cores: no converged-region skips on the tail (%+v)", p.Workers, p)
-		}
 	}
 }
