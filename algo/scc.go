@@ -86,15 +86,18 @@ func (p *SCC) Apply(v model.VertexID, s *model.State, _ int) (float64, bool) {
 		}
 		return 0, false
 	}
-	if p.assigned[v] != sccUnassigned && s.Value == sccDone {
+	if s.Value == sccDone {
 		return 0, false
 	}
-	// Backward: a matching flag assigns the vertex and propagates. The
+	// Backward: a matching flag confirms the vertex and propagates. The
 	// latch on Value makes every replica forward the flag exactly once —
 	// each replica owns a disjoint slice of the vertex's in-edges, so all
-	// of them must scatter for the flood to cover the component.
+	// of them must scatter for the flood to cover the component. Every
+	// replica latches in the same iteration, from the same pushed flag, so
+	// NextPhase reads the assignment off the master's latch: Apply writes
+	// nothing but the replica's own state, and the replicas of one vertex
+	// may be applied concurrently.
 	if d == p.colors[v] && s.Value == d {
-		p.assigned[v] = d
 		s.Value = sccDone
 		return d, true
 	}
@@ -141,7 +144,13 @@ func (p *SCC) NextPhase(view model.StateView) bool {
 		p.phase = 1
 		return true
 	}
-	// Backward converged: peel, restart forward over leftovers.
+	// Backward converged: assign every latched vertex its colour's
+	// component, peel, restart forward over leftovers.
+	for i := 0; i < n; i++ {
+		if p.assigned[i] == sccUnassigned && view.Get(model.VertexID(i)).Value == sccDone {
+			p.assigned[i] = p.colors[i]
+		}
+	}
 	p.phase = 0
 	remaining := false
 	for i := 0; i < n; i++ {

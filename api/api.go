@@ -325,7 +325,8 @@ type SchedInfo struct {
 // cannot drift apart unnoticed.
 type ExecInfo struct {
 	// Workers and Balance are the effective executor configuration
-	// (worker count and task-granularity balance factor).
+	// (worker count, and the granularity at which the virtual clock prices
+	// the straggler split).
 	Workers int     `json:"workers"`
 	Balance float64 `json:"balance"`
 	// Tasks / Steals / Stolen are cumulative across rounds: tasks

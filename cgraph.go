@@ -177,7 +177,6 @@ func ParseScheduler(name string) (Scheduler, error) {
 
 type config struct {
 	workers         int
-	balance         float64
 	scheduler       Scheduler
 	coreSubgraph    bool
 	numPartitions   int
@@ -198,12 +197,6 @@ type Option func(*config)
 
 // WithWorkers sets the worker (core) count; default runtime.GOMAXPROCS.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
-
-// WithBalance sets the work-stealing executor's task-granularity
-// multiplier: each trigger batch is sliced into tasks of roughly
-// totalWeight/(workers·balance) scatter edges (default 4). Higher values
-// cut finer tasks — better steal balance, more per-task overhead.
-func WithBalance(b float64) Option { return func(c *config) { c.balance = b } }
 
 // WithScheduler selects the load-order policy.
 func WithScheduler(s Scheduler) Option { return func(c *config) { c.scheduler = s } }
@@ -1305,7 +1298,6 @@ func (s *System) ensureEngineLocked() {
 	s.byID = make(map[int]*Job)
 	s.engine = core.New(core.Config{
 		Workers:         s.cfg.workers,
-		Balance:         s.cfg.balance,
 		Hier:            hier,
 		Scheduler:       schedKind(s.cfg.scheduler),
 		OnJobEvent:      s.onJobEvent,
@@ -1412,7 +1404,7 @@ type ExecStats = core.ExecStats
 
 // ExecStats reports the work-stealing executor's counters; safe to call
 // while the system serves. Before any submission it reports only the
-// configured workers and balance.
+// configured workers and the engine's default balance.
 func (s *System) ExecStats() ExecStats {
 	eng := s.currentEngine()
 	if eng == nil {
@@ -1420,11 +1412,7 @@ func (s *System) ExecStats() ExecStats {
 		if w <= 0 {
 			w = runtime.GOMAXPROCS(0)
 		}
-		b := s.cfg.balance
-		if b <= 0 {
-			b = 4
-		}
-		return ExecStats{Workers: w, Balance: b, LastImbalance: 1}
+		return ExecStats{Workers: w, Balance: 4, LastImbalance: 1}
 	}
 	return eng.ExecStats()
 }

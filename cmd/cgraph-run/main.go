@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	cgraph-run -graph edges.tsv [-workers 8] [-balance 4] [-top 10] job[,job...]
+//	cgraph-run -graph edges.tsv [-workers 8] [-top 10] job[,job...]
 //	cgraph-run -dataset ukunion-sim [-scale 1.0] job[,job...]
 //
 // Jobs: pagerank, ppr:<src>, sssp:<src>, bfs:<src>, wcc, scc, kcore:<k>,
@@ -31,7 +31,6 @@ func main() {
 	dataset := flag.String("dataset", "", "named stand-in dataset (see cgraph-gen -list)")
 	scale := flag.Float64("scale", 1.0, "stand-in scale factor")
 	workers := flag.Int("workers", 0, "worker count of the work-stealing execution pool (default GOMAXPROCS)")
-	balance := flag.Float64("balance", 0, "task-granularity balance factor: ~workers*balance tasks per partition sweep (default 4)")
 	top := flag.Int("top", 5, "print the top-k vertices per job")
 	flag.Parse()
 
@@ -40,7 +39,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	sys := cgraph.NewSystem(cgraph.WithWorkers(*workers), cgraph.WithBalance(*balance))
+	sys := cgraph.NewSystem(cgraph.WithWorkers(*workers))
 	switch {
 	case *graphFile != "":
 		if err := sys.LoadEdgeFile(*graphFile); err != nil {

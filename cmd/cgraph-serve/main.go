@@ -7,7 +7,7 @@
 //
 // Serve:
 //
-//	cgraph-serve -graph edges.tsv [-addr :8040] [-workers 8] [-balance 4] [-max-inflight 16]
+//	cgraph-serve -graph edges.tsv [-addr :8040] [-workers 8] [-max-inflight 16]
 //	cgraph-serve -dataset ukunion-sim [-scale 0.1] [-scheduler two-level] [-retain-terminal 64]
 //	cgraph-serve -dataset twitter-sim -ingest-window 200ms -ingest-batch 128 -retain-snapshots 8
 //	cgraph-serve -dataset ukunion-sim -trace-depth 512 -log-format json -log-level debug -pprof-addr localhost:6060
@@ -80,7 +80,6 @@ func main() {
 	dataset := flag.String("dataset", "", "named stand-in dataset (see cgraph-gen -list)")
 	scale := flag.Float64("scale", 1.0, "stand-in scale factor")
 	workers := flag.Int("workers", 0, "worker count of the work-stealing execution pool (default GOMAXPROCS)")
-	balance := flag.Float64("balance", 0, "task-granularity balance factor: ~workers*balance tasks per partition sweep (default 4)")
 	maxInflight := flag.Int("max-inflight", 0, "max concurrently running jobs, 0 = unlimited")
 	defaultTimeout := flag.Duration("default-timeout", 0, "per-job timeout applied when a submission has none, 0 = none")
 	retainTerminal := flag.Int("retain-terminal", 0, "terminal jobs kept with results before compacting to the history ring, 0 = keep all")
@@ -114,7 +113,6 @@ func main() {
 	}
 	sys := cgraph.NewSystem(
 		cgraph.WithWorkers(*workers),
-		cgraph.WithBalance(*balance),
 		cgraph.WithCoreSubgraph(*coreSubgraph),
 		cgraph.WithScheduler(policy),
 		cgraph.WithRetainSnapshots(*retainSnapshots),

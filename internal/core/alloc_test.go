@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"sync"
 	"testing"
 
 	"cgraph/algo"
@@ -37,8 +38,29 @@ func denseMixRounds(t *testing.T) (bytes []uint64, sweeps []int) {
 	return bytes, sweeps
 }
 
+// stockGoroutines parks n goroutines at once, then lets them all exit, so
+// that the runtime's free lists of goroutine descriptors hold n between them.
+// A pool worker's descriptor is freed onto the list of the P it exited on,
+// while the round loop spawns the next workers from whichever P it woke up
+// on; until those lists fill, a process keeps allocating descriptors at
+// random, a few kB per run of two pool runs a round — bytes that follow the
+// scheduler, not the engine.
+func stockGoroutines(n int) {
+	var wg sync.WaitGroup
+	release := make(chan struct{})
+	wg.Add(n)
+	for range n {
+		go func() {
+			defer wg.Done()
+			<-release
+		}()
+	}
+	close(release)
+	wg.Wait()
+}
+
 // TestRoundAllocationBudget: once the first round has sized the engine's
-// slabs and the jobs' scratches, a round's allocation is its plan and its
+// slabs and the workers' scratches, a round's allocation is its plan and its
 // record — a fixed cost per (job, partition) sweep that no longer grows with
 // the edges swept (a fresh scratch per range cost tens of kB per sweep here)
 // — and the whole run allocates the same bytes every time, which is what lets
@@ -55,12 +77,13 @@ func TestRoundAllocationBudget(t *testing.T) {
 			t.Errorf("round %d allocated %d B over %d sweeps, budget %d B per sweep", r, b, sweeps[r], perSweep)
 		}
 	}
-	// The run above also absorbed the process's one-time costs (the pool
-	// workers' first goroutine descriptors); the next ones are like any later
-	// batch. Each total is the least of three runs: when a pool.Run starts
-	// before the previous one's workers have been recycled, the runtime
-	// allocates fresh goroutine descriptors (~5 kB a run, one run in ten on a
-	// busy box), which is the scheduler's doing and not the engine's.
+	// The run above also absorbed the process's one-time costs, and
+	// stockGoroutines the runtime's; the next runs are like any later batch.
+	// Each total is the least of three runs: when a pool.Run starts before
+	// the previous one's workers have been recycled, the runtime allocates
+	// fresh goroutine descriptors (~5 kB a run, one run in ten on a busy
+	// box), which is the scheduler's doing and not the engine's.
+	stockGoroutines(256)
 	var totals [2]uint64
 	for i := range totals {
 		for range 3 {

@@ -5,13 +5,21 @@
 // Execution proceeds in rounds. A round snapshots, per job, the set of
 // partitions its active vertices live in; the union is ordered by the Eq. 1
 // scheduler and each partition is loaded into the (simulated) cache exactly
-// once. Loading a partition triggers every job that needs it: the jobs'
-// active vertices are processed concurrently on a real worker pool, with the
-// straggler's vertex range split across idle workers (Fig. 6) and jobs
-// batched when more jobs than workers share a partition (§3.2.3). A job that
-// exhausts its round-set pushes (Algorithm 2), advances to its next
-// iteration, and re-registers partitions for the next round — so jobs run in
-// different iterations of their own algorithms while sharing every load.
+// once. Loading a partition triggers every job that needs it, in batches of
+// Workers jobs when more jobs than workers share it (§3.2.3), with a batch's
+// straggler split across idle workers (Fig. 6). A job that exhausts its
+// round-set pushes (Algorithm 2), advances to its next iteration, and
+// re-registers partitions for the next round — so jobs run in different
+// iterations of their own algorithms while sharing every load.
+//
+// The two clocks see a round differently. Every (job, partition) sweep of a
+// round is independent of the others — a round is one BSP superstep — so on
+// the wall clock the round is one task set of whole sweeps on the
+// work-stealing pool, followed by one task set of the closing jobs' pushes.
+// The batches and the straggler split are not dispatched; they are priced:
+// the virtual clock replays the plan afterwards, unit by unit, with each
+// straggler's sweep reporting the stats of the ranges it would have been cut
+// into, so the paper's figures do not depend on how the wall clock ran it.
 package core
 
 import (
@@ -112,12 +120,12 @@ type Config struct {
 	// Fig. 8 ablation; sched.TwoLevel groups correlated jobs before
 	// applying Eq. 1 within each group).
 	Scheduler sched.Kind
-	// Balance is the task-granularity multiplier of the work-stealing
-	// executor: a trigger batch is sliced into tasks of roughly
-	// totalWeight/(Workers·Balance) scatter edges each (default 4).
-	// Higher values cut finer tasks — better balance, more per-task
-	// overhead. A value at or below 1/Workers keeps every sweep one whole
-	// task on one core, which turns the Fig. 6 straggler split off.
+	// Balance is the granularity of the Fig. 6 straggler split as the
+	// virtual clock prices it: a trigger batch's straggler counts as ranges
+	// of roughly totalWeight/(Workers·Balance) scatter edges each (default
+	// 4). A value at or below 1/Workers prices every sweep as one whole
+	// task on one core, which turns the split off. On the wall clock every
+	// sweep runs whole whatever the value.
 	Balance float64
 	// MaxRounds bounds the total rounds of a Run, and the per-job
 	// iteration budget under Serve, as a safety net (default 1<<20).
@@ -176,7 +184,15 @@ type runJob struct {
 	// other than their seed, incremented from pool workers via Task.Trace.
 	roundTasks  int64
 	roundStolen atomic.Int64
+	// weight sums the frontier weights of the job's sweeps this round, the
+	// weight of its push task; finish is that task's body (FinishIteration,
+	// bound once), and push the summary it leaves for the price step.
+	weight int64
+	finish func(worker int)
+	push   exec.PushSummary
 }
+
+func (rj *runJob) finishIteration(int) { rj.push = rj.FinishIteration() }
 
 // Engine executes CGP jobs with the LTP model. It runs in two modes: the
 // batch Run, which drains every submitted job and returns, and the resident
@@ -219,8 +235,8 @@ type Engine struct {
 	rounds  atomic.Int64
 	nowBits atomic.Uint64
 
-	// pool is the work-stealing executor shared by the compute and merge
-	// phases of every round.
+	// pool is the work-stealing executor that runs every round's sweep and
+	// push task sets.
 	pool *pool.Pool
 	// Cumulative executor counters (atomic mirrors for lock-free reads),
 	// plus their loop-private per-round accumulators (rt*).
@@ -242,20 +258,20 @@ type Engine struct {
 	jobs []*runJob
 
 	// Round-path buffers (loop-goroutine only), reused so that a
-	// steady-state round allocates nothing for them. slab[i] is the i-th
-	// task of the trigger batch in flight and scs[i] its scratch; indexing
-	// by task position — not by worker or through a sync.Pool — keeps each
-	// scratch's growth history, and so the bytes a run allocates, a
-	// function of the (deterministic) task lists alone. merges is the same
-	// for the merge phase; sweepW[i] is the frontier weight of batch item i.
-	slab   []*triggerTask
-	scs    []*exec.Scratch
-	merges []*mergeTask
-	ranges []exec.Range
-	sweepW []int64
-	ptasks []pool.Task
-	mtasks []pool.Task
-	perJob []exec.Stats
+	// steady-state round allocates nothing for them. build fills
+	// sweeps[:nsweeps] with the round's sweeps in plan order, units with the
+	// loaded units, and pushes with the jobs closing an iteration (the jobs
+	// from pushes[idle:] had nothing to do this round); scs[w] is pool worker
+	// w's scratch. build sizes every scratch for the round's largest
+	// frontier, so that the bytes a run allocates are a function of the
+	// (deterministic) task lists alone, not of which worker ran what.
+	sweeps  []*sweepTask
+	nsweeps int
+	units   []unitRec
+	pushes  []*runJob
+	idle    int
+	scs     []exec.Scratch
+	tasks   []pool.Task
 
 	now      float64
 	busyCore float64
@@ -319,6 +335,7 @@ func New(cfg Config, store *storage.SnapshotStore) *Engine {
 		tracer:    trace.New(cfg.TraceDepth),
 		roundHist: metrics.NewHistogram(metrics.LatencyBuckets()),
 		pool:      pool.New(cfg.Workers),
+		scs:       make([]exec.Scratch, cfg.Workers),
 	}
 	e.imbBits.Store(math.Float64bits(1))
 	// Spans carry virtual-time edges alongside their wall stamps; the
@@ -386,6 +403,7 @@ func (e *Engine) SubmitWith(ctx context.Context, prog model.Program, opts Submit
 		span:      opts.Span,
 		spanJob:   opts.SpanJob,
 	}
+	rj.finish = rj.finishIteration
 	e.pending = append(e.pending, rj)
 	e.state[id] = JobQueued
 	e.mu.Unlock()
@@ -739,98 +757,30 @@ func (e *Engine) SchedInfo() SchedInfo {
 	return e.lastSched
 }
 
-// round is one pass of the LTP loop: plan the round's scheduling units —
-// each a (snapshot, partition) version keyed by UID, so jobs bound to
-// snapshots with any partition count coexist — load each unit once in the
-// planned group/priority order, trigger its jobs, and close iterations for
-// jobs whose round-set is exhausted.
+// round is one pass of the LTP loop, in four steps. Plan the round's
+// scheduling units — each a (snapshot, partition) version keyed by UID, so
+// jobs bound to snapshots with any partition count coexist — in group and
+// priority order. Build records, unit by unit, the sweep of every job the
+// unit triggers, the Fig. 6 split each trigger batch would make, and the
+// jobs whose round-set the unit exhausts. Execute runs the whole round on
+// the pool as two task sets: every sweep, then every closing job's push.
+// Price replays the record on the virtual clock — one load per unit, its
+// batches, and each push where it closed — and fires the jobs' events.
 func (e *Engine) round() {
 	roundStart := time.Now() //cgraph:wallclock round wall-duration histogram measures real time per round
 	virtStart := e.now
 	e.drainSnapshotObservations()
-	foot := make([]sched.JobFootprint, 0, len(e.jobs))
-	byID := make(map[int]*runJob, len(e.jobs))
-	// pre snapshots each job's counters at round start so the tracer can
-	// attribute this round's deltas; only populated when tracing is on.
-	var pre []jobPreRound
 	e.rtTasks, e.rtSteals, e.rtStolen, e.rtSkipped, e.rtImb = 0, 0, 0, 0, imbalance{}
-	for _, rj := range e.jobs {
-		byID[rj.ID] = rj
-		clear(rj.remaining)
-		jf := sched.JobFootprint{JobID: rj.ID, Priority: rj.priority}
-		activeParts := rj.PT.ActiveParts()
-		for _, pid := range activeParts {
-			p := rj.PG.Parts[pid]
-			rj.remaining[p.UID] = pid
-			jf.Units = append(jf.Units, p)
-			jf.Active = append(jf.Active, rj.PT.ActiveCount[pid])
-		}
-		// Converged regions: partitions with an empty frontier never
-		// become scheduling units, let alone tasks.
-		skipped := len(rj.PG.Parts) - len(activeParts)
-		e.rtSkipped += int64(skipped)
-		foot = append(foot, jf)
-		rj.roundTasks = 0
-		rj.roundStolen.Store(0)
-		if e.tracer != nil || e.cfg.Tracer != nil {
-			pre = append(pre, jobPreRound{
-				rj:      rj,
-				parts:   len(rj.remaining),
-				iters:   rj.Iterations,
-				access:  rj.m.AccessTime,
-				compute: rj.m.ComputeTime,
-				skipped: skipped,
-			})
-		}
-		// Jobs admitted with no active vertices (degenerate programs)
-		// finish immediately below.
-	}
-	plan := e.sched.Plan(foot, e.cPrev)
+	plan, byID, pre := e.planRound()
+	e.execute(e.build(plan, byID))
+	spans := e.price(plan)
 
-	// spans attributes the round's virtual-time advance to each group
-	// (structure loads, triggers, and the pushes of iterations closed while
-	// the group's units processed), for the /metrics makespan breakdown.
-	spans := make([]float64, len(plan))
-	for gi, g := range plan {
-		groupStart := e.now
-		for _, u := range g.Units {
-			var items []unitJob
-			for _, id := range u.Jobs {
-				rj := byID[id]
-				if rj.Done {
-					continue
-				}
-				pid, ok := rj.remaining[u.Part.UID]
-				if !ok {
-					continue
-				}
-				items = append(items, unitJob{rj: rj, pid: pid})
-			}
-			if len(items) == 0 {
-				continue
-			}
-			e.processUnit(u.Part, items)
-			for _, it := range items {
-				delete(it.rj.remaining, u.Part.UID)
-				if len(it.rj.remaining) == 0 {
-					e.finishIteration(it.rj)
-				}
-			}
-		}
-		spans[gi] = e.now - groupStart
-	}
-
-	// Close iterations for jobs that had nothing to do this round and
-	// collect next-round C(U) statistics, keyed by partition version.
+	// Collect next-round C(U) statistics, keyed by partition version.
 	still := e.jobs[:0]
 	for _, rj := range e.jobs {
-		if !rj.Done && len(rj.remaining) == 0 && !rj.PT.HasActive() {
-			e.finishIteration(rj)
+		if !rj.Done {
+			still = append(still, rj)
 		}
-		if rj.Done {
-			continue
-		}
-		still = append(still, rj)
 	}
 	clear(e.jobs[len(still):])
 	clear(e.cPrev)
@@ -848,6 +798,46 @@ func (e *Engine) round() {
 	e.recordRound(roundStart, virtStart, plan, spans, pre)
 	e.rounds.Add(1)
 	e.nowBits.Store(math.Float64bits(e.now))
+}
+
+// planRound registers each job's active partitions as its round-set and
+// plans their loads. pre snapshots each job's counters so the tracer can
+// attribute this round's deltas; it is only populated when tracing is on.
+func (e *Engine) planRound() (plan []sched.Group, byID map[int]*runJob, pre []jobPreRound) {
+	foot := make([]sched.JobFootprint, 0, len(e.jobs))
+	byID = make(map[int]*runJob, len(e.jobs))
+	for _, rj := range e.jobs {
+		byID[rj.ID] = rj
+		clear(rj.remaining)
+		jf := sched.JobFootprint{JobID: rj.ID, Priority: rj.priority}
+		activeParts := rj.PT.ActiveParts()
+		for _, pid := range activeParts {
+			p := rj.PG.Parts[pid]
+			rj.remaining[p.UID] = pid
+			jf.Units = append(jf.Units, p)
+			jf.Active = append(jf.Active, rj.PT.ActiveCount[pid])
+		}
+		// Converged regions: partitions with an empty frontier never
+		// become scheduling units, let alone tasks.
+		skipped := len(rj.PG.Parts) - len(activeParts)
+		e.rtSkipped += int64(skipped)
+		foot = append(foot, jf)
+		rj.roundTasks, rj.weight = 0, 0
+		rj.roundStolen.Store(0)
+		if e.tracer != nil || e.cfg.Tracer != nil {
+			pre = append(pre, jobPreRound{
+				rj:      rj,
+				parts:   len(rj.remaining),
+				iters:   rj.Iterations,
+				access:  rj.m.AccessTime,
+				compute: rj.m.ComputeTime,
+				skipped: skipped,
+			})
+		}
+		// Jobs admitted with no active vertices (degenerate programs)
+		// close an iteration at the end of the round.
+	}
+	return e.sched.Plan(foot, e.cPrev), byID, pre
 }
 
 // jobPreRound is a job's counter snapshot at round start, for trace deltas.
@@ -1022,150 +1012,60 @@ func privateID(p *graph.Partition, jobID int) memsim.ItemID {
 	return memsim.ItemID{Kind: memsim.Private, UID: p.UID, Job: int32(jobID)}
 }
 
-// unitJob binds one triggered job to its view of a scheduling unit: pid is
-// the partition's index within the job's own snapshot (private tables are
-// laid out per snapshot, so the index is job-local).
-type unitJob struct {
-	rj  *runJob
-	pid int
-}
-
-// processUnit loads one partition version and triggers its jobs, batching
-// when the job count exceeds the worker count. The structure load is serial
-// (one loader stream), but within the trigger phase each core pulls its
-// job's private-table slice itself, so private access overlaps both across
-// jobs (up to the channel's stream capacity) and with the vertex processing
-// of jobs already running.
-func (e *Engine) processUnit(p *graph.Partition, items []unitJob) {
-	h := e.cfg.Hier
-	streams := h.Cost().ChannelStreams
-	if streams <= 0 {
-		streams = 1
-	}
-	lr := h.Load(structID(p), p.StructBytes, true)
-	// The loader streams partitions in a known common order, so its
-	// sequential prefetch saturates the channel (lr.Time/streams), and the
-	// next load hides behind banked trigger/push time (prefetch credit).
-	loadTime := lr.Time / streams
-	visible := loadTime - e.prefetchCredit
-	if visible < 0 {
-		visible = 0
-	}
-	e.prefetchCredit -= loadTime - visible
-	e.now += visible
-	e.ClockStruct += visible
-	share := loadTime / float64(len(items))
-	for i, it := range items {
-		it.rj.m.AccessTime += share
-		if i > 0 {
-			// Each additional triggered job touches the cached copy:
-			// free in time, but it is a real cache access (hit) that
-			// hardware counters — and Fig. 11 — would observe.
-			h.Load(structID(p), p.StructBytes, false)
-		}
-	}
-	batchSize := e.cfg.Workers
-	if batchSize < 1 {
-		batchSize = 1
-	}
-	for start := 0; start < len(items); start += batchSize {
-		end := start + batchSize
-		if end > len(items) {
-			end = len(items)
-		}
-		batch := items[start:end]
-		var privAccess float64
-		for _, it := range batch {
-			plr := h.Load(privateID(p, it.rj.ID), it.rj.PT.Bytes[it.pid], false)
-			privAccess += plr.Time
-			it.rj.m.AccessTime += plr.Time
-		}
-		computeElapsed := e.trigger(batch)
-		elapsed := privAccess / streams
-		if computeElapsed > elapsed {
-			elapsed = computeElapsed
-		}
-		e.now += elapsed
-		e.ClockTrigger += elapsed
-		e.prefetchCredit += elapsed
-	}
-	h.Unpin(structID(p))
-}
-
-// taskShape is how a triggerTask covers its (job, partition) sweep.
-type taskShape uint8
-
-const (
-	// rangeTask is a degree-weighted slice of the active frontier: one of
-	// the ranges a straggler's sweep is split into (Fig. 6), buffered into
-	// the task's scratch and folded by the sweep's merge task afterwards.
-	rangeTask taskShape = iota
-	// wholeTask is the entire sweep — apply, scatter and fold — in one task
-	// that needs no merge.
-	wholeTask
-)
-
-// triggerTask is one executor task of a trigger batch, with its private
-// scratch and result stats. Tasks live in Engine.slab and are refilled by
-// every trigger call; the scratch keeps its capacity across calls.
-type triggerTask struct {
+// sweepTask is one (job, partition) sweep of the round. It runs whole on
+// the wall clock, on whichever pool worker takes it, into that worker's
+// scratch. When cut > 0 it is its batch's straggler, and the sweep reports
+// the Stats of the Fig. 6 ranges of weight cut it would be split into, which
+// the virtual clock prices. Tasks live in Engine.sweeps and are refilled
+// every round; ranges keeps its capacity.
+type sweepTask struct {
 	rj     *runJob
 	pid    int
 	weight int64
-	shape  taskShape
-	r      exec.Range // rangeTask
-	sc     exec.Scratch
+	cut    int64
 	stats  exec.Stats
-	// apply is run as a func value, bound once when the slab entry is made
-	// so that building a pool task from it allocates nothing.
-	apply func(int)
+	ranges []exec.Stats
+	// scs is the engine's per-worker scratch array; run is sweep, bound once
+	// when the slab entry is made so that building a pool task from it
+	// allocates nothing.
+	scs []exec.Scratch
+	run func(worker int)
 }
 
-// run is the task's pool body.
-func (t *triggerTask) run(int) {
-	if t.shape == wholeTask {
-		t.stats = t.rj.Sweep(t.pid, &t.sc)
-	} else {
-		t.stats = t.rj.ApplyRange(t.pid, t.r, &t.sc)
+func (t *sweepTask) sweep(worker int) {
+	t.stats, t.ranges = t.rj.SweepRanges(t.pid, &t.scs[worker], t.cut, t.ranges[:0])
+}
+
+// sweepAt returns slab entry i for the round being built.
+func (e *Engine) sweepAt(i int) *sweepTask {
+	if i == len(e.sweeps) {
+		t := &sweepTask{scs: e.scs}
+		t.run = t.sweep
+		e.sweeps = append(e.sweeps, t)
 	}
+	return e.sweeps[i]
 }
 
-// task returns the slab entry for position i of the trigger batch being
-// built, emptied for reuse.
-func (e *Engine) task(i int) *triggerTask {
-	if i == len(e.slab) {
-		t := &triggerTask{}
-		t.apply = t.run
-		e.slab = append(e.slab, t)
-		e.scs = append(e.scs, &t.sc)
-	}
-	t := e.slab[i]
-	t.sc.Reset()
-	t.stats = exec.Stats{}
-	return t
+// unitRec is one loaded unit as build recorded it: its sweeps are
+// sweeps[lo:hi], in the unit's job order, and the jobs whose round-set it
+// exhausts are pushes[push:pushEnd].
+type unitRec struct {
+	p             *graph.Partition
+	group         int
+	lo, hi        int
+	push, pushEnd int
 }
-
-// mergeTask folds the scratches of one (job, partition)'s tasks, in task
-// order. Like triggerTask it is slab-resident with its pool body bound once.
-type mergeTask struct {
-	rj    *runJob
-	pid   int
-	scs   []*exec.Scratch
-	merge func(int)
-}
-
-func (m *mergeTask) run(int) { m.rj.Merge(m.pid, m.scs...) }
 
 // inlineWeight is the weight (1 + scatter edges per active vertex, summed
-// over the batch) below which a trigger batch runs on the round goroutine:
-// spawning and joining the pool's workers costs more than a few thousand
-// edges of work saves by sharing them. Calibrated on the benchmark's four
-// workloads; the runs are in CHANGES.md.
+// over the round's sweeps) below which a round's task sets run on the round
+// goroutine: spawning and joining the pool's workers costs more than a few
+// thousand edges of work saves by sharing them. Calibrated on the
+// benchmark's four workloads; the runs are in CHANGES.md.
 const inlineWeight = 8192
 
-// imbalance accumulates the load balance of a round's pool runs, weighted by
-// the work of each. Only runs dispatched to more than one worker count: an
-// inline run puts all of its weight on "one worker" by construction.
+// imbalance accumulates the load balance of a round's sweep runs, weighted
+// by the work of each. Only runs dispatched to more than one worker count:
+// an inline run puts all of its weight on "one worker" by construction.
 type imbalance struct{ heaviest, total int64 }
 
 func (b *imbalance) add(st pool.Stats) {
@@ -1181,85 +1081,224 @@ func (b imbalance) factor(workers int) float64 {
 	return pool.Stats{MaxWorkerWeight: b.heaviest, TotalWeight: b.total}.Imbalance(workers)
 }
 
-// trigger processes one loaded partition version for a batch of jobs,
-// returning the virtual compute time of the phase. Each item carries its
-// job-local partition index. A job's sweep of the partition is one task that
-// applies, scatters and folds (exec.Job.Sweep) unless it is the batch's
-// straggler; the straggler's frontier is sliced into edge-weighted ranges
-// that idle cores steal, buffered and merged afterwards (Fig. 6). Tasks run
-// on the shared work-stealing pool, or on this goroutine when the whole
-// batch is too light to be worth waking it.
-func (e *Engine) trigger(batch []unitJob) float64 {
-	tasks, light := e.frontierTasks(batch)
+// build records the round in plan order: for every unit, one sweep per job
+// it triggers, weighted by the job's frontier there, and the jobs whose last
+// unit it is; then the jobs with nothing to do this round, which close an
+// iteration after every unit. It sizes every worker's scratch for the
+// round's largest frontier and reports whether the round weighs less than
+// inlineWeight.
+func (e *Engine) build(plan []sched.Group, byID map[int]*runJob) (light bool) {
+	e.units, e.pushes = e.units[:0], e.pushes[:0]
+	n, maxActive := 0, 0
+	var roundW int64
+	for gi, g := range plan {
+		for _, u := range g.Units {
+			lo := n
+			for _, id := range u.Jobs {
+				rj := byID[id]
+				pid, ok := rj.remaining[u.Part.UID]
+				if !ok {
+					continue
+				}
+				t := e.sweepAt(n)
+				t.rj, t.pid, t.weight = rj, pid, rj.ActiveWeight(pid)
+				rj.weight += t.weight
+				maxActive = max(maxActive, rj.PT.ActiveCount[pid])
+				n++
+			}
+			if n == lo {
+				continue
+			}
+			rec := unitRec{p: u.Part, group: gi, lo: lo, hi: n, push: len(e.pushes)}
+			for b := lo; b < n; b += e.cfg.Workers {
+				roundW += e.straggle(e.sweeps[b:min(b+e.cfg.Workers, n)])
+			}
+			for _, t := range e.sweeps[lo:n] {
+				delete(t.rj.remaining, u.Part.UID)
+				if len(t.rj.remaining) == 0 {
+					e.pushes = append(e.pushes, t.rj)
+				}
+			}
+			rec.pushEnd = len(e.pushes)
+			e.units = append(e.units, rec)
+		}
+	}
+	e.nsweeps, e.idle = n, len(e.pushes)
+	for _, rj := range e.jobs {
+		if len(rj.remaining) == 0 && !rj.PT.HasActive() {
+			e.pushes = append(e.pushes, rj)
+		}
+	}
+	for i := range e.scs {
+		e.scs[i].Reset()
+		e.scs[i].Grow(maxActive)
+	}
+	return roundW < inlineWeight
+}
+
+// straggle applies the straggler rule of Fig. 6 to one trigger batch — the
+// jobs of a unit are triggered Workers at a time (§3.2.3) — and returns the
+// batch's weight. A sweep no heavier than (1 + 1/Balance) × weight/Workers,
+// the heaviest load the splitter itself lets a worker end up with, stays
+// whole; a heavier one is priced as the ranges of weight
+// weight/(Workers·Balance) that exec.Job.SliceWeighted would cut it into, so
+// a hub vertex is a task of its own while runs of leaves coalesce.
+func (e *Engine) straggle(batch []*sweepTask) int64 {
+	var totalW int64
+	for _, t := range batch {
+		totalW += t.weight
+	}
+	target := int64(float64(totalW)/(float64(e.cfg.Workers)*e.cfg.Balance)) + 1
+	whole := (1 + 1/e.cfg.Balance) * float64(totalW) / float64(e.cfg.Workers)
+	for _, t := range batch {
+		t.cut = 0
+		if float64(t.weight) > whole {
+			t.cut = target
+		}
+	}
+	return totalW
+}
+
+// execute runs the recorded round as two task sets on the shared
+// work-stealing pool, or on this goroutine when the round is light: first
+// every sweep, whole — sweeps touch only their own (job, partition) state —
+// then one task per job closing its iteration: Push, advance and, when the
+// frontier ran dry, NextPhase, which touch only that job's tables.
+func (e *Engine) execute(light bool) {
 	run := e.pool.Run
 	if light {
 		run = pool.Inline
 	}
-
-	// Apply phase: tasks touch disjoint vertex states, so they are free to
-	// run on any worker.
-	ptasks := e.ptasks[:0]
-	for _, t := range tasks {
-		pt := pool.Task{Weight: t.weight, Run: t.apply}
+	tasks := e.tasks[:0]
+	for _, t := range e.sweeps[:e.nsweeps] {
+		pt := pool.Task{Weight: t.weight, Run: t.run}
 		if e.cfg.Tracer != nil && t.rj.span.Valid() {
 			pt.Trace = e.taskTrace(t.rj, t.weight)
 		}
-		ptasks = append(ptasks, pt)
+		tasks = append(tasks, pt)
 		t.rj.roundTasks++
 	}
-	e.ptasks = ptasks
-	applySt := run(ptasks)
-
-	// Merge phase, for the sweeps that were cut into ranges: one task per
-	// (job, partition) folds its scratches in task order (deterministic
-	// float accumulation). A whole sweep has folded its own contributions,
-	// so a batch without a straggler ends here. frontierTasks emits a job's
-	// tasks contiguously and in batch order, so one pass groups them.
-	e.perJob = append(e.perJob[:0], make([]exec.Stats, len(batch))...)
-	perJob := e.perJob
-	mtasks := e.mtasks[:0]
-	for i, bi := 0, 0; i < len(tasks); {
-		t := tasks[i]
-		for batch[bi].rj != t.rj {
-			bi++
-		}
-		start := i
-		var w int64
-		for ; i < len(tasks) && tasks[i].rj == t.rj && tasks[i].pid == t.pid; i++ {
-			perJob[bi].Add(tasks[i].stats)
-			w += int64(tasks[i].sc.Len())
-		}
-		if t.shape == wholeTask {
-			continue
-		}
-		if len(mtasks) == len(e.merges) {
-			m := &mergeTask{}
-			m.merge = m.run
-			e.merges = append(e.merges, m)
-		}
-		m := e.merges[len(mtasks)]
-		m.rj, m.pid, m.scs = t.rj, t.pid, e.scs[start:i]
-		mtasks = append(mtasks, pool.Task{Weight: w, Run: m.merge})
+	sweepSt := run(tasks)
+	clear(tasks)
+	tasks = tasks[:0]
+	for _, rj := range e.pushes {
+		tasks = append(tasks, pool.Task{Weight: rj.weight, Run: rj.finish})
 	}
-	e.mtasks = mtasks
-	mergeSt := run(mtasks)
+	pushSt := run(tasks)
+	clear(tasks)
+	e.tasks = tasks[:0]
+	e.rtTasks += sweepSt.Tasks + pushSt.Tasks
+	e.rtSteals += sweepSt.Steals + pushSt.Steals
+	e.rtStolen += sweepSt.Stolen + pushSt.Stolen
+	e.rtImb.add(sweepSt)
+}
 
-	// Virtual-time accounting: the phase takes the makespan lower bound of
-	// the realized task set — perfect rebalance (totalWork/Workers) unless
-	// a single indivisible task (a hub vertex's scatter, or a sweep that
-	// stays whole) exceeds it.
+// price replays the recorded round on the virtual clock, unit by unit in plan
+// order, and returns each group's share of the clock's advance (structure
+// loads, triggers, and the pushes of iterations closed while the group's
+// units processed), for the /metrics makespan breakdown. The idle jobs'
+// pushes follow every group.
+func (e *Engine) price(plan []sched.Group) []float64 {
+	spans := make([]float64, len(plan))
+	units := e.units
+	for gi := range plan {
+		start := e.now
+		for ; len(units) > 0 && units[0].group == gi; units = units[1:] {
+			e.priceUnit(&units[0])
+		}
+		spans[gi] = e.now - start
+	}
+	for _, rj := range e.pushes[e.idle:] {
+		e.pricePush(rj)
+	}
+	// The buffers outlive the round: drop their job and partition references
+	// so that neither a retired job's private table nor an evicted snapshot
+	// is pinned by an idle engine.
+	for _, t := range e.sweeps[:e.nsweeps] {
+		t.rj = nil
+	}
+	clear(e.units)
+	clear(e.pushes)
+	return spans
+}
+
+// priceUnit charges one unit: its partition's structure load, then its
+// trigger batches, then the pushes of the jobs whose round-set it exhausted.
+// The structure load is serial (one loader stream), but within the trigger
+// phase each core pulls its job's private-table slice itself, so private
+// access overlaps both across jobs (up to the channel's stream capacity) and
+// with the vertex processing of jobs already running.
+func (e *Engine) priceUnit(u *unitRec) {
+	h := e.cfg.Hier
+	streams := h.Cost().ChannelStreams
+	if streams <= 0 {
+		streams = 1
+	}
+	p, sweeps := u.p, e.sweeps[u.lo:u.hi]
+	lr := h.Load(structID(p), p.StructBytes, true)
+	// The loader streams partitions in a known common order, so its
+	// sequential prefetch saturates the channel (lr.Time/streams), and the
+	// next load hides behind banked trigger/push time (prefetch credit).
+	loadTime := lr.Time / streams
+	visible := loadTime - e.prefetchCredit
+	if visible < 0 {
+		visible = 0
+	}
+	e.prefetchCredit -= loadTime - visible
+	e.now += visible
+	e.ClockStruct += visible
+	share := loadTime / float64(len(sweeps))
+	for i, t := range sweeps {
+		t.rj.m.AccessTime += share
+		if i > 0 {
+			// Each additional triggered job touches the cached copy:
+			// free in time, but it is a real cache access (hit) that
+			// hardware counters — and Fig. 11 — would observe.
+			h.Load(structID(p), p.StructBytes, false)
+		}
+	}
+	for start := 0; start < len(sweeps); start += e.cfg.Workers {
+		batch := sweeps[start:min(start+e.cfg.Workers, len(sweeps))]
+		var privAccess float64
+		for _, t := range batch {
+			plr := h.Load(privateID(p, t.rj.ID), t.rj.PT.Bytes[t.pid], false)
+			privAccess += plr.Time
+			t.rj.m.AccessTime += plr.Time
+		}
+		computeElapsed := e.priceBatch(batch)
+		elapsed := privAccess / streams
+		if computeElapsed > elapsed {
+			elapsed = computeElapsed
+		}
+		e.now += elapsed
+		e.ClockTrigger += elapsed
+		e.prefetchCredit += elapsed
+	}
+	h.Unpin(structID(p))
+	for _, rj := range e.pushes[u.push:u.pushEnd] {
+		e.pricePush(rj)
+	}
+}
+
+// priceBatch books a trigger batch's work on its jobs and returns the
+// batch's virtual compute time: the makespan lower bound of the task set it
+// would have been cut into — perfect rebalance (totalWork/Workers) unless a
+// single indivisible task (a hub vertex's range, or a sweep that stays
+// whole) exceeds it.
+func (e *Engine) priceBatch(batch []*sweepTask) float64 {
 	cost := e.cfg.Hier.Cost()
 	var totalWork, maxTask float64
-	for i, it := range batch {
-		w := cost.ComputeTime(perJob[i].Edges, perJob[i].Vertices)
-		it.rj.m.ComputeTime += w
-		it.rj.EdgesProcessed += perJob[i].Edges
-		it.rj.VerticesApplied += perJob[i].Vertices
+	for _, t := range batch {
+		w := cost.ComputeTime(t.stats.Edges, t.stats.Vertices)
+		t.rj.m.ComputeTime += w
+		t.rj.EdgesProcessed += t.stats.Edges
+		t.rj.VerticesApplied += t.stats.Vertices
 		totalWork += w
-	}
-	for _, t := range tasks {
-		if w := cost.ComputeTime(t.stats.Edges, t.stats.Vertices); w > maxTask {
-			maxTask = w
+		if t.cut == 0 {
+			maxTask = max(maxTask, w)
+		}
+		for _, r := range t.ranges {
+			maxTask = max(maxTask, cost.ComputeTime(r.Edges, r.Vertices))
 		}
 	}
 	elapsed := totalWork / float64(e.cfg.Workers)
@@ -1267,21 +1306,6 @@ func (e *Engine) trigger(batch []unitJob) float64 {
 		elapsed = maxTask
 	}
 	e.busyCore += totalWork
-
-	e.rtTasks += applySt.Tasks + mergeSt.Tasks
-	e.rtSteals += applySt.Steals + mergeSt.Steals
-	e.rtStolen += applySt.Stolen + mergeSt.Stolen
-	e.rtImb.add(applySt)
-	// The buffers outlive the batch: drop their job references (held by the
-	// slab entries and the apply tasks' trace hooks) so a retired job's
-	// private table is not pinned by an idle engine.
-	for _, t := range tasks {
-		t.rj = nil
-	}
-	for _, m := range e.merges[:len(mtasks)] {
-		m.rj = nil
-	}
-	clear(ptasks)
 	return elapsed
 }
 
@@ -1311,45 +1335,6 @@ func (e *Engine) taskTrace(rj *runJob, weight int64) func(worker int, stolen boo
 	}
 }
 
-// frontierTasks builds the batch's tasks from the weight of each job's active
-// frontier (1 + scatter edges per active vertex, walked once). A sweep no
-// heavier than (1 + 1/Balance) × totalWeight/Workers — the heaviest load the
-// splitter itself lets a worker end up with, since its ranges weigh up to
-// totalWeight/(Workers·Balance) each — is not a straggler and becomes one
-// whole task. The others are sliced into ranges of that weight by the
-// partition CSR prefix sums, so a hub vertex becomes a task of its own while
-// runs of leaves coalesce. light reports a batch weighing less than
-// inlineWeight.
-func (e *Engine) frontierTasks(batch []unitJob) (tasks []*triggerTask, light bool) {
-	e.sweepW = e.sweepW[:0]
-	var totalW int64
-	for _, it := range batch {
-		w := it.rj.ActiveWeight(it.pid)
-		e.sweepW = append(e.sweepW, w)
-		totalW += w
-	}
-	light = totalW < inlineWeight
-	target := int64(float64(totalW)/(float64(e.cfg.Workers)*e.cfg.Balance)) + 1
-	whole := (1 + 1/e.cfg.Balance) * float64(totalW) / float64(e.cfg.Workers)
-	n := 0
-	for i, it := range batch {
-		w := e.sweepW[i]
-		if float64(w) <= whole {
-			t := e.task(n)
-			t.rj, t.pid, t.weight, t.shape = it.rj, it.pid, w, wholeTask
-			n++
-			continue
-		}
-		e.ranges = it.rj.SliceWeighted(it.pid, target, w, e.ranges[:0])
-		for _, r := range e.ranges {
-			t := e.task(n)
-			t.rj, t.pid, t.r, t.weight, t.shape = it.rj, it.pid, r, r.Weight, rangeTask
-			n++
-		}
-	}
-	return e.slab[:n], light
-}
-
 // ExecStats is a point-in-time snapshot of the work-stealing executor's
 // counters. Safe to call concurrently with Run or Serve.
 type ExecStats struct {
@@ -1364,10 +1349,10 @@ type ExecStats struct {
 	// SkippedPartitions counts (job, partition) pairs excluded before
 	// scheduling because their frontier was empty (converged regions).
 	SkippedPartitions int64
-	// LastImbalance is the work-weighted imbalance of the last round's pool
-	// runs that were dispatched to more than one worker: the heaviest
-	// worker's share of their weight, ×Workers (1.0 = perfectly even, and
-	// 1.0 when no run was dispatched).
+	// LastImbalance is the work-weighted imbalance of the last round's
+	// sweep task set, if it was dispatched to more than one worker: the
+	// heaviest worker's share of its weight, ×Workers (1.0 = perfectly even,
+	// and 1.0 when it ran inline).
 	LastImbalance float64
 }
 
@@ -1384,16 +1369,13 @@ func (e *Engine) ExecStats() ExecStats {
 	}
 }
 
-// finishIteration closes one job iteration: Algorithm 2 push with its data
-// movement charged, then bookkeeping for completion.
-func (e *Engine) finishIteration(rj *runJob) {
-	if rj.Done {
-		return
-	}
-	sum := rj.FinishIteration()
+// pricePush charges the Push (Algorithm 2) that closed one job iteration —
+// its sync entries and the private slices it touched — reports the
+// iteration, and retires the job if it converged.
+func (e *Engine) pricePush(rj *runJob) {
 	h := e.cfg.Hier
-	t := h.Cost().SyncTime(sum.Entries)
-	for _, tp := range sum.TouchedParts {
+	t := h.Cost().SyncTime(rj.push.Entries)
+	for _, tp := range rj.push.TouchedParts {
 		p := rj.PG.Parts[tp]
 		plr := h.Load(privateID(p, rj.ID), rj.PT.Bytes[tp], false)
 		t += plr.Time

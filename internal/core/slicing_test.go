@@ -24,14 +24,15 @@ type jobOutcome struct {
 // four sum programs, and a min/max/filtered traversal mix — under every
 // combination of worker count, task granularity and straggler splitting, and
 // requires each job's per-vertex results, iteration count, edge count and
-// sync entries to be bit-identical in all of them. Workers and Balance decide
-// which sweeps run whole and which are split into ranges and merged, how many
-// ranges, and which batches run inline; none of that may reach a result. Under
-// -race it is also the check that whole sweeps of different jobs share a
-// partition safely.
+// sync entries to be bit-identical in all of them. Workers decide how the
+// round's sweeps and pushes spread over the pool, and which rounds run
+// inline; Workers and Balance decide which sweeps the virtual clock prices as
+// split into ranges, and how many. None of that may reach a result. Under
+// -race it is also the check that sweeps of different jobs share a partition
+// safely, and that different jobs' pushes run side by side safely.
 func TestEngineResultsIndependentOfSlicing(t *testing.T) {
-	// 8192 edges per partition: a batch of two jobs weighs enough to run on
-	// the pool, and one job's sweep enough to be cut into ranges.
+	// 8192 edges per partition: a round weighs enough to run on the pool,
+	// and one job's sweep enough to be priced as ranges.
 	edges := gen.RMAT(77, 1024, 32768, 0.57, 0.19, 0.19)
 	pg := buildPG(t, edges, 1024, 4, false)
 	mixes := map[string]func() []model.Program{
@@ -46,7 +47,8 @@ func TestEngineResultsIndependentOfSlicing(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			var want []jobOutcome
 			var wantCell string
-			tasks := map[int64]bool{}
+			makespans := map[float64]bool{}
+			var steals int64
 			for _, workers := range []int{1, 2, 4} {
 				for _, balance := range []float64{1, 4} {
 					for _, noSplit := range []bool{false, true} {
@@ -65,7 +67,10 @@ func TestEngineResultsIndependentOfSlicing(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s: %v", cell, err)
 						}
-						tasks[e.ExecStats().Tasks] = true
+						makespans[rep.Makespan] = true
+						if workers > 1 {
+							steals += e.ExecStats().Steals
+						}
 						got := make([]jobOutcome, len(progs))
 						for id := range progs {
 							res, err := e.Results(id)
@@ -101,8 +106,11 @@ func TestEngineResultsIndependentOfSlicing(t *testing.T) {
 					}
 				}
 			}
-			if len(tasks) < 3 {
-				t.Fatalf("setup: only %d distinct task counts over 12 cells; the cells did not slice differently", len(tasks))
+			if len(makespans) < 3 {
+				t.Fatalf("setup: only %d distinct makespans over 12 cells; the cells did not price the split differently", len(makespans))
+			}
+			if steals == 0 {
+				t.Fatal("setup: no multi-worker cell stole a task; the pool never rebalanced a round")
 			}
 		})
 	}
@@ -157,8 +165,8 @@ func TestImbalanceCountsDispatchedRuns(t *testing.T) {
 	e = NewSingle(Config{Workers: 2}, buildPG(t, edges, 64, 4, false))
 	e.Submit(algo.NewPageRank(), 0)
 	e.admitPending()
-	rj := e.jobs[0]
-	if _, light := e.frontierTasks([]unitJob{{rj, rj.PT.ActiveParts()[0]}}); !light {
-		t.Fatal("a batch of a few hundred edges is not light")
+	plan, byID, _ := e.planRound()
+	if !e.build(plan, byID) {
+		t.Fatal("a round of a few hundred edges is not light")
 	}
 }

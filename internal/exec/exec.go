@@ -10,13 +10,17 @@
 // in two shapes. Sweep is the step as one task: it applies the whole frontier
 // first, keeping a (local, seed) pair per vertex that scatters, then walks
 // the pairs and folds each edge's contribution straight into the receiver,
-// with no per-edge buffer and no second task. ApplyRange + Merge is the step
-// cut up for the straggler split of Fig. 6: disjoint ranges of the frontier
-// are applied concurrently, each buffering a (destination, contribution) pair
-// per edge into its own Scratch, and one Merge folds the scratches in range
-// order. The engine runs Sweep for every sweep that is not its batch's
-// straggler (core.frontierTasks has the rule), the serial callers —
-// ProcessPartition, RunToConvergence, the baselines — always. The two leave
+// with no per-edge buffer and no second task. It is the only shape anything
+// runs: the engine, one task per sweep, and the serial callers —
+// ProcessPartition, RunToConvergence, the baselines. ApplyRange + Merge is
+// the step cut up as the straggler split of Fig. 6 describes it: disjoint
+// ranges of the frontier (SliceWeighted) are applied, each buffering a
+// (destination, contribution) pair per edge into its own Scratch, and one
+// Merge folds the scratches in range order. The engine no longer runs it; it
+// prices it. SweepRanges is Sweep reporting the Stats each of those ranges
+// would have had, which is what the virtual clock charges for a straggler.
+// ApplyRange and Merge stay as the oracle of TestSweepMatchesApplyMerge and
+// the kernel the benchmark's exec leg replays. The two shapes leave
 // identical bits, because they fold the same values in the same order onto
 // the same base: both apply every vertex of the partition before the first
 // fold (Apply resets a vertex's own Δ, so a fold that ran ahead of it would
@@ -31,7 +35,10 @@
 // The BSP kernel allocates nothing in steady state. ApplyRange grows its
 // Scratch at most once, to the range's weight, and Sweep to the partition's
 // active count; callers that keep their scratches (the engine keeps one per
-// task position) stop allocating after the first sweep. Push folds each
+// pool worker) stop allocating after the first sweep. A job keeps its
+// frontier's weight per partition (ActiveWeight), refreshed where the
+// frontier changes — at the end of every iteration, on whichever goroutine
+// closes it — so planning a round reads it without a walk. Push folds each
 // mirror's Δ directly into its master's slot while walking the receivers in
 // ascending (partition, local) order — a master sits in the lowest partition
 // holding its vertex, so its folds arrive in ascending source-partition
@@ -105,13 +112,17 @@ type Job struct {
 	hit          []*bitset.Set
 	touched      []bool
 	touchedParts []int
+
+	// weight[p] is ActiveWeight(p), recomputed wherever the frontier or the
+	// direction changes: in NewJob and at the end of every advance.
+	weight []int64
 }
 
 // NewJob builds a job over the given snapshot, initializing its private
 // table and activity sets.
 func NewJob(id int, prog model.Program, pg *graph.PGraph) *Job {
 	filter, _ := prog.(model.Filterer)
-	return &Job{
+	j := &Job{
 		ID:       id,
 		Prog:     prog,
 		PG:       pg,
@@ -120,7 +131,10 @@ func NewJob(id int, prog model.Program, pg *graph.PGraph) *Job {
 		alg:      algebraOf(prog),
 		filter:   filter,
 		DeltaSum: make([]float64, len(pg.Parts)),
+		weight:   make([]int64, len(pg.Parts)),
 	}
+	j.reweigh()
+	return j
 }
 
 // Scratch is the side buffer of one apply call, as two parallel arrays. Under
@@ -143,6 +157,13 @@ func (sc *Scratch) Reset() {
 
 // Len returns the number of buffered pairs.
 func (sc *Scratch) Len() int { return len(sc.dst) }
+
+// Grow makes room for n more pairs, so that a sweep of up to n active
+// vertices will not reallocate.
+func (sc *Scratch) Grow(n int) {
+	sc.dst = slices.Grow(sc.dst, n)
+	sc.contrib = slices.Grow(sc.contrib, n)
+}
 
 // Range is one edge-weighted slice of a partition's active frontier: the
 // local-index window [Lo, Hi) of which only active vertices are applied.
@@ -200,26 +221,34 @@ func (j *Job) SliceWeighted(pid int, target, total int64, buf []Range) []Range {
 
 // ActiveWeight returns the total weight of partition pid's active frontier:
 // the sum of the Range weights SliceActive cuts it into, whatever the target.
-// A full frontier — the steady state of the dense programs — is read off the
-// partition's edge counts without walking the bitset.
-func (j *Job) ActiveWeight(pid int) int64 {
-	p := j.PG.Parts[pid]
-	if n := p.NumVertices(); j.PT.ActiveCount[pid] == n {
-		w := int64(n)
-		if j.Dir == model.Out || j.Dir == model.Both {
-			w += int64(len(p.OutDst))
+// It is read from a per-partition cache that NewJob and every advance
+// refresh, so a caller planning a round does not walk the frontier.
+func (j *Job) ActiveWeight(pid int) int64 { return j.weight[pid] }
+
+// reweigh recomputes the ActiveWeight cache. A full frontier — the steady
+// state of the dense programs — is read off the partition's edge counts, an
+// empty one is zero, and only a partial one walks its bitset.
+func (j *Job) reweigh() {
+	for pid, p := range j.PG.Parts {
+		n, c := p.NumVertices(), j.PT.ActiveCount[pid]
+		if c == 0 || c == n {
+			w := int64(c)
+			if c > 0 && j.Dir != model.In {
+				w += int64(len(p.OutDst))
+			}
+			if c > 0 && j.Dir != model.Out {
+				w += int64(len(p.InDst))
+			}
+			j.weight[pid] = w
+			continue
 		}
-		if j.Dir == model.In || j.Dir == model.Both {
-			w += int64(len(p.InDst))
+		var w int64
+		act := j.PT.Active[pid]
+		for li := act.NextSet(0); li >= 0; li = act.NextSet(li + 1) {
+			w += 1 + p.EdgeWork(uint32(li), j.Dir)
 		}
-		return w
+		j.weight[pid] = w
 	}
-	var w int64
-	act := j.PT.Active[pid]
-	for li := act.NextSet(0); li >= 0; li = act.NextSet(li + 1) {
-		w += 1 + p.EdgeWork(uint32(li), j.Dir)
-	}
-	return w
 }
 
 // ApplyRange applies the active vertices of partition pid inside r's
@@ -269,22 +298,52 @@ func (j *Job) Merge(pid int, scratches ...*Scratch) {
 // by Merge. It writes the whole partition's private state: one goroutine per
 // (job, partition), as for Merge.
 func (j *Job) Sweep(pid int, sc *Scratch) Stats {
+	st, _ := j.SweepRanges(pid, sc, 0, nil)
+	return st
+}
+
+// SweepRanges is Sweep that also reports, when cut > 0, the Stats of each
+// range SliceWeighted(pid, cut, ActiveWeight(pid)) would have cut the
+// frontier into, appended to ranges: what ApplyRange returns over each of
+// them. A range closes once 1 + EdgeWork per active vertex adds up to cut,
+// and what is left is the last range. So a caller can price the straggler
+// split of Fig. 6 while running the sweep whole.
+func (j *Job) SweepRanges(pid int, sc *Scratch, cut int64, ranges []Stats) (Stats, []Stats) {
 	v := j.view(pid)
 	act := j.PT.Active[pid]
 	sc.Reset()
-	sc.dst = slices.Grow(sc.dst, j.PT.ActiveCount[pid])
-	sc.contrib = slices.Grow(sc.contrib, j.PT.ActiveCount[pid])
-	var st Stats
+	sc.Grow(j.PT.ActiveCount[pid])
+	var st, r Stats
+	var w int64
 	for li := act.NextSet(0); li >= 0; li = act.NextSet(li + 1) {
 		st.Vertices++
-		if seed, scatter := v.apply(uint32(li)); scatter {
+		seed, scatter := v.apply(uint32(li))
+		if !scatter && cut <= 0 {
+			continue
+		}
+		ew := v.p.EdgeWork(uint32(li), v.dir)
+		if scatter {
 			sc.dst = append(sc.dst, uint32(li))
 			sc.contrib = append(sc.contrib, seed)
-			st.Edges += v.p.EdgeWork(uint32(li), v.dir)
+			st.Edges += ew
+		}
+		if cut <= 0 {
+			continue
+		}
+		r.Vertices++
+		if scatter {
+			r.Edges += ew
+		}
+		if w += 1 + ew; w >= cut {
+			ranges = append(ranges, r)
+			r, w = Stats{}, 0
 		}
 	}
+	if r.Vertices > 0 {
+		ranges = append(ranges, r)
+	}
 	j.DeltaSum[pid] += j.scatter(&v, j.PT.Received[pid], sc.dst, sc.contrib)
-	return st
+	return st, ranges
 }
 
 // ProcessPartition runs the whole-partition BSP step serially and books its
@@ -411,6 +470,7 @@ func (j *Job) advance() {
 	if !j.PT.HasActive() {
 		j.advancePhaseOrFinish()
 	}
+	j.reweigh()
 }
 
 func (j *Job) advancePhaseOrFinish() {

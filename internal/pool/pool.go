@@ -3,9 +3,9 @@
 // idle workers steal half a victim's deque from the head (CGgraph-style
 // steal-half). Tasks carry an integer weight (edge counts, in the engine's
 // use) so seeding can place heavy tasks first (LPT greedy) and callers can
-// read post-run imbalance. The pool is shared by the compute and merge
-// phases of a round, which bounds total goroutines at Workers instead of
-// jobs × scratches.
+// read post-run imbalance. The pool runs both task sets of a round — its
+// sweeps, then its pushes — which bounds total goroutines at Workers
+// however many jobs and partitions are in flight.
 //
 // Tasks must not submit further tasks: a run terminates when every deque
 // has been observed empty by an idle worker, which is only sound because

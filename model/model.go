@@ -79,7 +79,10 @@ type GraphInfo interface {
 // Program is one iterative graph algorithm. A program must be stateless with
 // respect to vertices except through State and its own job-private
 // bookkeeping (e.g. SCC's assignment table); engines may invoke Apply and
-// Contribution from multiple goroutines for different vertices concurrently.
+// Contribution from multiple goroutines concurrently, for different vertices
+// and for different replicas of one vertex (a vertex cut across partitions
+// has one replica in each, and one job's partitions are swept side by side),
+// so Apply writes nothing shared but the State it is handed.
 type Program interface {
 	// Name identifies the algorithm in reports.
 	Name() string

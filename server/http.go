@@ -550,7 +550,7 @@ func (h *httpAPI) metrics(w http.ResponseWriter, r *http.Request) {
 	ex := info.Exec
 	e.Declare("cgraph_exec_workers", "gauge", "Effective worker count of the work-stealing execution pool.")
 	e.Add("cgraph_exec_workers", nil, float64(ex.Workers))
-	e.Declare("cgraph_exec_balance", "gauge", "Task-granularity balance factor of the execution pool.")
+	e.Declare("cgraph_exec_balance", "gauge", "Balance factor the virtual clock prices the Fig. 6 straggler split with.")
 	e.Add("cgraph_exec_balance", nil, ex.Balance)
 	e.Declare("cgraph_exec_tasks_total", "counter", "Tasks executed by the work-stealing pool.")
 	e.Add("cgraph_exec_tasks_total", nil, float64(ex.Tasks))
