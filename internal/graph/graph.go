@@ -10,10 +10,16 @@
 // first, mirrors in ascending partition order. The master is always the
 // lowest partition holding the vertex — the order exec.Push's direct fold
 // relies on for a deterministic accumulation order.
+//
+// Partitions are built by one builder per Cut, Overlay or Restructure call,
+// whose dense scratch over the vertex space is shared by every partition the
+// call builds: a partition costs O(chunk slots + N/64), with no hashing or
+// sorting, and allocates only its own arrays.
 package graph
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync/atomic"
 
@@ -275,7 +281,7 @@ func Cut(g *Graph, edges []model.Edge, opt Options) (*PGraph, error) {
 		core := coreSet(g, frac)
 		var coreEdges, rest []model.Edge
 		for _, e := range edges {
-			if core[e.Src] && core[e.Dst] {
+			if !e.IsHole() && core[e.Src] && core[e.Dst] {
 				coreEdges = append(coreEdges, e)
 			} else {
 				rest = append(rest, e)
@@ -288,9 +294,10 @@ func Cut(g *Graph, edges []model.Edge, opt Options) (*PGraph, error) {
 		groups = chunkEdges(edges, chunk)
 	}
 
-	pg := &PGraph{G: g, ChunkSize: chunk, NumCore: numCore}
+	pg := &PGraph{G: g, Parts: make([]*Partition, len(groups)), ChunkSize: chunk, NumCore: numCore}
+	b := newBuilder(g)
 	for id, group := range groups {
-		pg.Parts = append(pg.Parts, buildPartition(g, id, group, id < numCore))
+		pg.Parts[id] = b.build(id, group, id < numCore)
 	}
 	pg.assignMasters()
 	return pg, nil
@@ -308,9 +315,9 @@ func chunkEdges(edges []model.Edge, chunk int) [][]model.Edge {
 	return out
 }
 
-// coreSet returns the set of "core" vertices: the top fraction by total
-// degree (the paper's degree-threshold rule).
-func coreSet(g *Graph, fraction float64) map[model.VertexID]bool {
+// coreSet flags the "core" vertices: the top fraction by total degree (the
+// paper's degree-threshold rule).
+func coreSet(g *Graph, fraction float64) []bool {
 	k := int(float64(g.N) * fraction)
 	if k < 1 {
 		k = 1
@@ -329,34 +336,58 @@ func coreSet(g *Graph, fraction float64) map[model.VertexID]bool {
 		}
 		return all[i].v < all[j].v
 	})
-	core := make(map[model.VertexID]bool, k)
+	core := make([]bool, g.N)
 	for _, x := range all[:k] {
 		core[x.v] = true
 	}
 	return core
 }
 
-func buildPartition(g *Graph, id int, edges []model.Edge, core bool) *Partition {
+// builder turns edge chunks into partitions. It holds two dense scratch
+// arrays over the vertex space, shared by every partition one Cut, Overlay
+// or Restructure call builds: mark, a bitset that dedups a chunk's
+// endpoints and whose set bits, walked in order, are the chunk's vertex
+// table already sorted (the walk clears them again); and loc, the
+// global→local map, written only for the current chunk's vertices. A
+// partition costs O(chunk slots + N/64) with no hashing or sorting, and
+// allocates only its own arrays.
+type builder struct {
+	g    *Graph
+	mark []uint64
+	loc  []uint32
+}
+
+func newBuilder(g *Graph) *builder {
+	return &builder{g: g, mark: make([]uint64, (g.N+63)/64), loc: make([]uint32, g.N)}
+}
+
+func (b *builder) build(id int, edges []model.Edge, core bool) *Partition {
 	// Collect the unique endpoints as the local vertex table. Hole slots
 	// (freed by removals) occupy chunk space but contribute nothing.
-	seen := make(map[model.VertexID]bool, len(edges))
-	live := 0
+	live, n := 0, 0
 	for _, e := range edges {
 		if e.IsHole() {
 			continue
 		}
 		live++
-		seen[e.Src] = true
-		seen[e.Dst] = true
+		for _, v := range [2]model.VertexID{e.Src, e.Dst} {
+			if w, bit := &b.mark[v>>6], uint64(1)<<(v&63); *w&bit == 0 {
+				*w |= bit
+				n++
+			}
+		}
 	}
-	globals := make([]model.VertexID, 0, len(seen))
-	for v := range seen {
-		globals = append(globals, v)
-	}
-	sort.Slice(globals, func(i, j int) bool { return globals[i] < globals[j] })
-	local := make(map[model.VertexID]uint32, len(globals))
-	for i, v := range globals {
-		local[v] = uint32(i)
+	globals := make([]model.VertexID, 0, n)
+	for wi, w := range b.mark {
+		if w == 0 {
+			continue
+		}
+		b.mark[wi] = 0
+		for ; w != 0; w &= w - 1 {
+			v := model.VertexID(wi<<6 + bits.TrailingZeros64(w))
+			b.loc[v] = uint32(len(globals))
+			globals = append(globals, v)
+		}
 	}
 
 	p := &Partition{
@@ -365,43 +396,45 @@ func buildPartition(g *Graph, id int, edges []model.Edge, core bool) *Partition 
 		Globals:  globals,
 		NumEdges: live,
 		Core:     core,
+		OutOff:   make([]uint32, n+1),
+		OutDst:   make([]uint32, live),
+		OutW:     make([]float32, live),
+		InOff:    make([]uint32, n+1),
+		InDst:    make([]uint32, live),
+		InW:      make([]float32, live),
 	}
-	n := len(globals)
-	p.OutOff = make([]uint32, n+1)
-	p.InOff = make([]uint32, n+1)
 	for _, e := range edges {
 		if e.IsHole() {
 			continue
 		}
-		p.OutOff[local[e.Src]+1]++
-		p.InOff[local[e.Dst]+1]++
+		p.OutOff[b.loc[e.Src]+1]++
+		p.InOff[b.loc[e.Dst]+1]++
 	}
 	for v := 0; v < n; v++ {
 		p.OutOff[v+1] += p.OutOff[v]
 		p.InOff[v+1] += p.InOff[v]
 	}
-	p.OutDst = make([]uint32, live)
-	p.OutW = make([]float32, live)
-	p.InDst = make([]uint32, live)
-	p.InW = make([]float32, live)
-	outPos := append([]uint32(nil), p.OutOff[:n]...)
-	inPos := append([]uint32(nil), p.InOff[:n]...)
+	// Fill in slot order with Off[l] as row l's cursor; afterwards Off[l]
+	// holds row l's end, so shifting the offsets up one restores the starts.
 	for _, e := range edges {
 		if e.IsHole() {
 			continue
 		}
-		ls, ld := local[e.Src], local[e.Dst]
-		p.OutDst[outPos[ls]] = ld
-		p.OutW[outPos[ls]] = e.Weight
-		outPos[ls]++
-		p.InDst[inPos[ld]] = ls
-		p.InW[inPos[ld]] = e.Weight
-		inPos[ld]++
+		ls, ld := b.loc[e.Src], b.loc[e.Dst]
+		p.OutDst[p.OutOff[ls]] = ld
+		p.OutW[p.OutOff[ls]] = e.Weight
+		p.OutOff[ls]++
+		p.InDst[p.InOff[ld]] = ls
+		p.InW[p.InOff[ld]] = e.Weight
+		p.InOff[ld]++
 	}
+	copy(p.OutOff[1:], p.OutOff[:n])
+	copy(p.InOff[1:], p.InOff[:n])
+	p.OutOff[0], p.InOff[0] = 0, 0
 
 	totalDeg := 0
 	for _, v := range globals {
-		totalDeg += g.Degree(v, model.Both)
+		totalDeg += b.g.Degree(v, model.Both)
 	}
 	if n > 0 {
 		p.AvgDegree = float64(totalDeg) / float64(n)
@@ -506,19 +539,16 @@ func SuggestNumPartitions(totalStructBytes, cacheBytes int64, cores int, structB
 // whose chunks contain them (plain partitioning only, where slot→partition
 // is slot/ChunkSize).
 func ChangedPartitions(changedSlots []int, chunkSize, numPartitions int) []int {
-	seen := make(map[int]bool)
-	var out []int
+	changed := make([]bool, numPartitions)
 	for _, s := range changedSlots {
-		p := s / chunkSize
-		if p >= numPartitions {
-			p = numPartitions - 1
-		}
-		if !seen[p] {
-			seen[p] = true
+		changed[min(s/chunkSize, numPartitions-1)] = true
+	}
+	var out []int
+	for p, c := range changed {
+		if c {
 			out = append(out, p)
 		}
 	}
-	sort.Ints(out)
 	return out
 }
 
@@ -546,7 +576,7 @@ func Restructure(prev *PGraph, numVertices int, edges []model.Edge, changedSlots
 	}
 	chunk := prev.ChunkSize
 	wantParts := (len(edges) + chunk - 1) / chunk
-	rebuild := make(map[int]bool)
+	rebuild := make([]bool, wantParts)
 	for _, s := range changedSlots {
 		if s < 0 || s >= len(edges) {
 			// A slot beyond the new list: its chunk shrank or vanished;
@@ -575,6 +605,7 @@ func Restructure(prev *PGraph, numVertices int, edges []model.Edge, changedSlots
 
 	g := Build(numVertices, edges)
 	pg := &PGraph{G: g, Parts: make([]*Partition, wantParts), ChunkSize: chunk}
+	b := newBuilder(g)
 	var rebuilt []int
 	for id := 0; id < wantParts; id++ {
 		if id < len(prev.Parts) && !rebuild[id] {
@@ -583,7 +614,7 @@ func Restructure(prev *PGraph, numVertices int, edges []model.Edge, changedSlots
 		}
 		start := id * chunk
 		end := min(start+chunk, len(edges))
-		pg.Parts[id] = buildPartition(g, id, edges[start:end], false)
+		pg.Parts[id] = b.build(id, edges[start:end], false)
 		rebuilt = append(rebuilt, id)
 	}
 	pg.assignMasters()
@@ -596,17 +627,19 @@ func Restructure(prev *PGraph, numVertices int, edges []model.Edge, changedSlots
 // pointer with prev (so the memory-hierarchy simulator sees one cacheable
 // item, the property Fig. 5 relies on). Replica assignment is recomputed for
 // the new snapshot at the PGraph level, leaving shared partition bytes
-// untouched.
+// untouched. edges must have prev's slot count; a resized list takes
+// Restructure.
 func Overlay(prev *PGraph, edges []model.Edge, changedParts []int) (*PGraph, error) {
 	if prev.NumCore != 0 {
 		return nil, fmt.Errorf("graph: Overlay requires plain partitioning (slot-stable chunks)")
 	}
-	wantParts := (len(edges) + prev.ChunkSize - 1) / prev.ChunkSize
-	if wantParts != len(prev.Parts) {
-		return nil, fmt.Errorf("graph: Overlay edge count changed partition count (%d -> %d)", len(prev.Parts), wantParts)
+	if len(edges) != prev.G.Slots {
+		// Even a resize inside the last chunk would leave it shared, stale.
+		return nil, fmt.Errorf("graph: Overlay edge list has %d slots, previous snapshot %d", len(edges), prev.G.Slots)
 	}
 	g := Build(prev.G.N, edges)
 	pg := &PGraph{G: g, Parts: append([]*Partition(nil), prev.Parts...), ChunkSize: prev.ChunkSize}
+	b := newBuilder(g)
 	for _, id := range changedParts {
 		if id < 0 || id >= len(pg.Parts) {
 			return nil, fmt.Errorf("graph: Overlay changed partition %d out of range", id)
@@ -616,7 +649,7 @@ func Overlay(prev *PGraph, edges []model.Edge, changedParts []int) (*PGraph, err
 		if end > len(edges) {
 			end = len(edges)
 		}
-		pg.Parts[id] = buildPartition(g, id, edges[start:end], false)
+		pg.Parts[id] = b.build(id, edges[start:end], false)
 	}
 	pg.assignMasters()
 	return pg, nil

@@ -1,7 +1,11 @@
 package graph
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -426,7 +430,7 @@ func TestRestructureGrow(t *testing.T) {
 	for id, p := range next.Parts {
 		start := id * chunk
 		end := min(start+chunk, len(grown))
-		want := buildPartition(next.G, id, grown[start:end], false)
+		want := refBuildPartition(next.G, id, grown[start:end], false)
 		if len(p.Globals) != len(want.Globals) || p.NumEdges != want.NumEdges {
 			t.Fatalf("part %d: shape differs from fresh build", id)
 		}
@@ -575,4 +579,348 @@ func TestRestructureBoundaryAlignedGrowth(t *testing.T) {
 		}
 	}
 	checkInvariants(t, back.G, edges, back)
+}
+
+// refBuildPartition is the reference partition builder: the map-and-sort
+// construction the dense builder replaced, kept as the oracle it must match
+// field for field (UID aside).
+func refBuildPartition(g *Graph, id int, edges []model.Edge, core bool) *Partition {
+	seen := make(map[model.VertexID]bool, len(edges))
+	live := 0
+	for _, e := range edges {
+		if e.IsHole() {
+			continue
+		}
+		live++
+		seen[e.Src] = true
+		seen[e.Dst] = true
+	}
+	globals := make([]model.VertexID, 0, len(seen))
+	for v := range seen {
+		globals = append(globals, v)
+	}
+	sort.Slice(globals, func(i, j int) bool { return globals[i] < globals[j] })
+	local := make(map[model.VertexID]uint32, len(globals))
+	for i, v := range globals {
+		local[v] = uint32(i)
+	}
+
+	p := &Partition{ID: id, Globals: globals, NumEdges: live, Core: core}
+	n := len(globals)
+	p.OutOff = make([]uint32, n+1)
+	p.InOff = make([]uint32, n+1)
+	for _, e := range edges {
+		if e.IsHole() {
+			continue
+		}
+		p.OutOff[local[e.Src]+1]++
+		p.InOff[local[e.Dst]+1]++
+	}
+	for v := 0; v < n; v++ {
+		p.OutOff[v+1] += p.OutOff[v]
+		p.InOff[v+1] += p.InOff[v]
+	}
+	p.OutDst = make([]uint32, live)
+	p.OutW = make([]float32, live)
+	p.InDst = make([]uint32, live)
+	p.InW = make([]float32, live)
+	outPos := append([]uint32(nil), p.OutOff[:n]...)
+	inPos := append([]uint32(nil), p.InOff[:n]...)
+	for _, e := range edges {
+		if e.IsHole() {
+			continue
+		}
+		ls, ld := local[e.Src], local[e.Dst]
+		p.OutDst[outPos[ls]] = ld
+		p.OutW[outPos[ls]] = e.Weight
+		outPos[ls]++
+		p.InDst[inPos[ld]] = ls
+		p.InW[inPos[ld]] = e.Weight
+		inPos[ld]++
+	}
+
+	totalDeg := 0
+	for _, v := range globals {
+		totalDeg += g.Degree(v, model.Both)
+	}
+	if n > 0 {
+		p.AvgDegree = float64(totalDeg) / float64(n)
+	}
+	p.computeBytes()
+	return p
+}
+
+// refCoreSet is the reference core-vertex set, as a map.
+func refCoreSet(g *Graph, fraction float64) map[model.VertexID]bool {
+	k := max(int(float64(g.N)*fraction), 1)
+	all := make([]model.VertexID, g.N)
+	for v := range all {
+		all[v] = model.VertexID(v)
+	}
+	sort.SliceStable(all, func(i, j int) bool {
+		return g.Degree(all[i], model.Both) > g.Degree(all[j], model.Both)
+	})
+	core := make(map[model.VertexID]bool, k)
+	for _, v := range all[:k] {
+		core[v] = true
+	}
+	return core
+}
+
+// partitionDiff names the first field in which got differs from want,
+// comparing every field but UID (and AvgDegree when skipAvg is set); ""
+// means they match.
+func partitionDiff(got, want *Partition, skipAvg bool) string {
+	gv, wv := reflect.ValueOf(got).Elem(), reflect.ValueOf(want).Elem()
+	for i := 0; i < gv.NumField(); i++ {
+		name := gv.Type().Field(i).Name
+		if name == "UID" || (skipAvg && name == "AvgDegree") {
+			continue
+		}
+		if !reflect.DeepEqual(gv.Field(i).Interface(), wv.Field(i).Interface()) {
+			return fmt.Sprintf("%s = %v, reference %v", name, gv.Field(i).Interface(), wv.Field(i).Interface())
+		}
+	}
+	return ""
+}
+
+// randomList returns a slot list over n vertices mixing holes, self-loops,
+// duplicate edges and edges of vertex n-1, with the lowest ids left
+// isolated. The slots from holeRun on are all holes, which yields all-hole
+// chunks once that tail spans one.
+func randomList(rng *rand.Rand, n, slots, holeRun int) []model.Edge {
+	lo := min(n/4, n-1) // ids below lo are never used: isolated vertices
+	edges := make([]model.Edge, slots)
+	for i := range edges {
+		src := model.VertexID(lo + rng.Intn(n-lo))
+		dst := model.VertexID(lo + rng.Intn(n-lo))
+		switch r := rng.Intn(10); {
+		case i >= holeRun || r == 0:
+			edges[i] = model.HoleEdge()
+			continue
+		case r == 1:
+			dst = src
+		case r == 2 && i > 0 && !edges[i-1].IsHole():
+			src, dst = edges[i-1].Src, edges[i-1].Dst
+		case r == 3:
+			src = model.VertexID(n - 1)
+		}
+		edges[i] = model.Edge{Src: src, Dst: dst, Weight: float32(rng.Intn(9) + 1)}
+	}
+	return edges
+}
+
+// TestBuilderMatchesReference: every partition the dense builder produces
+// through plain and core-subgraph Cut, Overlay and Restructure equals the
+// reference builder's on the same chunk, field by field, UID aside.
+func TestBuilderMatchesReference(t *testing.T) {
+	check := func(t *testing.T, what string, p, want *Partition) {
+		t.Helper()
+		if d := partitionDiff(p, want, false); d != "" {
+			t.Fatalf("%s: part %d: %s", what, p.ID, d)
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + rng.Intn(300)
+		slots := 1 + rng.Intn(400)
+		holeRun := slots
+		if trial%3 == 0 {
+			holeRun = slots - rng.Intn(slots) // a tail of holes
+		}
+		np := 1 + rng.Intn(12)
+		if trial%5 == 0 {
+			np = slots // one-slot chunks
+		}
+		edges := randomList(rng, n, slots, holeRun)
+		g := Build(n, edges)
+
+		pg, err := Cut(g, edges, Options{NumPartitions: np})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id, p := range pg.Parts {
+			start := id * pg.ChunkSize
+			check(t, "Cut", p, refBuildPartition(g, id, edges[start:min(start+pg.ChunkSize, len(edges))], false))
+		}
+		checkInvariants(t, g, edges, pg)
+
+		frac := 0.05 + rng.Float64()/4
+		cpg, err := Cut(g, edges, Options{NumPartitions: np, CoreSubgraph: true, CoreFraction: frac})
+		if err != nil {
+			t.Fatal(err)
+		}
+		core := refCoreSet(g, frac)
+		var coreEdges, rest []model.Edge
+		for _, e := range edges {
+			if core[e.Src] && core[e.Dst] {
+				coreEdges = append(coreEdges, e)
+			} else {
+				rest = append(rest, e)
+			}
+		}
+		groups := append(chunkEdges(coreEdges, cpg.ChunkSize), chunkEdges(rest, cpg.ChunkSize)...)
+		if len(groups) != len(cpg.Parts) {
+			t.Fatalf("core Cut: %d partitions, reference grouping %d", len(cpg.Parts), len(groups))
+		}
+		for id, p := range cpg.Parts {
+			check(t, "core Cut", p, refBuildPartition(g, id, groups[id], id < cpg.NumCore))
+		}
+		checkInvariants(t, g, edges, cpg)
+
+		// Overlay: rewrite and free a few slots in place.
+		mut := slices.Clone(edges)
+		var changed []int
+		for k := rng.Intn(8); k >= 0; k-- {
+			s := rng.Intn(len(mut))
+			mut[s] = randomList(rng, n, 1, rng.Intn(2))[0] // a hole if 0
+			changed = append(changed, s)
+		}
+		parts := ChangedPartitions(changed, pg.ChunkSize, len(pg.Parts))
+		over, err := Overlay(pg, mut, parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range parts {
+			start := id * pg.ChunkSize
+			check(t, "Overlay", over.Parts[id], refBuildPartition(over.G, id, mut[start:min(start+pg.ChunkSize, len(mut))], false))
+		}
+		checkInvariants(t, over.G, mut, over)
+
+		// Restructure: grow or shrink the list and the vertex space.
+		resized := slices.Clone(mut)
+		var slotsChanged []int
+		if d := rng.Intn(2*pg.ChunkSize+1) - pg.ChunkSize; d < 0 && -d < len(resized) {
+			for s := len(resized) + d; s < len(resized); s++ {
+				slotsChanged = append(slotsChanged, s)
+			}
+			resized = resized[:len(resized)+d]
+		} else if d > 0 {
+			for ; d > 0; d-- {
+				slotsChanged = append(slotsChanged, len(resized))
+				resized = append(resized, randomList(rng, n+3, 1, 1)[0])
+			}
+		}
+		next, rebuilt, err := Restructure(over, n+3, resized, slotsChanged)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range rebuilt {
+			start := id * pg.ChunkSize
+			check(t, "Restructure", next.Parts[id], refBuildPartition(next.G, id, resized[start:min(start+pg.ChunkSize, len(resized))], false))
+		}
+		for id, p := range next.Parts {
+			if !slices.Contains(rebuilt, id) && p != over.Parts[id] {
+				t.Fatalf("Restructure: part %d neither rebuilt nor shared", id)
+			}
+		}
+		checkInvariants(t, next.G, resized, next)
+	}
+}
+
+// TestOverlayAllocations: an Overlay allocates a fixed number of objects
+// per rebuilt partition plus a constant, whatever the graph size — nothing
+// per vertex or per edge.
+func TestOverlayAllocations(t *testing.T) {
+	const numParts = 8
+	allocs := func(numV, numE, k int) float64 {
+		edges := gen.ER(21, numV, numE)
+		prev, err := Cut(Build(numV, edges), edges, Options{NumPartitions: numParts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		changed := make([]int, k)
+		for i := range changed {
+			changed[i] = i * 2
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Overlay(prev, edges, changed); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	base := allocs(200, 2000, 0)
+	perPart := allocs(200, 2000, 1) - base
+	if perPart <= 0 || perPart > 8 {
+		t.Fatalf("one rebuilt partition costs %.0f allocations, want 1..8", perPart)
+	}
+	for _, size := range [][2]int{{200, 2000}, {4000, 40000}} {
+		for _, k := range []int{0, 1, 2, 4} {
+			if got, want := allocs(size[0], size[1], k), base+float64(k)*perPart; got != want {
+				t.Errorf("%d vertices, %d edges, %d rebuilt: %.0f allocations, want %.0f", size[0], size[1], k, got, want)
+			}
+		}
+	}
+}
+
+// FuzzOverlayMatchesCut: an Overlay of in-place rewrites and freed slots
+// equals a fresh Cut of the mutated list on every partition, with the
+// untouched partitions shared by pointer with the previous snapshot. A
+// shared partition keeps the AvgDegree it was built with, so that one
+// field is compared only on rebuilt partitions.
+func FuzzOverlayMatchesCut(f *testing.F) {
+	f.Add([]byte{7, 3, 20, 1, 2, 3, 4, 5, 6, 255, 0, 0, 6, 6, 1, 2, 9, 9, 9, 5, 1, 2, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		n := 1 + next()%150 + next()%2*150
+		np := 1 + next()%9
+		slots := 1 + next()%120
+		// Three bytes per slot: a source byte ≥ 240 makes a hole.
+		edge := func() model.Edge {
+			s, d, w := next(), next(), next()
+			if s >= 240 {
+				return model.HoleEdge()
+			}
+			return model.Edge{Src: model.VertexID(s * n / 240), Dst: model.VertexID(d % n), Weight: float32(w%7 + 1)}
+		}
+		base := make([]model.Edge, slots)
+		for i := range base {
+			base[i] = edge()
+		}
+		prev, err := Cut(Build(n, base), base, Options{NumPartitions: np})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mut := slices.Clone(base)
+		var changed []int
+		for len(data) > 0 {
+			s := next() % slots
+			mut[s] = edge()
+			changed = append(changed, s)
+		}
+		parts := ChangedPartitions(changed, prev.ChunkSize, len(prev.Parts))
+		over, err := Overlay(prev, mut, parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Cut(Build(n, mut), mut, Options{NumPartitions: np})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(over.Parts) != len(want.Parts) || over.ChunkSize != want.ChunkSize {
+			t.Fatalf("Overlay: %d partitions of %d slots, Cut %d of %d", len(over.Parts), over.ChunkSize, len(want.Parts), want.ChunkSize)
+		}
+		for id, p := range over.Parts {
+			rebuilt := slices.Contains(parts, id)
+			if !rebuilt && p != prev.Parts[id] {
+				t.Fatalf("untouched part %d not shared with the previous snapshot", id)
+			}
+			if d := partitionDiff(p, want.Parts[id], !rebuilt); d != "" {
+				t.Fatalf("part %d (rebuilt %v): %s", id, rebuilt, d)
+			}
+		}
+		if !reflect.DeepEqual(over.MasterOf, want.MasterOf) || !reflect.DeepEqual(over.RepOff, want.RepOff) ||
+			!reflect.DeepEqual(over.RepLoc, want.RepLoc) || !reflect.DeepEqual(over.Masters, want.Masters) ||
+			!reflect.DeepEqual(over.MasterParts, want.MasterParts) {
+			t.Fatal("Overlay's replica assignment differs from Cut's")
+		}
+		checkInvariants(t, over.G, mut, over)
+	})
 }

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"slices"
 	"testing"
 
 	"cgraph/internal/gen"
@@ -265,6 +266,17 @@ func TestOverlayErrors(t *testing.T) {
 	}
 	if _, err := graph.Overlay(pg, edges[:10], nil); err == nil {
 		t.Fatal("want error when edge count changes partition count")
+	}
+	// A list a few slots shorter or longer that keeps the partition count
+	// would leave the shared tail partition stale: refused as well.
+	if _, err := graph.Overlay(pg, edges[:len(edges)-3], nil); err == nil {
+		t.Fatal("want error for a shorter list with the same partition count")
+	}
+	pg3, edges3 := buildPG(t, 3, 3)
+	if longer := append(slices.Clone(edges3), edges3[0]); (len(longer)+pg3.ChunkSize-1)/pg3.ChunkSize != len(pg3.Parts) {
+		t.Fatalf("setup: %d slots changes the partition count", len(longer))
+	} else if _, err := graph.Overlay(pg3, longer, []int{len(pg3.Parts) - 1}); err == nil {
+		t.Fatal("want error for a longer list with the same partition count")
 	}
 	g := graph.Build(0, edges)
 	corePG, err := graph.Cut(g, edges, graph.Options{NumPartitions: 4, CoreSubgraph: true})
