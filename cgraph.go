@@ -42,12 +42,12 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
 	"cgraph/api"
 	"cgraph/internal/core"
+	"cgraph/internal/evolve"
 	"cgraph/internal/gen"
 	"cgraph/internal/graph"
 	"cgraph/internal/ingest"
@@ -185,8 +185,6 @@ type config struct {
 	ingestWindow    time.Duration
 	ingestBatch     int
 	ingestCap       int
-	compactRatio    float64
-	maxVertexGrowth int
 	retainSnapshots int
 	traceDepth      int
 	spanTaskEvery   int
@@ -238,24 +236,6 @@ func WithIngestBatch(n int) Option { return func(c *config) { c.ingestBatch = n 
 // backpressure. Zero (the default) disables admission control.
 func WithIngestCap(n int) Option { return func(c *config) { c.ingestCap = n } }
 
-// WithCompactionRatio sets the hole-compaction trigger: when a delta flush
-// is about to build a snapshot and at least ratio of the edge slots are
-// removal tombstones, the edge list is compacted in place first — holes
-// squeezed out, the slot space shrunk — so a long remove-heavy delta
-// stream cannot leave the partitions scanning mostly-dead slots forever.
-// Compaction recuts every partition at or after the first hole, so it is
-// deliberately rare: the default ratio is 0.25; negative disables
-// compaction entirely.
-func WithCompactionRatio(f float64) Option { return func(c *config) { c.compactRatio = f } }
-
-// WithMaxVertexGrowth bounds how far beyond the current vertex space a
-// single delta batch's structural mutations may reach (default 1<<20 new
-// vertices): vertex tables are allocated densely up to the largest id, so
-// without a bound one tiny add_vertex request naming id 2^32-2 would force
-// a multi-gigabyte allocation. Batches exceeding the bound are rejected
-// atomically at admission.
-func WithMaxVertexGrowth(n int) Option { return func(c *config) { c.maxVertexGrowth = n } }
-
 // WithRetainSnapshots caps the retained snapshot series at n versions:
 // beyond it the oldest snapshots not referenced by any bound job are
 // evicted, so a resident service ingesting deltas forever stays bounded.
@@ -289,48 +269,25 @@ type System struct {
 	// after NewSystem; internally locked.
 	tracer *span.Tracer
 
-	mu       sync.Mutex
-	store    *storage.SnapshotStore
-	edges    []model.Edge
+	mu    sync.Mutex
+	store *storage.SnapshotStore
+	// series holds the authoritative edge list and vertex space behind the
+	// snapshot series; every snapshot after the base is one of its steps.
+	series   *evolve.Series
 	engine   *core.Engine
 	pipeline *ingest.Pipeline
 	jobs     []*Job
 	byID     map[int]*Job
-	// numVertices is the authoritative vertex-space size of the latest
-	// snapshot; structural deltas grow it monotonically (add_vertex,
-	// add_edge endpoints beyond it).
-	numVertices int
-	// edgeSlots indexes the current edge list by endpoint pair for
-	// structural removes; built lazily on the first remove and maintained
-	// incrementally, dropped (and rebuilt on demand) by full-list
-	// snapshots and failed materializations.
-	edgeSlots map[uint64][]int
-	// freeSlots lists edge slots holding removal tombstones
-	// (model.HoleEdge). Removes punch holes instead of swapping the tail
-	// in, so a remove-bearing flush touches only the removed slots'
-	// chunks; adds refill holes before growing the list.
-	freeSlots []int
-	// compactions counts hole-compaction passes (WithCompactionRatio)
-	// performed by delta flushes.
-	compactions int64
 
 	serveCancel context.CancelFunc
 	serveDone   chan struct{}
 
-	// progressFns observe every completed job iteration, keyed by
-	// registration order for removal; progressList is the copy-on-write
-	// call order the round-loop hot path reads, rebuilt on mutation.
-	progressFns  map[int]func(JobUpdate)
-	progressSeq  int
-	progressList []func(JobUpdate)
-
-	// obsMu guards the ingest-event observers separately from s.mu:
-	// notifyIngest fires from under s.mu, the pipeline lock, and the
-	// snapshot store lock, so the registry must never need s.mu.
-	obsMu         sync.Mutex
-	ingestObsFns  map[int]func(IngestEvent)
-	ingestObsSeq  int
-	ingestObsList []func(IngestEvent)
+	// progress observes every completed job iteration; ingestObs the
+	// ingestion path. Each registry has its own lock: ingest events fire
+	// from under s.mu, the pipeline lock, and the snapshot store lock, so
+	// neither registry may need s.mu.
+	progress  observers[JobUpdate]
+	ingestObs observers[IngestEvent]
 }
 
 // IngestEventKind tags an IngestEvent.
@@ -355,7 +312,9 @@ type IngestEvent struct {
 	Kind IngestEventKind
 	// Trigger is the flush trigger ("manual", "count", "age").
 	Trigger string
-	// Path is the materialization path ("overlay", "restructure").
+	// Path names the materialized snapshot's shape: "overlay" when its slot
+	// count and vertex space are the previous snapshot's, "restructure"
+	// when either moved.
 	Path string
 	// Duration is the wall-clock latency of the flush/materialization.
 	Duration time.Duration
@@ -382,48 +341,7 @@ type IngestEvent struct {
 // call back into the System (record, log, or observe a histogram and
 // return). A nil fn is ignored.
 func (s *System) OnIngestEvent(fn func(IngestEvent)) (unregister func()) {
-	if fn == nil {
-		return func() {}
-	}
-	s.obsMu.Lock()
-	if s.ingestObsFns == nil {
-		s.ingestObsFns = make(map[int]func(IngestEvent))
-	}
-	id := s.ingestObsSeq
-	s.ingestObsSeq++
-	s.ingestObsFns[id] = fn
-	s.rebuildIngestObsLocked()
-	s.obsMu.Unlock()
-	return func() {
-		s.obsMu.Lock()
-		delete(s.ingestObsFns, id)
-		s.rebuildIngestObsLocked()
-		s.obsMu.Unlock()
-	}
-}
-
-func (s *System) rebuildIngestObsLocked() {
-	ids := make([]int, 0, len(s.ingestObsFns))
-	for id := range s.ingestObsFns {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	list := make([]func(IngestEvent), len(ids))
-	for i, id := range ids {
-		list[i] = s.ingestObsFns[id]
-	}
-	s.ingestObsList = list
-}
-
-// notifyIngest delivers ev to the registered observers. It takes only
-// obsMu, so it is safe to call from under any other System lock.
-func (s *System) notifyIngest(ev IngestEvent) {
-	s.obsMu.Lock()
-	fns := s.ingestObsList
-	s.obsMu.Unlock()
-	for _, fn := range fns {
-		fn(ev)
-	}
+	return s.ingestObs.add(fn)
 }
 
 // JobUpdate reports one completed iteration of a submitted job (alias of
@@ -441,51 +359,7 @@ type JobUpdate = core.JobProgress
 // job's Done channel closes. Resident services use this to feed
 // job-event streams without polling. A nil fn is ignored.
 func (s *System) OnJobProgress(fn func(JobUpdate)) (unregister func()) {
-	if fn == nil {
-		return func() {}
-	}
-	s.mu.Lock()
-	if s.progressFns == nil {
-		s.progressFns = make(map[int]func(JobUpdate))
-	}
-	id := s.progressSeq
-	s.progressSeq++
-	s.progressFns[id] = fn
-	s.rebuildProgressListLocked()
-	s.mu.Unlock()
-	return func() {
-		s.mu.Lock()
-		delete(s.progressFns, id)
-		s.rebuildProgressListLocked()
-		s.mu.Unlock()
-	}
-}
-
-// rebuildProgressListLocked recomputes the registration-ordered call list.
-// Mutations are rare; the per-iteration hot path just reads the slice.
-func (s *System) rebuildProgressListLocked() {
-	ids := make([]int, 0, len(s.progressFns))
-	for id := range s.progressFns {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	list := make([]func(JobUpdate), len(ids))
-	for i, id := range ids {
-		list[i] = s.progressFns[id]
-	}
-	s.progressList = list
-}
-
-// onJobProgress forwards engine progress to the registered observers, in
-// registration order. Runs once per completed job iteration on the
-// engine's round loop, so it only snapshots the prebuilt call list.
-func (s *System) onJobProgress(u JobUpdate) {
-	s.mu.Lock()
-	fns := s.progressList
-	s.mu.Unlock()
-	for _, fn := range fns {
-		fn(u)
-	}
+	return s.progress.add(fn)
 }
 
 // NewSystem builds an empty system; load a graph before submitting jobs.
@@ -537,17 +411,14 @@ func (s *System) LoadEdges(numVertices int, edges []Edge) error {
 	if err != nil {
 		return err
 	}
-	// The system owns its copy: delta flushes mutate the list in place, so
-	// it must not alias the caller's slice.
-	s.edges = append([]model.Edge(nil), edges...)
-	s.numVertices = g.N
+	s.series = evolve.New(edges, g.N)
 	s.store = storage.NewSnapshotStore(pg, 0)
 	s.store.SetRetention(s.cfg.retainSnapshots)
-	// Forward retention evictions to the ingest-event observers.
-	// notifyIngest takes only obsMu, so firing from under the store lock
+	// Forward retention evictions to the ingest-event observers. The
+	// registry takes only its own lock, so firing from under the store lock
 	// (and whatever locks the Add that triggered GC holds) is safe.
 	s.store.SetEvictObserver(func(seq int, ts int64) {
-		s.notifyIngest(IngestEvent{Kind: IngestEvict, Seq: seq, Timestamp: ts})
+		s.ingestObs.fire(IngestEvent{Kind: IngestEvict, Seq: seq, Timestamp: ts})
 	})
 	return nil
 }
@@ -567,11 +438,11 @@ func (s *System) LoadEdgeFile(path string) error {
 }
 
 // AddSnapshot registers a new graph version at the given timestamp
-// (§3.2.1): the edge list must have the same length as the base (slot
-// rewrites, see gen.Mutate), unchanged partitions are shared with the
-// previous snapshot, and jobs submitted with AtTimestamp ≥ timestamp see
-// the new version. Requires the system to have been built with
-// WithCoreSubgraph(false).
+// (§3.2.1): the edge list must have the current slot count (slot rewrites,
+// see gen.Mutate), unchanged partitions are shared with the previous
+// snapshot, and jobs submitted with AtTimestamp ≥ timestamp see the new
+// version. A slot rewritten to model.HoleEdge frees it for later adds.
+// Requires the system to have been built with WithCoreSubgraph(false).
 func (s *System) AddSnapshot(edges []Edge, timestamp int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -582,51 +453,20 @@ func (s *System) AddSnapshot(edges []Edge, timestamp int64) error {
 	if prev.NumCore != 0 {
 		return fmt.Errorf("cgraph: snapshots require WithCoreSubgraph(false)")
 	}
-	if len(edges) != len(s.edges) {
-		return fmt.Errorf("cgraph: snapshot edge list has %d slots, base has %d (snapshots are slot rewrites of the base list)", len(edges), len(s.edges))
-	}
-	changed := diffSlots(s.edges, edges)
-	changedParts := graph.ChangedPartitions(changed, prev.ChunkSize, len(prev.Parts))
-	pg, err := graph.Overlay(prev, edges, changedParts)
-	if err != nil {
-		return err
-	}
-	// Route the store append through the engine once it exists: its lock
-	// serializes the write against snapshot resolution in concurrent
-	// submissions while the system serves.
-	if s.engine != nil {
-		err = s.engine.AddSnapshot(pg, timestamp)
-	} else {
-		err = s.store.Add(pg, timestamp)
-	}
-	if err != nil {
-		return err
-	}
-	// Copied for the same reason as in LoadEdges: the system's list must
-	// not alias the caller's.
-	s.edges = append([]model.Edge(nil), edges...)
-	// A rewrite may name endpoints beyond the loaded vertex count (Build
-	// auto-grows the snapshot's N); track it so structural deltas keep
-	// working against the grown space.
-	s.numVertices = pg.G.N
-	// The full-list rewrite invalidates the structural-remove index and the
-	// free-slot list; the index is rebuilt lazily the next time a remove
-	// needs it.
-	s.edgeSlots = nil
-	s.freeSlots = nil
-	return nil
+	_, err := s.series.Replace(prev, edges, func(pg *graph.PGraph) error {
+		return s.addSnapshotLocked(pg, timestamp)
+	})
+	return err
 }
 
-// diffSlots lists the rewritten slot indices of two equal-length edge
-// lists; AddSnapshot validates the lengths before calling.
-func diffSlots(a, b []model.Edge) []int {
-	var out []int
-	for i := range a {
-		if a[i] != b[i] {
-			out = append(out, i)
-		}
+// addSnapshotLocked appends pg to the snapshot store at ts, through the engine once
+// it exists: its lock serializes the write against snapshot resolution in
+// concurrent submissions while the system serves. Caller holds s.mu.
+func (s *System) addSnapshotLocked(pg *graph.PGraph, ts int64) error {
+	if s.engine != nil {
+		return s.engine.AddSnapshot(pg, ts)
 	}
-	return out
+	return s.store.Add(pg, ts)
 }
 
 // Mutation is one streamed edge mutation and MutationOp its kind (aliases of
@@ -687,7 +527,7 @@ func (s *System) ensureIngestLocked() (*ingest.Pipeline, error) {
 		Slots: func() int {
 			s.mu.Lock()
 			defer s.mu.Unlock()
-			return len(s.edges)
+			return s.series.Slots()
 		},
 		MaxBatch:    s.cfg.ingestBatch,
 		MaxPending:  s.cfg.ingestCap,
@@ -707,7 +547,7 @@ func (s *System) ensureIngestLocked() (*ingest.Pipeline, error) {
 			if o.Span.Valid() {
 				ev.TraceID = o.Span.Trace.String()
 			}
-			s.notifyIngest(ev)
+			s.ingestObs.fire(ev)
 		},
 	})
 	if err != nil {
@@ -735,42 +575,14 @@ func (s *System) ensureIngestLocked() (*ingest.Pipeline, error) {
 func (s *System) ApplyDelta(d Delta) (DeltaAck, error) {
 	s.mu.Lock()
 	p, err := s.ensureIngestLocked()
-	numV := s.numVertices
+	if err == nil {
+		// Reject a batch reaching absurdly far past the vertex space
+		// atomically, before any of it is buffered.
+		err = evolve.CheckGrowth(s.series.NumVertices(), d.Mutations)
+	}
 	s.mu.Unlock()
 	if err != nil {
 		return DeltaAck{}, err
-	}
-	// Vertex tables are dense up to the largest id, so an absurd endpoint
-	// in one tiny mutation would force a matching allocation; bound how
-	// far a batch may grow the space and reject it atomically up front.
-	// (Remove endpoints never grow the space — an absent edge just
-	// misses — so they are exempt.)
-	growth := s.cfg.maxVertexGrowth
-	if growth <= 0 {
-		growth = 1 << 20
-	}
-	maxID := VertexID(min(int64(numV)+int64(growth)-1, int64(model.NoVertex)-1))
-	checkID := func(v VertexID) error {
-		if v > maxID {
-			return fmt.Errorf("cgraph: vertex id %d exceeds the vertex-space growth bound %d (current space %d + max growth %d; see WithMaxVertexGrowth)",
-				v, maxID, numV, growth)
-		}
-		return nil
-	}
-	for _, m := range d.Mutations {
-		switch m.Op {
-		case MutationRewrite, MutationAdd:
-			if err := checkID(m.Edge.Src); err != nil {
-				return DeltaAck{}, err
-			}
-			if err := checkID(m.Edge.Dst); err != nil {
-				return DeltaAck{}, err
-			}
-		case MutationAddVertex:
-			if err := checkID(m.Vertex); err != nil {
-				return DeltaAck{}, err
-			}
-		}
 	}
 	// The pipeline copies each mutation into its coalescing buffer, so the
 	// caller's slice is passed through, not retained.
@@ -826,9 +638,11 @@ func (s *System) IngestCap() int { return s.cfg.ingestCap }
 func (s *System) IngestStats() IngestStats {
 	s.mu.Lock()
 	p, store := s.pipeline, s.store
-	compactions := s.compactions
+	out := IngestStats{SharedRatio: 1}
+	if s.series != nil {
+		out.Compactions = s.series.Compactions()
+	}
 	s.mu.Unlock()
-	out := IngestStats{SharedRatio: 1, Compactions: compactions}
 	if p != nil {
 		st := p.Stats()
 		out.Batches, out.Mutations, out.Coalesced = st.Batches, st.Mutations, st.Coalesced
@@ -854,101 +668,10 @@ func (s *System) IngestStats() IngestStats {
 	return out
 }
 
-// compactRatioLocked resolves the effective hole-compaction trigger:
-// the configured WithCompactionRatio, 0.25 by default, ≤0 when disabled.
-func (s *System) compactRatioLocked() float64 {
-	if s.cfg.compactRatio != 0 {
-		return s.cfg.compactRatio
-	}
-	return 0.25
-}
-
-// edgeKeyOf packs an edge's endpoint pair into the structural-remove
-// index's key.
-func edgeKeyOf(e model.Edge) uint64 { return uint64(e.Src)<<32 | uint64(e.Dst) }
-
-// edgeIndexLocked lazily builds the endpoint-pair → slots index used by
-// structural removes. Caller holds s.mu.
-func (s *System) edgeIndexLocked() map[uint64][]int {
-	if s.edgeSlots == nil {
-		idx := make(map[uint64][]int, len(s.edges))
-		for i, e := range s.edges {
-			if e.IsHole() {
-				continue
-			}
-			k := edgeKeyOf(e)
-			idx[k] = append(idx[k], i)
-		}
-		s.edgeSlots = idx
-	}
-	return s.edgeSlots
-}
-
-// indexAddLocked/indexDropLocked maintain the remove index incrementally
-// when it exists; with no index built yet they no-op (a later remove
-// rebuilds it from the current list).
-func (s *System) indexAddLocked(e model.Edge, slot int) {
-	if s.edgeSlots == nil {
-		return
-	}
-	k := edgeKeyOf(e)
-	s.edgeSlots[k] = append(s.edgeSlots[k], slot)
-}
-
-func (s *System) indexDropLocked(e model.Edge, slot int) {
-	if s.edgeSlots == nil {
-		return
-	}
-	k := edgeKeyOf(e)
-	ss := s.edgeSlots[k]
-	for i, x := range ss {
-		if x == slot {
-			ss[i] = ss[len(ss)-1]
-			ss = ss[:len(ss)-1]
-			break
-		}
-	}
-	if len(ss) == 0 {
-		delete(s.edgeSlots, k)
-	} else {
-		s.edgeSlots[k] = ss
-	}
-}
-
-// indexTakeLocked pops one slot holding an edge with e's endpoints; ok is
-// false when no such edge exists.
-func (s *System) indexTakeLocked(e model.Edge) (int, bool) {
-	idx := s.edgeIndexLocked()
-	k := edgeKeyOf(e)
-	ss := idx[k]
-	if len(ss) == 0 {
-		return 0, false
-	}
-	slot := ss[len(ss)-1]
-	ss = ss[:len(ss)-1]
-	if len(ss) == 0 {
-		delete(idx, k)
-	} else {
-		idx[k] = ss
-	}
-	return slot, true
-}
-
-// materializeDelta is the pipeline's sink: it applies one coalesced batch
-// (rewrites by ascending slot, then removes, adds, and vertex growth) to
-// the authoritative edge list in place — the flush must stay O(|delta|),
-// never O(|E|) — and builds the next snapshot. Pure slot rewrites take the
-// Overlay path (same slot count, same partition count); structural batches
-// take graph.Restructure, which re-chunks only the touched partitions while
-// the vertex space and edge-slot count move. Removes punch a hole into the
-// freed slot (model.HoleEdge) and record it on the free-slot list, so only
-// the removed slot's chunk is touched — the tail chunk stays shared — and
-// later adds refill holes in place before appending new slots.
-// On failure every edge-list write and the vertex-space growth are
-// reverted (and the remove index dropped for a lazy rebuild), so the
-// pipeline's retained buffer can retry against unchanged state. In-place
-// is safe: partitions copy the edge data into their own CSRs at build
-// time, so no snapshot aliases s.edges.
+// materializeDelta is the pipeline's sink: one evolve step applies the
+// coalesced batch to the series and derives the next snapshot, stamped
+// latest+1 (or minTS, when later). On failure the series is left exactly as
+// it was, so the pipeline's retained buffer can retry against it.
 func (s *System) materializeDelta(muts []ingest.Mutation, minTS int64, sc span.Context) (ingest.Result, error) {
 	start := time.Now()
 	// Parent the materialize span under the flush span when the window
@@ -959,14 +682,22 @@ func (s *System) materializeDelta(muts []ingest.Mutation, minTS int64, sc span.C
 		sp = s.tracer.StartSpan(sc, "ingest.materialize")
 	}
 	s.mu.Lock()
-	res, path, err := s.materializeDeltaLocked(muts, minTS)
+	latest := s.store.Latest()
+	ts := max(latest.Timestamp+1, minTS)
+	step, err := s.series.Apply(latest.PG, muts, func(pg *graph.PGraph) error {
+		return s.addSnapshotLocked(pg, ts)
+	})
 	s.mu.Unlock()
-	sp.Attr(span.Str("path", path), span.Int("slots", int64(res.Applied)), span.Bool("built", res.Built))
+	res := step.Result
+	if res.Built {
+		res.Timestamp = ts
+	}
+	sp.Attr(span.Str("path", step.Path), span.Int("slots", int64(res.Applied)), span.Bool("built", res.Built))
 	sp.End()
-	if path != "" {
-		s.notifyIngest(IngestEvent{
+	if step.Path != "" {
+		s.ingestObs.fire(IngestEvent{
 			Kind:      IngestMaterialize,
-			Path:      path,
+			Path:      step.Path,
 			Duration:  time.Since(start),
 			Mutations: res.Applied,
 			Built:     res.Built,
@@ -974,213 +705,6 @@ func (s *System) materializeDelta(muts []ingest.Mutation, minTS int64, sc span.C
 		})
 	}
 	return res, err
-}
-
-// materializeDeltaLocked does the work of materializeDelta under s.mu and
-// additionally reports which build path ran ("overlay", "restructure", or
-// "" when every op was a no-op and no snapshot was attempted).
-func (s *System) materializeDeltaLocked(muts []ingest.Mutation, minTS int64) (ingest.Result, string, error) {
-	prev := s.store.Latest()
-	prevLen := len(s.edges)
-	prevN := s.numVertices
-
-	const (
-		undoWrite = iota
-		undoAppend
-	)
-	type undoRec struct {
-		kind int
-		slot int
-		old  model.Edge
-	}
-	var undo []undoRec
-	prevFree := append([]int(nil), s.freeSlots...)
-	changedSet := make(map[int]bool, len(muts))
-	misses := 0
-	growTo := func(v model.VertexID) {
-		if int(v) >= s.numVertices {
-			s.numVertices = int(v) + 1
-		}
-	}
-	for _, m := range muts {
-		switch m.Op {
-		case ingest.Rewrite:
-			if m.Slot >= len(s.edges) {
-				// The slot vanished under a structural remove buffered in
-				// the same window; nothing left to rewrite.
-				misses++
-				continue
-			}
-			if s.edges[m.Slot] == m.Edge {
-				continue
-			}
-			undo = append(undo, undoRec{kind: undoWrite, slot: m.Slot, old: s.edges[m.Slot]})
-			if s.edges[m.Slot].IsHole() {
-				// Rewriting a freed slot revives it; take it off the
-				// free list so an add cannot claim it too.
-				for i, fs := range s.freeSlots {
-					if fs == m.Slot {
-						s.freeSlots[i] = s.freeSlots[len(s.freeSlots)-1]
-						s.freeSlots = s.freeSlots[:len(s.freeSlots)-1]
-						break
-					}
-				}
-			}
-			s.indexDropLocked(s.edges[m.Slot], m.Slot)
-			s.indexAddLocked(m.Edge, m.Slot)
-			s.edges[m.Slot] = m.Edge
-			changedSet[m.Slot] = true
-			growTo(m.Edge.Src)
-			growTo(m.Edge.Dst)
-		case ingest.RemoveEdge:
-			slot, ok := s.indexTakeLocked(m.Edge)
-			if !ok {
-				misses++
-				continue
-			}
-			// Punch a hole instead of swapping the tail in: only this
-			// slot's chunk changes, so the tail chunk stays shared and
-			// Restructure never recuts it for a plain remove.
-			undo = append(undo, undoRec{kind: undoWrite, slot: slot, old: s.edges[slot]})
-			s.edges[slot] = model.HoleEdge()
-			s.freeSlots = append(s.freeSlots, slot)
-			changedSet[slot] = true
-		case ingest.AddEdge:
-			var slot int
-			if n := len(s.freeSlots); n > 0 {
-				// Refill the most recently freed slot in place.
-				slot = s.freeSlots[n-1]
-				s.freeSlots = s.freeSlots[:n-1]
-				undo = append(undo, undoRec{kind: undoWrite, slot: slot, old: s.edges[slot]})
-				s.edges[slot] = m.Edge
-			} else {
-				slot = len(s.edges)
-				s.edges = append(s.edges, m.Edge)
-				undo = append(undo, undoRec{kind: undoAppend})
-			}
-			s.indexAddLocked(m.Edge, slot)
-			changedSet[slot] = true
-			growTo(m.Edge.Src)
-			growTo(m.Edge.Dst)
-		case ingest.AddVertex:
-			growTo(m.Vertex)
-		}
-	}
-	grewN := s.numVertices > prevN
-	if len(changedSet) == 0 && !grewN {
-		// Every op was a no-op (in-place rewrites, missed removes); no
-		// version to build.
-		return ingest.Result{Misses: misses}, "", nil
-	}
-	// preCompact holds the full pre-compaction edge list when a compaction
-	// pass ran: the undo records reference pre-compaction slot positions,
-	// so revert must restore the uncompacted list before replaying them.
-	var preCompact []model.Edge
-	revert := func() {
-		if preCompact != nil {
-			s.edges = preCompact
-		}
-		for i := len(undo) - 1; i >= 0; i-- {
-			r := undo[i]
-			switch r.kind {
-			case undoWrite:
-				s.edges[r.slot] = r.old
-			case undoAppend:
-				s.edges = s.edges[:len(s.edges)-1]
-			}
-		}
-		s.numVertices = prevN
-		s.freeSlots = prevFree
-		// Incremental index maintenance is not unwound; rebuild lazily.
-		s.edgeSlots = nil
-	}
-	if len(s.edges)-len(s.freeSlots) == 0 {
-		revert()
-		return ingest.Result{}, "", fmt.Errorf("cgraph: delta batch would remove every edge; at least one must remain")
-	}
-	// Hole compaction: when the tombstone share of the slot space crosses
-	// the configured ratio, squeeze the holes out before building. Every
-	// live slot at or after the first hole shifts down, so those slots all
-	// join the changed set and the shrunk length forces the Restructure
-	// path; slots below the first hole keep their positions and their
-	// chunks stay shared.
-	if ratio := s.compactRatioLocked(); ratio > 0 && len(s.freeSlots) > 0 &&
-		float64(len(s.freeSlots)) >= ratio*float64(len(s.edges)) {
-		preCompact = append([]model.Edge(nil), s.edges...)
-		firstHole := -1
-		w := 0
-		for i := range s.edges {
-			if s.edges[i].IsHole() {
-				if firstHole < 0 {
-					firstHole = i
-				}
-				continue
-			}
-			if w != i {
-				s.edges[w] = s.edges[i]
-			}
-			w++
-		}
-		s.edges = s.edges[:w]
-		for slot := range changedSet {
-			if slot >= firstHole {
-				delete(changedSet, slot)
-			}
-		}
-		for slot := firstHole; slot < w; slot++ {
-			changedSet[slot] = true
-		}
-		s.freeSlots = s.freeSlots[:0]
-		// Slot positions moved; the remove index rebuilds lazily.
-		s.edgeSlots = nil
-		s.compactions++
-	}
-	ts := prev.Timestamp + 1
-	if minTS > ts {
-		ts = minTS
-	}
-	changed := make([]int, 0, len(changedSet))
-	for slot := range changedSet {
-		changed = append(changed, slot)
-	}
-	sort.Ints(changed)
-	var pg *graph.PGraph
-	var rebuilt int
-	var err error
-	var path string
-	if len(s.edges) == prevLen && !grewN {
-		// Pure in-place rewrites: same slot space, the Overlay fast path.
-		path = "overlay"
-		changedParts := graph.ChangedPartitions(changed, prev.PG.ChunkSize, len(prev.PG.Parts))
-		pg, err = graph.Overlay(prev.PG, s.edges, changedParts)
-		rebuilt = len(changedParts)
-	} else {
-		path = "restructure"
-		var rebuiltIDs []int
-		pg, rebuiltIDs, err = graph.Restructure(prev.PG, s.numVertices, s.edges, changed)
-		rebuilt = len(rebuiltIDs)
-	}
-	if err != nil {
-		revert()
-		return ingest.Result{}, path, err
-	}
-	if s.engine != nil {
-		err = s.engine.AddSnapshot(pg, ts)
-	} else {
-		err = s.store.Add(pg, ts)
-	}
-	if err != nil {
-		revert()
-		return ingest.Result{}, path, err
-	}
-	return ingest.Result{
-		Built:     true,
-		Timestamp: ts,
-		Applied:   len(changed),
-		Rebuilt:   rebuilt,
-		Shared:    len(pg.Parts) - rebuilt,
-		Misses:    misses,
-	}, path, nil
 }
 
 // JobOption configures a submission.
@@ -1301,7 +825,7 @@ func (s *System) ensureEngineLocked() {
 		Hier:            hier,
 		Scheduler:       schedKind(s.cfg.scheduler),
 		OnJobEvent:      s.onJobEvent,
-		OnJobProgress:   s.onJobProgress,
+		OnJobProgress:   s.progress.fire,
 		TraceDepth:      s.cfg.traceDepth,
 		Tracer:          s.tracer,
 		TaskSampleEvery: s.cfg.spanTaskEvery,

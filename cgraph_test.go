@@ -6,13 +6,16 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
 	"cgraph/algo"
+	"cgraph/internal/evolve"
 	"cgraph/internal/gen"
 	"cgraph/internal/graph"
 	"cgraph/internal/refimpl"
+	"cgraph/model"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -113,6 +116,44 @@ func TestSnapshotWorkflow(t *testing.T) {
 		if gotNew[v] != wantNew[v] && !(math.IsInf(gotNew[v], 1) && math.IsInf(wantNew[v], 1)) {
 			t.Fatalf("new snapshot vertex %d wrong", v)
 		}
+	}
+}
+
+// TestSnapshotHoleAndStaleTimestamp: a full-list snapshot may free a slot
+// by rewriting it to model.HoleEdge — the vertex space does not grow to the
+// hole's sentinel ids, and the next delta add refills the slot instead of
+// appending — and a snapshot whose timestamp is not after the latest is
+// refused without disturbing the series.
+func TestSnapshotHoleAndStaleTimestamp(t *testing.T) {
+	const n = 60
+	edges := gen.ER(11, n, 500)
+	sys := NewSystem(WithWorkers(1), WithCoreSubgraph(false))
+	if err := sys.LoadEdges(n, edges); err != nil {
+		t.Fatal(err)
+	}
+	holed := slices.Clone(edges)
+	holed[5] = model.HoleEdge()
+	if err := sys.AddSnapshot(holed, 10); err != nil {
+		t.Fatal(err)
+	}
+	g := sys.store.Latest().PG.G
+	if g.N != n || g.Slots != 500 || g.NumEdges() != 499 {
+		t.Fatalf("N/slots/live = %d/%d/%d, want %d/500/499", g.N, g.Slots, g.NumEdges(), n)
+	}
+	for _, ts := range []int64{10, 5} {
+		if err := sys.AddSnapshot(edges, ts); err == nil {
+			t.Fatalf("snapshot at stale timestamp %d accepted", ts)
+		}
+	}
+	if _, err := sys.ApplyDelta(Delta{Mutations: []Mutation{{Op: MutationAdd, Edge: Edge{Src: 1, Dst: 2, Weight: 1}}}, Flush: true}); err != nil {
+		t.Fatal(err)
+	}
+	g = sys.store.Latest().PG.G
+	if g.N != n || g.Slots != 500 || g.NumEdges() != 500 {
+		t.Fatalf("after the add N/slots/live = %d/%d/%d, want %d/500/500", g.N, g.Slots, g.NumEdges(), n)
+	}
+	if err := sys.AddSnapshot(edges, 20); err != nil {
+		t.Fatalf("valid snapshot after the refused one: %v", err)
 	}
 }
 
@@ -235,12 +276,9 @@ func TestSnapshotGCSoak(t *testing.T) {
 	go func() { serveDone <- sys.Serve(ctx) }()
 
 	// mutateDelta derives a small delta against the system's current edge
-	// list (read under the lock: the materializer rewrites it).
+	// list.
 	mutateDelta := func(seed int64) Delta {
-		sys.mu.Lock()
-		cur := append([]Edge(nil), sys.edges...)
-		sys.mu.Unlock()
-		mut, slots := gen.Mutate(cur, 0.01, n, seed)
+		mut, slots := gen.Mutate(seriesEdges(sys), 0.01, n, seed)
 		d := Delta{Flush: true}
 		for _, s := range slots {
 			d.Mutations = append(d.Mutations, Mutation{Slot: s, Edge: mut[s]})
@@ -514,10 +552,8 @@ func TestStructuralDeltaParity(t *testing.T) {
 		t.Fatalf("ack = %+v, want a flush", ack)
 	}
 
-	sys.mu.Lock()
-	mutated := append([]Edge(nil), sys.edges...)
-	numV := sys.numVertices
-	sys.mu.Unlock()
+	mutated := seriesEdges(sys)
+	numV := sys.IngestStats().NumVertices
 	if numV != n+10 {
 		t.Fatalf("vertex space = %d, want %d", numV, n+10)
 	}
@@ -650,14 +686,10 @@ func TestRemoveFreeSlotNoTailRecut(t *testing.T) {
 	}
 
 	// Parity: the holes must be invisible to computation.
-	live := make([]Edge, 0, 1795)
-	sys.mu.Lock()
-	for _, e := range sys.edges {
-		if !e.IsHole() {
-			live = append(live, e)
-		}
+	live := liveEdges(sys)
+	if len(live) != 1795 {
+		t.Fatalf("live edges = %d, want 1795", len(live))
 	}
-	sys.mu.Unlock()
 	job, err := sys.Submit(&algo.PageRank{Damping: 0.85, Epsilon: 1e-8})
 	if err != nil {
 		t.Fatal(err)
@@ -718,9 +750,7 @@ func TestPrePostGrowthConcurrentJobs(t *testing.T) {
 	if !ack.Flushed {
 		t.Fatalf("growth delta did not flush: %+v", ack)
 	}
-	sys.mu.Lock()
-	grown := append([]Edge(nil), sys.edges...)
-	sys.mu.Unlock()
+	grown := seriesEdges(sys)
 
 	post, err := sys.Submit(&algo.PageRank{Damping: 0.85, Epsilon: 1e-12}, AtTimestamp(ack.Timestamp))
 	if err != nil {
@@ -876,18 +906,20 @@ func TestSnapshotGrowsVertexSpaceThenDelta(t *testing.T) {
 
 // TestVertexGrowthBound: a structural mutation naming an absurd vertex id
 // is rejected atomically at admission instead of forcing a dense
-// vertex-table allocation to match it.
+// vertex-table allocation to match it; the bound is evolve.MaxVertexGrowth
+// past the current vertex space.
 func TestVertexGrowthBound(t *testing.T) {
 	edges := gen.ER(31, 40, 300)
-	sys := NewSystem(WithWorkers(1), WithCoreSubgraph(false), WithMaxVertexGrowth(100))
+	sys := NewSystem(WithWorkers(1), WithCoreSubgraph(false))
 	if err := sys.LoadEdges(40, edges); err != nil {
 		t.Fatal(err)
 	}
+	const last = 40 + evolve.MaxVertexGrowth - 1 // the largest admissible id
 	for _, m := range []Mutation{
-		{Op: MutationAddVertex, Vertex: 141},                     // 40 + 100 = 140 is the last allowed id... one past
-		{Op: MutationAdd, Edge: Edge{Src: 0, Dst: 1<<32 - 1}},    // the NoVertex sentinel
-		{Op: MutationRewrite, Slot: 0, Edge: Edge{Src: 9999999}}, // rewrite endpoints grow the space too
-		{Op: MutationAddVertex, Vertex: 4294967294},              // ~2^32: would allocate gigabytes
+		{Op: MutationAddVertex, Vertex: last + 1},                 // one past the bound
+		{Op: MutationAdd, Edge: Edge{Src: 0, Dst: 1<<32 - 1}},     // the NoVertex sentinel
+		{Op: MutationRewrite, Slot: 0, Edge: Edge{Src: last + 1}}, // rewrite endpoints grow the space too
+		{Op: MutationAddVertex, Vertex: 4294967294},               // ~2^32: would allocate gigabytes
 	} {
 		if _, err := sys.ApplyDelta(Delta{Mutations: []Mutation{m}}); err == nil {
 			t.Fatalf("mutation %+v accepted past the growth bound", m)
@@ -896,7 +928,8 @@ func TestVertexGrowthBound(t *testing.T) {
 	if sys.IngestStats().Pending != 0 {
 		t.Fatal("rejected mutations were buffered")
 	}
-	// The boundary id itself is fine, and removes of huge ids just miss.
+	// In-bound growth materializes, and removes of huge ids are exempt —
+	// they just miss.
 	if _, err := sys.ApplyDelta(Delta{Mutations: []Mutation{
 		{Op: MutationAddVertex, Vertex: 139},
 		{Op: MutationRemove, Edge: Edge{Src: 4294967294, Dst: 1}},
@@ -906,12 +939,23 @@ func TestVertexGrowthBound(t *testing.T) {
 	if got := sys.store.Latest().PG.G.N; got != 140 {
 		t.Fatalf("N = %d, want 140", got)
 	}
+	// The boundary id of the grown space is admitted. It stays buffered:
+	// materializing it would allocate vertex tables a million entries long.
+	if _, err := sys.ApplyDelta(Delta{Mutations: []Mutation{{Op: MutationAddVertex, Vertex: 140 + evolve.MaxVertexGrowth - 1}}}); err != nil {
+		t.Fatalf("boundary id rejected: %v", err)
+	}
+	if _, err := sys.ApplyDelta(Delta{Mutations: []Mutation{{Op: MutationAddVertex, Vertex: 140 + evolve.MaxVertexGrowth}}}); err == nil {
+		t.Fatal("one past the grown space's bound accepted")
+	}
+	if got := sys.IngestStats().Pending; got != 1 {
+		t.Fatalf("pending = %d, want 1", got)
+	}
 }
 
-// TestHoleCompaction pins the WithCompactionRatio trigger: a remove-heavy
-// flush that pushes the tombstone share past the ratio compacts the edge
-// list in place — the snapshot's slot space shrinks to the live count, the
-// free-slot list empties (the next add appends instead of refilling), and
+// TestHoleCompaction pins the hole-compaction trigger (evolve.CompactRatio):
+// a remove-heavy flush that pushes the tombstone share past the ratio
+// compacts the edge list in place — the snapshot's slot space shrinks to
+// the live count, the next add appends instead of refilling a hole, and
 // computation over the compacted snapshot still matches the reference.
 func TestHoleCompaction(t *testing.T) {
 	const n = 120
@@ -941,12 +985,6 @@ func TestHoleCompaction(t *testing.T) {
 	if ist.Compactions != 1 {
 		t.Fatalf("compactions = %d, want 1", ist.Compactions)
 	}
-	sys.mu.Lock()
-	holes := len(sys.freeSlots)
-	sys.mu.Unlock()
-	if holes != 0 {
-		t.Fatalf("free-slot list not cleared: %d holes", holes)
-	}
 
 	// With no holes left, an add must append a fresh slot.
 	compactedSlots := pg.G.Slots
@@ -965,14 +1003,7 @@ func TestHoleCompaction(t *testing.T) {
 
 	// Parity over the compacted list: the holes' disappearance must be
 	// invisible to computation.
-	sys.mu.Lock()
-	live := make([]Edge, 0, len(sys.edges))
-	for _, e := range sys.edges {
-		if !e.IsHole() {
-			live = append(live, e)
-		}
-	}
-	sys.mu.Unlock()
+	live := liveEdges(sys)
 	job, err := sys.Submit(&algo.PageRank{Damping: 0.85, Epsilon: 1e-8})
 	if err != nil {
 		t.Fatal(err)
@@ -992,28 +1023,14 @@ func TestHoleCompaction(t *testing.T) {
 	}
 }
 
-// TestHoleCompactionDisabled: a negative ratio turns the pass off — the
-// same remove-heavy flush keeps every tombstone slot in place.
-func TestHoleCompactionDisabled(t *testing.T) {
-	const n = 120
-	base := gen.ER(29, n, 1600)
-	sys := NewSystem(WithWorkers(2), WithCoreSubgraph(false), WithPartitions(8),
-		WithCompactionRatio(-1))
-	if err := sys.LoadEdges(n, base); err != nil {
-		t.Fatal(err)
-	}
-	d := Delta{Flush: true}
-	for s := 0; s < 480; s++ {
-		d.Mutations = append(d.Mutations, Mutation{Op: MutationRemove, Edge: base[s]})
-	}
-	if _, err := sys.ApplyDelta(d); err != nil {
-		t.Fatal(err)
-	}
-	pg := sys.store.Latest().PG
-	if pg.G.Slots != 1600 || pg.G.NumEdges() >= 1600 {
-		t.Fatalf("slots/live with compaction disabled = %d/%d, want 1600 slots with holes", pg.G.Slots, pg.G.NumEdges())
-	}
-	if got := sys.IngestStats().Compactions; got != 0 {
-		t.Fatalf("compactions = %d, want 0", got)
-	}
+// seriesEdges reads the system's current edge list, holes included.
+func seriesEdges(sys *System) []Edge {
+	sys.mu.Lock()
+	defer sys.mu.Unlock()
+	return sys.series.Edges()
+}
+
+// liveEdges is seriesEdges without the removal holes.
+func liveEdges(sys *System) []Edge {
+	return slices.DeleteFunc(seriesEdges(sys), Edge.IsHole)
 }

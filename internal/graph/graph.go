@@ -552,18 +552,19 @@ func ChangedPartitions(changedSlots []int, chunkSize, numPartitions int) []int {
 	return out
 }
 
-// Restructure builds the partitioned graph of a snapshot whose edge-slot
-// count or vertex space differs from prev (plain-mode partitioning only):
-// the slot-stable chunking is preserved, so only the partitions whose slot
-// ranges are named in changedSlots — plus chunks appended, dropped, or
-// resized at the list boundary — are rebuilt from the mutated edge list.
-// Every other *Partition is shared by pointer with prev, exactly as in
-// Overlay, so a structural delta recuts O(touched) partitions instead of
-// re-running the full Cut. The vertex space may grow (new vertices get
-// replicas only once edges reach them) but never shrink: jobs bound to
-// older snapshots index per-snapshot state by their own PG, so a larger N
-// in a newer snapshot never perturbs them. Returns the new snapshot and
-// the IDs of the partitions that were rebuilt.
+// Restructure builds the partitioned graph of a snapshot whose edge list
+// was mutated from prev's (plain-mode partitioning only): the slot-stable
+// chunking is preserved, so only the partitions whose slot ranges are named
+// in changedSlots — plus chunks appended, dropped, or resized at the list
+// boundary — are rebuilt from the mutated edge list. Every other *Partition
+// is shared by pointer with prev (so the memory-hierarchy simulator sees one
+// cacheable item, the property Fig. 5 relies on), and a mutation recuts
+// O(touched) partitions instead of re-running the full Cut. The slot count
+// may change, and the vertex space may grow (new vertices get replicas only
+// once edges reach them) but never shrink: jobs bound to older snapshots
+// index per-snapshot state by their own PG, so a larger N in a newer
+// snapshot never perturbs them. Returns the new snapshot and the IDs of the
+// partitions that were rebuilt, ascending.
 func Restructure(prev *PGraph, numVertices int, edges []model.Edge, changedSlots []int) (*PGraph, []int, error) {
 	if prev.NumCore != 0 {
 		return nil, nil, fmt.Errorf("graph: Restructure requires plain partitioning (slot-stable chunks)")
@@ -575,8 +576,7 @@ func Restructure(prev *PGraph, numVertices int, edges []model.Edge, changedSlots
 		return nil, nil, fmt.Errorf("graph: Restructure cannot shrink the vertex space (%d -> %d)", prev.G.N, numVertices)
 	}
 	chunk := prev.ChunkSize
-	wantParts := (len(edges) + chunk - 1) / chunk
-	rebuild := make([]bool, wantParts)
+	rebuild := make([]bool, (len(edges)+chunk-1)/chunk)
 	for _, s := range changedSlots {
 		if s < 0 || s >= len(edges) {
 			// A slot beyond the new list: its chunk shrank or vanished;
@@ -584,10 +584,6 @@ func Restructure(prev *PGraph, numVertices int, edges []model.Edge, changedSlots
 			continue
 		}
 		rebuild[s/chunk] = true
-	}
-	// Chunks beyond prev's partition count are new and always built.
-	for p := len(prev.Parts); p < wantParts; p++ {
-		rebuild[p] = true
 	}
 	// When the list grew or shrank, the chunk containing the shorter
 	// boundary changed its slot range even if none of its slots were
@@ -598,37 +594,23 @@ func Restructure(prev *PGraph, numVertices int, edges []model.Edge, changedSlots
 	// flush from resizing the tail chunk.
 	prevE := prev.G.Slots
 	if b := min(len(edges), prevE); len(edges) != prevE && b%chunk != 0 {
-		if p := (b - 1) / chunk; p < wantParts {
+		if p := (b - 1) / chunk; p < len(rebuild) {
 			rebuild[p] = true
 		}
 	}
-
-	g := Build(numVertices, edges)
-	pg := &PGraph{G: g, Parts: make([]*Partition, wantParts), ChunkSize: chunk}
-	b := newBuilder(g)
+	pg := derive(prev, numVertices, edges, rebuild)
 	var rebuilt []int
-	for id := 0; id < wantParts; id++ {
-		if id < len(prev.Parts) && !rebuild[id] {
-			pg.Parts[id] = prev.Parts[id]
-			continue
+	for id, r := range rebuild {
+		if r || id >= len(prev.Parts) {
+			rebuilt = append(rebuilt, id)
 		}
-		start := id * chunk
-		end := min(start+chunk, len(edges))
-		pg.Parts[id] = b.build(id, edges[start:end], false)
-		rebuilt = append(rebuilt, id)
 	}
-	pg.assignMasters()
 	return pg, rebuilt, nil
 }
 
-// Overlay builds the partitioned graph of a new snapshot from a previous
-// plain-mode partitioning: only the partitions named in changedParts are
-// rebuilt from the mutated edge list, every other *Partition is shared by
-// pointer with prev (so the memory-hierarchy simulator sees one cacheable
-// item, the property Fig. 5 relies on). Replica assignment is recomputed for
-// the new snapshot at the PGraph level, leaving shared partition bytes
-// untouched. edges must have prev's slot count; a resized list takes
-// Restructure.
+// Overlay is Restructure for a mutation that keeps prev's slot count and
+// vertex space, with the rebuilt partitions named directly (changedParts,
+// see ChangedPartitions) instead of derived from changed slots.
 func Overlay(prev *PGraph, edges []model.Edge, changedParts []int) (*PGraph, error) {
 	if prev.NumCore != 0 {
 		return nil, fmt.Errorf("graph: Overlay requires plain partitioning (slot-stable chunks)")
@@ -637,20 +619,36 @@ func Overlay(prev *PGraph, edges []model.Edge, changedParts []int) (*PGraph, err
 		// Even a resize inside the last chunk would leave it shared, stale.
 		return nil, fmt.Errorf("graph: Overlay edge list has %d slots, previous snapshot %d", len(edges), prev.G.Slots)
 	}
-	g := Build(prev.G.N, edges)
-	pg := &PGraph{G: g, Parts: append([]*Partition(nil), prev.Parts...), ChunkSize: prev.ChunkSize}
-	b := newBuilder(g)
+	rebuild := make([]bool, len(prev.Parts))
 	for _, id := range changedParts {
-		if id < 0 || id >= len(pg.Parts) {
+		if id < 0 || id >= len(rebuild) {
 			return nil, fmt.Errorf("graph: Overlay changed partition %d out of range", id)
 		}
-		start := id * prev.ChunkSize
-		end := start + prev.ChunkSize
-		if end > len(edges) {
-			end = len(edges)
+		rebuild[id] = true
+	}
+	return derive(prev, prev.G.N, edges, rebuild), nil
+}
+
+// derive is the partition-rebuild loop Overlay and Restructure share: it
+// builds the global CSR of edges and one partition per prev-sized chunk,
+// len(rebuild) in all. Partition id is built from its chunk, in ascending
+// id order, when rebuild[id] is set or prev has no partition id; otherwise
+// it is prev's, shared by pointer. Replica assignment is recomputed for the
+// new snapshot at the PGraph level, leaving shared partition bytes
+// untouched.
+func derive(prev *PGraph, numVertices int, edges []model.Edge, rebuild []bool) *PGraph {
+	chunk := prev.ChunkSize
+	g := Build(numVertices, edges)
+	pg := &PGraph{G: g, Parts: make([]*Partition, len(rebuild)), ChunkSize: chunk}
+	b := newBuilder(g)
+	for id := range pg.Parts {
+		if id < len(prev.Parts) && !rebuild[id] {
+			pg.Parts[id] = prev.Parts[id]
+			continue
 		}
-		pg.Parts[id] = b.build(id, edges[start:end], false)
+		start := id * chunk
+		pg.Parts[id] = b.build(id, edges[start:min(start+chunk, len(edges))], false)
 	}
 	pg.assignMasters()
-	return pg, nil
+	return pg
 }

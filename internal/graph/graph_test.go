@@ -853,9 +853,46 @@ func TestOverlayAllocations(t *testing.T) {
 	}
 }
 
+// restructureMatchesOverlay derives the mutation over, an Overlay of prev
+// whose partitions were built from UID u0 on, describes again, through
+// Restructure over the same vertex space, and requires an identical result:
+// the same global CSR and shape, the same partitions shared with prev, every
+// rebuilt partition equal field by field and built in the same order (its
+// UID at the same offset from the call's first), and the same replica
+// assignment.
+func restructureMatchesOverlay(t *testing.T, prev *PGraph, mut []model.Edge, changed []int, over *PGraph, u0 int64) {
+	t.Helper()
+	u1 := uidCounter.Load()
+	rs, rebuilt, err := Restructure(prev, prev.G.N, mut, changed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u2 := uidCounter.Load(); u2-u1 != u1-u0 {
+		t.Fatalf("Restructure handed out %d UIDs, Overlay %d", u2-u1, u1-u0)
+	}
+	if !reflect.DeepEqual(rs.G, over.G) || len(rs.Parts) != len(over.Parts) || rs.ChunkSize != over.ChunkSize || rs.NumCore != over.NumCore {
+		t.Fatal("Restructure's graph or shape differs from Overlay's")
+	}
+	for id, p := range rs.Parts {
+		q := over.Parts[id]
+		if shared := q == prev.Parts[id]; shared != (p == prev.Parts[id]) || shared != !slices.Contains(rebuilt, id) {
+			t.Fatalf("part %d: shared by Overlay %v, by Restructure %v", id, shared, p == prev.Parts[id])
+		}
+		if p != q && (p.UID-u1 != q.UID-u0 || partitionDiff(p, q, false) != "") {
+			t.Fatalf("part %d: Restructure built UID +%d %s, Overlay UID +%d", id, p.UID-u1, partitionDiff(p, q, false), q.UID-u0)
+		}
+	}
+	if !reflect.DeepEqual(rs.MasterOf, over.MasterOf) || !reflect.DeepEqual(rs.RepOff, over.RepOff) ||
+		!reflect.DeepEqual(rs.RepLoc, over.RepLoc) || !reflect.DeepEqual(rs.Masters, over.Masters) ||
+		!reflect.DeepEqual(rs.MasterParts, over.MasterParts) {
+		t.Fatal("Restructure's replica assignment differs from Overlay's")
+	}
+}
+
 // FuzzOverlayMatchesCut: an Overlay of in-place rewrites and freed slots
 // equals a fresh Cut of the mutated list on every partition, with the
-// untouched partitions shared by pointer with the previous snapshot. A
+// untouched partitions shared by pointer with the previous snapshot, and
+// Restructure derives the identical snapshot from the same mutation. A
 // shared partition keeps the AvgDegree it was built with, so that one
 // field is compared only on rebuilt partitions.
 func FuzzOverlayMatchesCut(f *testing.F) {
@@ -896,10 +933,12 @@ func FuzzOverlayMatchesCut(f *testing.F) {
 			changed = append(changed, s)
 		}
 		parts := ChangedPartitions(changed, prev.ChunkSize, len(prev.Parts))
+		u0 := uidCounter.Load()
 		over, err := Overlay(prev, mut, parts)
 		if err != nil {
 			t.Fatal(err)
 		}
+		restructureMatchesOverlay(t, prev, mut, changed, over, u0)
 		want, err := Cut(Build(n, mut), mut, Options{NumPartitions: np})
 		if err != nil {
 			t.Fatal(err)

@@ -1,11 +1,11 @@
 // Package ingest is the streaming delta-ingestion pipeline for evolving
-// graphs: instead of re-shipping the full edge list per version (the
-// AddSnapshot path, O(|E|) per snapshot), callers stream small edge
-// mutation batches. The pipeline coalesces them in a bounded per-key
-// buffer — last op wins per key, and an add-then-remove of the same edge
-// cancels to nothing — and materializes one overlay snapshot per flush, so
-// snapshot cost is O(|delta|) and unchanged partitions stay pointer-shared
-// across the series (the Fig. 5 incremental global table).
+// graphs: instead of re-shipping the full edge list per version (O(|E|)
+// per snapshot), callers stream small edge mutation batches. The pipeline
+// coalesces them in a bounded per-key buffer — last op wins per key, and
+// an add-then-remove of the same edge cancels to nothing — and
+// materializes one snapshot per flush, so snapshot cost is O(|delta|) and
+// unchanged partitions stay pointer-shared across the series (the Fig. 5
+// incremental global table).
 //
 // Mutations come in two families. Rewrite keeps the §3.2.1 slot-rewrite
 // semantics: the edge occupying an existing slot is replaced in place, and
@@ -21,9 +21,9 @@
 // a batch's Flush flag). When MaxPending is set, Apply sheds whole batches
 // with ErrSaturated once the buffer is at the cap, so a slow materializer
 // surfaces as backpressure instead of unbounded memory. Materialization
-// itself — applying the coalesced ops to the authoritative edge list,
-// diffing only the touched slots, and building the overlay — is delegated
-// to the Materialize callback, so the pipeline stays free of storage and
+// itself — applying the coalesced ops to the authoritative edge list and
+// deriving the snapshot (internal/evolve) — is delegated to the
+// Materialize callback, so the pipeline stays free of storage and
 // engine dependencies.
 package ingest
 
@@ -169,8 +169,7 @@ type Config struct {
 	// disables the age trigger (count and manual triggers only).
 	Window time.Duration
 	// Materialize applies one coalesced batch (rewrites by ascending slot,
-	// then removes, adds, and vertex growth) and builds the overlay
-	// snapshot. minTS is the lowest acceptable snapshot timestamp (0 when
+	// then removes, adds, and vertex growth) and builds the snapshot. minTS is the lowest acceptable snapshot timestamp (0 when
 	// no batch requested one). sc is the flush span's context, for
 	// parenting a materialize span (zero when tracing is off). Required.
 	Materialize func(muts []Mutation, minTS int64, sc span.Context) (Result, error)
@@ -252,7 +251,7 @@ type Ack struct {
 	Timestamp int64
 }
 
-// Pipeline coalesces mutation batches and materializes overlay snapshots.
+// Pipeline coalesces mutation batches and materializes them into snapshots.
 // Safe for concurrent use; flushes are serialized.
 type Pipeline struct {
 	cfg Config

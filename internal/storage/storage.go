@@ -27,7 +27,7 @@ type Snapshot struct {
 
 // SnapshotStore keeps the snapshot series in timestamp order. Unchanged
 // partitions are shared by pointer between consecutive snapshots (built via
-// graph.Overlay), which is the incremental storage scheme of Fig. 5.
+// graph.Restructure), which is the incremental storage scheme of Fig. 5.
 //
 // The store also owns snapshot lifecycle: jobs binding to a snapshot take a
 // reference (Acquire/Release), and a retention policy (SetRetention) evicts

@@ -22,8 +22,9 @@ type serviceObs struct {
 	// ingestBatch the coalesced batch size each flush drained.
 	ingestFlush *metrics.HistogramVec
 	ingestBatch *metrics.Histogram
-	// materialize measures snapshot materialization latency by path
-	// ("overlay" pointer-sharing vs full "restructure").
+	// materialize measures snapshot materialization latency by path, the
+	// snapshot's shape: "overlay" (slot count and vertex space unchanged)
+	// or "restructure" (either moved). Both share untouched partitions.
 	materialize *metrics.HistogramVec
 }
 
