@@ -22,22 +22,12 @@ func AblationStraggler(opt Options) (*Table, error) {
 	for _, d := range gen.StandIns(opt.Scale) {
 		opt.logf("ablation-straggler: %s", d.Name)
 		env := NewEnv(d, opt.Workers, opt.Scale)
-		specs := benchmarks(4, opt.Epsilon, func(int) int64 { return 0 })
 		run := func(balance float64) (float64, error) {
 			store, err := env.Store(true)
 			if err != nil {
 				return 0, err
 			}
-			eng := core.New(core.Config{
-				Workers:   opt.Workers,
-				Hier:      env.Hier(),
-				Scheduler: sched.Priority,
-				Balance:   balance,
-			}, store)
-			for _, s := range specs {
-				eng.Submit(s.Prog, s.Arrival)
-			}
-			rep, err := eng.Run()
+			rep, err := env.runCGraph(store, paperMix(4, opt.Epsilon), core.Config{Scheduler: sched.Priority, Balance: balance})
 			if err != nil {
 				return 0, err
 			}
@@ -69,13 +59,12 @@ func AblationScheduler(opt Options) (*Table, error) {
 	for _, d := range gen.StandIns(opt.Scale) {
 		opt.logf("ablation-scheduler: %s", d.Name)
 		env := NewEnv(d, opt.Workers, opt.Scale)
-		specs := benchmarks(4, opt.Epsilon, func(int) int64 { return 0 })
 		run := func(kind sched.Kind, coreSub bool) (float64, error) {
 			store, err := env.Store(coreSub)
 			if err != nil {
 				return 0, err
 			}
-			rep, err := env.runCGraph(store, specs, kind, "CGraph", 0)
+			rep, err := env.runCGraph(store, paperMix(4, opt.Epsilon), core.Config{Scheduler: kind, Label: "CGraph"})
 			if err != nil {
 				return 0, err
 			}
@@ -122,8 +111,7 @@ func AblationBatching(opt Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		specs := benchmarks(njobs, opt.Epsilon, func(int) int64 { return 0 })
-		rep, err := env.runCGraph(store, specs, sched.Priority, "CGraph", 0)
+		rep, err := env.runCGraph(store, paperMix(njobs, opt.Epsilon), core.Config{Scheduler: sched.Priority, Label: "CGraph"})
 		if err != nil {
 			return nil, err
 		}
@@ -160,12 +148,12 @@ func AblationTwoLevel(opt Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		specs := benchmarks(njobs, opt.Epsilon, func(i int) int64 { return int64(i) })
-		one, err := env.runCGraph(store, specs, sched.Priority, "CGraph", 0)
+		w := workload{jobs: njobs, eps: opt.Epsilon, snapshots: true}
+		one, err := env.runCGraph(store, w, core.Config{Scheduler: sched.Priority, Label: "CGraph"})
 		if err != nil {
 			return nil, err
 		}
-		two, err := env.runCGraph(store, specs, sched.TwoLevel, "CGraph-2L", 0)
+		two, err := env.runCGraph(store, w, core.Config{Scheduler: sched.TwoLevel, Label: "CGraph-2L"})
 		if err != nil {
 			return nil, err
 		}

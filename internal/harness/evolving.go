@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"cgraph/internal/baseline"
+	"cgraph/internal/core"
 	"cgraph/internal/gen"
 	"cgraph/internal/metrics"
 	"cgraph/internal/sched"
@@ -23,11 +24,11 @@ func evolvingRun(opt Options, env *Env, sys string, njobs int, ratio float64) (*
 	if err != nil {
 		return nil, err
 	}
-	specs := benchmarks(njobs, opt.Epsilon, func(i int) int64 { return int64(i) })
+	w := workload{jobs: njobs, eps: opt.Epsilon, snapshots: true}
 	if sys == "CGraph" {
-		return env.runCGraph(store, specs, sched.Priority, "CGraph", 0)
+		return env.runCGraph(store, w, core.Config{Scheduler: sched.Priority, Label: "CGraph"})
 	}
-	return env.runBaseline(baseline.System(sys), store, specs, 0)
+	return env.runBaseline(baseline.System(sys), store, w, 0)
 }
 
 // evolvingSystems is the §4.4 comparison set.
@@ -96,8 +97,7 @@ func evolvingGrid(opt Options) (map[string]map[int]*metrics.RunReport, map[int]*
 		if err != nil {
 			return nil, nil, err
 		}
-		specs := benchmarks(njobs, opt.Epsilon, func(i int) int64 { return int64(i) })
-		rep, err := env.runBaseline(baseline.Sequential, store, specs, 0)
+		rep, err := env.runBaseline(baseline.Sequential, store, workload{jobs: njobs, eps: opt.Epsilon, snapshots: true}, 0)
 		if err != nil {
 			return nil, nil, err
 		}

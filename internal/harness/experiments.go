@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"cgraph/internal/baseline"
+	"cgraph/internal/core"
 	"cgraph/internal/gen"
 	"cgraph/internal/metrics"
 	"cgraph/internal/sched"
@@ -96,16 +97,12 @@ func Fig2(opt Options) ([]*Table, error) {
 		rowA := []string{name}
 		rowB := []string{name}
 		for _, k := range []int{1, 2, 4, 8} {
-			// k concurrent instances of this benchmark type.
-			mine := make([]baseline.JobSpec, k)
-			for i := range mine {
-				mine[i] = benchmarks(4, opt.Epsilon, func(int) int64 { return 0 })[bench]
-			}
 			store, err := env.Store(false)
 			if err != nil {
 				return nil, err
 			}
-			rep, err := env.runBaseline(baseline.Seraph, store, mine, 0)
+			// k concurrent instances of this benchmark type.
+			rep, err := env.runBaseline(baseline.Seraph, store, workload{jobs: k, eps: opt.Epsilon, mix: []int{bench}}, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -134,13 +131,11 @@ func Fig8(opt Options) (*Table, error) {
 	for _, d := range gen.StandIns(opt.Scale) {
 		opt.logf("fig8: %s", d.Name)
 		env := NewEnv(d, opt.Workers, opt.Scale)
-		specs := benchmarks(4, opt.Epsilon, func(int) int64 { return 0 })
-
 		plain, err := env.Store(false)
 		if err != nil {
 			return nil, err
 		}
-		without, err := env.runCGraph(plain, specs, sched.Static, "CGraph-without", 0)
+		without, err := env.runCGraph(plain, paperMix(4, opt.Epsilon), core.Config{Scheduler: sched.Static, Label: "CGraph-without"})
 		if err != nil {
 			return nil, err
 		}
@@ -148,7 +143,7 @@ func Fig8(opt Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		with, err := env.runCGraph(coreStore, specs, sched.Priority, "CGraph", 0)
+		with, err := env.runCGraph(coreStore, paperMix(4, opt.Epsilon), core.Config{Scheduler: sched.Priority, Label: "CGraph"})
 		if err != nil {
 			return nil, err
 		}
@@ -307,14 +302,13 @@ func Fig14(opt Options) (*Table, error) {
 	var base float64
 	for _, w := range []int{1, 2, 4, 8, 16, 32} {
 		opt.logf("fig14: %d workers", w)
-		specs := benchmarks(4, opt.Epsilon, func(int) int64 { return 0 })
 		row := []string{fmt.Sprintf("%d", w)}
 		for _, sys := range []baseline.System{baseline.CLIP, baseline.NXgraph, baseline.Seraph} {
 			store, err := env.Store(false)
 			if err != nil {
 				return nil, err
 			}
-			rep, err := env.runBaseline(sys, store, benchmarks(4, opt.Epsilon, func(int) int64 { return 0 }), w)
+			rep, err := env.runBaseline(sys, store, paperMix(4, opt.Epsilon), w)
 			if err != nil {
 				return nil, err
 			}
@@ -327,7 +321,7 @@ func Fig14(opt Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep, err := env.runCGraph(store, specs, sched.Priority, "CGraph", w)
+		rep, err := env.runCGraph(store, paperMix(4, opt.Epsilon), core.Config{Scheduler: sched.Priority, Label: "CGraph", Workers: w})
 		if err != nil {
 			return nil, err
 		}

@@ -245,16 +245,38 @@ func (e *Env) SnapshotSeries(numSnaps int, ratio float64) (*storage.SnapshotStor
 	return store, nil
 }
 
-// benchmarks returns the paper's four-job workload (§4): PageRank, SSSP,
-// SCC and BFS, cycled to the requested count, each bound to the given
-// arrival timestamp function.
-func benchmarks(n int, eps float64, arrival func(i int) int64) []baseline.JobSpec {
-	specs := make([]baseline.JobSpec, n)
-	for i := 0; i < n; i++ {
+// workload is the recipe for one run's jobs. Runs take the recipe, not
+// programs, and build their own instances from it: a program such as
+// algo.SCC keeps job-private state, so no instance may serve two jobs.
+type workload struct {
+	jobs int
+	eps  float64
+	// mix lists the benchmarks cycled over the jobs (0 PageRank, 1 SSSP,
+	// 2 SCC, 3 BFS); nil is the paper's four-job mix of §4.
+	mix []int
+	// snapshots binds job i to snapshot i (it arrives at timestamp i);
+	// otherwise every job arrives at 0.
+	snapshots bool
+}
+
+// paperMix is the four-job workload (§4) at threshold eps.
+func paperMix(jobs int, eps float64) workload { return workload{jobs: jobs, eps: eps} }
+
+// onRun, when set, sees the jobs of every run as they are submitted.
+var onRun func([]baseline.JobSpec)
+
+// build returns fresh program instances for one run.
+func (w workload) build() []baseline.JobSpec {
+	mix := w.mix
+	if mix == nil {
+		mix = []int{0, 1, 2, 3}
+	}
+	specs := make([]baseline.JobSpec, w.jobs)
+	for i := range specs {
 		var p model.Program
-		switch i % 4 {
+		switch mix[i%len(mix)] {
 		case 0:
-			p = &algo.PageRank{Damping: 0.85, Epsilon: eps}
+			p = &algo.PageRank{Damping: 0.85, Epsilon: w.eps}
 		case 1:
 			p = algo.NewSSSP(0)
 		case 2:
@@ -262,32 +284,41 @@ func benchmarks(n int, eps float64, arrival func(i int) int64) []baseline.JobSpe
 		case 3:
 			p = algo.NewBFS(0)
 		}
-		specs[i] = baseline.JobSpec{Prog: p, Arrival: arrival(i)}
+		specs[i] = baseline.JobSpec{Prog: p}
+		if w.snapshots {
+			specs[i].Arrival = int64(i)
+		}
 	}
 	return specs
 }
 
-// runCGraph executes the specs on the CGraph engine.
-func (e *Env) runCGraph(store *storage.SnapshotStore, specs []baseline.JobSpec, kind sched.Kind, label string, workers int) (*metrics.RunReport, error) {
-	if workers <= 0 {
-		workers = e.Workers
+// runCGraph executes the workload on the CGraph engine configured by cfg,
+// over a fresh hierarchy and with the environment's workers unless cfg
+// sets its own.
+func (e *Env) runCGraph(store *storage.SnapshotStore, w workload, cfg core.Config) (*metrics.RunReport, error) {
+	if cfg.Workers <= 0 {
+		cfg.Workers = e.Workers
 	}
-	eng := core.New(core.Config{
-		Workers:   workers,
-		Hier:      e.Hier(),
-		Scheduler: kind,
-		Label:     label,
-	}, store)
+	cfg.Hier = e.Hier()
+	eng := core.New(cfg, store)
+	specs := w.build()
+	if onRun != nil {
+		onRun(specs)
+	}
 	for _, s := range specs {
 		eng.Submit(s.Prog, s.Arrival)
 	}
 	return eng.Run()
 }
 
-// runBaseline executes the specs on one comparator system.
-func (e *Env) runBaseline(sys baseline.System, store *storage.SnapshotStore, specs []baseline.JobSpec, workers int) (*metrics.RunReport, error) {
+// runBaseline executes the workload on one comparator system.
+func (e *Env) runBaseline(sys baseline.System, store *storage.SnapshotStore, w workload, workers int) (*metrics.RunReport, error) {
 	if workers <= 0 {
 		workers = e.Workers
+	}
+	specs := w.build()
+	if onRun != nil {
+		onRun(specs)
 	}
 	rep, _, err := baseline.Run(baseline.Config{
 		System:  sys,
@@ -301,13 +332,12 @@ func (e *Env) runBaseline(sys baseline.System, store *storage.SnapshotStore, spe
 // environment per system, returning reports keyed by system name.
 func (e *Env) fourJobRun(eps float64) (map[string]*metrics.RunReport, error) {
 	out := make(map[string]*metrics.RunReport)
-	specs := benchmarks(4, eps, func(int) int64 { return 0 })
 	for _, sys := range []baseline.System{baseline.CLIP, baseline.NXgraph, baseline.Seraph} {
 		store, err := e.Store(false)
 		if err != nil {
 			return nil, err
 		}
-		rep, err := e.runBaseline(sys, store, benchmarks(4, eps, func(int) int64 { return 0 }), 0)
+		rep, err := e.runBaseline(sys, store, paperMix(4, eps), 0)
 		if err != nil {
 			return nil, err
 		}
@@ -317,7 +347,7 @@ func (e *Env) fourJobRun(eps float64) (map[string]*metrics.RunReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep, err := e.runCGraph(store, specs, sched.Priority, "CGraph", 0)
+	rep, err := e.runCGraph(store, paperMix(4, eps), core.Config{Scheduler: sched.Priority, Label: "CGraph"})
 	if err != nil {
 		return nil, err
 	}

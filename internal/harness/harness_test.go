@@ -5,6 +5,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"cgraph/internal/baseline"
+	"cgraph/model"
 )
 
 // testOpt keeps harness tests quick: 1/10 scale, loose epsilon.
@@ -352,5 +355,31 @@ func TestTableRendering(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), `"hello,world"`) {
 		t.Fatal("CSV escaping broken")
+	}
+}
+
+// TestRunsBuildOwnPrograms fails if two runs of one experiment, or two
+// jobs of one run, share a program instance: a program such as algo.SCC
+// keeps job-private state, so a shared instance carries one run's state
+// into the next and skews the comparison the table reports. Only sharing
+// is checked, so the datasets are the smallest that build.
+func TestRunsBuildOwnPrograms(t *testing.T) {
+	t.Cleanup(func() { onRun = nil })
+	opt := Options{Scale: 0.02, Workers: 4, Epsilon: 1e-2}
+	for _, x := range Experiments {
+		seen := map[model.Program]bool{}
+		runs := 0
+		onRun = func(specs []baseline.JobSpec) {
+			runs++
+			for _, s := range specs {
+				if seen[s.Prog] {
+					t.Fatalf("%s: run %d reuses a %s instance", x.Name, runs, s.Prog.Name())
+				}
+				seen[s.Prog] = true
+			}
+		}
+		if _, err := x.Run(opt); err != nil {
+			t.Fatalf("%s: %v", x.Name, err)
+		}
 	}
 }
