@@ -26,12 +26,13 @@ func WaitFor(t *testing.T, timeout time.Duration, cond func() bool, format strin
 	}
 }
 
-// SkipUnderRace skips an allocation-count guard when the race detector is
-// compiled in: its instrumentation allocates, so the counts mean nothing.
+// SkipUnderRace skips a test when the race detector is compiled in: an
+// allocation-count guard, whose counts the instrumentation inflates, or a
+// single-goroutine golden run that the detector only slows down.
 func SkipUnderRace(t testing.TB) {
 	t.Helper()
 	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
+		t.Skip("not meaningful under the race detector")
 	}
 }
 
