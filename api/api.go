@@ -293,23 +293,21 @@ type IngestStats struct {
 	NumVertices int `json:"num_vertices"`
 }
 
-// SchedGroup is one correlation group of the engine's last round.
+// SchedGroup is the plan of the engine's last round: every job it
+// scheduled, and the units it loaded.
 type SchedGroup struct {
 	Jobs []string `json:"jobs"`
-	// Priority is the group's aggregate (summed) job priority, the primary
-	// inter-group ordering key.
-	Priority int `json:"priority,omitempty"`
 	// Parts is the unit load order (partition index within its snapshot),
 	// parallel to PartUIDs, which names the exact version loaded.
 	Parts    []int   `json:"parts"`
 	PartUIDs []int64 `json:"part_uids"`
-	// MakespanUS attributes the round's virtual time to this group: how
-	// much the engine clock advanced while its units loaded and triggered.
+	// MakespanUS is how much the engine clock advanced while the group's
+	// units loaded and triggered.
 	MakespanUS float64 `json:"makespan_us,omitempty"`
 }
 
 // SchedInfo is the wire view of the engine's latest scheduling decision:
-// policy, θ fit, and the per-round group/load order.
+// policy, θ fit, and the round's load order (one group).
 type SchedInfo struct {
 	Policy      string       `json:"policy"`
 	Theta       float64      `json:"theta"`

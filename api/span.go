@@ -70,7 +70,7 @@ type JobAttribution struct {
 	AccessUS  float64 `json:"access_us"`
 	ComputeUS float64 `json:"compute_us"`
 	// MakespanShare is the job's simulated time as a fraction of its
-	// correlation groups' makespan, summed per round and clamped to [0, 1]:
+	// rounds' makespan, summed per round and clamped to [0, 1]:
 	// roughly how much of the shared rounds' span this job accounts for.
 	MakespanShare float64 `json:"makespan_share"`
 }

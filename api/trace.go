@@ -11,12 +11,10 @@ type TraceOptions struct {
 	Limit int
 }
 
-// RoundTraceGroup is one correlation group of a traced round's schedule.
+// RoundTraceGroup is the plan of a traced round: the jobs it scheduled.
 type RoundTraceGroup struct {
 	// Jobs are the service job IDs scheduled in the group.
 	Jobs []string `json:"jobs"`
-	// Priority is the aggregate job priority that ordered the group.
-	Priority int `json:"priority,omitempty"`
 	// Units is the number of (snapshot, partition) units the group loaded.
 	Units int `json:"units"`
 	// MakespanUS is the group's simulated span within the round.
@@ -58,7 +56,7 @@ type RoundTrace struct {
 	// Policy and Theta describe the scheduler that produced the plan.
 	Policy string  `json:"policy,omitempty"`
 	Theta  float64 `json:"theta,omitempty"`
-	// Groups is the correlation-group composition of the round.
+	// Groups is the round's plan: one group holding every scheduled job.
 	Groups []RoundTraceGroup `json:"groups,omitempty"`
 	// Jobs is the per-job work split for the round.
 	Jobs []JobRoundTrace `json:"jobs,omitempty"`

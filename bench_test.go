@@ -312,28 +312,24 @@ func BenchmarkSchedulerPlan(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, kind := range []sched.Kind{sched.Priority, sched.TwoLevel} {
-		b.Run(kind.String(), func(b *testing.B) {
-			s := sched.New(kind)
-			s.ObserveSnapshot(pg)
-			// Eight jobs with staggered 32-partition footprints.
-			var foot []sched.JobFootprint
-			for j := 0; j < 8; j++ {
-				jf := sched.JobFootprint{JobID: j}
-				for i := 0; i < 32; i++ {
-					jf.Units = append(jf.Units, pg.Parts[(j*16+i)%128])
-				}
-				foot = append(foot, jf)
-			}
-			c := make(map[int64]float64, 128)
-			for i, p := range pg.Parts {
-				c[p.UID] = float64(i%13) * 0.7
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Plan(foot, c)
-			}
-		})
+	s := sched.New(sched.Priority)
+	s.ObserveSnapshot(pg)
+	// Eight jobs with staggered 32-partition footprints.
+	var foot []sched.JobFootprint
+	for j := 0; j < 8; j++ {
+		jf := sched.JobFootprint{JobID: j}
+		for i := 0; i < 32; i++ {
+			jf.Units = append(jf.Units, pg.Parts[(j*16+i)%128])
+		}
+		foot = append(foot, jf)
+	}
+	c := make(map[int64]float64, 128)
+	for i, p := range pg.Parts {
+		c[p.UID] = float64(i%13) * 0.7
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Plan(foot, c)
 	}
 }

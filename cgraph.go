@@ -140,44 +140,20 @@ type (
 	Program = model.Program
 )
 
-// Scheduler selects the partition-load ordering policy.
+// Scheduler names the partition-load ordering policy. There is one: the
+// paper's Eq. 1 order over every job's footprint.
+//
+// Deprecated: the type and its one value remain for WithScheduler's
+// callers; the policy is not selectable.
 type Scheduler int
 
-const (
-	// PriorityScheduler is the paper's Eq. 1 policy applied over the union
-	// of every job's footprint (one-level; default).
-	PriorityScheduler Scheduler = iota
-	// StaticScheduler loads partitions in index order.
-	StaticScheduler
-	// TwoLevelScheduler first groups jobs whose active footprints share
-	// snapshot partition versions, then applies Eq. 1 within each group —
-	// the snapshot-aware two-level policy.
-	TwoLevelScheduler
-)
-
-// String names the policy ("priority", "static", "two-level").
-func (s Scheduler) String() string { return schedKind(s).String() }
-
-// ParseScheduler resolves a policy name ("static", "priority",
-// "two-level") to its Scheduler value.
-func ParseScheduler(name string) (Scheduler, error) {
-	k, err := sched.ParseKind(name)
-	if err != nil {
-		return PriorityScheduler, fmt.Errorf("cgraph: %w", err)
-	}
-	switch k {
-	case sched.Static:
-		return StaticScheduler, nil
-	case sched.TwoLevel:
-		return TwoLevelScheduler, nil
-	default:
-		return PriorityScheduler, nil
-	}
-}
+// TwoLevelScheduler is the only Scheduler value.
+//
+// Deprecated: it selects nothing; the policy is always Eq. 1.
+const TwoLevelScheduler Scheduler = 0
 
 type config struct {
 	workers         int
-	scheduler       Scheduler
 	coreSubgraph    bool
 	numPartitions   int
 	cacheBytes      int64
@@ -196,8 +172,10 @@ type Option func(*config)
 // WithWorkers sets the worker (core) count; default runtime.GOMAXPROCS.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
-// WithScheduler selects the load-order policy.
-func WithScheduler(s Scheduler) Option { return func(c *config) { c.scheduler = s } }
+// WithScheduler does nothing: the load order is always the Eq. 1 policy.
+//
+// Deprecated: drop the option.
+func WithScheduler(Scheduler) Option { return func(*config) {} }
 
 // WithCoreSubgraph toggles §3.3 core-subgraph partitioning (default on for
 // static graphs; forced off when snapshots are used, which require
@@ -711,20 +689,14 @@ func (s *System) materializeDelta(muts []ingest.Mutation, minTS int64, sc span.C
 type JobOption func(*jobConfig)
 
 type jobConfig struct {
-	arrival  int64
-	priority int
-	ctx      context.Context
-	span     span.Context
-	spanJob  string
+	arrival int64
+	ctx     context.Context
+	span    span.Context
+	spanJob string
 }
 
 // AtTimestamp binds the job to the newest snapshot not younger than ts.
 func AtTimestamp(ts int64) JobOption { return func(c *jobConfig) { c.arrival = ts } }
-
-// WithPriority sets the job's scheduling priority (default 0): the
-// two-level scheduler orders correlation groups by aggregate job priority,
-// so a group carrying urgent jobs loads its partitions first each round.
-func WithPriority(p int) JobOption { return func(c *jobConfig) { c.priority = p } }
 
 // WithContext scopes the job to ctx: when ctx is cancelled or its deadline
 // passes, the job is retired at the next round boundary and Job.Err reports
@@ -788,10 +760,9 @@ func (s *System) Submit(p Program, opts ...JobOption) (*Job, error) {
 	}
 	s.ensureEngineLocked()
 	id := s.engine.SubmitWith(jc.ctx, p, core.SubmitOpts{
-		Arrival:  jc.arrival,
-		Priority: jc.priority,
-		Span:     jc.span,
-		SpanJob:  jc.spanJob,
+		Arrival: jc.arrival,
+		Span:    jc.span,
+		SpanJob: jc.spanJob,
 	})
 	j := &Job{sys: s, id: id, name: p.Name(), done: make(chan struct{})}
 	s.jobs = append(s.jobs, j)
@@ -823,7 +794,6 @@ func (s *System) ensureEngineLocked() {
 	s.engine = core.New(core.Config{
 		Workers:         s.cfg.workers,
 		Hier:            hier,
-		Scheduler:       schedKind(s.cfg.scheduler),
 		OnJobEvent:      s.onJobEvent,
 		OnJobProgress:   s.progress.fire,
 		TraceDepth:      s.cfg.traceDepth,
@@ -857,17 +827,6 @@ func (s *System) onJobEvent(ev core.JobEvent) {
 	}
 	j.mu.Unlock()
 	close(j.done)
-}
-
-func schedKind(s Scheduler) sched.Kind {
-	switch s {
-	case StaticScheduler:
-		return sched.Static
-	case TwoLevelScheduler:
-		return sched.TwoLevel
-	default:
-		return sched.Priority
-	}
 }
 
 // Run executes every submitted job to convergence and returns the run
@@ -942,7 +901,7 @@ func (s *System) ExecStats() ExecStats {
 }
 
 // SchedInfo reports the scheduler's state as of the engine's last round and
-// SchedGroup one of its correlation groups (aliases of core.SchedInfo and
+// SchedGroup the plan of that round (aliases of core.SchedInfo and
 // core.SchedGroup).
 type (
 	SchedInfo  = core.SchedInfo
@@ -954,13 +913,13 @@ type (
 func (s *System) SchedInfo() SchedInfo {
 	eng := s.currentEngine()
 	if eng == nil {
-		return SchedInfo{Policy: schedKind(s.cfg.scheduler).String()}
+		return SchedInfo{Policy: sched.Priority.String()}
 	}
 	return eng.SchedInfo()
 }
 
 // RoundTrace is one engine round's trace record (see WithTraceDepth),
-// RoundTraceGroup one correlation group of its schedule, JobRoundTrace one
+// RoundTraceGroup the plan of its schedule, JobRoundTrace one
 // job's share of it, and JobTrace one job's retained round-by-round
 // timeline (aliases of the trace recorder's Round, Group, JobRound and
 // Timeline).

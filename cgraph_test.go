@@ -407,7 +407,7 @@ func TestCacheSimulationReportsMetrics(t *testing.T) {
 
 func TestRerunAfterMoreSubmissions(t *testing.T) {
 	edges := gen.ER(8, 100, 900)
-	sys := NewSystem(WithWorkers(2), WithScheduler(StaticScheduler), WithPartitions(5))
+	sys := NewSystem(WithWorkers(2), WithPartitions(5))
 	if err := sys.LoadEdges(0, edges); err != nil {
 		t.Fatal(err)
 	}

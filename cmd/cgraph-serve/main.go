@@ -8,7 +8,7 @@
 // Serve:
 //
 //	cgraph-serve -graph edges.tsv [-addr :8040] [-workers 8] [-max-inflight 16]
-//	cgraph-serve -dataset ukunion-sim [-scale 0.1] [-scheduler two-level] [-retain-terminal 64]
+//	cgraph-serve -dataset ukunion-sim [-scale 0.1] [-retain-terminal 64]
 //	cgraph-serve -dataset twitter-sim -ingest-window 200ms -ingest-batch 128 -retain-snapshots 8
 //	cgraph-serve -dataset ukunion-sim -trace-depth 512 -log-format json -log-level debug -pprof-addr localhost:6060
 //
@@ -44,6 +44,10 @@
 //	curl 'localhost:8040/v1/trace/rounds?limit=10'  # engine round traces
 //	curl localhost:8040/v1/sched
 //	curl localhost:8040/metrics                     # Prometheus text exposition
+//
+// Every round loads partitions in the paper's Eq. 1 order; there is no
+// policy to choose. A job's priority (submit ... priority=2) orders only
+// its admission while -max-inflight jobs are running.
 //
 // The graph is partitioned without the core-subgraph split by default so
 // that snapshot ingestion works (slot-stable partitions); pass
@@ -88,7 +92,6 @@ func main() {
 	ingestBatch := flag.Int("ingest-batch", 0, "delta count trigger: flush once this many distinct slots are buffered (default 256)")
 	ingestCap := flag.Int("ingest-cap", 0, "delta admission cap: shed batches (429 ingest_saturated) once this many mutations are pending, 0 = unbounded")
 	coreSubgraph := flag.Bool("core-subgraph", false, "enable §3.3 core-subgraph partitioning (disables snapshot ingestion)")
-	scheduler := flag.String("scheduler", "two-level", "partition-load policy: static, priority (one-level Eq. 1), or two-level (correlation groups + Eq. 1)")
 	traceDepth := flag.Int("trace-depth", 256, "round-trace ring depth for /v1/trace/rounds and /v1/jobs/{id}/trace, 0 disables tracing")
 	logFormat := flag.String("log-format", "text", "structured log format: text or json")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")
@@ -107,14 +110,9 @@ func main() {
 		return
 	}
 
-	policy, err := cgraph.ParseScheduler(*scheduler)
-	if err != nil {
-		fatal(err)
-	}
 	sys := cgraph.NewSystem(
 		cgraph.WithWorkers(*workers),
 		cgraph.WithCoreSubgraph(*coreSubgraph),
-		cgraph.WithScheduler(policy),
 		cgraph.WithRetainSnapshots(*retainSnapshots),
 		cgraph.WithIngestWindow(*ingestWindow),
 		cgraph.WithIngestBatch(*ingestBatch),

@@ -7,7 +7,6 @@ import (
 
 	"cgraph/algo"
 	"cgraph/internal/gen"
-	"cgraph/internal/sched"
 	"cgraph/internal/testutil"
 )
 
@@ -17,7 +16,7 @@ import (
 func denseMixRounds(t *testing.T) (bytes []uint64, sweeps []int) {
 	t.Helper()
 	edges := gen.RMAT(77, 512, 16384, 0.57, 0.19, 0.19)
-	e := NewSingle(Config{Workers: 2, Scheduler: sched.TwoLevel}, buildPG(t, edges, 512, 8, false))
+	e := NewSingle(Config{Workers: 2}, buildPG(t, edges, 512, 8, false))
 	e.Submit(algo.NewPageRank(), 0)
 	e.Submit(algo.NewPPR(0), 0)
 	e.Submit(&algo.PageRank{Damping: 0.7, Epsilon: 1e-3}, 0)

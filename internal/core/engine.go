@@ -115,10 +115,8 @@ type Config struct {
 	// Hier is the simulated memory hierarchy (default memsim.Unlimited,
 	// i.e. library mode without capacity pressure).
 	Hier *memsim.Hierarchy
-	// Scheduler selects the partition-load order policy (default
-	// sched.Priority, the one-level Eq. 1 order; sched.Static is the
-	// Fig. 8 ablation; sched.TwoLevel groups correlated jobs before
-	// applying Eq. 1 within each group).
+	// Scheduler selects the partition-load order policy: the zero value is
+	// sched.Priority, the Eq. 1 order; sched.Static is the Fig. 8 ablation.
 	Scheduler sched.Kind
 	// Balance is the granularity of the Fig. 6 straggler split as the
 	// virtual clock prices it: a trigger batch's straggler counts as ranges
@@ -166,9 +164,6 @@ type runJob struct {
 	// ctx carries the job's cancellation/deadline; checked at round
 	// boundaries (never mid-round).
 	ctx context.Context
-	// priority is the submission priority, fed to the scheduler so groups
-	// carrying urgent jobs order their loads first.
-	priority int
 	// snapSeq is the series index of the snapshot the job bound to; the
 	// engine holds a store reference under it until the job is terminal,
 	// so retention GC never evicts a snapshot out from under a bound job.
@@ -375,8 +370,6 @@ type SubmitOpts struct {
 	// Arrival selects the snapshot: the job binds to the newest snapshot
 	// with timestamp ≤ Arrival.
 	Arrival int64
-	// Priority feeds the scheduler's group ordering; higher runs first.
-	Priority int
 	// Span is the parent span context for the job's engine-side spans; a
 	// zero context leaves span recording off for this job.
 	Span span.Context
@@ -398,7 +391,6 @@ func (e *Engine) SubmitWith(ctx context.Context, prog model.Program, opts Submit
 		remaining: make(map[int64]int),
 		m:         &metrics.JobMetrics{JobID: id, Name: prog.Name()},
 		ctx:       ctx,
-		priority:  opts.Priority,
 		snapSeq:   snap.Seq,
 		span:      opts.Span,
 		spanJob:   opts.SpanJob,
@@ -719,20 +711,17 @@ func (e *Engine) Job(jobID int) (*exec.Job, bool) {
 // it is safe to call concurrently with Run or Serve.
 func (e *Engine) Now() float64 { return math.Float64frombits(e.nowBits.Load()) }
 
-// SchedGroup reports one correlation group of the last scheduled round.
+// SchedGroup reports the plan of the last scheduled round.
 type SchedGroup struct {
 	// JobIDs lists the engine job IDs scheduled together (Job.ID values).
 	JobIDs []int
-	// Priority is the group's aggregate (summed) job priority, the primary
-	// inter-group ordering key.
-	Priority int
 	// Parts is the unit load order: each partition's index within its own
 	// snapshot, parallel to UIDs.
 	Parts []int
 	// UIDs identifies the partition versions loaded, in load order.
 	UIDs []int64
-	// MakespanUS attributes the round's virtual time to this group: how
-	// much the clock advanced while its units loaded and triggered.
+	// MakespanUS is how much the virtual clock advanced while the group's
+	// units loaded and triggered.
 	MakespanUS float64
 }
 
@@ -759,8 +748,8 @@ func (e *Engine) SchedInfo() SchedInfo {
 
 // round is one pass of the LTP loop, in four steps. Plan the round's
 // scheduling units — each a (snapshot, partition) version keyed by UID, so
-// jobs bound to snapshots with any partition count coexist — in group and
-// priority order. Build records, unit by unit, the sweep of every job the
+// jobs bound to snapshots with any partition count coexist — in Eq. 1
+// order. Build records, unit by unit, the sweep of every job the
 // unit triggers, the Fig. 6 split each trigger batch would make, and the
 // jobs whose round-set the unit exhausts. Execute runs the whole round on
 // the pool as two task sets: every sweep, then every closing job's push.
@@ -809,7 +798,7 @@ func (e *Engine) planRound() (plan []sched.Group, byID map[int]*runJob, pre []jo
 	for _, rj := range e.jobs {
 		byID[rj.ID] = rj
 		clear(rj.remaining)
-		jf := sched.JobFootprint{JobID: rj.ID, Priority: rj.priority}
+		jf := sched.JobFootprint{JobID: rj.ID}
 		activeParts := rj.PT.ActiveParts()
 		for _, pid := range activeParts {
 			p := rj.PG.Parts[pid]
@@ -867,7 +856,7 @@ func (e *Engine) recordRound(start time.Time, virtStart float64, plan []sched.Gr
 		Round:       e.rounds.Load() + 1,
 	}
 	for gi, g := range plan {
-		sg := SchedGroup{JobIDs: g.Jobs, Priority: g.Priority, MakespanUS: spans[gi]}
+		sg := SchedGroup{JobIDs: g.Jobs, MakespanUS: spans[gi]}
 		for _, u := range g.Units {
 			sg.Parts = append(sg.Parts, u.Part.ID)
 			sg.UIDs = append(sg.UIDs, u.Part.UID)
@@ -900,7 +889,6 @@ func (e *Engine) recordRound(start time.Time, virtStart float64, plan []sched.Gr
 		for _, sg := range info.Groups {
 			rec.Groups = append(rec.Groups, trace.Group{
 				JobIDs:     sg.JobIDs,
-				Priority:   sg.Priority,
 				Units:      len(sg.Parts),
 				MakespanUS: sg.MakespanUS,
 			})

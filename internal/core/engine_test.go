@@ -205,7 +205,7 @@ func TestEngineSnapshotBinding(t *testing.T) {
 func TestEngineSchedulerAblation(t *testing.T) {
 	// Priority scheduling must not change results, only order/cost.
 	edges := gen.RMAT(25, 250, 5000, 0.57, 0.19, 0.19)
-	for _, kind := range []sched.Kind{sched.Static, sched.Priority, sched.TwoLevel} {
+	for _, kind := range []sched.Kind{sched.Static, sched.Priority} {
 		pg := buildPG(t, edges, 250, 6, true)
 		e := NewSingle(Config{Workers: 4, Hier: smallHier(), Scheduler: kind}, pg)
 		id := e.Submit(algo.NewSSSP(1), 0)
@@ -270,7 +270,6 @@ func TestEngineScalingInvariants(t *testing.T) {
 		e := NewSingle(Config{
 			Workers:    workers,
 			Hier:       memsim.New(memsim.Config{CacheBytes: 16 << 20, MemoryBytes: 128 << 20, Cost: cost}),
-			Scheduler:  sched.Priority,
 			TraceDepth: 256,
 		}, buildPG(t, edges, n, 32, false))
 		e.Submit(&algo.PageRank{Damping: 0.85, Epsilon: 1e-3}, 0)

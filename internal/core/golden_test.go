@@ -13,7 +13,6 @@ import (
 
 	"cgraph/algo"
 	"cgraph/internal/gen"
-	"cgraph/internal/sched"
 	"cgraph/model"
 )
 
@@ -51,10 +50,9 @@ func TestVirtualTimeGolden(t *testing.T) {
 				progress := fnv.New64a()
 				var events int
 				e := NewSingle(Config{
-					Workers:   workers,
-					Balance:   balance,
-					Hier:      smallHier(),
-					Scheduler: sched.TwoLevel,
+					Workers: workers,
+					Balance: balance,
+					Hier:    smallHier(),
 					OnJobProgress: func(p JobProgress) {
 						events++
 						fmt.Fprintf(progress, "%d %d %d %x;", p.JobID, p.Iteration, p.EdgesProcessed, math.Float64bits(p.VirtualTimeUS))

@@ -12,7 +12,6 @@ import (
 	"cgraph/internal/gen"
 	"cgraph/internal/graph"
 	"cgraph/internal/refimpl"
-	"cgraph/internal/sched"
 	"cgraph/internal/storage"
 	"cgraph/internal/testutil"
 	"cgraph/model"
@@ -279,70 +278,68 @@ func TestServeStatsAndShutdownLeavesJobsResident(t *testing.T) {
 // out of range and panic the resident Serve loop. With unit-keyed
 // scheduling it must simply converge.
 func TestServeSnapshotWithDifferentPartitionCount(t *testing.T) {
-	for _, kind := range []sched.Kind{sched.Priority, sched.TwoLevel} {
-		edges := gen.RMAT(41, 200, 3500, 0.57, 0.19, 0.19)
-		base := buildPG(t, edges, 200, 4, false)
-		rec := newEventRecorder()
-		e := New(Config{Workers: 2, Hier: smallHier(), Scheduler: kind, OnJobEvent: func(ev JobEvent) { rec.ch <- ev }},
-			storage.NewSnapshotStore(base, 0))
-		stop := startServe(t, e)
+	edges := gen.RMAT(41, 200, 3500, 0.57, 0.19, 0.19)
+	base := buildPG(t, edges, 200, 4, false)
+	rec := newEventRecorder()
+	e := New(Config{Workers: 2, Hier: smallHier(), OnJobEvent: func(ev JobEvent) { rec.ch <- ev }},
+		storage.NewSnapshotStore(base, 0))
+	stop := startServe(t, e)
 
-		// Warm the loop on the base snapshot.
-		rec.wait(t, e.Submit(algo.NewBFS(0), 0))
+	// Warm the loop on the base snapshot.
+	rec.wait(t, e.Submit(algo.NewBFS(0), 0))
 
-		// A rewired graph, partitioned into twice as many parts.
-		edges2 := gen.RMAT(42, 200, 3500, 0.57, 0.19, 0.19)
-		next := buildPG(t, edges2, 200, 8, false)
-		if err := e.AddSnapshot(next, 10); err != nil {
+	// A rewired graph, partitioned into twice as many parts.
+	edges2 := gen.RMAT(42, 200, 3500, 0.57, 0.19, 0.19)
+	next := buildPG(t, edges2, 200, 8, false)
+	if err := e.AddSnapshot(next, 10); err != nil {
+		t.Fatal(err)
+	}
+
+	// One job on the new 8-part snapshot, one concurrently on the old
+	// 4-part base: both footprints schedule side by side.
+	ssNew := e.Submit(algo.NewSSSP(0), 10)
+	ssOld := e.Submit(algo.NewSSSP(0), 0)
+	// Completion order is not deterministic; collect both events.
+	states := map[int]JobState{}
+	deadline := time.After(30 * time.Second)
+	for len(states) < 2 {
+		select {
+		case ev := <-rec.ch:
+			if ev.JobID == ssNew || ev.JobID == ssOld {
+				states[ev.JobID] = ev.State
+			}
+		case <-deadline:
+			t.Fatalf("no terminal events for both sssp jobs (got %v)", states)
+		}
+	}
+	if states[ssNew] != JobDone || states[ssOld] != JobDone {
+		t.Fatalf("states new=%v old=%v, want done/done", states[ssNew], states[ssOld])
+	}
+	for _, c := range []struct {
+		id   int
+		want []float64
+	}{
+		{ssNew, refimpl.SSSP(next.G, 0)},
+		{ssOld, refimpl.SSSP(base.G, 0)},
+	} {
+		res, err := e.Results(c.id)
+		if err != nil {
 			t.Fatal(err)
 		}
-
-		// One job on the new 8-part snapshot, one concurrently on the old
-		// 4-part base: both footprints schedule side by side.
-		ssNew := e.Submit(algo.NewSSSP(0), 10)
-		ssOld := e.Submit(algo.NewSSSP(0), 0)
-		// Completion order is not deterministic; collect both events.
-		states := map[int]JobState{}
-		deadline := time.After(30 * time.Second)
-		for len(states) < 2 {
-			select {
-			case ev := <-rec.ch:
-				if ev.JobID == ssNew || ev.JobID == ssOld {
-					states[ev.JobID] = ev.State
-				}
-			case <-deadline:
-				t.Fatalf("%v: no terminal events for both sssp jobs (got %v)", kind, states)
+		for v := range res {
+			if res[v] != c.want[v] && !(math.IsInf(res[v], 1) && math.IsInf(c.want[v], 1)) {
+				t.Fatalf("job %d sssp vertex %d: got %v want %v", c.id, v, res[v], c.want[v])
 			}
 		}
-		if states[ssNew] != JobDone || states[ssOld] != JobDone {
-			t.Fatalf("%v: states new=%v old=%v, want done/done", kind, states[ssNew], states[ssOld])
-		}
-		for _, c := range []struct {
-			id   int
-			want []float64
-		}{
-			{ssNew, refimpl.SSSP(next.G, 0)},
-			{ssOld, refimpl.SSSP(base.G, 0)},
-		} {
-			res, err := e.Results(c.id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for v := range res {
-				if res[v] != c.want[v] && !(math.IsInf(res[v], 1) && math.IsInf(c.want[v], 1)) {
-					t.Fatalf("%v: job %d sssp vertex %d: got %v want %v", kind, c.id, v, res[v], c.want[v])
-				}
-			}
-		}
-
-		// The plan must name both snapshot versions' units at some point;
-		// at minimum the info endpoint stays coherent.
-		info := e.SchedInfo()
-		if info.Policy != kind.String() {
-			t.Fatalf("sched info policy %q, want %q", info.Policy, kind)
-		}
-		stop()
 	}
+
+	// The plan must name both snapshot versions' units at some point;
+	// at minimum the info endpoint stays coherent.
+	info := e.SchedInfo()
+	if info.Policy != "priority" {
+		t.Fatalf("sched info policy %q, want priority", info.Policy)
+	}
+	stop()
 }
 
 // TestServeDrainsSnapshotsWhileIdle: snapshots added to an idle resident
@@ -353,7 +350,7 @@ func TestServeSnapshotWithDifferentPartitionCount(t *testing.T) {
 func TestServeDrainsSnapshotsWhileIdle(t *testing.T) {
 	base := buildPG(t, gen.RMAT(44, 200, 3500, 0.57, 0.19, 0.19), 200, 4, false)
 	rec := newEventRecorder()
-	e := New(Config{Workers: 2, Hier: smallHier(), Scheduler: sched.TwoLevel, OnJobEvent: func(ev JobEvent) { rec.ch <- ev }},
+	e := New(Config{Workers: 2, Hier: smallHier(), OnJobEvent: func(ev JobEvent) { rec.ch <- ev }},
 		storage.NewSnapshotStore(base, 0))
 	stop := startServe(t, e)
 	defer stop()

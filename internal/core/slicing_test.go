@@ -8,7 +8,6 @@ import (
 	"cgraph/algo"
 	"cgraph/internal/gen"
 	"cgraph/internal/pool"
-	"cgraph/internal/sched"
 	"cgraph/model"
 )
 
@@ -58,7 +57,7 @@ func TestEngineResultsIndependentOfSlicing(t *testing.T) {
 							// At or below 1/Workers every sweep stays whole.
 							b = 1 / float64(workers)
 						}
-						e := NewSingle(Config{Workers: workers, Balance: b, Scheduler: sched.TwoLevel}, pg)
+						e := NewSingle(Config{Workers: workers, Balance: b}, pg)
 						progs := mix()
 						for _, p := range progs {
 							e.Submit(p, 0)

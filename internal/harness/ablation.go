@@ -27,7 +27,7 @@ func AblationStraggler(opt Options) (*Table, error) {
 			if err != nil {
 				return 0, err
 			}
-			rep, err := env.runCGraph(store, paperMix(4, opt.Epsilon), core.Config{Scheduler: sched.Priority, Balance: balance})
+			rep, err := env.runCGraph(store, paperMix(4, opt.Epsilon), core.Config{Balance: balance})
 			if err != nil {
 				return 0, err
 			}
@@ -64,7 +64,7 @@ func AblationScheduler(opt Options) (*Table, error) {
 			if err != nil {
 				return 0, err
 			}
-			rep, err := env.runCGraph(store, paperMix(4, opt.Epsilon), core.Config{Scheduler: kind, Label: "CGraph"})
+			rep, err := env.runCGraph(store, paperMix(4, opt.Epsilon), core.Config{Scheduler: kind})
 			if err != nil {
 				return 0, err
 			}
@@ -111,7 +111,7 @@ func AblationBatching(opt Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep, err := env.runCGraph(store, paperMix(njobs, opt.Epsilon), core.Config{Scheduler: sched.Priority, Label: "CGraph"})
+		rep, err := env.runCGraph(store, paperMix(njobs, opt.Epsilon), core.Config{})
 		if err != nil {
 			return nil, err
 		}
@@ -120,46 +120,6 @@ func AblationBatching(opt Options) (*Table, error) {
 			base = perJob
 		}
 		t.Rows = append(t.Rows, []string{fmt.Sprintf("%d", njobs), f2(perJob / base)})
-	}
-	return t, nil
-}
-
-// AblationTwoLevel compares one-level scheduling (Eq. 1 over the union of
-// every job's footprint) against the snapshot-aware two-level policy
-// (correlation groups first, Eq. 1 within each group) on the §4.4
-// multi-snapshot workload: job i binds to snapshot i of a series with 5%
-// edge change between consecutive versions.
-func AblationTwoLevel(opt Options) (*Table, error) {
-	opt = opt.withDefaults()
-	d, err := evolvingDataset(opt)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		ID:      "ablation-two-level",
-		Title:   "Two-level scheduling on the multi-snapshot workload (makespan, one-level = 1.00)",
-		Columns: []string{"Jobs", "one-level", "two-level"},
-		Notes:   "job i bound to snapshot i (5% change per snapshot); two-level groups jobs by shared partition versions",
-	}
-	for _, njobs := range []int{2, 4, 8} {
-		opt.logf("ablation-two-level: %d jobs", njobs)
-		env := NewEnv(d, opt.Workers, opt.Scale)
-		store, err := env.SnapshotSeries(njobs, 0.05)
-		if err != nil {
-			return nil, err
-		}
-		w := workload{jobs: njobs, eps: opt.Epsilon, snapshots: true}
-		one, err := env.runCGraph(store, w, core.Config{Scheduler: sched.Priority, Label: "CGraph"})
-		if err != nil {
-			return nil, err
-		}
-		two, err := env.runCGraph(store, w, core.Config{Scheduler: sched.TwoLevel, Label: "CGraph-2L"})
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", njobs), "1.00", f2(two.Makespan / one.Makespan),
-		})
 	}
 	return t, nil
 }

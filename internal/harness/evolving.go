@@ -7,7 +7,6 @@ import (
 	"cgraph/internal/core"
 	"cgraph/internal/gen"
 	"cgraph/internal/metrics"
-	"cgraph/internal/sched"
 )
 
 // evolvingDataset is the §4.4 workload graph. The paper uses hyperlink14;
@@ -26,7 +25,7 @@ func evolvingRun(opt Options, env *Env, sys string, njobs int, ratio float64) (*
 	}
 	w := workload{jobs: njobs, eps: opt.Epsilon, snapshots: true}
 	if sys == "CGraph" {
-		return env.runCGraph(store, w, core.Config{Scheduler: sched.Priority, Label: "CGraph"})
+		return env.runCGraph(store, w, core.Config{})
 	}
 	return env.runBaseline(baseline.System(sys), store, w, 0)
 }

@@ -143,7 +143,7 @@ func Fig8(opt Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		with, err := env.runCGraph(coreStore, paperMix(4, opt.Epsilon), core.Config{Scheduler: sched.Priority, Label: "CGraph"})
+		with, err := env.runCGraph(coreStore, paperMix(4, opt.Epsilon), core.Config{})
 		if err != nil {
 			return nil, err
 		}
@@ -321,7 +321,7 @@ func Fig14(opt Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep, err := env.runCGraph(store, paperMix(4, opt.Epsilon), core.Config{Scheduler: sched.Priority, Label: "CGraph", Workers: w})
+		rep, err := env.runCGraph(store, paperMix(4, opt.Epsilon), core.Config{Workers: w})
 		if err != nil {
 			return nil, err
 		}

@@ -18,7 +18,6 @@ import (
 	"cgraph/internal/graph"
 	"cgraph/internal/memsim"
 	"cgraph/internal/metrics"
-	"cgraph/internal/sched"
 	"cgraph/internal/storage"
 	"cgraph/model"
 )
@@ -82,7 +81,6 @@ var Experiments = []Experiment{
 	{"ablation-straggler", one(AblationStraggler)},
 	{"ablation-scheduler", one(AblationScheduler)},
 	{"ablation-batching", one(AblationBatching)},
-	{"ablation-two-level", one(AblationTwoLevel)},
 }
 
 // Lookup returns the experiment registered under name (case-insensitive);
@@ -347,7 +345,7 @@ func (e *Env) fourJobRun(eps float64) (map[string]*metrics.RunReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep, err := e.runCGraph(store, paperMix(4, eps), core.Config{Scheduler: sched.Priority, Label: "CGraph"})
+	rep, err := e.runCGraph(store, paperMix(4, eps), core.Config{})
 	if err != nil {
 		return nil, err
 	}

@@ -313,27 +313,6 @@ func TestAblations(t *testing.T) {
 	}
 }
 
-func TestAblationTwoLevelNoSlower(t *testing.T) {
-	tab, err := AblationTwoLevel(testOpt())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 3 {
-		t.Fatalf("want 3 job counts, got %d", len(tab.Rows))
-	}
-	// The acceptance bar: two-level is no slower overall on the
-	// multi-snapshot workload. Sum makespans across job counts (the
-	// one-level column is the 1.00 base of each row).
-	var one, two float64
-	for r := range tab.Rows {
-		one += cellF(t, tab, r, 1)
-		two += cellF(t, tab, r, 2)
-	}
-	if two > one*1.005 {
-		t.Fatalf("two-level slower overall: %v vs %v (%+v)", two, one, tab.Rows)
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tab := &Table{
 		ID:      "x",

@@ -234,124 +234,84 @@ func TestThetaWindowTracksShrinkingWorkload(t *testing.T) {
 	}
 }
 
-func TestTwoLevelGroupsDisjointFootprints(t *testing.T) {
+// TestPlanIsOneGroup: whatever the footprints — disjoint job sets on one
+// snapshot, or jobs on snapshots of different partition counts — a round
+// is one group holding every job, its units in Eq. 1 order with (ID, UID)
+// breaking ties.
+func TestPlanIsOneGroup(t *testing.T) {
 	pg := buildPG(t, 8)
-	s := New(TwoLevel)
-	s.ObserveSnapshot(pg)
-	// Jobs {0,1,2} share partitions 0-2; job 3 runs alone on 5-6.
-	jobs := map[int][]int{
-		0: {0, 1},
-		1: {1, 2},
-		2: {2, 0},
-		3: {5, 6},
-	}
-	plan := s.Plan(footprints(pg, jobs), nil)
-	if len(plan) != 2 {
-		t.Fatalf("plan has %d groups, want 2: %+v", len(plan), plan)
-	}
-	// Larger group first.
-	if len(plan[0].Jobs) != 3 || plan[0].Jobs[0] != 0 || plan[0].Jobs[2] != 2 {
-		t.Fatalf("first group jobs = %v, want [0 1 2]", plan[0].Jobs)
-	}
-	if len(plan[1].Jobs) != 1 || plan[1].Jobs[0] != 3 {
-		t.Fatalf("second group jobs = %v, want [3]", plan[1].Jobs)
-	}
-	// Every unit lands in exactly one group.
-	seen := map[int64]bool{}
-	for _, g := range plan {
-		for _, u := range g.Units {
-			if seen[u.Part.UID] {
-				t.Fatalf("unit %d planned twice", u.Part.ID)
+	pgA, pgB := buildPG(t, 4), buildPG(t, 8)
+	p, a, b := pg.Parts, pgA.Parts, pgB.Parts
+	for _, tc := range []struct {
+		name string
+		foot []JobFootprint
+		c    map[int64]float64
+		want []*graph.Partition
+	}{
+		{
+			// Jobs {0,1,2} share partitions 0-2; job 3 runs alone on 5-6.
+			name: "disjoint footprints",
+			foot: footprints(pg, map[int][]int{0: {0, 1}, 1: {1, 2}, 2: {2, 0}, 3: {6, 5}}),
+			want: []*graph.Partition{p[0], p[1], p[2], p[5], p[6]},
+		},
+		{
+			// D·C orders units of equal N; N still outranks it.
+			name: "eq1 tie-break",
+			foot: footprints(pg, map[int][]int{0: {0, 1, 2}, 1: {2}, 2: {7}}),
+			c:    cmap(pg, []float64{0, 5}),
+			want: []*graph.Partition{p[2], p[1], p[0], p[7]},
+		},
+		{
+			// Units are snapshot versions: ID ties fall to the UID.
+			name: "snapshot versions",
+			foot: []JobFootprint{
+				{JobID: 0, Units: []*graph.Partition{a[3], a[0]}},
+				{JobID: 1, Units: []*graph.Partition{b[7], b[0]}},
+			},
+			want: []*graph.Partition{a[0], b[0], a[3], b[7]},
+		},
+	} {
+		s := New(Priority)
+		s.ObserveSnapshot(pg)
+		s.ObserveSnapshot(pgA)
+		s.ObserveSnapshot(pgB)
+		plan := s.Plan(tc.foot, tc.c)
+		if len(plan) != 1 || len(plan[0].Jobs) != len(tc.foot) {
+			t.Fatalf("%s: plan = %+v, want one group of all %d jobs", tc.name, plan, len(tc.foot))
+		}
+		if len(plan[0].Units) != len(tc.want) {
+			t.Fatalf("%s: %d units, want %d", tc.name, len(plan[0].Units), len(tc.want))
+		}
+		for i, u := range plan[0].Units {
+			if u.Part != tc.want[i] {
+				t.Fatalf("%s: unit %d is partition %d (UID %d), want %d (UID %d)",
+					tc.name, i, u.Part.ID, u.Part.UID, tc.want[i].ID, tc.want[i].UID)
 			}
-			seen[u.Part.UID] = true
 		}
-	}
-	if len(seen) != 5 {
-		t.Fatalf("planned %d units, want 5", len(seen))
 	}
 }
 
-func TestGroupsOrderByAggregatePriority(t *testing.T) {
-	pg := buildPG(t, 8)
-	s := New(TwoLevel)
-	s.ObserveSnapshot(pg)
-	// Jobs {0,1,2} (priority 0 each) share partitions 0-2; job 3 runs
-	// alone on 5-6 with priority 5. Aggregate priority outranks size, so
-	// the singleton group loads first.
-	jobs := map[int][]int{
-		0: {0, 1},
-		1: {1, 2},
-		2: {2, 0},
-		3: {5, 6},
-	}
-	foot := footprints(pg, jobs)
-	for i := range foot {
-		if foot[i].JobID == 3 {
-			foot[i].Priority = 5
-		}
-	}
-	plan := s.Plan(foot, nil)
-	if len(plan) != 2 {
-		t.Fatalf("plan has %d groups, want 2", len(plan))
-	}
-	if len(plan[0].Jobs) != 1 || plan[0].Jobs[0] != 3 || plan[0].Priority != 5 {
-		t.Fatalf("first group = jobs %v priority %d, want the priority-5 singleton", plan[0].Jobs, plan[0].Priority)
-	}
-	if len(plan[1].Jobs) != 3 || plan[1].Priority != 0 {
-		t.Fatalf("second group = jobs %v priority %d, want the bulk trio", plan[1].Jobs, plan[1].Priority)
-	}
-	// With equal aggregate priorities, size decides as before.
-	for i := range foot {
-		foot[i].Priority = 1
-	}
-	plan = s.Plan(foot, nil)
-	if len(plan[0].Jobs) != 3 || plan[0].Priority != 3 {
-		t.Fatalf("equal-priority plan leads with %v (priority %d), want the larger group", plan[0].Jobs, plan[0].Priority)
-	}
-}
-
-func TestTwoLevelDistinguishesSnapshotVersions(t *testing.T) {
-	// Two snapshots with different partition counts: units are keyed by
-	// version (UID), so both versions schedule side by side without any
-	// shared index space.
-	pgA := buildPG(t, 4)
-	pgB := buildPG(t, 8)
-	s := New(TwoLevel)
+// TestUnitsKeyedByVersion: a partition version (one *graph.Partition, one
+// UID) shared by two snapshots is one unit triggering both jobs; the
+// versions each snapshot holds alone stay units of their own.
+func TestUnitsKeyedByVersion(t *testing.T) {
+	pgA, pgB := buildPG(t, 4), buildPG(t, 8)
+	s := New(Priority)
 	s.ObserveSnapshot(pgA)
 	s.ObserveSnapshot(pgB)
-	foot := []JobFootprint{
-		{JobID: 0, Units: []*graph.Partition{pgA.Parts[0], pgA.Parts[3]}},
-		{JobID: 1, Units: []*graph.Partition{pgB.Parts[0], pgB.Parts[7]}},
-	}
-	plan := s.Plan(foot, nil)
-	if len(plan) != 2 {
-		t.Fatalf("disjoint snapshot jobs must form 2 groups, got %d", len(plan))
-	}
-	total := 0
-	for _, g := range plan {
-		total += len(g.Units)
-	}
-	if total != 4 {
-		t.Fatalf("planned %d units, want 4 distinct versions", total)
-	}
-
-	// A shared partition pointer (same UID) correlates the jobs.
-	foot2 := []JobFootprint{
+	plan := s.Plan([]JobFootprint{
 		{JobID: 0, Units: []*graph.Partition{pgA.Parts[0]}},
 		{JobID: 1, Units: []*graph.Partition{pgA.Parts[0], pgB.Parts[1]}},
-	}
-	plan2 := s.Plan(foot2, nil)
-	if len(plan2) != 1 {
-		t.Fatalf("jobs sharing a partition version must group together, got %d groups", len(plan2))
-	}
-	if len(plan2[0].Units[0].Jobs) != 2 && len(plan2[0].Units) != 2 {
-		t.Fatalf("shared unit not triggered for both jobs: %+v", plan2[0])
+	}, nil)
+	units := plan[0].Units
+	if len(units) != 2 || units[0].Part != pgA.Parts[0] || len(units[0].Jobs) != 2 || len(units[1].Jobs) != 1 {
+		t.Fatalf("shared version not one unit triggering both jobs: %+v", units)
 	}
 }
 
 func TestPlanDoesNotMutateInputs(t *testing.T) {
 	pg := buildPG(t, 8)
-	s := New(TwoLevel)
+	s := New(Priority)
 	s.ObserveSnapshot(pg)
 	foot := footprints(pg, map[int][]int{0: {3, 1, 2}})
 	c := cmap(pg, []float64{1, 2, 3, 4})
@@ -366,7 +326,7 @@ func TestPlanDoesNotMutateInputs(t *testing.T) {
 
 func TestDeterministicPlan(t *testing.T) {
 	pg := buildPG(t, 8)
-	for _, kind := range []Kind{Static, Priority, TwoLevel} {
+	for _, kind := range []Kind{Static, Priority} {
 		s := New(kind)
 		s.ObserveSnapshot(pg)
 		jobs := map[int][]int{0: {7, 3, 5, 0}, 1: {3, 5}, 2: {6}}
@@ -380,19 +340,5 @@ func TestDeterministicPlan(t *testing.T) {
 				t.Fatalf("%v: plan not deterministic: %v vs %v", kind, a, b)
 			}
 		}
-	}
-}
-
-func TestParseKind(t *testing.T) {
-	for in, want := range map[string]Kind{
-		"static": Static, "priority": Priority, "two-level": TwoLevel,
-	} {
-		got, err := ParseKind(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseKind(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := ParseKind("bogus"); err == nil {
-		t.Fatal("ParseKind must reject unknown names")
 	}
 }

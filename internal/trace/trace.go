@@ -11,12 +11,10 @@ import (
 	"time"
 )
 
-// Group is one correlation group of a round's schedule.
+// Group is a round's schedule: the jobs it planned together.
 type Group struct {
 	// JobIDs are the engine job IDs scheduled in this group.
 	JobIDs []int
-	// Priority is the aggregate job priority that ordered the group.
-	Priority int
 	// Units is the number of (snapshot, partition) units the group loaded.
 	Units int
 	// MakespanUS is the group's simulated span within the round.
@@ -57,7 +55,7 @@ type Round struct {
 	// Policy and Theta describe the scheduler that produced the plan.
 	Policy string
 	Theta  float64
-	// Groups is the correlation-group composition of the round.
+	// Groups is the round's plan: one group holding every scheduled job.
 	Groups []Group
 	// Jobs is the per-job work split, one entry per job active this round.
 	Jobs []JobRound

@@ -302,7 +302,7 @@ func wireSpan(d span.Data) api.Span {
 // attributionOf folds a job's retained spans into its resource account:
 // queue wait and exec from the lifecycle spans, task/steal/skip counts and
 // simulated time summed over its round spans, and the job's share of its
-// correlation groups' makespan. ok is false when no spans survive in the
+// rounds' makespan. ok is false when no spans survive in the
 // store (all evicted).
 func attributionOf(id, traceID string, spans []span.Data) (api.JobAttribution, bool) {
 	if len(spans) == 0 {
@@ -589,7 +589,7 @@ func (s *Service) RoundTraces(limit int) api.RoundTraces {
 			SkippedPartitions: r.Skipped,
 		}
 		for _, g := range r.Groups {
-			wg := api.RoundTraceGroup{Priority: g.Priority, Units: g.Units, MakespanUS: g.MakespanUS}
+			wg := api.RoundTraceGroup{Units: g.Units, MakespanUS: g.MakespanUS}
 			for _, id := range g.JobIDs {
 				wg.Jobs = append(wg.Jobs, engineJobName(byEngine, id))
 			}

@@ -538,10 +538,10 @@ func (h *httpAPI) metrics(w http.ResponseWriter, r *http.Request) {
 	e.Add("cgraph_sched_theta", map[string]string{"policy": sched.Policy}, sched.Theta)
 	e.Declare("cgraph_sched_theta_refits_total", "counter", "Times theta was (re)fitted after snapshot arrivals or C drift.")
 	e.Add("cgraph_sched_theta_refits_total", nil, float64(sched.ThetaRefits))
-	e.Declare("cgraph_sched_groups", "gauge", "Correlation groups chosen in the engine's last round.")
+	e.Declare("cgraph_sched_groups", "gauge", "Groups planned in the engine's last round (one: every job is planned together).")
 	e.Add("cgraph_sched_groups", nil, float64(len(sched.Groups)))
-	e.Declare("cgraph_sched_group_makespan_us", "gauge", "Virtual time attributed to each correlation group in the last round.")
-	e.Declare("cgraph_sched_group_jobs", "gauge", "Jobs per correlation group in the last round.")
+	e.Declare("cgraph_sched_group_makespan_us", "gauge", "Virtual time the last round's group advanced the engine clock by.")
+	e.Declare("cgraph_sched_group_jobs", "gauge", "Jobs in the last round's group.")
 	for gi, g := range sched.Groups {
 		labels := map[string]string{"group": strconv.Itoa(gi)}
 		e.Add("cgraph_sched_group_makespan_us", labels, g.MakespanUS)
@@ -654,7 +654,7 @@ func (h *httpAPI) metrics(w http.ResponseWriter, r *http.Request) {
 	e.Declare("cgraph_job_attrib_rounds", "gauge", "Rounds the job participated in, as retained by the span store.")
 	e.Declare("cgraph_job_attrib_tasks", "gauge", "Executor tasks per job by kind (executed vs stolen to another worker).")
 	e.Declare("cgraph_job_attrib_skipped_partitions", "gauge", "Converged partitions skipped before scheduling, per job.")
-	e.Declare("cgraph_job_attrib_makespan_share", "gauge", "Job's simulated time as a share of its correlation groups' makespan.")
+	e.Declare("cgraph_job_attrib_makespan_share", "gauge", "Job's simulated time as a share of its rounds' makespan.")
 	for _, a := range info.Attribution {
 		labels := map[string]string{"id": a.ID}
 		e.Add("cgraph_job_attrib_queue_wait_seconds", labels, a.QueueWaitMS/1000)

@@ -60,7 +60,7 @@ type Status = api.JobStatus
 // (api.SchedInfo).
 type SchedInfo = api.SchedInfo
 
-// SchedGroup is one correlation group of the engine's last round
+// SchedGroup is the plan of the engine's last round
 // (api.SchedGroup).
 type SchedGroup = api.SchedGroup
 
@@ -379,7 +379,6 @@ func (s *Service) Submit(spec Spec) (*Job, error) {
 func (s *Service) launch(j *Job) error {
 	opts := []cgraph.JobOption{
 		cgraph.WithContext(j.ctx),
-		cgraph.WithPriority(j.spec.Priority),
 		// The engine parents its per-round spans under the job's root, so
 		// the tree reads http.request → job.submit → job.round regardless
 		// of transport.
@@ -715,7 +714,7 @@ func (s *Service) SchedInfo() SchedInfo {
 		Round:       ci.Round,
 	}
 	for _, g := range ci.Groups {
-		sg := SchedGroup{Parts: g.Parts, PartUIDs: g.UIDs, Priority: g.Priority, MakespanUS: g.MakespanUS}
+		sg := SchedGroup{Parts: g.Parts, PartUIDs: g.UIDs, MakespanUS: g.MakespanUS}
 		for _, id := range g.JobIDs {
 			sg.Jobs = append(sg.Jobs, engineJobName(byEngine, id))
 		}

@@ -66,8 +66,9 @@ func TestWireShapeGolden(t *testing.T) {
 	var ids []string
 	for _, spec := range []map[string]any{
 		{"algo": "pagerank", "priority": 2},
-		// Both carry a priority: /v1/sched shows the last round's groups,
-		// and which job that round still holds depends on timing.
+		// A priority orders admission at the in-flight cap only (none is
+		// set here); no pinned read-out carries it, so which job the last
+		// round still holds cannot change the shape.
 		{"algo": "sssp", "source": 3, "priority": 1},
 	} {
 		code, st := httpJSON(t, c, "POST", ts.URL+"/v1/jobs", spec)
