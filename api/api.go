@@ -293,27 +293,23 @@ type IngestStats struct {
 	NumVertices int `json:"num_vertices"`
 }
 
-// SchedGroup is the plan of the engine's last round: every job it
-// scheduled, and the units it loaded.
-type SchedGroup struct {
+// SchedInfo is the wire view of the engine's latest scheduling decision:
+// policy, θ fit, and the plan of the last round — every job it scheduled,
+// the units it loaded in Eq. 1 order, and its makespan.
+type SchedInfo struct {
+	Policy      string  `json:"policy"`
+	Theta       float64 `json:"theta"`
+	ThetaRefits int     `json:"theta_refits"`
+	Round       int64   `json:"round"`
+	// Jobs are the service job IDs the round scheduled.
 	Jobs []string `json:"jobs"`
 	// Parts is the unit load order (partition index within its snapshot),
 	// parallel to PartUIDs, which names the exact version loaded.
 	Parts    []int   `json:"parts"`
 	PartUIDs []int64 `json:"part_uids"`
-	// MakespanUS is how much the engine clock advanced while the group's
-	// units loaded and triggered.
+	// MakespanUS is how much the round advanced the engine clock: its
+	// structure loads, triggers and pushes.
 	MakespanUS float64 `json:"makespan_us,omitempty"`
-}
-
-// SchedInfo is the wire view of the engine's latest scheduling decision:
-// policy, θ fit, and the round's load order (one group).
-type SchedInfo struct {
-	Policy      string       `json:"policy"`
-	Theta       float64      `json:"theta"`
-	ThetaRefits int          `json:"theta_refits"`
-	Round       int64        `json:"round"`
-	Groups      []SchedGroup `json:"groups"`
 }
 
 // ExecInfo reports the work-stealing executor: its effective

@@ -69,9 +69,10 @@ type JobAttribution struct {
 	// AccessUS / ComputeUS split the job's simulated time over its rounds.
 	AccessUS  float64 `json:"access_us"`
 	ComputeUS float64 `json:"compute_us"`
-	// MakespanShare is the job's simulated time as a fraction of its
-	// rounds' makespan, summed per round and clamped to [0, 1]:
-	// roughly how much of the shared rounds' span this job accounts for.
+	// MakespanShare is the job's simulated time as a fraction of the
+	// summed makespan of its rounds (each round span's virtual end minus
+	// start), clamped to [0, 1]: roughly how much of the shared rounds'
+	// span this job accounts for.
 	MakespanShare float64 `json:"makespan_share"`
 }
 

@@ -11,16 +11,6 @@ type TraceOptions struct {
 	Limit int
 }
 
-// RoundTraceGroup is the plan of a traced round: the jobs it scheduled.
-type RoundTraceGroup struct {
-	// Jobs are the service job IDs scheduled in the group.
-	Jobs []string `json:"jobs"`
-	// Units is the number of (snapshot, partition) units the group loaded.
-	Units int `json:"units"`
-	// MakespanUS is the group's simulated span within the round.
-	MakespanUS float64 `json:"makespan_us,omitempty"`
-}
-
 // JobRoundTrace is one job's share of one traced round.
 type JobRoundTrace struct {
 	// Job is the service job ID (set in RoundTrace records; omitted inside
@@ -53,11 +43,13 @@ type RoundTrace struct {
 	WallUS float64 `json:"wall_us"`
 	// VirtualTimeUS is the engine's simulated clock at round end.
 	VirtualTimeUS float64 `json:"virtual_time_us"`
-	// Policy and Theta describe the scheduler that produced the plan.
-	Policy string  `json:"policy,omitempty"`
-	Theta  float64 `json:"theta,omitempty"`
-	// Groups is the round's plan: one group holding every scheduled job.
-	Groups []RoundTraceGroup `json:"groups,omitempty"`
+	// Theta is the scheduler's Eq. 1 fit the round was planned with.
+	Theta float64 `json:"theta,omitempty"`
+	// Units is the number of (snapshot, partition) units the round loaded.
+	Units int `json:"units"`
+	// MakespanUS is how much the round advanced the simulated clock: its
+	// structure loads, triggers and pushes.
+	MakespanUS float64 `json:"makespan_us,omitempty"`
 	// Jobs is the per-job work split for the round.
 	Jobs []JobRoundTrace `json:"jobs,omitempty"`
 	// Tasks / Steals are the work-stealing executor's counts for the

@@ -900,13 +900,9 @@ func (s *System) ExecStats() ExecStats {
 	return eng.ExecStats()
 }
 
-// SchedInfo reports the scheduler's state as of the engine's last round and
-// SchedGroup the plan of that round (aliases of core.SchedInfo and
-// core.SchedGroup).
-type (
-	SchedInfo  = core.SchedInfo
-	SchedGroup = core.SchedGroup
-)
+// SchedInfo reports the scheduler's state and plan as of the engine's last
+// round (alias of core.SchedInfo).
+type SchedInfo = core.SchedInfo
 
 // SchedInfo reports the latest scheduling decision; safe to call while the
 // system serves. Before any submission it reports only the policy.
@@ -919,15 +915,13 @@ func (s *System) SchedInfo() SchedInfo {
 }
 
 // RoundTrace is one engine round's trace record (see WithTraceDepth),
-// RoundTraceGroup the plan of its schedule, JobRoundTrace one
-// job's share of it, and JobTrace one job's retained round-by-round
-// timeline (aliases of the trace recorder's Round, Group, JobRound and
-// Timeline).
+// JobRoundTrace one job's share of it, and JobTrace one job's retained
+// round-by-round timeline (aliases of the trace recorder's Round, JobRound
+// and Timeline).
 type (
-	RoundTrace      = trace.Round
-	RoundTraceGroup = trace.Group
-	JobRoundTrace   = trace.JobRound
-	JobTrace        = trace.Timeline
+	RoundTrace    = trace.Round
+	JobRoundTrace = trace.JobRound
+	JobTrace      = trace.Timeline
 )
 
 // TraceDepth reports the configured trace ring depth (0 = disabled).

@@ -41,8 +41,8 @@
 //	curl -X POST localhost:8040/v1/snapshots -d '{"timestamp":20,"edges":[[0,1,1],...]}'
 //	curl -X POST localhost:8040/v1/deltas -d '{"mutations":[{"slot":17,"edge":[3,9,1]}]}'
 //	curl localhost:8040/v1/jobs/job-0/trace         # round-by-round timeline
-//	curl 'localhost:8040/v1/trace/rounds?limit=10'  # engine round traces
-//	curl localhost:8040/v1/sched
+//	curl 'localhost:8040/v1/trace/rounds?limit=10'  # engine round traces (units, makespan, per-job split)
+//	curl localhost:8040/v1/sched                    # last round's jobs, load order, makespan
 //	curl localhost:8040/metrics                     # Prometheus text exposition
 //
 // Every round loads partitions in the paper's Eq. 1 order; there is no

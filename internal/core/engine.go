@@ -711,30 +711,25 @@ func (e *Engine) Job(jobID int) (*exec.Job, bool) {
 // it is safe to call concurrently with Run or Serve.
 func (e *Engine) Now() float64 { return math.Float64frombits(e.nowBits.Load()) }
 
-// SchedGroup reports the plan of the last scheduled round.
-type SchedGroup struct {
-	// JobIDs lists the engine job IDs scheduled together (Job.ID values).
+// SchedInfo is a point-in-time snapshot of the scheduler's state: the
+// policy, the current θ fit and how often it was refitted, and the plan of
+// the most recent round.
+type SchedInfo struct {
+	Policy      string
+	Theta       float64
+	ThetaRefits int
+	// Round is the round the plan below was computed for (0 before any).
+	Round int64
+	// JobIDs lists the engine job IDs the round scheduled (Job.ID values).
 	JobIDs []int
 	// Parts is the unit load order: each partition's index within its own
 	// snapshot, parallel to UIDs.
 	Parts []int
 	// UIDs identifies the partition versions loaded, in load order.
 	UIDs []int64
-	// MakespanUS is how much the virtual clock advanced while the group's
-	// units loaded and triggered.
+	// MakespanUS is how much the round advanced the virtual clock: its
+	// structure loads, triggers and pushes.
 	MakespanUS float64
-}
-
-// SchedInfo is a point-in-time snapshot of the scheduler's state: the
-// policy, the current θ fit and how often it was refitted, and the
-// group/load order chosen in the most recent round.
-type SchedInfo struct {
-	Policy      string
-	Theta       float64
-	ThetaRefits int
-	// Round is the round the plan below was computed for (0 before any).
-	Round  int64
-	Groups []SchedGroup
 }
 
 // SchedInfo reports the scheduler's latest plan. Safe to call concurrently
@@ -762,7 +757,7 @@ func (e *Engine) round() {
 	e.rtTasks, e.rtSteals, e.rtStolen, e.rtSkipped, e.rtImb = 0, 0, 0, 0, imbalance{}
 	plan, byID, pre := e.planRound()
 	e.execute(e.build(plan, byID))
-	spans := e.price(plan)
+	e.price()
 
 	// Collect next-round C(U) statistics, keyed by partition version.
 	still := e.jobs[:0]
@@ -784,15 +779,17 @@ func (e *Engine) round() {
 	e.execStolen.Add(e.rtStolen)
 	e.execSkipped.Add(e.rtSkipped)
 	e.imbBits.Store(math.Float64bits(e.rtImb.factor(e.cfg.Workers)))
-	e.recordRound(roundStart, virtStart, plan, spans, pre)
+	e.recordRound(roundStart, virtStart, plan, pre)
 	e.rounds.Add(1)
 	e.nowBits.Store(math.Float64bits(e.now))
 }
 
 // planRound registers each job's active partitions as its round-set and
-// plans their loads. pre snapshots each job's counters so the tracer can
-// attribute this round's deltas; it is only populated when tracing is on.
-func (e *Engine) planRound() (plan []sched.Group, byID map[int]*runJob, pre []jobPreRound) {
+// plans their loads: the one group sched.Plan returns, or the zero Group
+// when there are no jobs. pre snapshots each job's counters so the tracer
+// can attribute this round's deltas; it is only populated when tracing is
+// on.
+func (e *Engine) planRound() (plan sched.Group, byID map[int]*runJob, pre []jobPreRound) {
 	foot := make([]sched.JobFootprint, 0, len(e.jobs))
 	byID = make(map[int]*runJob, len(e.jobs))
 	for _, rj := range e.jobs {
@@ -826,7 +823,10 @@ func (e *Engine) planRound() (plan []sched.Group, byID map[int]*runJob, pre []jo
 		// Jobs admitted with no active vertices (degenerate programs)
 		// close an iteration at the end of the round.
 	}
-	return e.sched.Plan(foot, e.cPrev), byID, pre
+	if groups := e.sched.Plan(foot, e.cPrev); len(groups) > 0 {
+		plan = groups[0]
+	}
+	return plan, byID, pre
 }
 
 // jobPreRound is a job's counter snapshot at round start, for trace deltas.
@@ -848,20 +848,18 @@ type jobPreRound struct {
 // spans share the round's wall edges (one start stamp, one duration) and
 // virtual edges — the raw material of the per-job resource attribution the
 // service computes from the span store.
-func (e *Engine) recordRound(start time.Time, virtStart float64, plan []sched.Group, spans []float64, pre []jobPreRound) {
+func (e *Engine) recordRound(start time.Time, virtStart float64, plan sched.Group, pre []jobPreRound) {
 	info := SchedInfo{
 		Policy:      e.cfg.Scheduler.String(),
 		Theta:       e.sched.Theta(),
 		ThetaRefits: e.sched.Refits(),
 		Round:       e.rounds.Load() + 1,
+		JobIDs:      plan.Jobs,
+		MakespanUS:  e.now - virtStart,
 	}
-	for gi, g := range plan {
-		sg := SchedGroup{JobIDs: g.Jobs, MakespanUS: spans[gi]}
-		for _, u := range g.Units {
-			sg.Parts = append(sg.Parts, u.Part.ID)
-			sg.UIDs = append(sg.UIDs, u.Part.UID)
-		}
-		info.Groups = append(info.Groups, sg)
+	for _, u := range plan.Units {
+		info.Parts = append(info.Parts, u.Part.ID)
+		info.UIDs = append(info.UIDs, u.Part.UID)
 	}
 	e.mu.Lock()
 	e.lastSched = info
@@ -880,23 +878,14 @@ func (e *Engine) recordRound(start time.Time, virtStart float64, plan []sched.Gr
 			Start:         start,
 			Wall:          wall,
 			VirtualTimeUS: e.now,
-			Policy:        info.Policy,
 			Theta:         info.Theta,
+			Units:         len(info.Parts),
+			MakespanUS:    info.MakespanUS,
 			Tasks:         e.rtTasks,
 			Steals:        e.rtSteals,
 			Skipped:       e.rtSkipped,
 		}
-		for _, sg := range info.Groups {
-			rec.Groups = append(rec.Groups, trace.Group{
-				JobIDs:     sg.JobIDs,
-				Units:      len(sg.Parts),
-				MakespanUS: sg.MakespanUS,
-			})
-		}
 	}
-	// groupSpan maps a job to its group's makespan; built on the first
-	// span-carrying job, so span-less rounds pay nothing for it.
-	var groupSpan map[int]float64
 	for _, p := range pre {
 		rj := p.rj
 		jr := trace.JobRound{
@@ -915,14 +904,6 @@ func (e *Engine) recordRound(start time.Time, virtStart float64, plan []sched.Gr
 		if e.cfg.Tracer == nil || !rj.span.Valid() {
 			continue
 		}
-		if groupSpan == nil {
-			groupSpan = make(map[int]float64, len(pre))
-			for _, sg := range info.Groups {
-				for _, id := range sg.JobIDs {
-					groupSpan[id] = sg.MakespanUS
-				}
-			}
-		}
 		attrs := []span.Attr{
 			span.Int("round", jr.Round),
 			span.Int("parts", int64(jr.Parts)),
@@ -932,9 +913,6 @@ func (e *Engine) recordRound(start time.Time, virtStart float64, plan []sched.Gr
 			span.Int("tasks", rj.roundTasks),
 			span.Int("stolen", rj.roundStolen.Load()),
 			span.Int("skipped_parts", int64(p.skipped)),
-		}
-		if us, ok := groupSpan[rj.ID]; ok {
-			attrs = append(attrs, span.Float("group_makespan_us", us))
 		}
 		e.cfg.Tracer.Record(span.Data{
 			Trace:          rj.span.Trace,
@@ -1039,7 +1017,6 @@ func (e *Engine) sweepAt(i int) *sweepTask {
 // exhausts are pushes[push:pushEnd].
 type unitRec struct {
 	p             *graph.Partition
-	group         int
 	lo, hi        int
 	push, pushEnd int
 }
@@ -1075,41 +1052,39 @@ func (b imbalance) factor(workers int) float64 {
 // iteration after every unit. It sizes every worker's scratch for the
 // round's largest frontier and reports whether the round weighs less than
 // inlineWeight.
-func (e *Engine) build(plan []sched.Group, byID map[int]*runJob) (light bool) {
+func (e *Engine) build(plan sched.Group, byID map[int]*runJob) (light bool) {
 	e.units, e.pushes = e.units[:0], e.pushes[:0]
 	n, maxActive := 0, 0
 	var roundW int64
-	for gi, g := range plan {
-		for _, u := range g.Units {
-			lo := n
-			for _, id := range u.Jobs {
-				rj := byID[id]
-				pid, ok := rj.remaining[u.Part.UID]
-				if !ok {
-					continue
-				}
-				t := e.sweepAt(n)
-				t.rj, t.pid, t.weight = rj, pid, rj.ActiveWeight(pid)
-				rj.weight += t.weight
-				maxActive = max(maxActive, rj.PT.ActiveCount[pid])
-				n++
-			}
-			if n == lo {
+	for _, u := range plan.Units {
+		lo := n
+		for _, id := range u.Jobs {
+			rj := byID[id]
+			pid, ok := rj.remaining[u.Part.UID]
+			if !ok {
 				continue
 			}
-			rec := unitRec{p: u.Part, group: gi, lo: lo, hi: n, push: len(e.pushes)}
-			for b := lo; b < n; b += e.cfg.Workers {
-				roundW += e.straggle(e.sweeps[b:min(b+e.cfg.Workers, n)])
-			}
-			for _, t := range e.sweeps[lo:n] {
-				delete(t.rj.remaining, u.Part.UID)
-				if len(t.rj.remaining) == 0 {
-					e.pushes = append(e.pushes, t.rj)
-				}
-			}
-			rec.pushEnd = len(e.pushes)
-			e.units = append(e.units, rec)
+			t := e.sweepAt(n)
+			t.rj, t.pid, t.weight = rj, pid, rj.ActiveWeight(pid)
+			rj.weight += t.weight
+			maxActive = max(maxActive, rj.PT.ActiveCount[pid])
+			n++
 		}
+		if n == lo {
+			continue
+		}
+		rec := unitRec{p: u.Part, lo: lo, hi: n, push: len(e.pushes)}
+		for b := lo; b < n; b += e.cfg.Workers {
+			roundW += e.straggle(e.sweeps[b:min(b+e.cfg.Workers, n)])
+		}
+		for _, t := range e.sweeps[lo:n] {
+			delete(t.rj.remaining, u.Part.UID)
+			if len(t.rj.remaining) == 0 {
+				e.pushes = append(e.pushes, t.rj)
+			}
+		}
+		rec.pushEnd = len(e.pushes)
+		e.units = append(e.units, rec)
 	}
 	e.nsweeps, e.idle = n, len(e.pushes)
 	for _, rj := range e.jobs {
@@ -1182,19 +1157,10 @@ func (e *Engine) execute(light bool) {
 }
 
 // price replays the recorded round on the virtual clock, unit by unit in plan
-// order, and returns each group's share of the clock's advance (structure
-// loads, triggers, and the pushes of iterations closed while the group's
-// units processed), for the /metrics makespan breakdown. The idle jobs'
-// pushes follow every group.
-func (e *Engine) price(plan []sched.Group) []float64 {
-	spans := make([]float64, len(plan))
-	units := e.units
-	for gi := range plan {
-		start := e.now
-		for ; len(units) > 0 && units[0].group == gi; units = units[1:] {
-			e.priceUnit(&units[0])
-		}
-		spans[gi] = e.now - start
+// order; the idle jobs' pushes follow every unit.
+func (e *Engine) price() {
+	for i := range e.units {
+		e.priceUnit(&e.units[i])
 	}
 	for _, rj := range e.pushes[e.idle:] {
 		e.pricePush(rj)
@@ -1207,7 +1173,6 @@ func (e *Engine) price(plan []sched.Group) []float64 {
 	}
 	clear(e.units)
 	clear(e.pushes)
-	return spans
 }
 
 // priceUnit charges one unit: its partition's structure load, then its

@@ -300,6 +300,44 @@ func TestEngineScalingInvariants(t *testing.T) {
 	}
 }
 
+// TestRoundReadOuts: the round record and the scheduler read-out carry the
+// one plan a round makes. On the allocation guards' dense four-job mix, each
+// retained round's makespan is exactly the clock's advance since the
+// previous record, and SchedInfo after the run describes the last record.
+func TestRoundReadOuts(t *testing.T) {
+	edges := gen.RMAT(77, 512, 16384, 0.57, 0.19, 0.19)
+	e := NewSingle(Config{Workers: 2, TraceDepth: 1 << 10}, buildPG(t, edges, 512, 8, false))
+	e.Submit(algo.NewPageRank(), 0)
+	e.Submit(algo.NewPPR(0), 0)
+	e.Submit(&algo.PageRank{Damping: 0.7, Epsilon: 1e-3}, 0)
+	e.Submit(algo.NewHITS(), 0)
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	rounds := e.RoundTraces(0)
+	if len(rounds) < 2 || rounds[0].Round != 1 {
+		t.Fatalf("want every round retained from round 1, got %d records", len(rounds))
+	}
+	var prev float64
+	for _, r := range rounds {
+		if r.MakespanUS != r.VirtualTimeUS-prev {
+			t.Fatalf("round %d: makespan %v, want clock advance %v", r.Round, r.MakespanUS, r.VirtualTimeUS-prev)
+		}
+		if r.Units == 0 || r.MakespanUS <= 0 {
+			t.Fatalf("round %d: %d units, makespan %v; want both positive", r.Round, r.Units, r.MakespanUS)
+		}
+		prev = r.VirtualTimeUS
+	}
+	last := rounds[len(rounds)-1]
+	info := e.SchedInfo()
+	if info.Round != last.Round || info.MakespanUS != last.MakespanUS {
+		t.Fatalf("SchedInfo round %d makespan %v, want round %d makespan %v", info.Round, info.MakespanUS, last.Round, last.MakespanUS)
+	}
+	if len(info.Parts) != last.Units || len(info.UIDs) != last.Units || len(info.JobIDs) == 0 {
+		t.Fatalf("SchedInfo: %d parts, %d UIDs, %d jobs; want %d units and some job", len(info.Parts), len(info.UIDs), len(info.JobIDs), last.Units)
+	}
+}
+
 func TestEngineBatchingWhenJobsExceedWorkers(t *testing.T) {
 	edges := gen.RMAT(27, 150, 2500, 0.57, 0.19, 0.19)
 	pg := buildPG(t, edges, 150, 4, false)

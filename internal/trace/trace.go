@@ -1,25 +1,16 @@
 // Package trace keeps bounded, in-memory execution traces for the
-// concurrent engine: one compact record per LTP round (wall time, scheduler
-// group composition, per-job work split) in a ring of configurable depth,
-// plus a per-job round-by-round timeline that survives job retirement so a
-// compacted job's history can still be queried. Everything is fixed-size —
-// a resident service tracing forever never grows without bound.
+// concurrent engine: one compact record per LTP round (wall time, units
+// loaded and simulated makespan, per-job work split) in a ring of
+// configurable depth, plus a per-job round-by-round timeline that survives
+// job retirement so a compacted job's history can still be queried.
+// Everything is fixed-size — a resident service tracing forever never grows
+// without bound.
 package trace
 
 import (
 	"sync"
 	"time"
 )
-
-// Group is a round's schedule: the jobs it planned together.
-type Group struct {
-	// JobIDs are the engine job IDs scheduled in this group.
-	JobIDs []int
-	// Units is the number of (snapshot, partition) units the group loaded.
-	Units int
-	// MakespanUS is the group's simulated span within the round.
-	MakespanUS float64
-}
 
 // JobRound is one job's share of one round.
 type JobRound struct {
@@ -52,11 +43,12 @@ type Round struct {
 	Wall time.Duration
 	// VirtualTimeUS is the engine's simulated clock at round end.
 	VirtualTimeUS float64
-	// Policy and Theta describe the scheduler that produced the plan.
-	Policy string
-	Theta  float64
-	// Groups is the round's plan: one group holding every scheduled job.
-	Groups []Group
+	// Theta is the scheduler's Eq. 1 fit the round was planned with.
+	Theta float64
+	// Units is the number of (snapshot, partition) units the round loaded.
+	Units int
+	// MakespanUS is how much the round advanced the simulated clock.
+	MakespanUS float64
 	// Jobs is the per-job work split, one entry per job active this round.
 	Jobs []JobRound
 	// Tasks / Steals are the work-stealing executor's counts for the

@@ -309,7 +309,7 @@ func attributionOf(id, traceID string, spans []span.Data) (api.JobAttribution, b
 		return api.JobAttribution{}, false
 	}
 	a := api.JobAttribution{ID: id, TraceID: traceID}
-	var totalMS, groupUS float64
+	var totalMS, roundsUS float64
 	num := func(d span.Data, key string) float64 {
 		at, _ := d.Attr(key)
 		return at.Num
@@ -331,14 +331,14 @@ func attributionOf(id, traceID string, spans []span.Data) (api.JobAttribution, b
 			a.SkippedPartitions += int64(num(d, "skipped_parts"))
 			a.AccessUS += num(d, "access_us")
 			a.ComputeUS += num(d, "compute_us")
-			groupUS += num(d, "group_makespan_us")
+			roundsUS += d.EndVirtualUS - d.StartVirtualUS
 		}
 	}
 	if totalMS > a.QueueWaitMS {
 		a.ExecMS = totalMS - a.QueueWaitMS
 	}
-	if groupUS > 0 {
-		a.MakespanShare = min((a.AccessUS+a.ComputeUS)/groupUS, 1)
+	if roundsUS > 0 {
+		a.MakespanShare = min((a.AccessUS+a.ComputeUS)/roundsUS, 1)
 	}
 	return a, true
 }
@@ -582,18 +582,12 @@ func (s *Service) RoundTraces(limit int) api.RoundTraces {
 			Start:             r.Start,
 			WallUS:            float64(r.Wall) / float64(time.Microsecond),
 			VirtualTimeUS:     r.VirtualTimeUS,
-			Policy:            r.Policy,
 			Theta:             r.Theta,
+			Units:             r.Units,
+			MakespanUS:        r.MakespanUS,
 			Tasks:             r.Tasks,
 			Steals:            r.Steals,
 			SkippedPartitions: r.Skipped,
-		}
-		for _, g := range r.Groups {
-			wg := api.RoundTraceGroup{Units: g.Units, MakespanUS: g.MakespanUS}
-			for _, id := range g.JobIDs {
-				wg.Jobs = append(wg.Jobs, engineJobName(byEngine, id))
-			}
-			rt.Groups = append(rt.Groups, wg)
 		}
 		for _, jr := range r.Jobs {
 			rt.Jobs = append(rt.Jobs, wireJobRound(jr, engineJobName(byEngine, jr.JobID)))

@@ -538,15 +538,10 @@ func (h *httpAPI) metrics(w http.ResponseWriter, r *http.Request) {
 	e.Add("cgraph_sched_theta", map[string]string{"policy": sched.Policy}, sched.Theta)
 	e.Declare("cgraph_sched_theta_refits_total", "counter", "Times theta was (re)fitted after snapshot arrivals or C drift.")
 	e.Add("cgraph_sched_theta_refits_total", nil, float64(sched.ThetaRefits))
-	e.Declare("cgraph_sched_groups", "gauge", "Groups planned in the engine's last round (one: every job is planned together).")
-	e.Add("cgraph_sched_groups", nil, float64(len(sched.Groups)))
-	e.Declare("cgraph_sched_group_makespan_us", "gauge", "Virtual time the last round's group advanced the engine clock by.")
-	e.Declare("cgraph_sched_group_jobs", "gauge", "Jobs in the last round's group.")
-	for gi, g := range sched.Groups {
-		labels := map[string]string{"group": strconv.Itoa(gi)}
-		e.Add("cgraph_sched_group_makespan_us", labels, g.MakespanUS)
-		e.Add("cgraph_sched_group_jobs", labels, float64(len(g.Jobs)))
-	}
+	e.Declare("cgraph_sched_round_makespan_us", "gauge", "Virtual time the engine's last round advanced the engine clock by.")
+	e.Add("cgraph_sched_round_makespan_us", nil, sched.MakespanUS)
+	e.Declare("cgraph_sched_round_jobs", "gauge", "Jobs the engine's last round scheduled.")
+	e.Add("cgraph_sched_round_jobs", nil, float64(len(sched.Jobs)))
 	ex := info.Exec
 	e.Declare("cgraph_exec_workers", "gauge", "Effective worker count of the work-stealing execution pool.")
 	e.Add("cgraph_exec_workers", nil, float64(ex.Workers))

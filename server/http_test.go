@@ -225,7 +225,7 @@ func TestHTTPControlPlaneDemo(t *testing.T) {
 	}
 
 	// The scheduler's decision is directly observable: policy, fitted θ,
-	// and the group/load order of the last round.
+	// and the jobs and load order of the last round.
 	code, schedInfo := httpJSON(t, c, "GET", ts.URL+"/v1/sched", nil)
 	if code != http.StatusOK || schedInfo["policy"] != "priority" {
 		t.Fatalf("GET /v1/sched = %d (%v)", code, schedInfo)
@@ -233,8 +233,12 @@ func TestHTTPControlPlaneDemo(t *testing.T) {
 	if th, _ := schedInfo["theta"].(float64); th <= 0 {
 		t.Fatalf("sched theta not fitted: %v", schedInfo)
 	}
-	if groups, ok := schedInfo["groups"].([]any); !ok || len(groups) == 0 {
-		t.Fatalf("sched groups not reported: %v", schedInfo)
+	if jobs, ok := schedInfo["jobs"].([]any); !ok || len(jobs) == 0 {
+		t.Fatalf("sched jobs not reported: %v", schedInfo)
+	}
+	parts, _ := schedInfo["parts"].([]any)
+	if uids, _ := schedInfo["part_uids"].([]any); len(parts) != len(uids) {
+		t.Fatalf("sched parts and part_uids differ in length: %v", schedInfo)
 	}
 
 	// Structured metrics mirror the Prometheus exposition.
@@ -260,7 +264,7 @@ func TestHTTPControlPlaneDemo(t *testing.T) {
 		"cgraph_engine_rounds_total",
 		`cgraph_sched_theta{policy="priority"}`,
 		"cgraph_sched_theta_refits_total",
-		"cgraph_sched_groups",
+		"cgraph_sched_round_jobs",
 		fmt.Sprintf(`cgraph_job_iterations{algo="PageRank",id="%s"}`, prID),
 	} {
 		if !strings.Contains(string(body), want) {
@@ -666,7 +670,7 @@ func TestHTTPDeltasAndListFilters(t *testing.T) {
 	if !ok || ing["batches"] != float64(1) || ing["snapshots_built"] != float64(1) || ing["snapshots_live"] != float64(2) {
 		t.Fatalf("ingest metrics = %v", m["ingest"])
 	}
-	// …and in the Prometheus exposition, along with per-group makespan.
+	// …and in the Prometheus exposition, along with the round makespan.
 	resp, err := c.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -678,7 +682,7 @@ func TestHTTPDeltasAndListFilters(t *testing.T) {
 		"cgraph_ingest_batches_total 1",
 		"cgraph_ingest_flushes_total{trigger=\"manual\"} 1",
 		"cgraph_snapshots_live 2",
-		"cgraph_sched_group_makespan_us",
+		"cgraph_sched_round_makespan_us",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("Prometheus exposition missing %q:\n%s", want, text)

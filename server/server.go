@@ -60,10 +60,6 @@ type Status = api.JobStatus
 // (api.SchedInfo).
 type SchedInfo = api.SchedInfo
 
-// SchedGroup is the plan of the engine's last round
-// (api.SchedGroup).
-type SchedGroup = api.SchedGroup
-
 // Config tunes a Service.
 type Config struct {
 	// MaxInFlight caps the jobs submitted to the engine at once; further
@@ -712,13 +708,12 @@ func (s *Service) SchedInfo() SchedInfo {
 		Theta:       ci.Theta,
 		ThetaRefits: ci.ThetaRefits,
 		Round:       ci.Round,
+		Parts:       ci.Parts,
+		PartUIDs:    ci.UIDs,
+		MakespanUS:  ci.MakespanUS,
 	}
-	for _, g := range ci.Groups {
-		sg := SchedGroup{Parts: g.Parts, PartUIDs: g.UIDs, MakespanUS: g.MakespanUS}
-		for _, id := range g.JobIDs {
-			sg.Jobs = append(sg.Jobs, engineJobName(byEngine, id))
-		}
-		out.Groups = append(out.Groups, sg)
+	for _, id := range ci.JobIDs {
+		out.Jobs = append(out.Jobs, engineJobName(byEngine, id))
 	}
 	return out
 }
