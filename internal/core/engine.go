@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -214,7 +215,8 @@ type Engine struct {
 	// (single-goroutine) can refit θ.
 	snapObs []*graph.PGraph
 	// lastSched summarizes the plan of the most recent round for the
-	// control plane.
+	// control plane. Its slices are the engine's own and are rewritten in
+	// place every round; SchedInfo hands out copies.
 	lastSched SchedInfo
 	// released compacts the state entries of Release-d jobs into counters
 	// so ServeStats stays accurate while the state map stays bounded.
@@ -267,6 +269,17 @@ type Engine struct {
 	idle    int
 	scs     []exec.Scratch
 	tasks   []pool.Task
+	// planRound fills foot with the round's job footprints (each entry keeps
+	// its Units and Active capacity), byID with the round's jobs and pre with
+	// their counters when tracing; round drops their job and partition
+	// references once the round is recorded.
+	foot []sched.JobFootprint
+	byID map[int]*runJob
+	pre  []jobPreRound
+	// done holds the terminal events of the jobs that converged this
+	// round; round fires them once the round is recorded, so that a job's
+	// last round is in its trace and spans before anyone hears it is done.
+	done []JobEvent
 
 	now      float64
 	busyCore float64
@@ -331,6 +344,7 @@ func New(cfg Config, store *storage.SnapshotStore) *Engine {
 		roundHist: metrics.NewHistogram(metrics.LatencyBuckets()),
 		pool:      pool.New(cfg.Workers),
 		scs:       make([]exec.Scratch, cfg.Workers),
+		byID:      make(map[int]*runJob),
 	}
 	e.imbBits.Store(math.Float64bits(1))
 	// Spans carry virtual-time edges alongside their wall stamps; the
@@ -388,7 +402,7 @@ func (e *Engine) SubmitWith(ctx context.Context, prog model.Program, opts Submit
 	j := exec.NewJob(id, prog, snap.PG)
 	rj := &runJob{
 		Job:       j,
-		remaining: make(map[int64]int),
+		remaining: make(map[int64]int, len(snap.PG.Parts)),
 		m:         &metrics.JobMetrics{JobID: id, Name: prog.Name()},
 		ctx:       ctx,
 		snapSeq:   snap.Seq,
@@ -733,12 +747,25 @@ type SchedInfo struct {
 }
 
 // SchedInfo reports the scheduler's latest plan. Safe to call concurrently
-// with Run or Serve: recordRound replaces lastSched wholesale and published
-// plans are never mutated in place, so the shared slices are immutable.
+// with Run or Serve: recordRound rewrites the engine's copy in place under
+// e.mu, so the returned slices are copies made under the same lock, and the
+// caller may keep or modify them.
 func (e *Engine) SchedInfo() SchedInfo {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.lastSched
+	info := e.lastSched
+	info.JobIDs = cloneOrNil(info.JobIDs)
+	info.Parts = cloneOrNil(info.Parts)
+	info.UIDs = cloneOrNil(info.UIDs)
+	return info
+}
+
+// cloneOrNil copies s, keeping an empty plan's lists nil as before any round.
+func cloneOrNil[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return slices.Clone(s)
 }
 
 // round is one pass of the LTP loop, in four steps. Plan the round's
@@ -749,14 +776,16 @@ func (e *Engine) SchedInfo() SchedInfo {
 // jobs whose round-set the unit exhausts. Execute runs the whole round on
 // the pool as two task sets: every sweep, then every closing job's push.
 // Price replays the record on the virtual clock — one load per unit, its
-// batches, and each push where it closed — and fires the jobs' events.
+// batches, and each push where it closed — and fires the jobs' progress
+// events; the converged jobs' terminal events fire after the round is
+// recorded.
 func (e *Engine) round() {
 	roundStart := time.Now() //cgraph:wallclock round wall-duration histogram measures real time per round
 	virtStart := e.now
 	e.drainSnapshotObservations()
 	e.rtTasks, e.rtSteals, e.rtStolen, e.rtSkipped, e.rtImb = 0, 0, 0, 0, imbalance{}
-	plan, byID, pre := e.planRound()
-	e.execute(e.build(plan, byID))
+	plan := e.planRound()
+	e.execute(e.build(plan))
 	e.price()
 
 	// Collect next-round C(U) statistics, keyed by partition version.
@@ -779,35 +808,50 @@ func (e *Engine) round() {
 	e.execStolen.Add(e.rtStolen)
 	e.execSkipped.Add(e.rtSkipped)
 	e.imbBits.Store(math.Float64bits(e.rtImb.factor(e.cfg.Workers)))
-	e.recordRound(roundStart, virtStart, plan, pre)
+	e.recordRound(roundStart, virtStart, plan)
 	e.rounds.Add(1)
 	e.nowBits.Store(math.Float64bits(e.now))
+	// Like price's buffers, the plan path's outlive the round: drop their
+	// job and partition references.
+	for i := range e.foot {
+		clear(e.foot[i].Units)
+	}
+	clear(e.byID)
+	clear(e.pre)
+	for _, ev := range e.done {
+		e.fireEvent(ev)
+	}
+	clear(e.done)
+	e.done = e.done[:0]
 }
 
 // planRound registers each job's active partitions as its round-set and
 // plans their loads: the one group sched.Plan returns, or the zero Group
-// when there are no jobs. pre snapshots each job's counters so the tracer
-// can attribute this round's deltas; it is only populated when tracing is
-// on.
-func (e *Engine) planRound() (plan sched.Group, byID map[int]*runJob, pre []jobPreRound) {
-	foot := make([]sched.JobFootprint, 0, len(e.jobs))
-	byID = make(map[int]*runJob, len(e.jobs))
+// when there are no jobs. It refills the engine's foot, byID and pre; pre
+// snapshots each job's counters so the tracer can attribute this round's
+// deltas, and is only populated when tracing is on. The plan belongs to the
+// scheduler and is valid until the next round's planRound.
+func (e *Engine) planRound() (plan sched.Group) {
+	foot, pre := e.foot[:0], e.pre[:0]
 	for _, rj := range e.jobs {
-		byID[rj.ID] = rj
+		e.byID[rj.ID] = rj
 		clear(rj.remaining)
-		jf := sched.JobFootprint{JobID: rj.ID}
-		activeParts := rj.PT.ActiveParts()
-		for _, pid := range activeParts {
+		foot = slices.Grow(foot, 1)[:len(foot)+1]
+		jf := &foot[len(foot)-1]
+		jf.JobID, jf.Units, jf.Active = rj.ID, jf.Units[:0], jf.Active[:0]
+		for pid, n := range rj.PT.ActiveCount {
+			if n == 0 {
+				continue
+			}
 			p := rj.PG.Parts[pid]
 			rj.remaining[p.UID] = pid
 			jf.Units = append(jf.Units, p)
-			jf.Active = append(jf.Active, rj.PT.ActiveCount[pid])
+			jf.Active = append(jf.Active, n)
 		}
 		// Converged regions: partitions with an empty frontier never
 		// become scheduling units, let alone tasks.
-		skipped := len(rj.PG.Parts) - len(activeParts)
+		skipped := len(rj.PG.Parts) - len(jf.Units)
 		e.rtSkipped += int64(skipped)
-		foot = append(foot, jf)
 		rj.roundTasks, rj.weight = 0, 0
 		rj.roundStolen.Store(0)
 		if e.tracer != nil || e.cfg.Tracer != nil {
@@ -823,10 +867,11 @@ func (e *Engine) planRound() (plan sched.Group, byID map[int]*runJob, pre []jobP
 		// Jobs admitted with no active vertices (degenerate programs)
 		// close an iteration at the end of the round.
 	}
+	e.foot, e.pre = foot, pre
 	if groups := e.sched.Plan(foot, e.cPrev); len(groups) > 0 {
 		plan = groups[0]
 	}
-	return plan, byID, pre
+	return plan
 }
 
 // jobPreRound is a job's counter snapshot at round start, for trace deltas.
@@ -848,21 +893,23 @@ type jobPreRound struct {
 // spans share the round's wall edges (one start stamp, one duration) and
 // virtual edges — the raw material of the per-job resource attribution the
 // service computes from the span store.
-func (e *Engine) recordRound(start time.Time, virtStart float64, plan sched.Group, pre []jobPreRound) {
-	info := SchedInfo{
-		Policy:      e.cfg.Scheduler.String(),
-		Theta:       e.sched.Theta(),
-		ThetaRefits: e.sched.Refits(),
-		Round:       e.rounds.Load() + 1,
-		JobIDs:      plan.Jobs,
-		MakespanUS:  e.now - virtStart,
-	}
+func (e *Engine) recordRound(start time.Time, virtStart float64, plan sched.Group) {
+	// The plan is the scheduler's and is rewritten next round, so lastSched
+	// copies it into slices of its own, reusing their capacity. Only this
+	// goroutine writes lastSched, so it reads info unlocked below.
+	e.mu.Lock()
+	info := &e.lastSched
+	info.Policy = e.cfg.Scheduler.String()
+	info.Theta = e.sched.Theta()
+	info.ThetaRefits = e.sched.Refits()
+	info.Round = e.rounds.Load() + 1
+	info.MakespanUS = e.now - virtStart
+	info.JobIDs = append(info.JobIDs[:0], plan.Jobs...)
+	info.Parts, info.UIDs = info.Parts[:0], info.UIDs[:0]
 	for _, u := range plan.Units {
 		info.Parts = append(info.Parts, u.Part.ID)
 		info.UIDs = append(info.UIDs, u.Part.UID)
 	}
-	e.mu.Lock()
-	e.lastSched = info
 	e.mu.Unlock()
 	wall := time.Since(start) //cgraph:wallclock wall stamp paired with the round start in round()
 	e.roundHist.Observe(wall.Seconds())
@@ -886,7 +933,7 @@ func (e *Engine) recordRound(start time.Time, virtStart float64, plan sched.Grou
 			Skipped:       e.rtSkipped,
 		}
 	}
-	for _, p := range pre {
+	for _, p := range e.pre {
 		rj := p.rj
 		jr := trace.JobRound{
 			JobID:         rj.ID,
@@ -1052,14 +1099,14 @@ func (b imbalance) factor(workers int) float64 {
 // iteration after every unit. It sizes every worker's scratch for the
 // round's largest frontier and reports whether the round weighs less than
 // inlineWeight.
-func (e *Engine) build(plan sched.Group, byID map[int]*runJob) (light bool) {
+func (e *Engine) build(plan sched.Group) (light bool) {
 	e.units, e.pushes = e.units[:0], e.pushes[:0]
 	n, maxActive := 0, 0
 	var roundW int64
 	for _, u := range plan.Units {
 		lo := n
 		for _, id := range u.Jobs {
-			rj := byID[id]
+			rj := e.byID[id]
 			pid, ok := rj.remaining[u.Part.UID]
 			if !ok {
 				continue
@@ -1324,7 +1371,8 @@ func (e *Engine) ExecStats() ExecStats {
 
 // pricePush charges the Push (Algorithm 2) that closed one job iteration —
 // its sync entries and the private slices it touched — reports the
-// iteration, and retires the job if it converged.
+// iteration, and retires the job if it converged; the job's terminal event
+// waits in e.done until the round is recorded.
 func (e *Engine) pricePush(rj *runJob) {
 	h := e.cfg.Hier
 	t := h.Cost().SyncTime(rj.push.Entries)
@@ -1363,6 +1411,6 @@ func (e *Engine) pricePush(rj *runJob) {
 		if e.tracer != nil {
 			e.tracer.Retire(rj.ID, JobDone.String())
 		}
-		e.fireEvent(JobEvent{JobID: rj.ID, State: JobDone, Metrics: rj.m})
+		e.done = append(e.done, JobEvent{JobID: rj.ID, State: JobDone, Metrics: rj.m})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -466,5 +467,140 @@ func TestReleaseCompactsTerminalState(t *testing.T) {
 	e.Release(bf)
 	if got := e.ServeStats(); got.Done != after.Done {
 		t.Fatalf("double release inflated done count: %+v", got)
+	}
+}
+
+// TestSchedInfoDoesNotAliasEngine: SchedInfo hands out copies. A reader
+// polling it while Serve plans rounds — and scribbling over every list it
+// gets back — races with nothing (under -race) and never sees its own writes
+// in a later read. Once the last job has retired, the round loop's plan-path
+// buffers hold no job and no partition, so an idle engine pins neither a
+// retired job's tables nor an evicted snapshot.
+func TestSchedInfoDoesNotAliasEngine(t *testing.T) {
+	edges := gen.RMAT(45, 300, 5000, 0.57, 0.19, 0.19)
+	pg := buildPG(t, edges, 300, 8, false)
+	rec := newEventRecorder()
+	e := NewSingle(Config{Workers: 2, Hier: smallHier(), TraceDepth: 8, OnJobEvent: func(ev JobEvent) { rec.ch <- ev }}, pg)
+	stop := startServe(t, e)
+
+	done := make(chan struct{})
+	var planned, scribbled int
+	var bad []string
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			info := e.SchedInfo()
+			if len(info.Parts) != len(info.UIDs) {
+				bad = append(bad, "Parts and UIDs differ in length")
+			}
+			for _, id := range info.JobIDs {
+				if id < 0 {
+					bad = append(bad, "a job ID written by an earlier caller")
+				}
+			}
+			for i := range info.Parts {
+				if info.Parts[i] < 0 || info.UIDs[i] < 0 {
+					bad = append(bad, "a unit written by an earlier caller")
+				}
+			}
+			if len(info.JobIDs) > 0 {
+				planned++
+			}
+			for i := range info.JobIDs {
+				info.JobIDs[i] = -1
+			}
+			for i := range info.Parts {
+				info.Parts[i], info.UIDs[i] = -1, -1
+				scribbled++
+			}
+		}
+	}()
+	ids := []int{
+		e.Submit(algo.NewBFS(0), 0),
+		e.Submit(algo.NewSSSP(1), 0),
+		e.Submit(&algo.PageRank{Damping: 0.85, Epsilon: 1e-6}, 0),
+	}
+	for _, id := range ids {
+		if ev := rec.wait(t, id); ev.State != JobDone {
+			t.Fatalf("job %d ended %v", id, ev.State)
+		}
+	}
+	close(done)
+	wg.Wait()
+	stop()
+	if len(bad) > 0 {
+		t.Fatalf("SchedInfo aliased engine state: %s (and %d more)", bad[0], len(bad)-1)
+	}
+	if planned == 0 || scribbled == 0 {
+		t.Fatalf("setup: the reader saw %d plans with jobs, scribbled on %d units", planned, scribbled)
+	}
+
+	info := e.SchedInfo()
+	if len(info.JobIDs) == 0 || len(info.Parts) == 0 {
+		t.Fatalf("setup: the last plan is empty: %+v", info)
+	}
+	want := SchedInfo{JobIDs: slices.Clone(info.JobIDs), Parts: slices.Clone(info.Parts), UIDs: slices.Clone(info.UIDs)}
+	info.JobIDs[0], info.Parts[0], info.UIDs[0] = -1, -1, -1
+	again := e.SchedInfo()
+	if !slices.Equal(again.JobIDs, want.JobIDs) || !slices.Equal(again.Parts, want.Parts) || !slices.Equal(again.UIDs, want.UIDs) {
+		t.Fatalf("a caller's write reached the engine: read %+v, want %+v", again, want)
+	}
+
+	// Serve has returned, so the loop-goroutine fields are safe to read.
+	for i, jf := range e.foot[:cap(e.foot)] {
+		for _, p := range jf.Units[:cap(jf.Units)] {
+			if p != nil {
+				t.Fatalf("footprint %d still holds partition %d (UID %d)", i, p.ID, p.UID)
+			}
+		}
+	}
+	for i, p := range e.pre[:cap(e.pre)] {
+		if p.rj != nil {
+			t.Fatalf("pre-round entry %d still holds job %d", i, p.rj.ID)
+		}
+	}
+	for i, tk := range e.sweeps {
+		if tk.rj != nil {
+			t.Fatalf("sweep %d still holds job %d", i, tk.rj.ID)
+		}
+	}
+	if len(e.byID) != 0 {
+		t.Fatalf("byID still holds %d jobs", len(e.byID))
+	}
+}
+
+// TestDoneEventFollowsRoundRecord: a job's terminal event fires after the
+// round it converged in is recorded, so a listener that reads the job's
+// trace on hearing it is done finds every iteration there — and a service
+// that closes the job's span tree then has its last job.round span.
+func TestDoneEventFollowsRoundRecord(t *testing.T) {
+	edges := gen.RMAT(46, 200, 3000, 0.57, 0.19, 0.19)
+	var e *Engine
+	traced := map[int]int{}
+	e = NewSingle(Config{Workers: 2, TraceDepth: 1 << 10, OnJobEvent: func(ev JobEvent) {
+		if ev.State != JobDone {
+			return
+		}
+		tl, _ := e.JobTrace(ev.JobID)
+		for _, r := range tl.Rounds {
+			traced[ev.JobID] += r.Pushes
+		}
+	}}, buildPG(t, edges, 200, 4, false))
+	ids := []int{e.Submit(algo.NewBFS(0), 0), e.Submit(&algo.PageRank{Damping: 0.85, Epsilon: 1e-6}, 0)}
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids {
+		j, _ := e.Job(id)
+		if traced[id] != j.Iterations {
+			t.Errorf("job %d: its done event saw %d traced iterations of %d", id, traced[id], j.Iterations)
+		}
 	}
 }

@@ -164,8 +164,7 @@ func TestImbalanceCountsDispatchedRuns(t *testing.T) {
 	e = NewSingle(Config{Workers: 2}, buildPG(t, edges, 64, 4, false))
 	e.Submit(algo.NewPageRank(), 0)
 	e.admitPending()
-	plan, byID, _ := e.planRound()
-	if !e.build(plan, byID) {
+	if !e.build(e.planRound()) {
 		t.Fatal("a round of a few hundred edges is not light")
 	}
 }

@@ -12,7 +12,7 @@
 // the pairs and folds each edge's contribution straight into the receiver,
 // with no per-edge buffer and no second task. It is the only shape anything
 // runs: the engine, one task per sweep, and the serial callers —
-// ProcessPartition, RunToConvergence, the baselines. ApplyRange + Merge is
+// ProcessPartition, the baselines and the tests' RunToConvergence. ApplyRange + Merge is
 // the step cut up as the straggler split of Fig. 6 describes it: disjoint
 // ranges of the frontier (SliceWeighted) are applied, each buffering a
 // (destination, contribution) pair per edge into its own Scratch, and one
@@ -49,7 +49,6 @@
 package exec
 
 import (
-	"fmt"
 	"math"
 	"slices"
 
@@ -378,8 +377,8 @@ type PushSummary struct {
 // the master's new state to its mirrors — the aggregated Δ is stored into
 // every replica of each still-active vertex and those replicas are marked
 // active for the next iteration: every replica applies the same Δ to the
-// same value itself, so replicas stay value-identical
-// (CheckReplicaConsistency) without a second state write-back. Residual
+// same value itself, so replicas stay value-identical (the tests'
+// CheckReplicaConsistency) without a second state write-back. Residual
 // sub-threshold deltas stay accumulated at the master so no contribution
 // mass is ever lost. A steady-state call allocates nothing.
 func (j *Job) Push() PushSummary {
@@ -532,48 +531,6 @@ func (v stateView) Set(id model.VertexID, s model.State, active bool) {
 			v.j.PT.Active[loc.Part].Clear(int(loc.Local))
 		}
 	}
-}
-
-// CheckReplicaConsistency verifies the Push invariant — after a push every
-// replica of every vertex holds the same value; used by tests.
-func (j *Job) CheckReplicaConsistency() error {
-	for v := 0; v < j.PG.G.N; v++ {
-		locs := j.PG.ReplicaLocations(model.VertexID(v))
-		if len(locs) < 2 {
-			continue
-		}
-		first := j.PT.States[locs[0].Part][locs[0].Local].Value
-		for _, loc := range locs[1:] {
-			got := j.PT.States[loc.Part][loc.Local].Value
-			if got != first && !(math.IsNaN(got) && math.IsNaN(first)) {
-				return fmt.Errorf("vertex %d: replica value %v != master value %v", v, got, first)
-			}
-		}
-	}
-	return nil
-}
-
-// RunToConvergence drives the job with synchronous whole-graph rounds until
-// completion — the minimal correct engine, used by tests and as the
-// inner loop of the sequential baseline. It fails if the job does not
-// converge within maxRounds iterations.
-func RunToConvergence(j *Job, maxRounds int) error {
-	sc := &Scratch{}
-	for r := 0; r < maxRounds; r++ {
-		if j.Done {
-			return nil
-		}
-		for pid := range j.PG.Parts {
-			if j.PT.ActiveCount[pid] > 0 {
-				j.ProcessPartition(pid, sc)
-			}
-		}
-		j.FinishIteration()
-	}
-	if j.Done {
-		return nil
-	}
-	return fmt.Errorf("exec: job %s did not converge in %d rounds", j.Prog.Name(), maxRounds)
 }
 
 // ProcessPartitionReentrant is CLIP's reentry discipline ("squeezing out

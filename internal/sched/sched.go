@@ -21,11 +21,19 @@
 // scheduling (Zhao et al., arXiv:1806.00777), was measured against this
 // single order and did not pay: on two disconnected components carrying
 // eight traversals it moved the virtual makespan by under 0.1 %.
+//
+// A Scheduler owns its plan buffers: the UID index, the unit slab (sorted in
+// place into the load order) and the returned Group are kept and reused by
+// every Plan call, so a warmed-up Plan allocates nothing. The plan Plan returns, and every slice in
+// it, is therefore valid only until the next Plan call; a caller that keeps
+// any of it longer copies it. Between calls the scheduler still holds the
+// last plan's partitions, and no others.
 package sched
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"cgraph/internal/graph"
 )
@@ -128,10 +136,17 @@ type Scheduler struct {
 	refits      int
 	plans       int
 	lastFitPlan int
+
+	// Plan's buffers, reused by every call so that a warmed-up Plan
+	// allocates nothing: byUID indexes this round's units, in the slab
+	// units, by partition-version UID, and plan is the returned Group.
+	byUID map[int64]int
+	units []unit
+	plan  [1]Group
 }
 
 // New builds a scheduler; feed it snapshots via ObserveSnapshot.
-func New(kind Kind) *Scheduler { return &Scheduler{kind: kind} }
+func New(kind Kind) *Scheduler { return &Scheduler{kind: kind, byUID: make(map[int64]int)} }
 
 // Kind returns the policy.
 func (s *Scheduler) Kind() Kind { return s.kind }
@@ -177,6 +192,8 @@ type unit struct {
 	// frac is the highest active-vertex fraction any job has in this
 	// unit, scaling the D·C term of Eq. 1 down as frontiers shrink.
 	frac float64
+	// pri is the unit's Eq. 1 priority, set by orderUnits.
+	pri float64
 }
 
 // Plan orders this round's loads. jobs lists each job's footprint; c maps a
@@ -184,6 +201,9 @@ type unit struct {
 // Neither input is mutated. The plan is one Group holding every job (none
 // when jobs is empty), its units in the policy's order; it is
 // deterministic, since (ID, UID) breaks every tie.
+//
+// The returned plan and every slice in it belong to the scheduler: they are
+// valid until the next Plan call, which reuses them.
 func (s *Scheduler) Plan(jobs []JobFootprint, c map[int64]float64) []Group {
 	s.plans++
 	// Age the window, then fold in this round's observations: the C sums
@@ -219,17 +239,23 @@ func (s *Scheduler) Plan(jobs []JobFootprint, c map[int64]float64) []Group {
 	}
 
 	// Collect units in first-seen order (deterministic: engine iterates
-	// jobs in submission order).
-	byUID := make(map[int64]*unit)
-	var units []*unit
+	// jobs in submission order) into the slab, whose entries keep their
+	// jobs capacity from round to round. Sorting moves the entries, and
+	// their capacity with them.
+	clear(s.byUID)
+	n := 0
 	for _, jf := range jobs {
 		for ui, p := range jf.Units {
-			u := byUID[p.UID]
-			if u == nil {
-				u = &unit{part: p}
-				byUID[p.UID] = u
-				units = append(units, u)
+			i, ok := s.byUID[p.UID]
+			if !ok {
+				i, n = n, n+1
+				if i == len(s.units) {
+					s.units = append(s.units, unit{})
+				}
+				s.units[i] = unit{part: p, jobs: s.units[i].jobs[:0]}
+				s.byUID[p.UID] = i
 			}
+			u := &s.units[i]
 			u.jobs = append(u.jobs, jf.JobID)
 			f := 1.0
 			if ui < len(jf.Active) && p.NumVertices() > 0 {
@@ -240,33 +266,37 @@ func (s *Scheduler) Plan(jobs []JobFootprint, c map[int64]float64) []Group {
 			}
 		}
 	}
+	// Entries past this round's units keep no partition reachable.
+	for i := n; i < len(s.units); i++ {
+		s.units[i].part = nil
+	}
+	units := s.units[:n]
 	s.orderUnits(units, c)
-	g := Group{Jobs: make([]int, len(jobs)), Units: make([]UnitPlan, len(units))}
-	for i, jf := range jobs {
-		g.Jobs[i] = jf.JobID
+
+	g := &s.plan[0]
+	g.Jobs = g.Jobs[:0]
+	for _, jf := range jobs {
+		g.Jobs = append(g.Jobs, jf.JobID)
 	}
-	sort.Ints(g.Jobs)
-	for i, u := range units {
-		g.Units[i] = UnitPlan{Part: u.part, Jobs: u.jobs}
+	slices.Sort(g.Jobs)
+	g.Units = g.Units[:0]
+	for _, u := range units {
+		g.Units = append(g.Units, UnitPlan{Part: u.part, Jobs: u.jobs})
 	}
-	return []Group{g}
+	clear(g.Units[len(g.Units):cap(g.Units)])
+	return s.plan[:]
 }
 
 // orderUnits sorts the round's units in place: partition-index order for
 // Static, Eq. 1 priority descending otherwise, with (ID, UID) ascending as
 // the deterministic tie-break.
-func (s *Scheduler) orderUnits(us []*unit, c map[int64]float64) {
+func (s *Scheduler) orderUnits(us []unit, c map[int64]float64) {
 	if s.kind == Static {
-		sort.Slice(us, func(a, b int) bool {
-			if us[a].part.ID != us[b].part.ID {
-				return us[a].part.ID < us[b].part.ID
-			}
-			return us[a].part.UID < us[b].part.UID
-		})
+		slices.SortFunc(us, byIndex)
 		return
 	}
-	pri := make(map[int64]float64, len(us))
-	for _, u := range us {
+	for i := range us {
+		u := &us[i]
 		// The clamp (which also catches NaN/Inf products) caps the
 		// tie-break strictly below any N difference, so the Eq. 1
 		// dominance guarantee holds even against drift θ has not yet
@@ -276,16 +306,20 @@ func (s *Scheduler) orderUnits(us []*unit, c map[int64]float64) {
 		if !(term < dominanceBudget) {
 			term = dominanceBudget
 		}
-		pri[u.part.UID] = float64(len(u.jobs)) + term
+		u.pri = float64(len(u.jobs)) + term
 	}
-	sort.Slice(us, func(a, b int) bool {
-		pa, pb := pri[us[a].part.UID], pri[us[b].part.UID]
-		if pa != pb {
-			return pa > pb
+	slices.SortFunc(us, func(a, b unit) int {
+		if a.pri != b.pri {
+			return cmp.Compare(b.pri, a.pri)
 		}
-		if us[a].part.ID != us[b].part.ID {
-			return us[a].part.ID < us[b].part.ID
-		}
-		return us[a].part.UID < us[b].part.UID
+		return byIndex(a, b)
 	})
+}
+
+// byIndex orders units by partition index, then by version UID.
+func byIndex(a, b unit) int {
+	if a.part.ID != b.part.ID {
+		return cmp.Compare(a.part.ID, b.part.ID)
+	}
+	return cmp.Compare(a.part.UID, b.part.UID)
 }

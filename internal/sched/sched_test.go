@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"cgraph/internal/gen"
@@ -338,6 +339,46 @@ func TestDeterministicPlan(t *testing.T) {
 		for i := range a {
 			if a[i] != b[i] {
 				t.Fatalf("%v: plan not deterministic: %v vs %v", kind, a, b)
+			}
+		}
+	}
+}
+
+// TestPlanAllocations: the scheduler keeps its UID index, unit slab, load
+// order and plan, so once a first call has sized them, planning a round of
+// 8 jobs over 32 partitions allocates nothing, under either policy.
+func TestPlanAllocations(t *testing.T) {
+	pg := buildPG(t, 32)
+	var foot []JobFootprint
+	for id := range 8 {
+		jf := JobFootprint{JobID: id}
+		for pid := id % 3; pid < len(pg.Parts); pid++ {
+			jf.Units = append(jf.Units, pg.Parts[pid])
+			jf.Active = append(jf.Active, 1+(id+pid)%5)
+		}
+		foot = append(foot, jf)
+	}
+	c := cmap(pg, []float64{3, 0, 1, 7, 2, 0, 5})
+	for _, kind := range []Kind{Priority, Static} {
+		s := New(kind)
+		s.ObserveSnapshot(pg)
+		// The first plan, copied out of the scheduler's buffers.
+		var want []UnitPlan
+		for _, u := range s.Plan(foot, c)[0].Units {
+			want = append(want, UnitPlan{Part: u.Part, Jobs: slices.Clone(u.Jobs)})
+		}
+		if n := testing.AllocsPerRun(50, func() { s.Plan(foot, c) }); n != 0 {
+			t.Errorf("%v: a warmed-up Plan made %v allocations, want 0", kind, n)
+		}
+		// Reusing the buffers changes neither the order nor the job lists.
+		got := s.Plan(foot, c)[0].Units
+		if len(got) != len(want) {
+			t.Fatalf("%v: reused plan has %d units, first plan %d", kind, len(got), len(want))
+		}
+		for i, u := range got {
+			if u.Part != want[i].Part || !slices.Equal(u.Jobs, want[i].Jobs) {
+				t.Fatalf("%v: unit %d is partition %d with jobs %v, first plan %d with %v",
+					kind, i, u.Part.ID, u.Jobs, want[i].Part.ID, want[i].Jobs)
 			}
 		}
 	}

@@ -355,27 +355,40 @@ func (pt *PrivateTable) Advance() {
 // edge-less vertices. Programs implementing model.Resulter override the
 // extraction.
 func (pt *PrivateTable) Result(v model.VertexID, prog model.Program) float64 {
-	m := pt.PG.MasterOf[v]
-	var s model.State
-	if m.Part < 0 {
-		// Edge-less vertex: it trivially converges after absorbing its
-		// initial delta (e.g. an isolated vertex's PageRank is 1-d).
-		s, _ = prog.Init(v, pt.PG.G)
-		prog.Apply(v, &s, 0)
-	} else {
-		s = pt.States[m.Part][m.Local]
+	r, _ := prog.(model.Resulter)
+	return pt.result(v, prog, r)
+}
+
+// Results materializes the per-vertex values for all vertices.
+func (pt *PrivateTable) Results(prog model.Program) []float64 {
+	r, _ := prog.(model.Resulter)
+	out := make([]float64, pt.PG.G.N)
+	for v := range out {
+		out[v] = pt.result(model.VertexID(v), prog, r)
 	}
-	if r, ok := prog.(model.Resulter); ok {
+	return out
+}
+
+// result is Result with prog's Resulter, or nil, resolved by the caller.
+func (pt *PrivateTable) result(v model.VertexID, prog model.Program, r model.Resulter) float64 {
+	var s model.State
+	if m := pt.PG.MasterOf[v]; m.Part >= 0 {
+		s = pt.States[m.Part][m.Local]
+	} else {
+		s = edgelessState(v, prog, pt.PG.G)
+	}
+	if r != nil {
 		return r.Result(v, s)
 	}
 	return s.Value
 }
 
-// Results materializes the per-vertex values for all vertices.
-func (pt *PrivateTable) Results(prog model.Program) []float64 {
-	out := make([]float64, pt.PG.G.N)
-	for v := range out {
-		out[v] = pt.Result(model.VertexID(v), prog)
-	}
-	return out
+// edgelessState is the state an edge-less vertex converges to: its init
+// state after absorbing its initial delta (e.g. an isolated vertex's
+// PageRank is 1-d). Kept out of result because &s escapes into prog.Apply,
+// which would cost every vertex, not only edge-less ones, a heap State.
+func edgelessState(v model.VertexID, prog model.Program, g *graph.Graph) model.State {
+	s, _ := prog.Init(v, g)
+	prog.Apply(v, &s, 0)
+	return s
 }

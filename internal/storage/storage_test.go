@@ -366,6 +366,37 @@ func TestResultUsesMasterAndInitFallback(t *testing.T) {
 	}
 }
 
+// resultProg is constProg with a Resulter that doubles the stored value.
+type resultProg struct{ constProg }
+
+func (resultProg) Result(_ model.VertexID, s model.State) float64 { return 2 * s.Value }
+
+// TestResultsAllocatesOnce: when every vertex has edges, Results allocates
+// its output slice and nothing per vertex — the State it reads stays on the
+// stack, and a Resulter is resolved once per call.
+func TestResultsAllocatesOnce(t *testing.T) {
+	var edges []model.Edge
+	for v := range 64 {
+		edges = append(edges, model.Edge{Src: model.VertexID(v), Dst: model.VertexID((v + 1) % 64)})
+	}
+	pg, err := graph.Cut(graph.Build(64, edges), edges, graph.Options{NumPartitions: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, prog := range []model.Program{constProg{}, resultProg{}} {
+		pt := NewPrivateTable(0, pg, prog)
+		var res []float64
+		if n := testing.AllocsPerRun(20, func() { res = pt.Results(prog) }); n != 1 {
+			t.Errorf("%T: Results made %v allocations, want 1 (the output slice)", prog, n)
+		}
+		for v, got := range res {
+			if want := pt.Result(model.VertexID(v), prog); got != want {
+				t.Fatalf("%T: Results[%d] = %v, Result = %v", prog, v, got, want)
+			}
+		}
+	}
+}
+
 // TestWindowBounds: Window reports the retained series' oldest and newest
 // snapshots, tracking retention eviction.
 func TestWindowBounds(t *testing.T) {
