@@ -545,9 +545,9 @@ func (s *System) ensureIngestLocked() (*ingest.Pipeline, error) {
 // shrink the edge-slot space and grow the vertex space, re-chunking the
 // partition series incrementally, so snapshots along the series may differ
 // in vertex and edge count while jobs bound to older versions run
-// untouched. This is the O(|delta|) counterpart of the O(|E|) AddSnapshot
-// path: a job bound to a delta-built snapshot computes what it would
-// against the same mutated graph ingested as a full list. Batches are
+// untouched. This is the incremental counterpart of the full-list
+// AddSnapshot path: a job bound to a delta-built snapshot computes what it
+// would against the same mutated graph ingested as a full list. Batches are
 // validated atomically; a bad slot or op rejects the whole batch, and with
 // WithIngestCap a full buffer sheds the batch with ErrIngestSaturated.
 func (s *System) ApplyDelta(d Delta) (DeltaAck, error) {

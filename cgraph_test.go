@@ -137,8 +137,8 @@ func TestSnapshotHoleAndStaleTimestamp(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := sys.store.Latest().PG.G
-	if g.N != n || g.Slots != 500 || g.NumEdges() != 499 {
-		t.Fatalf("N/slots/live = %d/%d/%d, want %d/500/499", g.N, g.Slots, g.NumEdges(), n)
+	if g.N != n || g.Slots != 500 || g.NumEdges != 499 {
+		t.Fatalf("N/slots/live = %d/%d/%d, want %d/500/499", g.N, g.Slots, g.NumEdges, n)
 	}
 	for _, ts := range []int64{10, 5} {
 		if err := sys.AddSnapshot(edges, ts); err == nil {
@@ -149,8 +149,8 @@ func TestSnapshotHoleAndStaleTimestamp(t *testing.T) {
 		t.Fatal(err)
 	}
 	g = sys.store.Latest().PG.G
-	if g.N != n || g.Slots != 500 || g.NumEdges() != 500 {
-		t.Fatalf("after the add N/slots/live = %d/%d/%d, want %d/500/500", g.N, g.Slots, g.NumEdges(), n)
+	if g.N != n || g.Slots != 500 || g.NumEdges != 500 {
+		t.Fatalf("after the add N/slots/live = %d/%d/%d, want %d/500/500", g.N, g.Slots, g.NumEdges, n)
 	}
 	if err := sys.AddSnapshot(edges, 20); err != nil {
 		t.Fatalf("valid snapshot after the refused one: %v", err)
@@ -652,8 +652,8 @@ func TestRemoveFreeSlotNoTailRecut(t *testing.T) {
 		t.Fatal(err)
 	}
 	pg := sys.store.Latest().PG
-	if pg.G.Slots != 1800 || pg.G.NumEdges() != 1790 {
-		t.Fatalf("slots/live = %d/%d, want 1800/1790", pg.G.Slots, pg.G.NumEdges())
+	if pg.G.Slots != 1800 || pg.G.NumEdges != 1790 {
+		t.Fatalf("slots/live = %d/%d, want 1800/1790", pg.G.Slots, pg.G.NumEdges)
 	}
 	ist := sys.IngestStats()
 	if ist.PartsRebuilt != 2 || ist.PartsShared != 8 {
@@ -674,8 +674,8 @@ func TestRemoveFreeSlotNoTailRecut(t *testing.T) {
 		t.Fatal(err)
 	}
 	pg = sys.store.Latest().PG
-	if pg.G.Slots != 1800 || pg.G.NumEdges() != 1795 {
-		t.Fatalf("slots/live after reuse = %d/%d, want 1800/1795", pg.G.Slots, pg.G.NumEdges())
+	if pg.G.Slots != 1800 || pg.G.NumEdges != 1795 {
+		t.Fatalf("slots/live after reuse = %d/%d, want 1800/1795", pg.G.Slots, pg.G.NumEdges)
 	}
 	ist = sys.IngestStats()
 	if got := ist.PartsRebuilt; got != 3 {
@@ -869,7 +869,7 @@ func TestStructuralRemoveMisses(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("system unusable after rejected batch: %v", err)
 	}
-	if got := sys.store.Latest().PG.G.NumEdges(); got != 1 {
+	if got := sys.store.Latest().PG.G.NumEdges; got != 1 {
 		t.Fatalf("edge count = %d, want 1 (retained removes + the add)", got)
 	}
 }
@@ -978,8 +978,8 @@ func TestHoleCompaction(t *testing.T) {
 	// Duplicate endpoint pairs in the generated list make the exact remove
 	// count data-dependent; the compaction contract is that no tombstone
 	// slot survives the flush.
-	if pg.G.Slots != pg.G.NumEdges() || pg.G.Slots >= 1600 {
-		t.Fatalf("slots/live after compaction = %d/%d, want equal and < 1600", pg.G.Slots, pg.G.NumEdges())
+	if pg.G.Slots != pg.G.NumEdges || pg.G.Slots >= 1600 {
+		t.Fatalf("slots/live after compaction = %d/%d, want equal and < 1600", pg.G.Slots, pg.G.NumEdges)
 	}
 	ist := sys.IngestStats()
 	if ist.Compactions != 1 {

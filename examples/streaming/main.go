@@ -2,7 +2,7 @@
 // small edge-mutation batches instead of full snapshot uploads. A feed
 // goroutine applies deltas through the client's ApplyDelta — the pipeline
 // coalesces them and materializes overlay snapshots on its batching window,
-// so each new version costs O(|delta|) and shares every untouched partition
+// so each new version costs O(N + rebuilt chunks) and shares every untouched partition
 // with its predecessor — while analyst jobs (PageRank and SSSP) keep
 // arriving against the rolling snapshot series. Retention GC keeps the
 // series bounded: old versions are evicted once no job is bound to them.

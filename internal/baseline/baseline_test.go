@@ -42,7 +42,7 @@ func TestAllSystemsComputeCorrectResults(t *testing.T) {
 	edges := gen.RMAT(31, 300, 6000, 0.57, 0.19, 0.19)
 	for _, sys := range []System{Seraph, SeraphVT, NXgraph, CLIP, Sequential} {
 		store := buildStore(t, edges, 300, 6)
-		g := store.Latest().PG.G
+		g := graph.Build(300, edges)
 		_, jobs, err := Run(Config{System: sys, Workers: 4, Hier: smallHier()}, store, fourSpecs())
 		if err != nil {
 			t.Fatalf("%s: %v", sys, err)
@@ -96,7 +96,7 @@ func TestClipReentryReducesIterations(t *testing.T) {
 			repClip.Jobs[0].Iterations, repSeraph.Jobs[0].Iterations)
 	}
 	// And the distances are still exact.
-	want := refimpl.SSSP(store2.Latest().PG.G, 0)
+	want := refimpl.SSSP(graph.Build(2000, edges), 0)
 	got := clipJobs[0].Results()
 	for v := range got {
 		if got[v] != want[v] && !(math.IsInf(got[v], 1) && math.IsInf(want[v], 1)) {

@@ -506,7 +506,16 @@ func (e *Engine) retirementLocked(rj *runJob, enforceBudget bool) (JobEvent, boo
 	delete(e.cancelReq, rj.ID)
 	e.state[rj.ID] = state
 	e.store.Release(rj.snapSeq)
+	e.dropPrivate(rj)
 	return JobEvent{JobID: rj.ID, State: state, Err: err}, true
+}
+
+// dropPrivate drops a terminal job's private item of every partition of its
+// snapshot from the simulated hierarchy (a no-op for one it never loaded).
+func (e *Engine) dropPrivate(rj *runJob) {
+	for _, p := range rj.PG.Parts {
+		e.cfg.Hier.Drop(privateID(p, rj.ID))
+	}
 }
 
 func (e *Engine) fireEvent(ev JobEvent) {
@@ -608,7 +617,8 @@ func (e *Engine) Results(jobID int) ([]float64, error) {
 }
 
 // Release frees a terminal job's engine-side state: for finished jobs the
-// private table, activity bitsets, and result backing, and for every
+// private table, activity bitsets, result backing and simulated-cache
+// items (cancelled and failed jobs drop theirs when reaped), and for every
 // terminal job its lifecycle-map entry, which is compacted into aggregate
 // counters so ServeStats stays accurate while the engine's memory stays
 // bounded as jobs flow through a long-lived service. Released jobs drop out
@@ -620,6 +630,7 @@ func (e *Engine) Release(jobID int) {
 	for i, rj := range e.finished {
 		if rj.ID == jobID {
 			e.finished = append(e.finished[:i], e.finished[i+1:]...)
+			e.dropPrivate(rj)
 			delete(e.state, jobID)
 			e.releasedDone++
 			return

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -47,7 +48,7 @@ func TestEngineFourConcurrentJobsCorrect(t *testing.T) {
 		t.Fatalf("finished jobs = %d, want 4", len(rep.Jobs))
 	}
 
-	g := pg.G
+	g := graph.Build(400, edges)
 	prRes, err := e.Results(pr)
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +161,7 @@ func TestEngineRuntimeSubmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := refimpl.BFS(pg.G, 0)
+	want := refimpl.BFS(graph.Build(200, edges), 0)
 	for v := range res {
 		if res[v] != want[v] && !(math.IsInf(res[v], 1) && math.IsInf(want[v], 1)) {
 			t.Fatalf("late bfs vertex %d: got %v want %v", v, res[v], want[v])
@@ -168,6 +169,9 @@ func TestEngineRuntimeSubmission(t *testing.T) {
 	}
 }
 
+// TestEngineSnapshotBinding: jobs bound to the base and to an overlay
+// snapshot each converge to the reference on their own edge list, and the
+// overlay's degree table equals a batch build of the mutated list.
 func TestEngineSnapshotBinding(t *testing.T) {
 	edges := gen.ER(24, 100, 1200)
 	pg := buildPG(t, edges, 100, 4, false)
@@ -181,6 +185,10 @@ func TestEngineSnapshotBinding(t *testing.T) {
 	if err := store.Add(pg2, 20); err != nil {
 		t.Fatal(err)
 	}
+	g2 := graph.Build(100, mut)
+	if !reflect.DeepEqual(pg2.G, g2.DegreeTable) {
+		t.Fatal("overlay's degree table differs from a batch build of the mutated list")
+	}
 
 	e := New(Config{Workers: 2, Hier: smallHier()}, store)
 	old := e.Submit(algo.NewSSSP(0), 15)  // binds to snapshot ts=10
@@ -190,8 +198,8 @@ func TestEngineSnapshotBinding(t *testing.T) {
 	}
 	oldRes, _ := e.Results(old)
 	newRes, _ := e.Results(new_)
-	wantOld := refimpl.SSSP(pg.G, 0)
-	wantNew := refimpl.SSSP(pg2.G, 0)
+	wantOld := refimpl.SSSP(graph.Build(100, edges), 0)
+	wantNew := refimpl.SSSP(g2, 0)
 	for v := range oldRes {
 		if oldRes[v] != wantOld[v] && !(math.IsInf(oldRes[v], 1) && math.IsInf(wantOld[v], 1)) {
 			t.Fatalf("old-snapshot sssp vertex %d wrong", v)
@@ -213,7 +221,7 @@ func TestEngineSchedulerAblation(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, _ := e.Results(id)
-		want := refimpl.SSSP(pg.G, 1)
+		want := refimpl.SSSP(graph.Build(250, edges), 1)
 		for v := range res {
 			if res[v] != want[v] && !(math.IsInf(res[v], 1) && math.IsInf(want[v], 1)) {
 				t.Fatalf("%v scheduler: sssp vertex %d wrong", kind, v)
@@ -354,7 +362,7 @@ func TestEngineBatchingWhenJobsExceedWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := refimpl.BFS(pg.G, model.VertexID(i))
+		want := refimpl.BFS(graph.Build(150, edges), model.VertexID(i))
 		for v := range res {
 			if res[v] != want[v] && !(math.IsInf(res[v], 1) && math.IsInf(want[v], 1)) {
 				t.Fatalf("job %d vertex %d wrong", i, v)

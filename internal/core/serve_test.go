@@ -12,6 +12,7 @@ import (
 	"cgraph/algo"
 	"cgraph/internal/gen"
 	"cgraph/internal/graph"
+	"cgraph/internal/memsim"
 	"cgraph/internal/refimpl"
 	"cgraph/internal/storage"
 	"cgraph/internal/testutil"
@@ -102,7 +103,7 @@ func TestServeAdmitsSubmissionsWhileResident(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := refimpl.PageRank(pg.G, 0.85, 1e-12, 3000)
+	want := refimpl.PageRank(graph.Build(300, edges), 0.85, 1e-12, 3000)
 	for v := range res {
 		if math.Abs(res[v]-want[v]) > 1e-6 {
 			t.Fatalf("pagerank vertex %d: got %v want %v", v, res[v], want[v])
@@ -320,8 +321,8 @@ func TestServeSnapshotWithDifferentPartitionCount(t *testing.T) {
 		id   int
 		want []float64
 	}{
-		{ssNew, refimpl.SSSP(next.G, 0)},
-		{ssOld, refimpl.SSSP(base.G, 0)},
+		{ssNew, refimpl.SSSP(graph.Build(200, edges2), 0)},
+		{ssOld, refimpl.SSSP(graph.Build(200, edges), 0)},
 	} {
 		res, err := e.Results(c.id)
 		if err != nil {
@@ -356,10 +357,10 @@ func TestServeDrainsSnapshotsWhileIdle(t *testing.T) {
 	stop := startServe(t, e)
 	defer stop()
 
-	var newest *graph.PGraph
+	var newest []model.Edge
 	for i := int64(1); i <= 5; i++ {
-		newest = buildPG(t, gen.RMAT(44+i, 200, 3500, 0.57, 0.19, 0.19), 200, 4, false)
-		if err := e.AddSnapshot(newest, 10*i); err != nil {
+		newest = gen.RMAT(44+i, 200, 3500, 0.57, 0.19, 0.19)
+		if err := e.AddSnapshot(buildPG(t, newest, 200, 4, false), 10*i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -380,7 +381,7 @@ func TestServeDrainsSnapshotsWhileIdle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := refimpl.SSSP(newest.G, 0)
+	want := refimpl.SSSP(graph.Build(200, newest), 0)
 	for v := range res {
 		if res[v] != want[v] && !(math.IsInf(res[v], 1) && math.IsInf(want[v], 1)) {
 			t.Fatalf("sssp vertex %d: got %v want %v (job not bound to the newest snapshot)", v, res[v], want[v])
@@ -467,6 +468,44 @@ func TestReleaseCompactsTerminalState(t *testing.T) {
 	e.Release(bf)
 	if got := e.ServeStats(); got.Done != after.Done {
 		t.Fatalf("double release inflated done count: %+v", got)
+	}
+}
+
+// TestReleaseDropsPrivateItems: a resident engine's simulated cache stays
+// bounded as jobs flow through it. memsim.Unlimited never evicts, so the
+// cache holds the structure items plus whatever private items jobs left
+// behind; a released job and a cancelled one leave none, and the cache
+// after four jobs run and released equals the cache after one.
+func TestReleaseDropsPrivateItems(t *testing.T) {
+	edges := gen.RMAT(46, 150, 2500, 0.57, 0.19, 0.19)
+	pg := buildPG(t, edges, 150, 4, false)
+	hier := memsim.Unlimited()
+	rec := newEventRecorder()
+	e := NewSingle(Config{Workers: 2, Hier: hier, OnJobEvent: func(ev JobEvent) { rec.ch <- ev }}, pg)
+	stop := startServe(t, e)
+	defer stop()
+
+	var afterOne int64
+	for k := range 4 {
+		id := e.Submit(&algo.PageRank{Damping: 0.85, Epsilon: 1e-3}, 0)
+		rec.wait(t, id)
+		e.Release(id)
+		if k == 0 {
+			afterOne = hier.CacheUsed()
+		} else if got := hier.CacheUsed(); got != afterOne {
+			t.Fatalf("cache holds %d B after %d jobs released, %d B after one", got, k+1, afterOne)
+		}
+	}
+	spin := e.Submit(spinProgram{}, 0)
+	pr := e.Submit(&algo.PageRank{Damping: 0.85, Epsilon: 1e-3}, 0)
+	rec.wait(t, pr) // spin admitted and rolling
+	e.Release(pr)
+	if err := e.Cancel(spin); err != nil {
+		t.Fatal(err)
+	}
+	rec.wait(t, spin)
+	if got := hier.CacheUsed(); got != afterOne {
+		t.Fatalf("cache holds %d B after a cancelled job was reaped, %d B before it ran", got, afterOne)
 	}
 }
 

@@ -8,9 +8,10 @@
 // state exactly when the batch, the derivation or the publish fails.
 //
 // The property each step keeps ("Formal Foundations of Continuous Graph
-// Processing"): a snapshot in the series equals a batch build of the same
-// edge list, except that a shared partition keeps the AvgDegree it was
-// built with.
+// Processing"): a snapshot in the series equals a Cut of a batch build of
+// the same edge list — its degree table (vertex space, slot and live-edge
+// counts, per-vertex degrees) exactly, and each partition field by field —
+// except that a shared partition keeps the AvgDegree it was built with.
 package evolve
 
 import (

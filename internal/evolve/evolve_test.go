@@ -170,8 +170,8 @@ func TestReplaceHole(t *testing.T) {
 	if !slices.Equal(s.free, []int{7}) || s.NumVertices() != 20 || step.PG.G.N != 20 || step.Path != "overlay" {
 		t.Fatalf("free %v, N %d/%d, path %q; want [7], 20/20, overlay", s.free, s.NumVertices(), step.PG.G.N, step.Path)
 	}
-	if step.PG.G.NumEdges() != 99 || step.Rebuilt != 1 {
-		t.Fatalf("live edges %d, rebuilt %d; want 99, 1", step.PG.G.NumEdges(), step.Rebuilt)
+	if step.PG.G.NumEdges != 99 || step.Rebuilt != 1 {
+		t.Fatalf("live edges %d, rebuilt %d; want 99, 1", step.PG.G.NumEdges, step.Rebuilt)
 	}
 	// The same list again is an all-shared snapshot, still registered.
 	if step, err = s.Replace(store.Latest().PG, edges, publishAt(store, 6)); err != nil || step.Rebuilt != 0 || store.Latest().Timestamp != 6 {
@@ -239,9 +239,9 @@ func sortedIndex(idx map[uint64][]int) map[uint64][]int {
 // Replace, and after every step checks the series against a reference
 // model and the snapshot against a batch build of the series' list:
 //   - the live edges (a multiset) and the vertex space match the reference;
-//   - the global CSR equals graph.Build of the live edges;
+//   - the degree table equals that of graph.Build of the list;
 //   - every rebuilt partition equals a one-partition graph.Cut of its chunk
-//     over that graph, AvgDegree included;
+//     over that build, AvgDegree included;
 //   - every chunk whose slots the step left as they were is pointer-shared
 //     with the previous snapshot, and every shared chunk is such a chunk;
 //   - the free list is exactly the hole slots, and the remove index equals
@@ -319,10 +319,9 @@ func FuzzEvolveMatchesCut(f *testing.F) {
 			if pg != store.Latest().PG {
 				t.Fatal("step's snapshot is not the published one")
 			}
-			wantG := graph.Build(s.NumVertices(), live)
-			wantG.Slots = s.Slots()
-			if !reflect.DeepEqual(pg.G, wantG) {
-				t.Fatal("global CSR differs from a batch build of the live edges")
+			wantG := graph.Build(s.NumVertices(), s.edges)
+			if !reflect.DeepEqual(pg.G, wantG.DegreeTable) {
+				t.Fatal("degree table differs from a batch build of the list")
 			}
 			if want := s.Slots() == len(before.edges) && s.NumVertices() == before.numVertices; want != (step.Path == "overlay") {
 				t.Fatalf("path %q for a step from %d slots/%d vertices to %d/%d", step.Path, len(before.edges), before.numVertices, s.Slots(), s.NumVertices())
@@ -345,7 +344,7 @@ func FuzzEvolveMatchesCut(f *testing.F) {
 					continue
 				}
 				rebuilt++
-				one, err := graph.Cut(pg.G, s.edges[start:end], graph.Options{NumPartitions: 1})
+				one, err := graph.Cut(wantG, s.edges[start:end], graph.Options{NumPartitions: 1})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -60,7 +60,7 @@ func TestPageRankMatchesReference(t *testing.T) {
 		pg := buildPG(t, edges, n, parts)
 		pr := &algo.PageRank{Damping: 0.85, Epsilon: 1e-9}
 		j := runProgram(t, pg, pr)
-		want := refimpl.PageRank(pg.G, 0.85, 1e-12, 2000)
+		want := refimpl.PageRank(graph.Build(n, edges), 0.85, 1e-12, 2000)
 		wantClose(t, "pagerank", j.Results(), want, 1e-6)
 	}
 }
@@ -70,7 +70,7 @@ func TestPPRMatchesReference(t *testing.T) {
 	pg := buildPG(t, edges, n, 5)
 	p := &algo.PPR{Source: 3, Damping: 0.85, Epsilon: 1e-10}
 	j := runProgram(t, pg, p)
-	want := refimpl.PPR(pg.G, 3, 0.85, 1e-13, 3000)
+	want := refimpl.PPR(graph.Build(n, edges), 3, 0.85, 1e-13, 3000)
 	wantClose(t, "ppr", j.Results(), want, 1e-7)
 }
 
@@ -79,7 +79,7 @@ func TestSSSPMatchesDijkstra(t *testing.T) {
 	for _, parts := range []int{1, 4, 7} {
 		pg := buildPG(t, edges, n, parts)
 		j := runProgram(t, pg, algo.NewSSSP(0))
-		want := refimpl.SSSP(pg.G, 0)
+		want := refimpl.SSSP(graph.Build(n, edges), 0)
 		wantClose(t, "sssp", j.Results(), want, 1e-9)
 	}
 }
@@ -88,7 +88,7 @@ func TestBFSMatchesReference(t *testing.T) {
 	edges, n := testGraph(4)
 	pg := buildPG(t, edges, n, 6)
 	j := runProgram(t, pg, algo.NewBFS(1))
-	want := refimpl.BFS(pg.G, 1)
+	want := refimpl.BFS(graph.Build(n, edges), 1)
 	wantClose(t, "bfs", j.Results(), want, 0)
 }
 
@@ -96,7 +96,7 @@ func TestWCCMatchesUnionFind(t *testing.T) {
 	edges, n := testGraph(5)
 	pg := buildPG(t, edges, n, 5)
 	j := runProgram(t, pg, algo.NewWCC())
-	want := refimpl.WCC(pg.G)
+	want := refimpl.WCC(graph.Build(n, edges))
 	got := j.Results()
 	for v := 0; v < n; v++ {
 		if pg.G.Degree(model.VertexID(v), model.Both) == 0 {
@@ -112,7 +112,7 @@ func TestSSWPMatchesReference(t *testing.T) {
 	edges, n := testGraph(6)
 	pg := buildPG(t, edges, n, 4)
 	j := runProgram(t, pg, algo.NewSSWP(0))
-	want := refimpl.SSWP(pg.G, 0)
+	want := refimpl.SSWP(graph.Build(n, edges), 0)
 	got := j.Results()
 	for v := 0; v < n; v++ {
 		w := want[v]
@@ -131,7 +131,7 @@ func TestKCoreMatchesPeeling(t *testing.T) {
 	for _, k := range []int{2, 5, 12} {
 		pg := buildPG(t, edges, n, 5)
 		j := runProgram(t, pg, algo.NewKCore(k))
-		want := refimpl.KCore(pg.G, k)
+		want := refimpl.KCore(graph.Build(n, edges), k)
 		got := j.Results()
 		for v := 0; v < n; v++ {
 			if want[v] != (got[v] >= 0) {
@@ -161,7 +161,7 @@ func TestSCCMatchesTarjan(t *testing.T) {
 	pg := buildPG(t, edges, n, 6)
 	j := runProgram(t, pg, algo.NewSCC())
 	got := canonGroups(j.Results())
-	wantRaw := refimpl.SCC(pg.G)
+	wantRaw := refimpl.SCC(graph.Build(n, edges))
 	wantF := make([]float64, len(wantRaw))
 	for i, w := range wantRaw {
 		wantF[i] = float64(w)
@@ -255,7 +255,7 @@ func TestParallelChunksSameAsSerial(t *testing.T) {
 	if !jc.Done {
 		t.Fatal("chunked run did not converge")
 	}
-	want := refimpl.SSSP(pg.G, 0)
+	want := refimpl.SSSP(graph.Build(n, edges), 0)
 	wantClose(t, "sssp-chunked", jc.Results(), want, 1e-9)
 }
 
@@ -357,7 +357,7 @@ func TestHITSMatchesPowerIteration(t *testing.T) {
 	pg := buildPG(t, edges, n, 5)
 	prog := algo.NewHITS()
 	j := runProgram(t, pg, prog)
-	wantAuth, wantHub := refimpl.HITS(pg.G, prog.Rounds)
+	wantAuth, wantHub := refimpl.HITS(graph.Build(n, edges), prog.Rounds)
 	gotAuth := j.Results()
 	gotHub := prog.HubScores()
 	for v := 0; v < n; v++ {
@@ -385,6 +385,6 @@ func TestKatzMatchesReference(t *testing.T) {
 	edges, n := testGraph(17)
 	pg := buildPG(t, edges, n, 4)
 	j := runProgram(t, pg, &algo.Katz{Alpha: 0.005, Beta: 1, Epsilon: 1e-10})
-	want := refimpl.Katz(pg.G, 0.005, 1, 1e-13, 1000)
+	want := refimpl.Katz(graph.Build(n, edges), 0.005, 1, 1e-13, 1000)
 	wantClose(t, "katz", j.Results(), want, 1e-7)
 }

@@ -7,6 +7,7 @@ import (
 
 	"cgraph/algo"
 	"cgraph/internal/gen"
+	"cgraph/internal/graph"
 	"cgraph/internal/refimpl"
 	"cgraph/model"
 )
@@ -119,7 +120,7 @@ func TestApplyRangeMatchesChunkedSerial(t *testing.T) {
 	if !j.Done {
 		t.Fatal("ranged run did not converge")
 	}
-	want := refimpl.SSSP(pg.G, 0)
+	want := refimpl.SSSP(graph.Build(n, edges), 0)
 	wantClose(t, "sssp-ranged", j.Results(), want, 1e-9)
 }
 
@@ -150,7 +151,7 @@ func TestReentrantMatchesReference(t *testing.T) {
 		if err := js.CheckReplicaConsistency(); err != nil {
 			t.Fatalf("parts=%d: %v", parts, err)
 		}
-		wantClose(t, "sssp-reentrant", js.Results(), refimpl.SSSP(pg.G, 0), 1e-9)
+		wantClose(t, "sssp-reentrant", js.Results(), refimpl.SSSP(graph.Build(n, edges), 0), 1e-9)
 
 		jw := NewJob(1, algo.NewWCC(), pg)
 		for r := 0; r < 10000 && !jw.Done; r++ {
@@ -167,7 +168,7 @@ func TestReentrantMatchesReference(t *testing.T) {
 		if err := jw.CheckReplicaConsistency(); err != nil {
 			t.Fatalf("parts=%d: %v", parts, err)
 		}
-		gotW, wantW := jw.Results(), refimpl.WCC(pg.G)
+		gotW, wantW := jw.Results(), refimpl.WCC(graph.Build(n, edges))
 		for v := 0; v < n; v++ {
 			if pg.G.Degree(model.VertexID(v), model.Both) == 0 {
 				continue // isolated vertices stay untouched in both

@@ -41,7 +41,7 @@ type csr struct {
 // direction per edge.
 type view struct {
 	prog   model.Program
-	g      *graph.Graph
+	g      *graph.DegreeTable
 	p      *graph.Partition
 	dir    model.Direction
 	states []model.State

@@ -1,8 +1,12 @@
 // Package graph implements the shared graph-structure substrate of §3.2.1:
-// a global CSR built from an edge list, vertex-cut partitioning into
+// a global CSR built from the base edge list, vertex-cut partitioning into
 // same-sized (by edge count) partitions in plain or core-subgraph mode,
 // master/mirror replica assignment, and the partition-size formula that ties
 // partition bytes to the simulated cache capacity.
+//
+// A snapshot keeps no global CSR, only a DegreeTable, which Overlay and
+// Restructure patch from the partitions they drop, replace and build: a
+// derived snapshot costs O(N + rebuilt chunks), not O(|E|).
 //
 // Replica assignment is recomputed per snapshot (Cut, Overlay, Restructure)
 // and stored densely: MasterOf per vertex, master flags per replica, and a
@@ -29,21 +33,16 @@ import (
 // uidCounter hands out process-unique partition UIDs.
 var uidCounter atomic.Int64
 
-// Graph is the immutable global CSR over both edge directions. It implements
-// model.GraphInfo.
+// Graph is the immutable global CSR over both edge directions, on top of
+// the degree table Cut hands to the base snapshot. It is a model.GraphInfo.
 type Graph struct {
-	N      int
+	*DegreeTable
 	OutOff []uint64
 	OutDst []model.VertexID
 	OutW   []float32
 	InOff  []uint64
 	InDst  []model.VertexID
 	InW    []float32
-	// Slots is the length of the edge list the graph was built from,
-	// including freed-slot holes (model.Edge.IsHole). NumEdges counts only
-	// live edges; the slot count is what keeps chunk boundaries stable
-	// across remove-bearing snapshots.
-	Slots int
 }
 
 // Build constructs the global CSR. numVertices of 0 means "infer from the
@@ -64,25 +63,24 @@ func Build(numVertices int, edges []model.Edge) *Graph {
 		}
 	}
 	g := &Graph{
-		N:      n,
-		OutOff: make([]uint64, n+1),
-		OutDst: make([]model.VertexID, live),
-		OutW:   make([]float32, live),
-		InOff:  make([]uint64, n+1),
-		InDst:  make([]model.VertexID, live),
-		InW:    make([]float32, live),
-		Slots:  len(edges),
+		DegreeTable: &DegreeTable{N: n, Slots: len(edges), NumEdges: live, Out: make([]uint32, n), In: make([]uint32, n)},
+		OutOff:      make([]uint64, n+1),
+		OutDst:      make([]model.VertexID, live),
+		OutW:        make([]float32, live),
+		InOff:       make([]uint64, n+1),
+		InDst:       make([]model.VertexID, live),
+		InW:         make([]float32, live),
 	}
 	for _, e := range edges {
 		if e.IsHole() {
 			continue
 		}
-		g.OutOff[e.Src+1]++
-		g.InOff[e.Dst+1]++
+		g.Out[e.Src]++
+		g.In[e.Dst]++
 	}
 	for v := 0; v < n; v++ {
-		g.OutOff[v+1] += g.OutOff[v]
-		g.InOff[v+1] += g.InOff[v]
+		g.OutOff[v+1] = g.OutOff[v] + uint64(g.Out[v])
+		g.InOff[v+1] = g.InOff[v] + uint64(g.In[v])
 	}
 	outPos := append([]uint64(nil), g.OutOff[:n]...)
 	inPos := append([]uint64(nil), g.InOff[:n]...)
@@ -100,33 +98,62 @@ func Build(numVertices int, edges []model.Edge) *Graph {
 	return g
 }
 
+// DegreeTable is what a snapshot keeps of the global graph: the vertex
+// space, the edge list's slot and live-edge counts, and every vertex's out-
+// and in-degree. It implements model.GraphInfo.
+type DegreeTable struct {
+	N int
+	// Slots is the length of the edge list, including freed-slot holes
+	// (model.Edge.IsHole), which keep chunk boundaries stable across
+	// remove-bearing snapshots; NumEdges counts only live edges.
+	Slots    int
+	NumEdges int
+	Out, In  []uint32
+}
+
 // NumVertices implements model.GraphInfo.
-func (g *Graph) NumVertices() int { return g.N }
+func (t *DegreeTable) NumVertices() int { return t.N }
 
 // OutDegree implements model.GraphInfo.
-func (g *Graph) OutDegree(v model.VertexID) int {
-	return int(g.OutOff[v+1] - g.OutOff[v])
-}
+func (t *DegreeTable) OutDegree(v model.VertexID) int { return int(t.Out[v]) }
 
 // InDegree implements model.GraphInfo.
-func (g *Graph) InDegree(v model.VertexID) int {
-	return int(g.InOff[v+1] - g.InOff[v])
-}
+func (t *DegreeTable) InDegree(v model.VertexID) int { return int(t.In[v]) }
 
 // Degree returns v's degree in the given direction (Both = out + in).
-func (g *Graph) Degree(v model.VertexID, d model.Direction) int {
+func (t *DegreeTable) Degree(v model.VertexID, d model.Direction) int {
 	switch d {
 	case model.Out:
-		return g.OutDegree(v)
+		return int(t.Out[v])
 	case model.In:
-		return g.InDegree(v)
+		return int(t.In[v])
 	default:
-		return g.OutDegree(v) + g.InDegree(v)
+		return int(t.Out[v]) + int(t.In[v])
 	}
 }
 
-// NumEdges returns the number of directed edges.
-func (g *Graph) NumEdges() int { return len(g.OutDst) }
+// count adds sign (1 or -1) times partition p's live edges and its
+// vertices' local degrees to the table; for -1 the uint32 product is the
+// degree's two's complement, so the addition subtracts it.
+func (t *DegreeTable) count(p *Partition, sign int) {
+	for li, v := range p.Globals {
+		t.Out[v] += uint32(sign) * (p.OutOff[li+1] - p.OutOff[li])
+		t.In[v] += uint32(sign) * (p.InOff[li+1] - p.InOff[li])
+	}
+	t.NumEdges += sign * p.NumEdges
+}
+
+// setAvgDegree sets p's D(P) from the table: the mean global degree of its
+// vertices.
+func (p *Partition) setAvgDegree(t *DegreeTable) {
+	total := 0
+	for _, v := range p.Globals {
+		total += t.Degree(v, model.Both)
+	}
+	if len(p.Globals) > 0 {
+		p.AvgDegree = float64(total) / float64(len(p.Globals))
+	}
+}
 
 // PartVertex locates one replica of a vertex: the partition and the local
 // index within that partition's vertex table.
@@ -209,8 +236,9 @@ func (p *Partition) computeBytes() {
 }
 
 // PGraph is a partitioned graph: the content of one global-table snapshot.
+// G is the snapshot's degree table; the edges live only in the partitions.
 type PGraph struct {
-	G     *Graph
+	G     *DegreeTable
 	Parts []*Partition
 	// MasterOf locates the master replica of every vertex; vertices with
 	// no edges have Part == -1.
@@ -294,10 +322,11 @@ func Cut(g *Graph, edges []model.Edge, opt Options) (*PGraph, error) {
 		groups = chunkEdges(edges, chunk)
 	}
 
-	pg := &PGraph{G: g, Parts: make([]*Partition, len(groups)), ChunkSize: chunk, NumCore: numCore}
-	b := newBuilder(g)
+	pg := &PGraph{G: g.DegreeTable, Parts: make([]*Partition, len(groups)), ChunkSize: chunk, NumCore: numCore}
+	b := newBuilder(g.N)
 	for id, group := range groups {
 		pg.Parts[id] = b.build(id, group, id < numCore)
+		pg.Parts[id].setAvgDegree(pg.G)
 	}
 	pg.assignMasters()
 	return pg, nil
@@ -352,13 +381,12 @@ func coreSet(g *Graph, fraction float64) []bool {
 // partition costs O(chunk slots + N/64) with no hashing or sorting, and
 // allocates only its own arrays.
 type builder struct {
-	g    *Graph
 	mark []uint64
 	loc  []uint32
 }
 
-func newBuilder(g *Graph) *builder {
-	return &builder{g: g, mark: make([]uint64, (g.N+63)/64), loc: make([]uint32, g.N)}
+func newBuilder(n int) *builder {
+	return &builder{mark: make([]uint64, (n+63)/64), loc: make([]uint32, n)}
 }
 
 func (b *builder) build(id int, edges []model.Edge, core bool) *Partition {
@@ -431,14 +459,6 @@ func (b *builder) build(id int, edges []model.Edge, core bool) *Partition {
 	copy(p.OutOff[1:], p.OutOff[:n])
 	copy(p.InOff[1:], p.InOff[:n])
 	p.OutOff[0], p.InOff[0] = 0, 0
-
-	totalDeg := 0
-	for _, v := range globals {
-		totalDeg += b.g.Degree(v, model.Both)
-	}
-	if n > 0 {
-		p.AvgDegree = float64(totalDeg) / float64(n)
-	}
 	p.computeBytes()
 	return p
 }
@@ -630,24 +650,50 @@ func Overlay(prev *PGraph, edges []model.Edge, changedParts []int) (*PGraph, err
 }
 
 // derive is the partition-rebuild loop Overlay and Restructure share: it
-// builds the global CSR of edges and one partition per prev-sized chunk,
-// len(rebuild) in all. Partition id is built from its chunk, in ascending
-// id order, when rebuild[id] is set or prev has no partition id; otherwise
-// it is prev's, shared by pointer. Replica assignment is recomputed for the
-// new snapshot at the PGraph level, leaving shared partition bytes
-// untouched.
+// builds one partition per prev-sized chunk, len(rebuild) in all.
+// Partition id is built from its chunk, in ascending id order, when
+// rebuild[id] is set or prev has no partition id; otherwise it is prev's,
+// shared by pointer. The degree table is prev's, widened to the N Build
+// would infer, minus every replaced or dropped partition and plus every
+// built one, so it equals Build's; the built partitions take D(P) from it
+// only then. Replica assignment is recomputed at the PGraph level, leaving
+// shared partitions untouched.
 func derive(prev *PGraph, numVertices int, edges []model.Edge, rebuild []bool) *PGraph {
 	chunk := prev.ChunkSize
-	g := Build(numVertices, edges)
-	pg := &PGraph{G: g, Parts: make([]*Partition, len(rebuild)), ChunkSize: chunk}
-	b := newBuilder(g)
+	built := func(id int) bool { return id >= len(prev.Parts) || rebuild[id] }
+	chunkOf := func(id int) []model.Edge { return edges[id*chunk : min((id+1)*chunk, len(edges))] }
+	n := numVertices
+	for id := range rebuild {
+		if built(id) {
+			for _, e := range chunkOf(id) {
+				if !e.IsHole() {
+					n = max(n, int(e.Src)+1, int(e.Dst)+1)
+				}
+			}
+		}
+	}
+	t := &DegreeTable{N: n, Slots: len(edges), NumEdges: prev.G.NumEdges, Out: make([]uint32, n), In: make([]uint32, n)}
+	copy(t.Out, prev.G.Out)
+	copy(t.In, prev.G.In)
+	for id, p := range prev.Parts {
+		if id >= len(rebuild) || rebuild[id] {
+			t.count(p, -1)
+		}
+	}
+	pg := &PGraph{G: t, Parts: make([]*Partition, len(rebuild)), ChunkSize: chunk}
+	b := newBuilder(n)
 	for id := range pg.Parts {
-		if id < len(prev.Parts) && !rebuild[id] {
+		if !built(id) {
 			pg.Parts[id] = prev.Parts[id]
 			continue
 		}
-		start := id * chunk
-		pg.Parts[id] = b.build(id, edges[start:min(start+chunk, len(edges))], false)
+		pg.Parts[id] = b.build(id, chunkOf(id), false)
+		t.count(pg.Parts[id], 1)
+	}
+	for id, p := range pg.Parts {
+		if built(id) {
+			p.setAvgDegree(t)
+		}
 	}
 	pg.assignMasters()
 	return pg

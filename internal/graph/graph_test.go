@@ -2,8 +2,10 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -31,8 +33,8 @@ func TestBuildCSR(t *testing.T) {
 	if g.N != 5 {
 		t.Fatalf("N = %d, want 5", g.N)
 	}
-	if g.NumEdges() != 6 {
-		t.Fatalf("NumEdges = %d, want 6", g.NumEdges())
+	if g.NumEdges != 6 {
+		t.Fatalf("NumEdges = %d, want 6", g.NumEdges)
 	}
 	if g.OutDegree(0) != 2 || g.OutDegree(3) != 2 || g.OutDegree(4) != 0 {
 		t.Fatal("wrong out degrees")
@@ -100,14 +102,19 @@ func TestPartitionErrors(t *testing.T) {
 	}
 }
 
-// checkInvariants verifies the vertex-cut partitioning invariants: every live
-// edge lands in exactly one partition, each partition's CSRs and sorted
-// vertex table agree with LocalOf, every vertex with an edge has exactly one
+// checkInvariants verifies pg against g, a batch build of edges, and the
+// vertex-cut partitioning invariants: the degree table equals g's, every
+// live edge lands in exactly one partition, each partition's CSRs and
+// sorted vertex table agree with LocalOf, every vertex with an edge has exactly one
 // master replica (isolated vertices none) that each mirror's MasterPart
 // reaches, and the replica index equals a brute-force scan of the vertex
 // tables with the lowest partition as master.
 func checkInvariants(t *testing.T, g *Graph, edges []model.Edge, pg *PGraph) {
 	t.Helper()
+	if d := pg.G; !reflect.DeepEqual(d, g.DegreeTable) {
+		t.Fatalf("degree table (N %d, %d slots, %d live) differs from a batch build's (N %d, %d slots, %d live)",
+			d.N, d.Slots, d.NumEdges, g.N, g.Slots, g.NumEdges)
+	}
 	// Every edge appears exactly once across partitions.
 	totalEdges := 0
 	for _, p := range pg.Parts {
@@ -242,7 +249,7 @@ func TestOverlayReplicaIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkInvariants(t, next.G, mut, next)
+	checkInvariants(t, Build(72, mut), mut, next)
 	if locs := next.ReplicaLocations(70); len(locs) != 0 || next.MasterOf[70].Part != -1 {
 		t.Fatalf("vertex 70 lost its only edge but keeps replicas %v, master %v", locs, next.MasterOf[70])
 	}
@@ -418,7 +425,8 @@ func TestRestructureGrow(t *testing.T) {
 	if shared == 0 {
 		t.Fatal("growth rebuilt every partition")
 	}
-	checkInvariants(t, next.G, grown, next)
+	ref := Build(83, grown)
+	checkInvariants(t, ref, grown, next)
 	for v := model.VertexID(80); v < 82; v++ {
 		if locs := next.ReplicaLocations(v); len(locs) == 0 || next.MasterOf[v] != locs[0] {
 			t.Fatalf("vertex %d, added with its edges, has replicas %v and master %v", v, locs, next.MasterOf[v])
@@ -430,7 +438,7 @@ func TestRestructureGrow(t *testing.T) {
 	for id, p := range next.Parts {
 		start := id * chunk
 		end := min(start+chunk, len(grown))
-		want := refBuildPartition(next.G, id, grown[start:end], false)
+		want := refBuildPartition(ref, id, grown[start:end], false)
 		if len(p.Globals) != len(want.Globals) || p.NumEdges != want.NumEdges {
 			t.Fatalf("part %d: shape differs from fresh build", id)
 		}
@@ -479,7 +487,7 @@ func TestRestructureShrink(t *testing.T) {
 			t.Fatalf("untouched part %d not shared", i)
 		}
 	}
-	checkInvariants(t, next.G, shrunk, next)
+	checkInvariants(t, Build(60, shrunk), shrunk, next)
 }
 
 // TestRestructureVertexOnlyGrowth: growing the vertex space with no edge
@@ -509,7 +517,7 @@ func TestRestructureVertexOnlyGrowth(t *testing.T) {
 	if next.MasterOf[45].Part != -1 || len(next.ReplicaLocations(45)) != 0 || next.IsReplicated(45) {
 		t.Fatal("edge-less new vertex has a master replica")
 	}
-	checkInvariants(t, next.G, edges, next)
+	checkInvariants(t, Build(50, edges), edges, next)
 }
 
 func TestRestructureErrors(t *testing.T) {
@@ -562,7 +570,7 @@ func TestRestructureBoundaryAlignedGrowth(t *testing.T) {
 			t.Fatalf("boundary-aligned growth rebuilt untouched part %d", i)
 		}
 	}
-	checkInvariants(t, next.G, grown, next)
+	checkInvariants(t, Build(40, grown), grown, next)
 
 	// And the symmetric shrink back to the boundary shares everything
 	// that remains.
@@ -578,7 +586,7 @@ func TestRestructureBoundaryAlignedGrowth(t *testing.T) {
 			t.Fatalf("shrink rebuilt untouched part %d", i)
 		}
 	}
-	checkInvariants(t, back.G, edges, back)
+	checkInvariants(t, g, edges, back)
 }
 
 // refBuildPartition is the reference partition builder: the map-and-sort
@@ -781,11 +789,12 @@ func TestBuilderMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		mutG := Build(n, mut)
 		for _, id := range parts {
 			start := id * pg.ChunkSize
-			check(t, "Overlay", over.Parts[id], refBuildPartition(over.G, id, mut[start:min(start+pg.ChunkSize, len(mut))], false))
+			check(t, "Overlay", over.Parts[id], refBuildPartition(mutG, id, mut[start:min(start+pg.ChunkSize, len(mut))], false))
 		}
-		checkInvariants(t, over.G, mut, over)
+		checkInvariants(t, mutG, mut, over)
 
 		// Restructure: grow or shrink the list and the vertex space.
 		resized := slices.Clone(mut)
@@ -805,22 +814,25 @@ func TestBuilderMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		resizedG := Build(n+3, resized)
 		for _, id := range rebuilt {
 			start := id * pg.ChunkSize
-			check(t, "Restructure", next.Parts[id], refBuildPartition(next.G, id, resized[start:min(start+pg.ChunkSize, len(resized))], false))
+			check(t, "Restructure", next.Parts[id], refBuildPartition(resizedG, id, resized[start:min(start+pg.ChunkSize, len(resized))], false))
 		}
 		for id, p := range next.Parts {
 			if !slices.Contains(rebuilt, id) && p != over.Parts[id] {
 				t.Fatalf("Restructure: part %d neither rebuilt nor shared", id)
 			}
 		}
-		checkInvariants(t, next.G, resized, next)
+		checkInvariants(t, resizedG, resized, next)
 	}
 }
 
 // TestOverlayAllocations: an Overlay allocates a fixed number of objects
 // per rebuilt partition plus a constant, whatever the graph size — nothing
-// per vertex or per edge.
+// per vertex or per edge — and one that rebuilds nothing allocates the same
+// bytes on 4× the edges over the same vertices, so no per-edge global
+// structure is rebuilt.
 func TestOverlayAllocations(t *testing.T) {
 	const numParts = 8
 	allocs := func(numV, numE, k int) float64 {
@@ -851,12 +863,38 @@ func TestOverlayAllocations(t *testing.T) {
 			}
 		}
 	}
+
+	// Both lists are dense enough that every partition holds every vertex,
+	// so the replica index has the same size too.
+	const numV, runs = 100, 20
+	bytes := func(numE int) float64 {
+		edges := gen.ER(22, numV, numE)
+		prev, err := Cut(Build(numV, edges), edges, Options{NumPartitions: numParts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(prev.RepLoc) != numParts*numV {
+			t.Fatalf("setup: %d edges give %d replicas, want %d", numE, len(prev.RepLoc), numParts*numV)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			if _, err := Overlay(prev, edges, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	if small, large := bytes(4000), bytes(16000); math.Abs(large-small) > 0.01*small {
+		t.Errorf("an Overlay rebuilding nothing allocates %.0f B on %d edges, %.0f B on 4x as many", small, 4000, large)
+	}
 }
 
 // restructureMatchesOverlay derives the mutation over, an Overlay of prev
 // whose partitions were built from UID u0 on, describes again, through
 // Restructure over the same vertex space, and requires an identical result:
-// the same global CSR and shape, the same partitions shared with prev, every
+// the same degree table and shape, the same partitions shared with prev, every
 // rebuilt partition equal field by field and built in the same order (its
 // UID at the same offset from the call's first), and the same replica
 // assignment.
@@ -939,7 +977,8 @@ func FuzzOverlayMatchesCut(f *testing.F) {
 			t.Fatal(err)
 		}
 		restructureMatchesOverlay(t, prev, mut, changed, over, u0)
-		want, err := Cut(Build(n, mut), mut, Options{NumPartitions: np})
+		mutG := Build(n, mut)
+		want, err := Cut(mutG, mut, Options{NumPartitions: np})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -960,6 +999,6 @@ func FuzzOverlayMatchesCut(f *testing.F) {
 			!reflect.DeepEqual(over.MasterParts, want.MasterParts) {
 			t.Fatal("Overlay's replica assignment differs from Cut's")
 		}
-		checkInvariants(t, over.G, mut, over)
+		checkInvariants(t, mutG, mut, over)
 	})
 }

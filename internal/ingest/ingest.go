@@ -3,9 +3,9 @@
 // per snapshot), callers stream small edge mutation batches. The pipeline
 // coalesces them in a bounded per-key buffer — last op wins per key, and
 // an add-then-remove of the same edge cancels to nothing — and
-// materializes one snapshot per flush, so snapshot cost is O(|delta|) and
-// unchanged partitions stay pointer-shared across the series (the Fig. 5
-// incremental global table).
+// materializes one snapshot per flush, so snapshot cost is O(N + rebuilt
+// chunks), never O(|E|), and unchanged partitions stay pointer-shared
+// across the series (the Fig. 5 incremental global table).
 //
 // Mutations come in two families. Rewrite keeps the §3.2.1 slot-rewrite
 // semantics: the edge occupying an existing slot is replaced in place, and

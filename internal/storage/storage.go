@@ -387,7 +387,7 @@ func (pt *PrivateTable) result(v model.VertexID, prog model.Program, r model.Res
 // state after absorbing its initial delta (e.g. an isolated vertex's
 // PageRank is 1-d). Kept out of result because &s escapes into prog.Apply,
 // which would cost every vertex, not only edge-less ones, a heap State.
-func edgelessState(v model.VertexID, prog model.Program, g *graph.Graph) model.State {
+func edgelessState(v model.VertexID, prog model.Program, g *graph.DegreeTable) model.State {
 	s, _ := prog.Init(v, g)
 	prog.Apply(v, &s, 0)
 	return s
