@@ -111,9 +111,6 @@ func (p *SCC) Contribution(seed float64, _ float32) float64 { return seed }
 // states.
 func (p *SCC) NextPhase(view model.StateView) bool {
 	n := view.NumVertices()
-	if DebugHook != nil {
-		defer DebugHook(p.phase, p.colors, p.assigned)
-	}
 	if p.phase == 0 {
 		// Forward converged: freeze colours, seed backward roots.
 		progress := false
@@ -182,18 +179,3 @@ func (p *SCC) Result(v model.VertexID, _ model.State) float64 {
 	}
 	return p.assigned[v]
 }
-
-// DebugUnassigned reports how many vertices remain unassigned (testing aid).
-func (p *SCC) DebugUnassigned() int {
-	n := 0
-	for _, a := range p.assigned {
-		if a == sccUnassigned {
-			n++
-		}
-	}
-	return n
-}
-
-// DebugHook, when set, is invoked at every phase transition with the phase
-// just completed and the colour/assignment tables (testing aid).
-var DebugHook func(completedPhase int, colors, assigned []float64)

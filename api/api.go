@@ -294,13 +294,11 @@ type IngestStats struct {
 }
 
 // SchedInfo is the wire view of the engine's latest scheduling decision:
-// policy, θ fit, and the plan of the last round — every job it scheduled,
-// the units it loaded in Eq. 1 order, and its makespan.
+// policy and the plan of the last round — every job it scheduled, the units
+// it loaded in Eq. 1 order, and its makespan.
 type SchedInfo struct {
-	Policy      string  `json:"policy"`
-	Theta       float64 `json:"theta"`
-	ThetaRefits int     `json:"theta_refits"`
-	Round       int64   `json:"round"`
+	Policy string `json:"policy"`
+	Round  int64  `json:"round"`
 	// Jobs are the service job IDs the round scheduled.
 	Jobs []string `json:"jobs"`
 	// Parts is the unit load order (partition index within its snapshot),

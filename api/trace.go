@@ -43,8 +43,6 @@ type RoundTrace struct {
 	WallUS float64 `json:"wall_us"`
 	// VirtualTimeUS is the engine's simulated clock at round end.
 	VirtualTimeUS float64 `json:"virtual_time_us"`
-	// Theta is the scheduler's Eq. 1 fit the round was planned with.
-	Theta float64 `json:"theta,omitempty"`
 	// Units is the number of (snapshot, partition) units the round loaded.
 	Units int `json:"units"`
 	// MakespanUS is how much the round advanced the simulated clock: its

@@ -313,7 +313,6 @@ func BenchmarkSchedulerPlan(b *testing.B) {
 		b.Fatal(err)
 	}
 	s := sched.New(sched.Priority)
-	s.ObserveSnapshot(pg)
 	// Eight jobs with staggered 32-partition footprints.
 	var foot []sched.JobFootprint
 	for j := 0; j < 8; j++ {

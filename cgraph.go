@@ -163,7 +163,6 @@ type config struct {
 	ingestCap       int
 	retainSnapshots int
 	traceDepth      int
-	spanTaskEvery   int
 }
 
 // Option configures a System.
@@ -227,12 +226,6 @@ func WithRetainSnapshots(n int) Option { return func(c *config) { c.retainSnapsh
 // disables tracing: the round loop then skips all per-round trace
 // bookkeeping, so an untraced system pays nothing.
 func WithTraceDepth(n int) Option { return func(c *config) { c.traceDepth = n } }
-
-// WithSpanSampling records a "pool.task" span for one in every n executor
-// tasks of span-carrying jobs. Zero (the default) samples 1-in-64; negative
-// disables task spans entirely while keeping job/round spans and
-// stolen-task attribution.
-func WithSpanSampling(n int) Option { return func(c *config) { c.spanTaskEvery = n } }
 
 // System is a CGraph instance: one shared (possibly evolving) graph plus
 // the concurrent jobs analysing it. It operates in two modes: the batch
@@ -792,13 +785,12 @@ func (s *System) ensureEngineLocked() {
 	}
 	s.byID = make(map[int]*Job)
 	s.engine = core.New(core.Config{
-		Workers:         s.cfg.workers,
-		Hier:            hier,
-		OnJobEvent:      s.onJobEvent,
-		OnJobProgress:   s.progress.fire,
-		TraceDepth:      s.cfg.traceDepth,
-		Tracer:          s.tracer,
-		TaskSampleEvery: s.cfg.spanTaskEvery,
+		Workers:       s.cfg.workers,
+		Hier:          hier,
+		OnJobEvent:    s.onJobEvent,
+		OnJobProgress: s.progress.fire,
+		TraceDepth:    s.cfg.traceDepth,
+		Tracer:        s.tracer,
 	}, s.store)
 }
 

@@ -48,10 +48,6 @@ const (
 	Sequential System = "Sequential"
 )
 
-// Systems lists the concurrent comparators in the paper's presentation
-// order (CLIP, NXgraph, Seraph).
-var Systems = []System{CLIP, NXgraph, Seraph}
-
 // Config tunes a baseline run.
 type Config struct {
 	System  System

@@ -150,11 +150,11 @@ type Config struct {
 	// per (job, round) and sampled "pool.task" spans, all parented to the
 	// submission's span context. Nil disables span recording entirely.
 	Tracer *span.Tracer
-	// TaskSampleEvery records a "pool.task" span for one in every N
-	// executor tasks of span-carrying jobs (0 defaults to 64; negative
-	// disables task spans while keeping round spans and stolen counts).
-	TaskSampleEvery int
 }
+
+// taskSpanEvery samples the "pool.task" spans: one in every taskSpanEvery
+// executor tasks of span-carrying jobs records one.
+const taskSpanEvery = 64
 
 type runJob struct {
 	*exec.Job
@@ -200,9 +200,9 @@ type Engine struct {
 	store *storage.SnapshotStore
 	sched *sched.Scheduler
 
-	// mu guards pending, finished, state, cancelReq, nextID, snapObs,
-	// lastSched, and the released counters — the fields shared between the
-	// round loop and concurrent Submit / Cancel / Results / Stats callers.
+	// mu guards pending, finished, state, cancelReq, nextID, lastSched, and
+	// the released counters — the fields shared between the round loop and
+	// concurrent Submit / Cancel / Results / Stats callers.
 	// jobs and the clocks below are touched only by the single goroutine
 	// driving Run or Serve.
 	mu        sync.Mutex
@@ -210,10 +210,6 @@ type Engine struct {
 	nextID    int
 	state     map[int]JobState
 	cancelReq map[int]bool
-	// snapObs queues snapshots added while the loop runs; the loop drains
-	// it — every round, and before parking when idle — so the scheduler
-	// (single-goroutine) can refit θ.
-	snapObs []*graph.PGraph
 	// lastSched summarizes the plan of the most recent round for the
 	// control plane. Its slices are the engine's own and are rewritten in
 	// place every round; SchedInfo hands out copies.
@@ -222,7 +218,7 @@ type Engine struct {
 	// so ServeStats stays accurate while the state map stays bounded.
 	releasedDone, releasedCancelled, releasedFailed int
 
-	// wake nudges an idle Serve loop after Submit, Cancel, or AddSnapshot.
+	// wake nudges an idle Serve loop after Submit or Cancel.
 	wake chan struct{}
 	// driving excludes concurrent Run/Serve calls.
 	driving atomic.Bool
@@ -248,8 +244,8 @@ type Engine struct {
 	rtSkipped   int64
 	rtImb       imbalance
 	// taskSeq numbers span-eligible executor tasks across rounds for the
-	// 1-in-N "pool.task" sampling; loop-goroutine only (sampling is decided
-	// at task construction, not execution).
+	// 1-in-taskSpanEvery "pool.task" sampling; loop-goroutine only
+	// (sampling is decided at task construction, not execution).
 	taskSeq int64
 
 	jobs []*runJob
@@ -329,9 +325,6 @@ func New(cfg Config, store *storage.SnapshotStore) *Engine {
 	if cfg.Label == "" {
 		cfg.Label = "CGraph"
 	}
-	if cfg.TaskSampleEvery == 0 {
-		cfg.TaskSampleEvery = 64
-	}
 	e := &Engine{
 		cfg:       cfg,
 		store:     store,
@@ -351,10 +344,7 @@ func New(cfg Config, store *storage.SnapshotStore) *Engine {
 	// tracer reads the engine clock through its atomic mirror, so the
 	// closure is safe from any goroutine.
 	cfg.Tracer.SetVirtualClock(e.Now)
-	for _, snap := range store.Snapshots() {
-		e.sched.ObserveSnapshot(snap.PG)
-	}
-	e.lastSched = SchedInfo{Policy: cfg.Scheduler.String(), Theta: e.sched.Theta(), ThetaRefits: e.sched.Refits()}
+	e.lastSched = SchedInfo{Policy: cfg.Scheduler.String()}
 	return e
 }
 
@@ -587,8 +577,6 @@ func (e *Engine) Serve(ctx context.Context) error {
 			return nil
 		}
 		if len(e.jobs) == 0 {
-			// No round will drain the snapshot observations while idle.
-			e.drainSnapshotObservations()
 			select {
 			case <-ctx.Done():
 				return nil
@@ -657,21 +645,9 @@ func (e *Engine) JobState(jobID int) (JobState, bool) {
 
 // AddSnapshot appends a newer graph version to the snapshot store, safely
 // with respect to a concurrent Serve loop; jobs submitted afterwards with a
-// matching arrival timestamp bind to it. The scheduler observes the new
-// version at the next round boundary (refitting θ if its degrees demand it);
-// an idle Serve loop is woken to observe it at once, so the observation
-// queue never pins a snapshot the store has already evicted.
+// matching arrival timestamp bind to it.
 func (e *Engine) AddSnapshot(pg *graph.PGraph, timestamp int64) error {
-	e.mu.Lock()
-	err := e.store.Add(pg, timestamp)
-	if err == nil {
-		e.snapObs = append(e.snapObs, pg)
-	}
-	e.mu.Unlock()
-	if err == nil {
-		e.signalWake()
-	}
-	return err
+	return e.store.Add(pg, timestamp)
 }
 
 // Stats is a point-in-time snapshot of the engine's counters — jobs by
@@ -737,12 +713,9 @@ func (e *Engine) Job(jobID int) (*exec.Job, bool) {
 func (e *Engine) Now() float64 { return math.Float64frombits(e.nowBits.Load()) }
 
 // SchedInfo is a point-in-time snapshot of the scheduler's state: the
-// policy, the current θ fit and how often it was refitted, and the plan of
-// the most recent round.
+// policy and the plan of the most recent round.
 type SchedInfo struct {
-	Policy      string
-	Theta       float64
-	ThetaRefits int
+	Policy string
 	// Round is the round the plan below was computed for (0 before any).
 	Round int64
 	// JobIDs lists the engine job IDs the round scheduled (Job.ID values).
@@ -793,7 +766,6 @@ func cloneOrNil[T any](s []T) []T {
 func (e *Engine) round() {
 	roundStart := time.Now() //cgraph:wallclock round wall-duration histogram measures real time per round
 	virtStart := e.now
-	e.drainSnapshotObservations()
 	e.rtTasks, e.rtSteals, e.rtStolen, e.rtSkipped, e.rtImb = 0, 0, 0, 0, imbalance{}
 	plan := e.planRound()
 	e.execute(e.build(plan))
@@ -911,8 +883,6 @@ func (e *Engine) recordRound(start time.Time, virtStart float64, plan sched.Grou
 	e.mu.Lock()
 	info := &e.lastSched
 	info.Policy = e.cfg.Scheduler.String()
-	info.Theta = e.sched.Theta()
-	info.ThetaRefits = e.sched.Refits()
 	info.Round = e.rounds.Load() + 1
 	info.MakespanUS = e.now - virtStart
 	info.JobIDs = append(info.JobIDs[:0], plan.Jobs...)
@@ -936,7 +906,6 @@ func (e *Engine) recordRound(start time.Time, virtStart float64, plan sched.Grou
 			Start:         start,
 			Wall:          wall,
 			VirtualTimeUS: e.now,
-			Theta:         info.Theta,
 			Units:         len(info.Parts),
 			MakespanUS:    info.MakespanUS,
 			Tasks:         e.rtTasks,
@@ -1014,18 +983,6 @@ func (e *Engine) TraceDepth() int { return e.cfg.TraceDepth }
 // RoundDurations returns the wall-clock round-duration histogram.
 func (e *Engine) RoundDurations() metrics.HistogramSnapshot {
 	return e.roundHist.Snapshot()
-}
-
-// drainSnapshotObservations feeds snapshots added since the last drain to
-// the scheduler, on the loop goroutine, so θ refits for new versions.
-func (e *Engine) drainSnapshotObservations() {
-	e.mu.Lock()
-	obs := e.snapObs
-	e.snapObs = nil
-	e.mu.Unlock()
-	for _, pg := range obs {
-		e.sched.ObserveSnapshot(pg)
-	}
 }
 
 func structID(p *graph.Partition) memsim.ItemID {
@@ -1322,12 +1279,12 @@ func (e *Engine) priceBatch(batch []*sweepTask) float64 {
 
 // taskTrace builds the pool bracket for one span-carrying job's task: every
 // execution feeds the job's stolen-task counter, and one task in every
-// TaskSampleEvery additionally records a "pool.task" span bracketing Run.
+// taskSpanEvery additionally records a "pool.task" span bracketing Run.
 // The bracket runs on pool workers, so it touches only the atomic stolen
 // counter and the internally-locked tracer.
 func (e *Engine) taskTrace(rj *runJob, weight int64) func(worker int, stolen bool) func() {
 	e.taskSeq++
-	sampled := e.cfg.TaskSampleEvery > 0 && e.taskSeq%int64(e.cfg.TaskSampleEvery) == 0
+	sampled := e.taskSeq%taskSpanEvery == 0
 	return func(worker int, stolen bool) func() {
 		if stolen {
 			rj.roundStolen.Add(1)

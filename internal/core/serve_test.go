@@ -344,12 +344,9 @@ func TestServeSnapshotWithDifferentPartitionCount(t *testing.T) {
 	stop()
 }
 
-// TestServeDrainsSnapshotsWhileIdle: snapshots added to an idle resident
-// loop are handed to the scheduler at once instead of queueing until the
-// next job's first round — the queue used to pin every added PGraph (even
-// ones the store had already evicted) for as long as the service sat idle.
-// A job submitted afterwards still binds to the newest snapshot.
-func TestServeDrainsSnapshotsWhileIdle(t *testing.T) {
+// TestServeIdleSnapshotsBindNewest: snapshots added to an idle resident
+// loop run no round, and a job submitted afterwards binds to the newest.
+func TestServeIdleSnapshotsBindNewest(t *testing.T) {
 	base := buildPG(t, gen.RMAT(44, 200, 3500, 0.57, 0.19, 0.19), 200, 4, false)
 	rec := newEventRecorder()
 	e := New(Config{Workers: 2, Hier: smallHier(), OnJobEvent: func(ev JobEvent) { rec.ch <- ev }},
@@ -364,11 +361,6 @@ func TestServeDrainsSnapshotsWhileIdle(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	testutil.WaitFor(t, 10*time.Second, func() bool {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		return len(e.snapObs) == 0
-	}, "idle serve loop left snapshot observations queued")
 	if r := e.ServeStats().Rounds; r != 0 {
 		t.Fatalf("%d rounds ran with no job submitted", r)
 	}

@@ -5,11 +5,17 @@
 // Pri(U) = N(U) + θ·D(U)·C(U), where N(U) is the number of jobs needing the
 // unit, D(U) the partition version's average vertex degree, and C(U) the
 // average vertex-state change observed for that version in the previous
-// round. θ is kept strictly below 1/(Dmax·Cmax) so that N always
-// dominates, and — unlike the original fit-once preprocessing — is refitted
-// whenever a new snapshot raises Dmax or the windowed (decayed) D/C maxima
-// drift out of the hysteresis band in either direction, so the fit tracks
-// shrinking workloads as well as upward drift.
+// round. The paper keeps θ below 1/(Dmax·Cmax) so that N always dominates,
+// and for every such θ the order is the same: most jobs first, then the
+// highest D·C. So Eq. 1 is applied as that comparator, and no θ is kept.
+//
+// An earlier version fitted θ at run time, from decayed D/C maxima with a
+// hysteresis band, rate-limited refits and a clamp on the θ·D·C term. The
+// fit moved results only for the worse: in the 444 rounds that
+// TestVirtualTimeGolden plans, the lagging θ pushed units onto the clamp
+// in 144, where they tied and fell back to index order. The comparator
+// loads in a different order in 96 of the 444; every work count held, and
+// no virtual makespan rose.
 //
 // A scheduling unit is one snapshot version of a partition (the same
 // *graph.Partition, identified by its UID, possibly shared by several
@@ -70,9 +76,9 @@ type JobFootprint struct {
 	Units []*graph.Partition
 	// Active, when set, is parallel to Units: the job's active-vertex
 	// count in each unit. The D(U)·C(U) term of Eq. 1 is scaled by the
-	// highest active fraction across the unit's jobs, so θ reflects the
+	// highest active fraction across the unit's jobs, so it reflects the
 	// work actually remaining rather than the partition's full size. Nil
-	// means "assume fully active" (backward compatible).
+	// means "assume fully active".
 	Active []int
 }
 
@@ -89,53 +95,10 @@ type Group struct {
 	Units []UnitPlan
 }
 
-// driftFactor is the C-maxima growth that triggers a θ refit: large enough
-// that well-behaved workloads refit rarely, small enough that the fit
-// tracks genuine regime changes. dominanceBudget caps the θ·D·C tie-break
-// term of every unit, so N(U) dominates Eq. 1 unconditionally — even
-// between refits, and even when a diverging job's state changes grow
-// without bound faster than any refit cadence could chase. Because the
-// clamp, not the refit cadence, carries the correctness guarantee, drift
-// refits are rate-limited to one per refitMinInterval plans (snapshot
-// arrivals refit immediately), and C observations beyond cmaxCeiling —
-// reachable only by diverging jobs — are ignored so θ never underflows
-// to zero.
-const (
-	driftFactor      = 1.5
-	dominanceBudget  = 0.5
-	refitMinInterval = 32
-	cmaxCeiling      = 1e150
-	// windowDecay ages the running D/C maxima a little every plan
-	// (half-life ≈ 23 plans), so the estimates — and through them θ —
-	// also track *shrinking* workloads: when dense snapshots or hot jobs
-	// retire, the window drifts down and a rate-limited refit raises θ
-	// back toward the live regime instead of staying pinned to an
-	// all-time peak. The dominance clamp keeps Eq. 1 correct either way.
-	windowDecay = 0.97
-)
-
 // Scheduler orders partition loads for a round. It is driven by a single
-// goroutine (the engine's round loop); snapshot observations from other
-// goroutines must be funneled through that loop.
+// goroutine (the engine's round loop).
 type Scheduler struct {
 	kind Kind
-
-	// dmaxWin / cmaxWin are windowed (decayed running) maxima of the
-	// average degrees and state-change sums: each Plan ages them by
-	// windowDecay, then folds in the round's observations, so they rise
-	// instantly with the workload and drift back down as it shrinks.
-	// dmaxFit / cmaxFit are the values θ was last fitted against.
-	dmaxWin float64
-	cmaxWin float64
-	dmaxFit float64
-	cmaxFit float64
-	theta   float64
-	// fitted distinguishes "never fitted" from small-θ regimes; plans and
-	// lastFitPlan rate-limit drift refits.
-	fitted      bool
-	refits      int
-	plans       int
-	lastFitPlan int
 
 	// Plan's buffers, reused by every call so that a warmed-up Plan
 	// allocates nothing: byUID indexes this round's units, in the slab
@@ -145,45 +108,16 @@ type Scheduler struct {
 	plan  [1]Group
 }
 
-// New builds a scheduler; feed it snapshots via ObserveSnapshot.
+// New builds a scheduler.
 func New(kind Kind) *Scheduler { return &Scheduler{kind: kind, byUID: make(map[int64]int)} }
 
 // Kind returns the policy.
 func (s *Scheduler) Kind() Kind { return s.kind }
 
-// Theta exposes the fitted θ (0 until the first non-zero C observation).
-func (s *Scheduler) Theta() float64 { return s.theta }
-
-// Refits counts how many times θ was (re)fitted.
-func (s *Scheduler) Refits() int { return s.refits }
-
-// ObserveSnapshot folds a snapshot's partition degrees into the windowed
-// Dmax and refits θ immediately when the new version raised it beyond the
-// fitted value. Merely topping up the decayed window (a steady stream of
-// same-density snapshots) does not refit — downward tracking is Plan's
-// rate-limited job — so snapshot ingestion cadence cannot churn θ.
-func (s *Scheduler) ObserveSnapshot(pg *graph.PGraph) {
-	for _, p := range pg.Parts {
-		if p.AvgDegree > s.dmaxWin {
-			s.dmaxWin = p.AvgDegree
-		}
-	}
-	if !s.fitted || s.dmaxWin > s.dmaxFit {
-		s.refit()
-	}
-}
-
-// refit pins θ strictly below 1/(Dmax·Cmax) from the windowed maxima.
-func (s *Scheduler) refit() {
-	if s.dmaxWin > 0 && s.cmaxWin > 0 {
-		s.theta = dominanceBudget / (s.dmaxWin * s.cmaxWin)
-		s.dmaxFit = s.dmaxWin
-		s.cmaxFit = s.cmaxWin
-		s.fitted = true
-		s.refits++
-		s.lastFitPlan = s.plans
-	}
-}
+// ObserveSnapshot does nothing: the Eq. 1 order is fitted to no snapshot.
+//
+// Deprecated: the scheduler keeps no per-snapshot state; drop the call.
+func (s *Scheduler) ObserveSnapshot(*graph.PGraph) {}
 
 // unit aggregates the jobs needing one partition version this round.
 type unit struct {
@@ -192,8 +126,8 @@ type unit struct {
 	// frac is the highest active-vertex fraction any job has in this
 	// unit, scaling the D·C term of Eq. 1 down as frontiers shrink.
 	frac float64
-	// pri is the unit's Eq. 1 priority, set by orderUnits.
-	pri float64
+	// dc is the unit's D(U)·frac·C(U), set by orderUnits.
+	dc float64
 }
 
 // Plan orders this round's loads. jobs lists each job's footprint; c maps a
@@ -205,35 +139,6 @@ type unit struct {
 // The returned plan and every slice in it belong to the scheduler: they are
 // valid until the next Plan call, which reuses them.
 func (s *Scheduler) Plan(jobs []JobFootprint, c map[int64]float64) []Group {
-	s.plans++
-	// Age the window, then fold in this round's observations: the C sums
-	// of the previous round and the degrees of the footprints actually
-	// being scheduled (snapshot arrivals feed ObserveSnapshot directly).
-	s.cmaxWin *= windowDecay
-	s.dmaxWin *= windowDecay
-	for _, v := range c {
-		if v > s.cmaxWin && v < cmaxCeiling && !math.IsNaN(v) {
-			s.cmaxWin = v
-		}
-	}
-	for _, jf := range jobs {
-		for _, p := range jf.Units {
-			if p.AvgDegree > s.dmaxWin {
-				s.dmaxWin = p.AvgDegree
-			}
-		}
-	}
-	// First fit as soon as both maxima exist; afterwards whenever the
-	// windowed maxima drift out of the hysteresis band in either
-	// direction, at most once per refitMinInterval plans.
-	drifted := s.cmaxWin > s.cmaxFit*driftFactor || s.dmaxWin > s.dmaxFit*driftFactor ||
-		s.cmaxWin < s.cmaxFit/driftFactor || s.dmaxWin < s.dmaxFit/driftFactor
-	switch {
-	case !s.fitted && s.cmaxWin > 0:
-		s.refit()
-	case s.fitted && drifted && s.plans-s.lastFitPlan >= refitMinInterval:
-		s.refit()
-	}
 	if len(jobs) == 0 {
 		return nil
 	}
@@ -288,8 +193,11 @@ func (s *Scheduler) Plan(jobs []JobFootprint, c map[int64]float64) []Group {
 }
 
 // orderUnits sorts the round's units in place: partition-index order for
-// Static, Eq. 1 priority descending otherwise, with (ID, UID) ascending as
-// the deterministic tie-break.
+// Static, Eq. 1 order otherwise. Eq. 1 with any admissible θ is a
+// comparator: N(U) descending, then D(U)·C(U) descending, where the
+// frontier fraction scales D·C down to the work actually remaining in the
+// unit and a NaN product ranks as +Inf; (ID, UID) ascending breaks the
+// remaining ties.
 func (s *Scheduler) orderUnits(us []unit, c map[int64]float64) {
 	if s.kind == Static {
 		slices.SortFunc(us, byIndex)
@@ -297,20 +205,17 @@ func (s *Scheduler) orderUnits(us []unit, c map[int64]float64) {
 	}
 	for i := range us {
 		u := &us[i]
-		// The clamp (which also catches NaN/Inf products) caps the
-		// tie-break strictly below any N difference, so the Eq. 1
-		// dominance guarantee holds even against drift θ has not yet
-		// chased. The frontier fraction scales D·C down to the work
-		// actually remaining in the unit.
-		term := s.theta * u.part.AvgDegree * u.frac * c[u.part.UID]
-		if !(term < dominanceBudget) {
-			term = dominanceBudget
+		u.dc = u.part.AvgDegree * u.frac * c[u.part.UID]
+		if math.IsNaN(u.dc) {
+			u.dc = math.Inf(1)
 		}
-		u.pri = float64(len(u.jobs)) + term
 	}
 	slices.SortFunc(us, func(a, b unit) int {
-		if a.pri != b.pri {
-			return cmp.Compare(b.pri, a.pri)
+		if len(a.jobs) != len(b.jobs) {
+			return cmp.Compare(len(b.jobs), len(a.jobs))
+		}
+		if a.dc != b.dc {
+			return cmp.Compare(b.dc, a.dc)
 		}
 		return byIndex(a, b)
 	})

@@ -2,11 +2,14 @@ package sched
 
 import (
 	"math"
+	"math/big"
+	"math/rand/v2"
 	"slices"
 	"testing"
 
 	"cgraph/internal/gen"
 	"cgraph/internal/graph"
+	"cgraph/model"
 )
 
 func buildPG(t testing.TB, parts int) *graph.PGraph {
@@ -69,7 +72,6 @@ func cmap(pg *graph.PGraph, c []float64) map[int64]float64 {
 func TestStaticOrder(t *testing.T) {
 	pg := buildPG(t, 8)
 	s := New(Static)
-	s.ObserveSnapshot(pg)
 	plan := s.Plan(footprints(pg, map[int][]int{0: {5, 1}, 1: {7, 0}}), nil)
 	if len(plan) != 1 {
 		t.Fatalf("static plan has %d groups, want 1", len(plan))
@@ -88,150 +90,192 @@ func TestStaticOrder(t *testing.T) {
 
 func TestPriorityNDominates(t *testing.T) {
 	// Eq. 1: the partition needed by the most jobs loads first, whatever
-	// D(P)·C(P) says — guaranteed by the θ bound.
+	// D(P)·C(P) says, even when C is huge or not finite.
 	pg := buildPG(t, 8)
-	s := New(Priority)
-	s.ObserveSnapshot(pg)
 	jobs := map[int][]int{
 		0: {0, 1, 2, 3},
 		1: {1, 2},
 		2: {1},
 	}
-	c := cmap(pg, []float64{100, 0.1, 50, 3, 0, 0, 0, 0})
-	got := loadOrder(s.Plan(footprints(pg, jobs), c))
-	if got[0] != 1 || got[1] != 2 {
-		t.Fatalf("priority order = %v, want N(P) to dominate (1,2 first)", got)
-	}
-	if s.Theta() <= 0 {
-		t.Fatal("theta not fitted from first observation")
+	for _, c := range [][]float64{
+		{100, 0.1, 50, 3},
+		{1e300, 0.1, 1e9, math.Inf(1)},
+		{math.NaN(), 0, 0, math.NaN()},
+	} {
+		s := New(Priority)
+		got := loadOrder(s.Plan(footprints(pg, jobs), cmap(pg, c)))
+		if got[0] != 1 || got[1] != 2 {
+			t.Fatalf("C = %v: priority order = %v, want N(P) to dominate (1,2 first)", c, got)
+		}
 	}
 }
 
+// TestPriorityTieBreakByDC: among units of equal N, the larger D(P)·C(P)
+// loads first, at any scale of C; a NaN or +Inf product ranks first
+// within its N, and (ID, UID) breaks every remaining tie.
 func TestPriorityTieBreakByDC(t *testing.T) {
 	pg := buildPG(t, 8)
-	s := New(Priority)
-	s.ObserveSnapshot(pg)
-	// Equal N: ties broken toward the larger D(P)·C(P).
-	jobs := map[int][]int{0: {0, 1, 2, 3}, 1: {0, 1, 2, 3}}
-	c := cmap(pg, []float64{0, 10, 5, 0, 0, 0, 0, 0})
-	got := loadOrder(s.Plan(footprints(pg, jobs), c))
-	pos := map[int]int{}
-	for i, p := range got {
-		pos[p] = i
-	}
-	// Partition 1 has the largest C among equal-N candidates with a
-	// nonzero degree, so it must come before 0 and 3 (C = 0).
-	if pos[1] > pos[0] || pos[1] > pos[3] {
-		t.Fatalf("tie-break order = %v (D=%v)", got, []float64{pg.Parts[0].AvgDegree, pg.Parts[1].AvgDegree})
-	}
-}
-
-func TestThetaBound(t *testing.T) {
-	pg := buildPG(t, 8)
-	s := New(Priority)
-	s.ObserveSnapshot(pg)
-	c := cmap(pg, []float64{9, 4, 7, 1, 0, 0, 0, 0})
-	s.Plan(footprints(pg, map[int][]int{0: {0, 1, 2, 3}}), c)
-	var dmax, cmax float64
-	for _, p := range pg.Parts {
-		if p.AvgDegree > dmax {
-			dmax = p.AvgDegree
+	p := pg.Parts
+	// byKey returns a C map under which D(P)·C(P) of partition pids[i] is
+	// about keys[i].
+	byKey := func(pids []int, keys ...float64) map[int64]float64 {
+		c := make(map[int64]float64)
+		for i, pid := range pids {
+			c[p[pid].UID] = keys[i] / p[pid].AvgDegree
 		}
+		return c
 	}
-	for _, v := range c {
-		if v > cmax {
-			cmax = v
+	t.Run("equal N", func(t *testing.T) {
+		s := New(Priority)
+		jobs := map[int][]int{0: {0, 1, 2, 3}, 1: {0, 1, 2, 3}}
+		got := loadOrder(s.Plan(footprints(pg, jobs), cmap(pg, []float64{0, 10, 5, 0})))
+		// Partition 1 has the largest C among equal-N candidates with a
+		// nonzero degree, so it must come before 0 and 3 (C = 0).
+		if i := slices.Index(got, 1); i > slices.Index(got, 0) || i > slices.Index(got, 3) {
+			t.Fatalf("tie-break order = %v (D=%v)", got, []float64{p[0].AvgDegree, p[1].AvgDegree})
 		}
-	}
-	if s.Theta() >= 1/(dmax*cmax) {
-		t.Fatalf("theta %v violates the Eq. 1 bound 1/(Dmax*Cmax) = %v", s.Theta(), 1/(dmax*cmax))
-	}
+	})
+
+	t.Run("C grown past an earlier round's scale", func(t *testing.T) {
+		// A first round sees C ≈ 1; the next sees C six orders of magnitude
+		// larger. A θ fitted to the first round would push every unit of
+		// the second onto the old clamp and into index order; the
+		// comparator still orders them by D·C.
+		s := New(Priority)
+		jobs := footprints(pg, map[int][]int{0: {0, 1, 2, 3}, 1: {0, 1, 2, 3}})
+		s.Plan(jobs, byKey([]int{0, 1, 2, 3}, 1, 1, 1, 1))
+		got := loadOrder(s.Plan(jobs, byKey([]int{3, 0, 2, 1}, 4e6, 3e6, 2e6, 1e6)))
+		if want := []int{3, 0, 2, 1}; !slices.Equal(got, want) {
+			t.Fatalf("order = %v, want %v by D·C", got, want)
+		}
+	})
+
+	t.Run("NaN and +Inf", func(t *testing.T) {
+		// A second snapshot's versions share IDs with the first's and
+		// carry larger UIDs.
+		pg2 := buildPG(t, 8)
+		q := pg2.Parts
+		s := New(Priority)
+		foot := footprints(pg, map[int][]int{0: {0, 1, 2, 3, 4, 5}, 1: {0, 1, 2, 3, 4, 5}})
+		foot = append(foot, JobFootprint{JobID: 2, Units: []*graph.Partition{q[1], q[6], p[6]}})
+		c := byKey([]int{0, 2}, 2e3, 1e3)
+		c[p[1].UID], c[p[3].UID] = math.NaN(), math.Inf(1)
+		c[q[1].UID] = 1e300
+		c[p[6].UID], c[q[6].UID] = math.Inf(1), math.NaN()
+		want := []*graph.Partition{p[1], p[3], p[0], p[2], p[4], p[5], p[6], q[6], q[1]}
+		got := s.Plan(foot, c)[0].Units
+		if len(got) != len(want) {
+			t.Fatalf("%d units, want %d", len(got), len(want))
+		}
+		for i, u := range got {
+			if u.Part != want[i] {
+				t.Fatalf("unit %d is partition %d (UID %d), want %d (UID %d)",
+					i, u.Part.ID, u.Part.UID, want[i].ID, want[i].UID)
+			}
+		}
+	})
 }
 
-// TestThetaRefitsOnSnapshotAndDrift is the regression for the fit-once
-// staleness: θ must change when a new snapshot introduces higher-degree
-// partitions, and when observed C maxima drift upward.
-func TestThetaRefitsOnSnapshotAndDrift(t *testing.T) {
-	pg := buildPG(t, 8)
+// TestPlanMatchesExactEq1: on random footprints, active counts and C maps,
+// Plan's unit order is the order of Pri(U) = N(U) + θ·D(U)·frac·C(U)
+// evaluated exactly, at θ = 1/(2·Dmax·Cmax) and with no clamp, with
+// (ID, UID) ascending breaking exact ties.
+func TestPlanMatchesExactEq1(t *testing.T) {
+	const prec = 256
+	rng := rand.New(rand.NewPCG(38, 1))
+	// pick draws from a few exact values half the time, so that equal keys
+	// (and with them the (ID, UID) tie-break) occur, and otherwise from a
+	// wide random range.
+	pick := func(few []float64, scale float64) float64 {
+		if rng.IntN(2) == 0 {
+			return few[rng.IntN(len(few))]
+		}
+		return rng.Float64() * math.Pow(10, scale*(2*rng.Float64()-1))
+	}
 	s := New(Priority)
-	s.ObserveSnapshot(pg)
-	s.Plan(footprints(pg, map[int][]int{0: {0, 1}}), cmap(pg, []float64{3, 1}))
-	theta1 := s.Theta()
-	if theta1 <= 0 {
-		t.Fatal("theta not fitted")
-	}
+	for trial := range 300 {
+		// Partition sizes are powers of two, so every active fraction is
+		// exact and equal keys stay equal in float64.
+		parts := make([]*graph.Partition, 1+rng.IntN(24))
+		uids := rng.Perm(len(parts))
+		for i := range parts {
+			parts[i] = &graph.Partition{
+				ID:        rng.IntN(8),
+				UID:       int64(uids[i]),
+				Globals:   make([]model.VertexID, 1<<rng.IntN(7)),
+				AvgDegree: pick([]float64{0, 4, 8, 12.5}, 2),
+			}
+		}
+		c := make(map[int64]float64)
+		for _, p := range parts {
+			if rng.IntN(5) > 0 {
+				c[p.UID] = pick([]float64{0, 1, 2.5}, 6)
+			}
+		}
+		var foot []JobFootprint
+		for id := range 1 + rng.IntN(8) {
+			jf := JobFootprint{JobID: 10 * id}
+			withActive := rng.IntN(4) > 0
+			for _, i := range rng.Perm(len(parts))[:1+rng.IntN(len(parts))] {
+				jf.Units = append(jf.Units, parts[i])
+				if withActive {
+					jf.Active = append(jf.Active, rng.IntN(parts[i].NumVertices()+1))
+				}
+			}
+			foot = append(foot, jf)
+		}
 
-	// A snapshot with far denser partitions must refit θ downward.
-	dense := gen.RMAT(9, 50, 6000, 0.57, 0.19, 0.19)
-	g2 := graph.Build(50, dense)
-	pg2, err := graph.Cut(g2, dense, graph.Options{NumPartitions: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	refits := s.Refits()
-	s.ObserveSnapshot(pg2)
-	if s.Theta() >= theta1 {
-		t.Fatalf("theta %v did not shrink after higher-degree snapshot (was %v)", s.Theta(), theta1)
-	}
-	if s.Refits() <= refits {
-		t.Fatal("refit not counted for snapshot arrival")
-	}
+		// The exact priorities, from the footprints alone.
+		n := map[*graph.Partition]int{}
+		frac := map[*graph.Partition]float64{}
+		var dmax, cmax float64
+		for _, jf := range foot {
+			for ui, p := range jf.Units {
+				n[p]++
+				f := 1.0
+				if jf.Active != nil {
+					f = float64(jf.Active[ui]) / float64(p.NumVertices())
+				}
+				frac[p] = max(frac[p], f)
+				dmax, cmax = max(dmax, p.AvgDegree), max(cmax, c[p.UID])
+			}
+		}
+		theta := new(big.Float).SetPrec(prec)
+		if dmax > 0 && cmax > 0 {
+			den := new(big.Float).SetPrec(prec).SetFloat64(2 * dmax)
+			den.Mul(den, big.NewFloat(cmax))
+			theta.Quo(big.NewFloat(1).SetPrec(prec), den)
+		}
+		pri := func(p *graph.Partition) *big.Float {
+			x := new(big.Float).SetPrec(prec).Set(theta)
+			x.Mul(x, big.NewFloat(p.AvgDegree))
+			x.Mul(x, big.NewFloat(frac[p]))
+			x.Mul(x, big.NewFloat(c[p.UID]))
+			return x.Add(x, big.NewFloat(float64(n[p])))
+		}
 
-	// Upward C drift refits again. Drift refits are rate-limited to one
-	// per refitMinInterval plans, so keep planning until the window opens.
-	theta2 := s.Theta()
-	for i := 0; i < refitMinInterval+1; i++ {
-		s.Plan(footprints(pg, map[int][]int{0: {0, 1}}), cmap(pg, []float64{300, 1}))
-	}
-	if s.Theta() >= theta2 {
-		t.Fatalf("theta %v did not shrink after C drift (was %v)", s.Theta(), theta2)
-	}
-
-	// A diverging job cannot drive θ to zero: non-finite and
-	// beyond-ceiling observations are ignored.
-	for i := 0; i < 2*refitMinInterval; i++ {
-		s.Plan(footprints(pg, map[int][]int{0: {0, 1}}), cmap(pg, []float64{1e200, math.Inf(1)}))
-	}
-	if s.Theta() <= 0 {
-		t.Fatalf("theta collapsed to %v under diverging observations", s.Theta())
-	}
-}
-
-// TestThetaWindowTracksShrinkingWorkload: the windowed D/C estimate must
-// decay once the hot regime ends, so a rate-limited downward refit raises
-// θ back toward the live workload instead of staying pinned to the
-// all-time peak.
-func TestThetaWindowTracksShrinkingWorkload(t *testing.T) {
-	pg := buildPG(t, 8)
-	s := New(Priority)
-	s.ObserveSnapshot(pg)
-
-	// Fit against a hot regime.
-	s.Plan(footprints(pg, map[int][]int{0: {0, 1}}), cmap(pg, []float64{500, 100}))
-	hot := s.Theta()
-	if hot <= 0 {
-		t.Fatal("theta not fitted")
-	}
-
-	// The workload cools: tiny C observations for long enough that the
-	// decayed window leaves the hysteresis band and the rate limit opens.
-	refits := s.Refits()
-	for i := 0; i < 4*refitMinInterval; i++ {
-		s.Plan(footprints(pg, map[int][]int{0: {0, 1}}), cmap(pg, []float64{2, 1}))
-	}
-	if s.Refits() <= refits {
-		t.Fatal("no downward refit despite a shrunken workload")
-	}
-	if s.Theta() <= hot {
-		t.Fatalf("theta %v did not grow after the workload shrank (was %v)", s.Theta(), hot)
-	}
-
-	// N(U) dominance survives the larger θ: a sudden C spike between
-	// refits is absorbed by the dominance clamp.
-	jobs := map[int][]int{0: {0, 1, 2, 3}, 1: {1, 2}, 2: {1}}
-	got := loadOrder(s.Plan(footprints(pg, jobs), cmap(pg, []float64{1e9, 0.1, 1e9, 1e9})))
-	if got[0] != 1 || got[1] != 2 {
-		t.Fatalf("order = %v, want N(P) to dominate (1,2 first) despite stale θ", got)
+		units := s.Plan(foot, c)[0].Units
+		if len(units) != len(n) {
+			t.Fatalf("trial %d: %d units planned, footprints hold %d", trial, len(units), len(n))
+		}
+		for i := 1; i < len(units); i++ {
+			a, b := units[i-1].Part, units[i].Part
+			switch pa, pb := pri(a), pri(b); pa.Cmp(pb) {
+			case 1:
+			case 0:
+				if byIndex(unit{part: a}, unit{part: b}) >= 0 {
+					t.Fatalf("trial %d: units %d and %d tie at Pri %v but are not in (ID, UID) order: (%d, %d) then (%d, %d)",
+						trial, i-1, i, pa, a.ID, a.UID, b.ID, b.UID)
+				}
+			default:
+				t.Fatalf("trial %d: unit %d (Pri %v) loads before unit %d (Pri %v)", trial, i-1, pa, i, pb)
+			}
+		}
+		for i, u := range units {
+			if len(u.Jobs) != n[u.Part] {
+				t.Fatalf("trial %d: unit %d triggers %d jobs, footprints give %d", trial, i, len(u.Jobs), n[u.Part])
+			}
+		}
 	}
 }
 
@@ -273,9 +317,6 @@ func TestPlanIsOneGroup(t *testing.T) {
 		},
 	} {
 		s := New(Priority)
-		s.ObserveSnapshot(pg)
-		s.ObserveSnapshot(pgA)
-		s.ObserveSnapshot(pgB)
 		plan := s.Plan(tc.foot, tc.c)
 		if len(plan) != 1 || len(plan[0].Jobs) != len(tc.foot) {
 			t.Fatalf("%s: plan = %+v, want one group of all %d jobs", tc.name, plan, len(tc.foot))
@@ -298,8 +339,6 @@ func TestPlanIsOneGroup(t *testing.T) {
 func TestUnitsKeyedByVersion(t *testing.T) {
 	pgA, pgB := buildPG(t, 4), buildPG(t, 8)
 	s := New(Priority)
-	s.ObserveSnapshot(pgA)
-	s.ObserveSnapshot(pgB)
 	plan := s.Plan([]JobFootprint{
 		{JobID: 0, Units: []*graph.Partition{pgA.Parts[0]}},
 		{JobID: 1, Units: []*graph.Partition{pgA.Parts[0], pgB.Parts[1]}},
@@ -313,7 +352,6 @@ func TestUnitsKeyedByVersion(t *testing.T) {
 func TestPlanDoesNotMutateInputs(t *testing.T) {
 	pg := buildPG(t, 8)
 	s := New(Priority)
-	s.ObserveSnapshot(pg)
 	foot := footprints(pg, map[int][]int{0: {3, 1, 2}})
 	c := cmap(pg, []float64{1, 2, 3, 4})
 	s.Plan(foot, c)
@@ -329,7 +367,6 @@ func TestDeterministicPlan(t *testing.T) {
 	pg := buildPG(t, 8)
 	for _, kind := range []Kind{Static, Priority} {
 		s := New(kind)
-		s.ObserveSnapshot(pg)
 		jobs := map[int][]int{0: {7, 3, 5, 0}, 1: {3, 5}, 2: {6}}
 		a := loadOrder(s.Plan(footprints(pg, jobs), nil))
 		b := loadOrder(s.Plan(footprints(pg, jobs), nil))
@@ -361,7 +398,6 @@ func TestPlanAllocations(t *testing.T) {
 	c := cmap(pg, []float64{3, 0, 1, 7, 2, 0, 5})
 	for _, kind := range []Kind{Priority, Static} {
 		s := New(kind)
-		s.ObserveSnapshot(pg)
 		// The first plan, copied out of the scheduler's buffers.
 		var want []UnitPlan
 		for _, u := range s.Plan(foot, c)[0].Units {

@@ -2,7 +2,6 @@ package span
 
 import (
 	"encoding/hex"
-	"fmt"
 	"strings"
 )
 
@@ -49,14 +48,4 @@ func ParseTraceparent(h string) (Context, bool) {
 		return Context{}, false
 	}
 	return Context{Trace: trace, Span: parent}, true
-}
-
-// MustParseTraceID is ParseTraceID for trusted inputs (tests, fixtures);
-// it panics on malformed IDs.
-func MustParseTraceID(s string) TraceID {
-	t, err := ParseTraceID(s)
-	if err != nil {
-		panic(fmt.Sprintf("span: %v", err))
-	}
-	return t
 }

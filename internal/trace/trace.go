@@ -43,8 +43,6 @@ type Round struct {
 	Wall time.Duration
 	// VirtualTimeUS is the engine's simulated clock at round end.
 	VirtualTimeUS float64
-	// Theta is the scheduler's Eq. 1 fit the round was planned with.
-	Theta float64
 	// Units is the number of (snapshot, partition) units the round loaded.
 	Units int
 	// MakespanUS is how much the round advanced the simulated clock.
@@ -101,9 +99,6 @@ func New(depth int) *Recorder {
 		retiredIdx: make(map[int]*Timeline),
 	}
 }
-
-// Depth returns the configured ring depth.
-func (r *Recorder) Depth() int { return r.depth }
 
 // RecordRound appends a round record and folds its per-job entries into
 // the job timelines.

@@ -6,7 +6,7 @@ import (
 )
 
 func round(n int64, jobs ...int) Round {
-	rd := Round{Round: n, Wall: time.Millisecond, Theta: 0.5}
+	rd := Round{Round: n, Wall: time.Millisecond, Units: 3}
 	for _, j := range jobs {
 		rd.Jobs = append(rd.Jobs, JobRound{JobID: j, Round: n, Parts: 1, Pushes: 1})
 	}

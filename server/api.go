@@ -582,7 +582,6 @@ func (s *Service) RoundTraces(limit int) api.RoundTraces {
 			Start:             r.Start,
 			WallUS:            float64(r.Wall) / float64(time.Microsecond),
 			VirtualTimeUS:     r.VirtualTimeUS,
-			Theta:             r.Theta,
 			Units:             r.Units,
 			MakespanUS:        r.MakespanUS,
 			Tasks:             r.Tasks,

@@ -534,10 +534,6 @@ func (h *httpAPI) metrics(w http.ResponseWriter, r *http.Request) {
 	e.Declare("cgraph_engine_virtual_time_us", "gauge", "Engine virtual clock, simulated microseconds.")
 	e.Add("cgraph_engine_virtual_time_us", nil, info.VirtualTimeUS)
 	sched := info.Sched
-	e.Declare("cgraph_sched_theta", "gauge", "Fitted Eq. 1 theta of the partition scheduler.")
-	e.Add("cgraph_sched_theta", map[string]string{"policy": sched.Policy}, sched.Theta)
-	e.Declare("cgraph_sched_theta_refits_total", "counter", "Times theta was (re)fitted after snapshot arrivals or C drift.")
-	e.Add("cgraph_sched_theta_refits_total", nil, float64(sched.ThetaRefits))
 	e.Declare("cgraph_sched_round_makespan_us", "gauge", "Virtual time the engine's last round advanced the engine clock by.")
 	e.Add("cgraph_sched_round_makespan_us", nil, sched.MakespanUS)
 	e.Declare("cgraph_sched_round_jobs", "gauge", "Jobs the engine's last round scheduled.")

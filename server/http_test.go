@@ -224,14 +224,11 @@ func TestHTTPControlPlaneDemo(t *testing.T) {
 		t.Fatalf("list total = %v, want 5", list["total"])
 	}
 
-	// The scheduler's decision is directly observable: policy, fitted θ,
-	// and the jobs and load order of the last round.
+	// The scheduler's decision is directly observable: policy, and the
+	// jobs and load order of the last round.
 	code, schedInfo := httpJSON(t, c, "GET", ts.URL+"/v1/sched", nil)
 	if code != http.StatusOK || schedInfo["policy"] != "priority" {
 		t.Fatalf("GET /v1/sched = %d (%v)", code, schedInfo)
-	}
-	if th, _ := schedInfo["theta"].(float64); th <= 0 {
-		t.Fatalf("sched theta not fitted: %v", schedInfo)
 	}
 	if jobs, ok := schedInfo["jobs"].([]any); !ok || len(jobs) == 0 {
 		t.Fatalf("sched jobs not reported: %v", schedInfo)
@@ -262,8 +259,7 @@ func TestHTTPControlPlaneDemo(t *testing.T) {
 		`cgraph_jobs{state="cancelled"} 1`,
 		`cgraph_jobs{state="failed"} 1`,
 		"cgraph_engine_rounds_total",
-		`cgraph_sched_theta{policy="priority"}`,
-		"cgraph_sched_theta_refits_total",
+		"cgraph_sched_round_makespan_us",
 		"cgraph_sched_round_jobs",
 		fmt.Sprintf(`cgraph_job_iterations{algo="PageRank",id="%s"}`, prID),
 	} {

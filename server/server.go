@@ -704,13 +704,11 @@ func (s *Service) SchedInfo() SchedInfo {
 	ci := s.sys.SchedInfo()
 	byEngine := s.engineNameMap()
 	out := SchedInfo{
-		Policy:      ci.Policy,
-		Theta:       ci.Theta,
-		ThetaRefits: ci.ThetaRefits,
-		Round:       ci.Round,
-		Parts:       ci.Parts,
-		PartUIDs:    ci.UIDs,
-		MakespanUS:  ci.MakespanUS,
+		Policy:     ci.Policy,
+		Round:      ci.Round,
+		Parts:      ci.Parts,
+		PartUIDs:   ci.UIDs,
+		MakespanUS: ci.MakespanUS,
 	}
 	for _, id := range ci.JobIDs {
 		out.Jobs = append(out.Jobs, engineJobName(byEngine, id))
