@@ -94,6 +94,11 @@ func (s *Set) Swap(other *Set) {
 	s.n, other.n = other.n, s.n
 }
 
+// Words returns the set's backing words: bit i is bit i%64 of word i/64, and
+// the bits beyond Cap are zero. It is a view, for loops that combine sets a
+// word at a time; writing through it writes the set.
+func (s *Set) Words() []uint64 { return s.words }
+
 // Range calls fn for every set bit in ascending order. If fn returns false,
 // iteration stops.
 func (s *Set) Range(fn func(i int) bool) {

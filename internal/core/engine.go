@@ -180,10 +180,16 @@ type runJob struct {
 	// other than their seed, incremented from pool workers via Task.Trace.
 	roundTasks  int64
 	roundStolen atomic.Int64
-	// weight sums the frontier weights of the job's sweeps this round, the
-	// weight of its push task; finish is that task's body (FinishIteration,
-	// bound once), and push the summary it leaves for the price step.
-	weight int64
+	// sweeps counts the job's sweeps this round (loop-goroutine only). left
+	// is armed with it when build records the job's last unit, and each of
+	// those sweeps counts it down: the one that brings it to zero closes the
+	// job's iteration on its own worker, and the atomic orders every other
+	// sweep of the job before that close. finish is the close
+	// (FinishIteration, bound once), run as a task of its own only by a job
+	// with no sweep this round; push is the summary it leaves for the price
+	// step.
+	sweeps int64
+	left   atomic.Int64
 	finish func(worker int)
 	push   exec.PushSummary
 }
@@ -228,8 +234,8 @@ type Engine struct {
 	rounds  atomic.Int64
 	nowBits atomic.Uint64
 
-	// pool is the work-stealing executor that runs every round's sweep and
-	// push task sets.
+	// pool is the work-stealing executor that runs every round's task set:
+	// its sweeps, each job's push inside its last sweep.
 	pool *pool.Pool
 	// Cumulative executor counters (atomic mirrors for lock-free reads),
 	// plus their loop-private per-round accumulators (rt*).
@@ -758,7 +764,8 @@ func cloneOrNil[T any](s []T) []T {
 // order. Build records, unit by unit, the sweep of every job the
 // unit triggers, the Fig. 6 split each trigger batch would make, and the
 // jobs whose round-set the unit exhausts. Execute runs the whole round on
-// the pool as two task sets: every sweep, then every closing job's push.
+// the pool as one task set: every sweep, each job's last sweep closing the
+// job's iteration (Push) on its own worker.
 // Price replays the record on the virtual clock — one load per unit, its
 // batches, and each push where it closed — and fires the jobs' progress
 // events; the converged jobs' terminal events fire after the round is
@@ -835,7 +842,7 @@ func (e *Engine) planRound() (plan sched.Group) {
 		// become scheduling units, let alone tasks.
 		skipped := len(rj.PG.Parts) - len(jf.Units)
 		e.rtSkipped += int64(skipped)
-		rj.roundTasks, rj.weight = 0, 0
+		rj.roundTasks, rj.sweeps = 0, 0
 		rj.roundStolen.Store(0)
 		if e.tracer != nil || e.cfg.Tracer != nil {
 			pre = append(pre, jobPreRound{
@@ -1014,7 +1021,11 @@ type sweepTask struct {
 }
 
 func (t *sweepTask) sweep(worker int) {
-	t.stats, t.ranges = t.rj.SweepRanges(t.pid, &t.scs[worker], t.cut, t.ranges[:0])
+	rj := t.rj
+	t.stats, t.ranges = rj.SweepRanges(t.pid, &t.scs[worker], t.cut, t.ranges[:0])
+	if rj.left.Add(-1) == 0 {
+		rj.finishIteration(worker)
+	}
 }
 
 // sweepAt returns slab entry i for the round being built.
@@ -1037,7 +1048,7 @@ type unitRec struct {
 }
 
 // inlineWeight is the weight (1 + scatter edges per active vertex, summed
-// over the round's sweeps) below which a round's task sets run on the round
+// over the round's sweeps) below which a round's task set runs on the round
 // goroutine: spawning and joining the pool's workers costs more than a few
 // thousand edges of work saves by sharing them. Calibrated on the
 // benchmark's four workloads; the runs are in CHANGES.md.
@@ -1063,10 +1074,10 @@ func (b imbalance) factor(workers int) float64 {
 
 // build records the round in plan order: for every unit, one sweep per job
 // it triggers, weighted by the job's frontier there, and the jobs whose last
-// unit it is; then the jobs with nothing to do this round, which close an
-// iteration after every unit. It sizes every worker's scratch for the
-// round's largest frontier and reports whether the round weighs less than
-// inlineWeight.
+// unit it is, arming each one's countdown of sweeps; then the jobs with
+// nothing to do this round, which close an iteration after every unit. It
+// sizes every worker's scratch for the round's largest frontier and reports
+// whether the round weighs less than inlineWeight.
 func (e *Engine) build(plan sched.Group) (light bool) {
 	e.units, e.pushes = e.units[:0], e.pushes[:0]
 	n, maxActive := 0, 0
@@ -1081,7 +1092,7 @@ func (e *Engine) build(plan sched.Group) (light bool) {
 			}
 			t := e.sweepAt(n)
 			t.rj, t.pid, t.weight = rj, pid, rj.ActiveWeight(pid)
-			rj.weight += t.weight
+			rj.sweeps++
 			maxActive = max(maxActive, rj.PT.ActiveCount[pid])
 			n++
 		}
@@ -1095,6 +1106,7 @@ func (e *Engine) build(plan sched.Group) (light bool) {
 		for _, t := range e.sweeps[lo:n] {
 			delete(t.rj.remaining, u.Part.UID)
 			if len(t.rj.remaining) == 0 {
+				t.rj.left.Store(t.rj.sweeps)
 				e.pushes = append(e.pushes, t.rj)
 			}
 		}
@@ -1137,11 +1149,12 @@ func (e *Engine) straggle(batch []*sweepTask) int64 {
 	return totalW
 }
 
-// execute runs the recorded round as two task sets on the shared
-// work-stealing pool, or on this goroutine when the round is light: first
-// every sweep, whole — sweeps touch only their own (job, partition) state —
-// then one task per job closing its iteration: Push, advance and, when the
-// frontier ran dry, NextPhase, which touch only that job's tables.
+// execute runs the recorded round as one task set on the shared
+// work-stealing pool, or on this goroutine when the round is light: every
+// sweep, whole — a sweep touches only its own (job, partition) state — and
+// each job's close as the continuation of its last sweep: Push, advance and,
+// when the frontier ran dry, NextPhase, which touch only that job's tables.
+// A job with no sweep this round closes as a task of the same set.
 func (e *Engine) execute(light bool) {
 	run := e.pool.Run
 	if light {
@@ -1156,19 +1169,16 @@ func (e *Engine) execute(light bool) {
 		tasks = append(tasks, pt)
 		t.rj.roundTasks++
 	}
-	sweepSt := run(tasks)
-	clear(tasks)
-	tasks = tasks[:0]
-	for _, rj := range e.pushes {
-		tasks = append(tasks, pool.Task{Weight: rj.weight, Run: rj.finish})
+	for _, rj := range e.pushes[e.idle:] {
+		tasks = append(tasks, pool.Task{Run: rj.finish})
 	}
-	pushSt := run(tasks)
+	st := run(tasks)
 	clear(tasks)
 	e.tasks = tasks[:0]
-	e.rtTasks += sweepSt.Tasks + pushSt.Tasks
-	e.rtSteals += sweepSt.Steals + pushSt.Steals
-	e.rtStolen += sweepSt.Stolen + pushSt.Stolen
-	e.rtImb.add(sweepSt)
+	e.rtTasks += st.Tasks
+	e.rtSteals += st.Steals
+	e.rtStolen += st.Stolen
+	e.rtImb.add(st)
 }
 
 // price replays the recorded round on the virtual clock, unit by unit in plan

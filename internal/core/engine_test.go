@@ -334,6 +334,15 @@ func TestRoundReadOuts(t *testing.T) {
 		if r.Units == 0 || r.MakespanUS <= 0 {
 			t.Fatalf("round %d: %d units, makespan %v; want both positive", r.Round, r.Units, r.MakespanUS)
 		}
+		// One task per sweep: a job's push runs inside its last sweep, not
+		// as a task of its own.
+		var sweeps int64
+		for _, jr := range r.Jobs {
+			sweeps += int64(jr.Parts)
+		}
+		if r.Tasks != sweeps {
+			t.Fatalf("round %d: %d tasks for %d sweeps", r.Round, r.Tasks, sweeps)
+		}
 		prev = r.VirtualTimeUS
 	}
 	last := rounds[len(rounds)-1]

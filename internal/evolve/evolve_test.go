@@ -208,7 +208,7 @@ func TestCompaction(t *testing.T) {
 	}
 	// Chunks 0-2 (slots below 600) are untouched.
 	for id := range 3 {
-		if step.PG.Parts[id] != store.Snapshots()[0].PG.Parts[id] {
+		if oldest, _ := store.Window(); step.PG.Parts[id] != oldest.PG.Parts[id] {
 			t.Fatalf("part %d below the first hole was rebuilt", id)
 		}
 	}
@@ -240,6 +240,8 @@ func sortedIndex(idx map[uint64][]int) map[uint64][]int {
 // model and the snapshot against a batch build of the series' list:
 //   - the live edges (a multiset) and the vertex space match the reference;
 //   - the degree table equals that of graph.Build of the list;
+//   - the role table (Shared) marks exactly the replicas of vertices held by
+//     more than one partition;
 //   - every rebuilt partition equals a one-partition graph.Cut of its chunk
 //     over that build, AvgDegree included;
 //   - every chunk whose slots the step left as they were is pointer-shared
@@ -322,6 +324,21 @@ func FuzzEvolveMatchesCut(f *testing.F) {
 			wantG := graph.Build(s.NumVertices(), s.edges)
 			if !reflect.DeepEqual(pg.G, wantG.DegreeTable) {
 				t.Fatal("degree table differs from a batch build of the list")
+			}
+			// The role table marks exactly the replicas of vertices that
+			// more than one partition holds, shared partitions included.
+			holders := make([]int, pg.G.N)
+			for _, p := range pg.Parts {
+				for _, v := range p.Globals {
+					holders[v]++
+				}
+			}
+			for id, p := range pg.Parts {
+				for li, v := range p.Globals {
+					if pg.Shared[id].Test(li) != (holders[v] > 1) {
+						t.Fatalf("part %d: vertex %d shared bit %v with %d holders", id, v, pg.Shared[id].Test(li), holders[v])
+					}
+				}
 			}
 			if want := s.Slots() == len(before.edges) && s.NumVertices() == before.numVertices; want != (step.Path == "overlay") {
 				t.Fatalf("path %q for a step from %d slots/%d vertices to %d/%d", step.Path, len(before.edges), before.numVertices, s.Slots(), s.NumVertices())

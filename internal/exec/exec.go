@@ -32,6 +32,20 @@
 // bundled program to it. The edge arithmetic itself also comes in two forms,
 // by what the program declares (kernel.go, model.Algebraic).
 //
+// An iteration closes in two places. Each (job, partition) step ends by
+// settling the receivers Algorithm 2 has no work for — those of a vertex
+// with a single replica (no bit in the snapshot's graph.PGraph.Shared role
+// table), each its own master — while the partition's state is still in the
+// worker's cache: Sweep and SweepRanges settle after their folds, and Merge
+// after its fold, which covers ApplyRange + Merge and
+// ProcessPartitionReentrant. So Merge, like Sweep, runs once per
+// (job, partition) per iteration, after every fold into that partition.
+// Push, once all of the job's steps are done, then walks only the shared
+// receivers: it folds mirrors into masters and broadcasts to replicas. Every
+// received bit is visited once, by settle or by Push, and the states, Next
+// and PushSummary left behind are those of Algorithm 2 over every receiver
+// (TestPushMatchesReference).
+//
 // The BSP kernel allocates nothing in steady state. ApplyRange grows its
 // Scratch at most once, to the range's weight, and Sweep to the partition's
 // active count; callers that keep their scratches (the engine keeps one per
@@ -50,6 +64,7 @@ package exec
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 
 	"cgraph/internal/bitset"
@@ -103,11 +118,11 @@ type Job struct {
 	VerticesApplied int64
 	SyncEntries     int64
 
-	// Push's working set, allocated by its first call and reset by every
-	// call: hit[p] marks the masters of partition p that received a Δ this
-	// iteration (directly or folded from a mirror), touched flags the
-	// partitions read or written, and touchedParts backs the returned
-	// PushSummary.TouchedParts.
+	// Push's working set, reset by every call: hit[p] marks the masters of
+	// partition p that received a Δ this iteration (directly or folded from
+	// a mirror), allocated by the first call; touched flags the partitions
+	// read or written, set by settle for partition p's own receivers and by
+	// Push; touchedParts backs the returned PushSummary.TouchedParts.
 	hit          []*bitset.Set
 	touched      []bool
 	touchedParts []int
@@ -131,6 +146,7 @@ func NewJob(id int, prog model.Program, pg *graph.PGraph) *Job {
 		filter:   filter,
 		DeltaSum: make([]float64, len(pg.Parts)),
 		weight:   make([]int64, len(pg.Parts)),
+		touched:  make([]bool, len(pg.Parts)),
 	}
 	j.reweigh()
 	return j
@@ -274,9 +290,10 @@ func (j *Job) ApplyRange(pid int, r Range, sc *Scratch) Stats {
 }
 
 // Merge folds buffered contributions into partition pid's states, marking
-// receivers. Contributions rejected by an optional model.Filterer are
-// dropped before the fold. Must be called from one goroutine per
-// (job, partition).
+// receivers, then settles the partition's single-replica receivers (see
+// settle). Contributions rejected by an optional model.Filterer are dropped
+// before the fold. It closes the partition's step, so it takes every scratch
+// of the iteration in one call, from one goroutine per (job, partition).
 func (j *Job) Merge(pid int, scratches ...*Scratch) {
 	states := j.PT.States[pid]
 	recv := j.PT.Received[pid]
@@ -285,16 +302,18 @@ func (j *Job) Merge(pid int, scratches ...*Scratch) {
 		sum = j.foldBuffered(states, recv, sc.dst, sc.contrib, sum)
 	}
 	j.DeltaSum[pid] += sum
+	j.settle(pid)
 }
 
 // Sweep is one whole (job, partition) BSP step as a single task: it applies
 // every active vertex of partition pid, keeping in sc one (local, seed) pair
 // per vertex that scatters, then walks those pairs and folds each edge's
 // contribution straight into the receiver's Delta — no per-edge buffer, no
-// Merge. Every vertex is applied before the first fold, and the folds run in
-// the order ApplyRange would have buffered them, so the partition's States,
-// Received and DeltaSum end bit-identical to any ApplyRange slicing followed
-// by Merge. It writes the whole partition's private state: one goroutine per
+// Merge — and settles the partition's single-replica receivers. Every vertex
+// is applied before the first fold, and the folds run in the order
+// ApplyRange would have buffered them, so the partition's States, Received,
+// Next and DeltaSum end bit-identical to any ApplyRange slicing followed by
+// Merge. It writes the whole partition's private state: one goroutine per
 // (job, partition), as for Merge.
 func (j *Job) Sweep(pid int, sc *Scratch) Stats {
 	st, _ := j.SweepRanges(pid, sc, 0, nil)
@@ -342,7 +361,44 @@ func (j *Job) SweepRanges(pid int, sc *Scratch, cut int64, ranges []Stats) (Stat
 		ranges = append(ranges, r)
 	}
 	j.DeltaSum[pid] += j.scatter(&v, j.PT.Received[pid], sc.dst, sc.contrib)
+	j.settle(pid)
 	return st, ranges
+}
+
+// settle closes partition pid's step for the receivers Algorithm 2 has no
+// work for: those whose vertex has a single replica (no Shared bit), each
+// its own master. What Push would do for one — flag the partition touched
+// when its Δ is not the identity, mark it in Next when IsActive holds —
+// settle does here, a word of Received &^ Shared at a time, while the
+// partition's states are still in the sweeping worker's cache. Push then
+// walks only Received & Shared, so every received bit is visited once. It
+// runs after the partition's last fold of the iteration and writes only
+// partition pid's Next and touched flag: one goroutine per (job, partition).
+func (j *Job) settle(pid int) {
+	ident := j.Prog.Identity()
+	states := j.PT.States[pid]
+	shared := j.PG.Shared[pid].Words()
+	next := j.PT.Next[pid].Words()
+	touched := false
+	for wi, w := range j.PT.Received[pid].Words() {
+		var act uint64
+		for w &^= shared[wi]; w != 0; w &= w - 1 {
+			li := wi*64 + bits.TrailingZeros64(w)
+			if states[li].Delta == ident {
+				continue
+			}
+			touched = true
+			if j.Prog.IsActive(states[li]) {
+				act |= w & -w
+			}
+		}
+		if act != 0 {
+			next[wi] |= act
+		}
+	}
+	if touched {
+		j.touched[pid] = true
+	}
 }
 
 // ProcessPartition runs the whole-partition BSP step serially and books its
@@ -366,7 +422,9 @@ type PushSummary struct {
 	TouchedParts []int
 }
 
-// Push is Algorithm 2. Every mirror replica that received a non-identity Δ
+// Push is Algorithm 2 over the receivers the job's steps left to it: those
+// with a Shared bit, walked a word of Received & Shared at a time (settle
+// closed the rest). Every mirror replica that received a non-identity Δ
 // is one Snew entry: its Δ is folded straight into the master's slot and the
 // mirror is reset. Receivers are visited in ascending (partition, local)
 // order and a master lives in the lowest partition holding its vertex, so a
@@ -389,33 +447,36 @@ func (j *Job) Push() PushSummary {
 		for pid, p := range pg.Parts {
 			j.hit[pid] = bitset.New(p.NumVertices())
 		}
-		j.touched = make([]bool, len(pg.Parts))
 	}
 	hit, touched := j.hit, j.touched
 
-	// Gather and fold.
+	// Gather and fold, over the shared receivers only: settle has closed
+	// the rest.
 	var entries int64
 	for pid, p := range pg.Parts {
 		states := j.PT.States[pid]
 		masters := pg.Masters[pid]
-		recv := j.PT.Received[pid]
-		for li := recv.NextSet(0); li >= 0; li = recv.NextSet(li + 1) {
-			d := states[li].Delta
-			if d == ident {
-				continue
+		shared := pg.Shared[pid].Words()
+		for wi, w := range j.PT.Received[pid].Words() {
+			for w &= shared[wi]; w != 0; w &= w - 1 {
+				li := wi*64 + bits.TrailingZeros64(w)
+				d := states[li].Delta
+				if d == ident {
+					continue
+				}
+				touched[pid] = true
+				if masters[li] {
+					hit[pid].Set(li)
+					continue
+				}
+				m := pg.MasterOf[p.Globals[li]]
+				st := &j.PT.States[m.Part][m.Local]
+				st.Delta = j.Prog.Acc(st.Delta, d)
+				states[li].Delta = ident
+				hit[m.Part].Set(int(m.Local))
+				touched[m.Part] = true
+				entries++
 			}
-			touched[pid] = true
-			if masters[li] {
-				hit[pid].Set(li)
-				continue
-			}
-			m := pg.MasterOf[p.Globals[li]]
-			st := &j.PT.States[m.Part][m.Local]
-			st.Delta = j.Prog.Acc(st.Delta, d)
-			states[li].Delta = ident
-			hit[m.Part].Set(int(m.Local))
-			touched[m.Part] = true
-			entries++
 		}
 	}
 
@@ -546,6 +607,7 @@ func (j *Job) ProcessPartitionReentrant(pid, maxPasses int) Stats {
 	p := j.PG.Parts[pid]
 	states := j.PT.States[pid]
 	recv := j.PT.Received[pid]
+	shared := &j.PG.Shared[pid]
 	filter, filtered := j.Prog.(model.Filterer)
 	var st Stats
 
@@ -555,7 +617,7 @@ func (j *Job) ProcessPartitionReentrant(pid, maxPasses int) Stats {
 	var deferred Scratch
 
 	scatterTo := func(dst uint32, c float64) {
-		if j.PG.IsReplicated(p.Globals[dst]) {
+		if shared.Test(int(dst)) {
 			// Replicated receivers are reconciled by the push; fold
 			// after the eager passes to keep replicas consistent.
 			deferred.dst = append(deferred.dst, dst)

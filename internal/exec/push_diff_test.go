@@ -19,7 +19,9 @@ import (
 // folded, then the aggregation set sorted and broadcast — kept as the oracle
 // of TestPushMatchesReference. The entry sort is stable, so entries bound for
 // the same master fold in gather order (ascending source partition): the
-// order Push defines.
+// order Push defines. It walks every receiver, shared or not, so on a table
+// whose Next sets are empty it stands for the sweeps' settle and Push
+// together.
 func pushReference(j *Job) PushSummary {
 	ident := j.Prog.Identity()
 	pg := j.PG
@@ -45,7 +47,7 @@ func pushReference(j *Job) PushSummary {
 				return true
 			}
 			touched[pid] = true
-			if pg.IsMaster(pid, uint32(li)) {
+			if pg.Masters[pid][li] {
 				key := pv{int32(pid), uint32(li)}
 				if !masterSeen[key] {
 					masterSeen[key] = true
@@ -55,7 +57,7 @@ func pushReference(j *Job) PushSummary {
 			}
 			entries = append(entries, entry{
 				v:          pg.Parts[pid].Globals[li],
-				masterPart: pg.MasterPart(pid, uint32(li)),
+				masterPart: pg.MasterOf[pg.Parts[pid].Globals[li]].Part,
 				delta:      states[li].Delta,
 			})
 			states[li].Delta = ident
@@ -217,8 +219,9 @@ var pushSweeps = []struct {
 
 // TestPushMatchesReference drives every bundled program under every sweep in
 // pushSweeps and, at each iteration close, runs Push and pushReference on
-// clones of the same private table: states, Next, Received and the summary
-// must agree bit for bit.
+// clones of the same private table, the reference's with Next cleared:
+// states, Next, Received and the summary must agree bit for bit, so what the
+// sweeps settled and what Push synchronized together equal Algorithm 2.
 func TestPushMatchesReference(t *testing.T) {
 	programs := []struct {
 		name string
@@ -274,8 +277,14 @@ func diffPush(t *testing.T, pg *graph.PGraph, prog model.Program, passes int) {
 				j.ProcessPartitionReentrant(pid, passes)
 			}
 		}
+		// Next is empty before an iteration's sweeps, and only settle and
+		// Push set it: the reference starts from the table with Next
+		// cleared, so it checks both.
 		ref := *j
 		ref.PT = clonePrivateTable(j.PT)
+		for _, s := range ref.PT.Next {
+			s.Reset()
+		}
 		want := pushReference(&ref)
 		got := j.Push()
 		pushes++

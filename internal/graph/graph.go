@@ -9,11 +9,11 @@
 // derived snapshot costs O(N + rebuilt chunks), not O(|E|).
 //
 // Replica assignment is recomputed per snapshot (Cut, Overlay, Restructure)
-// and stored densely: MasterOf per vertex, master flags per replica, and a
-// CSR replica index (RepOff/RepLoc) listing each vertex's locations master
-// first, mirrors in ascending partition order. The master is always the
-// lowest partition holding the vertex — the order exec.Push's direct fold
-// relies on for a deterministic accumulation order.
+// and stored densely: MasterOf per vertex, a master flag and a shared bit per
+// replica, and a CSR replica index (RepOff/RepLoc) listing each vertex's
+// locations master first, mirrors in ascending partition order. The master
+// is always the lowest partition holding the vertex — the order exec.Push's
+// direct fold relies on for a deterministic accumulation order.
 //
 // Partitions are built by one builder per Cut, Overlay or Restructure call,
 // whose dense scratch over the vertex space is shared by every partition the
@@ -27,6 +27,7 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"cgraph/internal/bitset"
 	"cgraph/model"
 )
 
@@ -258,20 +259,10 @@ type PGraph struct {
 	// snapshots can share unchanged partition bytes while owning their own
 	// replica assignment.
 	Masters [][]bool
-	// MasterParts names the partition holding the master replica, per
-	// [partition][local].
-	MasterParts [][]int32
-}
-
-// IsMaster reports whether the replica at (part, local) is the master.
-func (pg *PGraph) IsMaster(part int, local uint32) bool {
-	return pg.Masters[part][local]
-}
-
-// MasterPart returns the partition holding the master of the replica at
-// (part, local).
-func (pg *PGraph) MasterPart(part int, local uint32) int32 {
-	return pg.MasterParts[part][local]
+	// Shared[p] is partition p's replica-role table, indexed by local: a
+	// bit is set when the vertex has replicas in more than one partition.
+	// Only those replicas take part in Algorithm 2's synchronization.
+	Shared []bitset.Set
 }
 
 // Options configure partitioning.
@@ -467,7 +458,8 @@ func (b *builder) build(id int, edges []model.Edge, core bool) *Partition {
 // vertex as its master location and builds the replica index by count,
 // prefix sum and fill. Both passes walk the partitions in ascending order,
 // so the first location filled for a vertex is its master and its mirrors
-// follow in ascending partition order.
+// follow in ascending partition order. RepOff is complete before the fill, so
+// the fill also sets the Shared bit of every replica of a replicated vertex.
 func (pg *PGraph) assignMasters() {
 	n := pg.G.N
 	pg.RepOff = make([]uint32, n+1)
@@ -483,19 +475,21 @@ func (pg *PGraph) assignMasters() {
 	}
 	pg.RepLoc = make([]PartVertex, total)
 	pg.Masters = make([][]bool, len(pg.Parts))
-	pg.MasterParts = make([][]int32, len(pg.Parts))
+	pg.Shared = make([]bitset.Set, len(pg.Parts))
 	pos := append([]uint32(nil), pg.RepOff[:n]...)
 	for pi, p := range pg.Parts {
 		masters := make([]bool, len(p.Globals))
-		masterParts := make([]int32, len(p.Globals))
+		pg.Shared[pi] = *bitset.New(len(p.Globals))
+		shared := &pg.Shared[pi]
 		for li, v := range p.Globals {
-			first := pg.RepOff[v]
 			pg.RepLoc[pos[v]] = PartVertex{Part: int32(p.ID), Local: uint32(li)}
-			masters[li] = pos[v] == first
-			masterParts[li] = pg.RepLoc[first].Part
+			masters[li] = pos[v] == pg.RepOff[v]
+			if pg.RepOff[v+1]-pg.RepOff[v] > 1 {
+				shared.Set(li)
+			}
 			pos[v]++
 		}
-		pg.Masters[pi], pg.MasterParts[pi] = masters, masterParts
+		pg.Masters[pi] = masters
 	}
 	pg.MasterOf = make([]PartVertex, n)
 	for v := range pg.MasterOf {
@@ -512,11 +506,6 @@ func (pg *PGraph) assignMasters() {
 // callers must not modify it. Edge-less vertices have none.
 func (pg *PGraph) ReplicaLocations(v model.VertexID) []PartVertex {
 	return pg.RepLoc[pg.RepOff[v]:pg.RepOff[v+1]]
-}
-
-// IsReplicated reports whether v has replicas in more than one partition.
-func (pg *PGraph) IsReplicated(v model.VertexID) bool {
-	return pg.RepOff[v+1]-pg.RepOff[v] > 1
 }
 
 // TotalStructBytes sums the structure bytes across partitions.

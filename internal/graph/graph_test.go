@@ -87,7 +87,7 @@ func TestPartitionBasics(t *testing.T) {
 	if locs[0] != m {
 		t.Fatal("ReplicaLocations must list master first")
 	}
-	if !pg.IsMaster(int(m.Part), m.Local) || pg.Parts[m.Part].Globals[m.Local] != 2 {
+	if !pg.Masters[m.Part][m.Local] || pg.Parts[m.Part].Globals[m.Local] != 2 {
 		t.Fatal("master flag inconsistent")
 	}
 }
@@ -106,9 +106,10 @@ func TestPartitionErrors(t *testing.T) {
 // vertex-cut partitioning invariants: the degree table equals g's, every
 // live edge lands in exactly one partition, each partition's CSRs and
 // sorted vertex table agree with LocalOf, every vertex with an edge has exactly one
-// master replica (isolated vertices none) that each mirror's MasterPart
-// reaches, and the replica index equals a brute-force scan of the vertex
-// tables with the lowest partition as master.
+// master replica (isolated vertices none), the replica index equals a
+// brute-force scan of the vertex tables with the lowest partition as master,
+// and every replica's Shared bit is set exactly when its vertex has more
+// than one.
 func checkInvariants(t *testing.T, g *Graph, edges []model.Edge, pg *PGraph) {
 	t.Helper()
 	if d := pg.G; !reflect.DeepEqual(d, g.DegreeTable) {
@@ -154,16 +155,13 @@ func checkInvariants(t *testing.T, g *Graph, edges []model.Edge, pg *PGraph) {
 	// Exactly one master per vertex with at least one edge.
 	masterCount := make(map[model.VertexID]int)
 	for pi, p := range pg.Parts {
+		if len(pg.Masters[pi]) != len(p.Globals) || pg.Shared[pi].Cap() != len(p.Globals) {
+			t.Fatalf("part %d: %d master flags and %d shared bits for %d replicas",
+				p.ID, len(pg.Masters[pi]), pg.Shared[pi].Cap(), len(p.Globals))
+		}
 		for li, v := range p.Globals {
-			if pg.IsMaster(pi, uint32(li)) {
+			if pg.Masters[pi][li] {
 				masterCount[v]++
-			}
-			// Mirror's MasterPart names a partition containing the master.
-			mp := pg.MasterPart(pi, uint32(li))
-			master := pg.Parts[mp]
-			ml, ok := master.LocalOf(v)
-			if !ok || !pg.IsMaster(int(mp), ml) {
-				t.Fatalf("part %d: MasterPart of %d broken", p.ID, v)
 			}
 		}
 	}
@@ -194,9 +192,6 @@ func checkInvariants(t *testing.T, g *Graph, edges []model.Edge, pg *PGraph) {
 		if got := pg.ReplicaLocations(id); !slices.Equal(got, want) {
 			t.Fatalf("ReplicaLocations(%d) = %v, scan finds %v", v, got, want)
 		}
-		if got := pg.IsReplicated(id); got != (len(want) > 1) {
-			t.Fatalf("IsReplicated(%d) = %v with %d replicas", v, got, len(want))
-		}
 		if len(want) == 0 {
 			if pg.MasterOf[v].Part != -1 {
 				t.Fatalf("edge-less vertex %d has master %v", v, pg.MasterOf[v])
@@ -207,9 +202,10 @@ func checkInvariants(t *testing.T, g *Graph, edges []model.Edge, pg *PGraph) {
 			t.Fatalf("MasterOf[%d] = %v, lowest partition holding it is %v", v, pg.MasterOf[v], want[0])
 		}
 		for _, l := range want {
-			if pg.Masters[l.Part][l.Local] != (l == want[0]) || pg.MasterParts[l.Part][l.Local] != want[0].Part {
-				t.Fatalf("replica %v of %d: master flag %v, master part %d, want master %v",
-					l, v, pg.Masters[l.Part][l.Local], pg.MasterParts[l.Part][l.Local], want[0])
+			shared := pg.Shared[l.Part].Test(int(l.Local))
+			if pg.Masters[l.Part][l.Local] != (l == want[0]) || shared != (len(want) > 1) {
+				t.Fatalf("replica %v of %d: master flag %v, shared %v, want master %v of %d replicas",
+					l, v, pg.Masters[l.Part][l.Local], shared, want[0], len(want))
 			}
 		}
 	}
@@ -514,7 +510,7 @@ func TestRestructureVertexOnlyGrowth(t *testing.T) {
 			t.Fatalf("part %d not shared", i)
 		}
 	}
-	if next.MasterOf[45].Part != -1 || len(next.ReplicaLocations(45)) != 0 || next.IsReplicated(45) {
+	if next.MasterOf[45].Part != -1 || len(next.ReplicaLocations(45)) != 0 {
 		t.Fatal("edge-less new vertex has a master replica")
 	}
 	checkInvariants(t, Build(50, edges), edges, next)
@@ -876,6 +872,13 @@ func TestOverlayAllocations(t *testing.T) {
 		if len(prev.RepLoc) != numParts*numV {
 			t.Fatalf("setup: %d edges give %d replicas, want %d", numE, len(prev.RepLoc), numParts*numV)
 		}
+		// Measured as testing.AllocsPerRun measures: on one P, after a
+		// warm-up call, so that threads the runtime starts for other
+		// goroutines of a busy test binary stay out of the count.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		if _, err := Overlay(prev, edges, nil); err != nil {
+			t.Fatal(err)
+		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for range runs {
@@ -922,7 +925,7 @@ func restructureMatchesOverlay(t *testing.T, prev *PGraph, mut []model.Edge, cha
 	}
 	if !reflect.DeepEqual(rs.MasterOf, over.MasterOf) || !reflect.DeepEqual(rs.RepOff, over.RepOff) ||
 		!reflect.DeepEqual(rs.RepLoc, over.RepLoc) || !reflect.DeepEqual(rs.Masters, over.Masters) ||
-		!reflect.DeepEqual(rs.MasterParts, over.MasterParts) {
+		!reflect.DeepEqual(rs.Shared, over.Shared) {
 		t.Fatal("Restructure's replica assignment differs from Overlay's")
 	}
 }
@@ -996,7 +999,7 @@ func FuzzOverlayMatchesCut(f *testing.F) {
 		}
 		if !reflect.DeepEqual(over.MasterOf, want.MasterOf) || !reflect.DeepEqual(over.RepOff, want.RepOff) ||
 			!reflect.DeepEqual(over.RepLoc, want.RepLoc) || !reflect.DeepEqual(over.Masters, want.Masters) ||
-			!reflect.DeepEqual(over.MasterParts, want.MasterParts) {
+			!reflect.DeepEqual(over.Shared, want.Shared) {
 			t.Fatal("Overlay's replica assignment differs from Cut's")
 		}
 		checkInvariants(t, mutG, mut, over)

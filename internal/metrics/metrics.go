@@ -64,11 +64,6 @@ type RunReport struct {
 	WallClock time.Duration
 }
 
-// TotalExecTime is the concurrent total execution time: the makespan
-// (the paper's Fig. 9 metric: "total execution time is the maximum of the
-// jobs' execution times").
-func (r *RunReport) TotalExecTime() float64 { return r.Makespan }
-
 // SumExecTime is the sequential-equivalent total (sum of per-job times).
 func (r *RunReport) SumExecTime() float64 {
 	var sum float64

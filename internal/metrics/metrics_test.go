@@ -20,8 +20,8 @@ func sample() *RunReport {
 
 func TestExecAndAccessAggregates(t *testing.T) {
 	r := sample()
-	if r.TotalExecTime() != 100 {
-		t.Fatalf("TotalExecTime = %v", r.TotalExecTime())
+	if r.Makespan != 100 {
+		t.Fatalf("Makespan = %v", r.Makespan)
 	}
 	if r.SumExecTime() != 150 {
 		t.Fatalf("SumExecTime = %v", r.SumExecTime())

@@ -180,14 +180,6 @@ func (s *SnapshotStore) Release(seq int) {
 	s.gcLocked()
 }
 
-// Refs returns the bound-job reference count of the snapshot with the given
-// seq.
-func (s *SnapshotStore) Refs(seq int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.refs[seq]
-}
-
 // Window reports the retained window's bounds: the oldest and newest
 // retained snapshots. Jobs arriving with timestamps before the oldest
 // bound are served by the oldest retained version.
@@ -216,13 +208,6 @@ func (s *SnapshotStore) At(seq int) (Snapshot, bool) {
 	return s.snaps[i], true
 }
 
-// Snapshots returns a copy of the retained window, oldest first.
-func (s *SnapshotStore) Snapshots() []Snapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Snapshot(nil), s.snaps...)
-}
-
 // Len returns the number of retained snapshots.
 func (s *SnapshotStore) Len() int {
 	s.mu.Lock()
@@ -235,25 +220,6 @@ func (s *SnapshotStore) Evicted() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.evicted
-}
-
-// SharedParts counts partitions shared by pointer between the retained
-// snapshots with series indices (Seqs) i and j; -1 if either was evicted.
-func (s *SnapshotStore) SharedParts(i, j int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ii, jj := i-s.base, j-s.base
-	if ii < 0 || ii >= len(s.snaps) || jj < 0 || jj >= len(s.snaps) {
-		return -1
-	}
-	a, b := s.snaps[ii].PG.Parts, s.snaps[jj].PG.Parts
-	n := 0
-	for k := range a {
-		if k < len(b) && a[k] == b[k] {
-			n++
-		}
-	}
-	return n
 }
 
 // PrivateTable is one job's vertex-state table, laid out per partition of
@@ -317,15 +283,6 @@ func (pt *PrivateTable) HasActive() bool {
 		}
 	}
 	return false
-}
-
-// TotalActive sums active vertices across partitions.
-func (pt *PrivateTable) TotalActive() int {
-	total := 0
-	for _, c := range pt.ActiveCount {
-		total += c
-	}
-	return total
 }
 
 // ActiveParts returns the IDs of partitions with at least one active vertex.

@@ -140,11 +140,11 @@ func TestRetentionEvictsUnreferenced(t *testing.T) {
 	if store.Latest().Timestamp != 600 {
 		t.Fatal("latest lost")
 	}
-	if got := store.SharedParts(0, 5); got != -1 {
-		t.Fatalf("SharedParts with evicted seq = %d, want -1", got)
+	if got := sharedParts(store, 0, 5); got != -1 {
+		t.Fatalf("sharedParts with evicted seq = %d, want -1", got)
 	}
-	if got := store.SharedParts(4, 5); got < 0 {
-		t.Fatalf("SharedParts of retained pair = %d", got)
+	if got := sharedParts(store, 4, 5); got < 0 {
+		t.Fatalf("sharedParts of retained pair = %d", got)
 	}
 	// Retention never evicts the latest, even at cap 1.
 	store.SetRetention(1)
@@ -153,14 +153,38 @@ func TestRetentionEvictsUnreferenced(t *testing.T) {
 	}
 }
 
+// sharedParts counts the partitions the retained snapshots with Seqs i and
+// j share by pointer; -1 if either was evicted.
+func sharedParts(s *SnapshotStore, i, j int) int {
+	a, okA := s.At(i)
+	b, okB := s.At(j)
+	if !okA || !okB {
+		return -1
+	}
+	n := 0
+	for k, p := range a.PG.Parts {
+		if k < len(b.PG.Parts) && p == b.PG.Parts[k] {
+			n++
+		}
+	}
+	return n
+}
+
+// refs reads the bound-job reference count of the snapshot with Seq seq.
+func refs(s *SnapshotStore, seq int) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.refs[seq]
+}
+
 func TestRetentionPinsReferencedSnapshot(t *testing.T) {
 	pg, edges := buildPG(t, 1, 4)
 	store := NewSnapshotStore(pg, 100)
 	store.SetRetention(2)
 	// A job binds to the base; eviction must stop in front of it.
 	bound := store.Acquire(100)
-	if bound.Seq != 0 || store.Refs(0) != 1 {
-		t.Fatalf("Acquire = seq %d refs %d", bound.Seq, store.Refs(0))
+	if bound.Seq != 0 || refs(store, 0) != 1 {
+		t.Fatalf("Acquire = seq %d refs %d", bound.Seq, refs(store, 0))
 	}
 	for i := 0; i < 4; i++ {
 		edges = addVersion(t, store, edges, int64(200+100*i), int64(30+i))
@@ -234,7 +258,7 @@ func TestOverlaySharesUnchangedParts(t *testing.T) {
 	if err := store.Add(pg2, 2); err != nil {
 		t.Fatal(err)
 	}
-	if got := store.SharedParts(0, 1); got != 7 {
+	if got := sharedParts(store, 0, 1); got != 7 {
 		t.Fatalf("shared parts = %d, want 7", got)
 	}
 	if pg2.Parts[0] == pg.Parts[0] {
@@ -247,7 +271,7 @@ func TestOverlaySharesUnchangedParts(t *testing.T) {
 	masters := map[model.VertexID]int{}
 	for pi, p := range pg2.Parts {
 		for li, v := range p.Globals {
-			if pg2.IsMaster(pi, uint32(li)) {
+			if pg2.Masters[pi][li] {
 				masters[v]++
 			}
 		}
@@ -334,8 +358,12 @@ func TestPrivateTableAdvance(t *testing.T) {
 	if pt.ActiveCount[0] != 0 || pt.HasActive() != true {
 		t.Fatalf("counts wrong after Advance: %v", pt.ActiveCount)
 	}
-	if got := pt.TotalActive(); got != 2 {
-		t.Fatalf("TotalActive = %d, want 2", got)
+	total := 0
+	for _, c := range pt.ActiveCount {
+		total += c
+	}
+	if total != 2 {
+		t.Fatalf("active vertices = %d, want 2", total)
 	}
 	parts := pt.ActiveParts()
 	if len(parts) != 1 || parts[0] != 1 {

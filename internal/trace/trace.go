@@ -50,8 +50,9 @@ type Round struct {
 	// Jobs is the per-job work split, one entry per job active this round.
 	Jobs []JobRound
 	// Tasks / Steals are the work-stealing executor's counts for the
-	// round: tasks executed across every trigger and merge phase, and
-	// successful steal operations among them.
+	// round's task set: one task per sweep (a job's push runs inside its
+	// last sweep) plus one close per job with no sweep, and the successful
+	// steal operations among them.
 	Tasks  int64
 	Steals int64
 	// Skipped counts the (job, partition) pairs whose frontier was empty

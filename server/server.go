@@ -512,16 +512,17 @@ func (s *Service) releaseSlot() {
 	s.mu.Unlock()
 }
 
-// compactTerminal enforces Config.RetainTerminal: the oldest terminal jobs
-// beyond the cap lose their full state (results included) and their status
-// summaries move to the bounded history ring, so listings keep paginating
-// them while resident memory stays bounded.
-func (s *Service) compactTerminal() {
+// compactTerminalLocked enforces Config.RetainTerminal: the oldest terminal
+// jobs beyond the cap lose their full state (results included) and their
+// status summaries move to the bounded history ring, so listings keep
+// paginating them while resident memory stays bounded. The caller holds
+// s.mu and no job's mu: it reads every job's state, so Service.mu orders
+// before Job.mu. It returns the IDs it compacted, whose event streams the
+// caller removes once it has published what it still owes them.
+func (s *Service) compactTerminalLocked() (compacted []string) {
 	if s.cfg.RetainTerminal <= 0 {
-		return
+		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	terminal := 0
 	for _, id := range s.order {
 		if s.jobs[id].State().Terminal() {
@@ -537,7 +538,7 @@ func (s *Service) compactTerminal() {
 			}
 		}
 		if at < 0 {
-			return
+			return compacted
 		}
 		id := s.order[at]
 		j := s.jobs[id]
@@ -552,8 +553,9 @@ func (s *Service) compactTerminal() {
 			s.evicted[s.history[0].st.State]++
 			s.history = s.history[1:]
 		}
-		s.events.remove(id)
+		compacted = append(compacted, id)
 	}
+	return compacted
 }
 
 // histEntry is one compacted terminal job: its status summary plus the
@@ -839,10 +841,18 @@ func (j *Job) failIfQueued(err error) {
 	j.finishIf(func(s State) bool { return s == StateQueued }, StateFailed, err, nil)
 }
 
+// finishIf moves the job to state unless it is terminal already or cond
+// rejects its current state. The terminal state and the retention it
+// triggers become visible together: both happen under the service's mu,
+// taken before the job's, so no reader sees this job terminal while a job
+// it pushes out of retention still answers.
 func (j *Job) finishIf(cond func(State) bool, state State, err error, results []float64) {
+	svc := j.svc
+	svc.mu.Lock()
 	j.mu.Lock()
 	if j.state.Terminal() || (cond != nil && !cond(j.state)) {
 		j.mu.Unlock()
+		svc.mu.Unlock()
 		return
 	}
 	j.state = state
@@ -860,6 +870,8 @@ func (j *Job) finishIf(cond func(State) bool, state State, err error, results []
 		exec = j.finished.Sub(j.started)
 	}
 	j.mu.Unlock()
+	compacted := svc.compactTerminalLocked()
+	svc.mu.Unlock()
 	j.cancelCtx()
 	close(j.done)
 	if exec > 0 {
@@ -903,7 +915,11 @@ func (j *Job) finishIf(cond func(State) bool, state State, err error, results []
 		ev.Error = apiError(err)
 	}
 	j.svc.events.publish(j.id, ev)
-	j.svc.compactTerminal()
+	// The job may have compacted itself: its stream goes only after its
+	// terminal event is in it.
+	for _, id := range compacted {
+		j.svc.events.remove(id)
+	}
 }
 
 // apiError converts a job's terminal error to its wire form.
