@@ -247,16 +247,20 @@ type System struct {
 	series   *evolve.Series
 	engine   *core.Engine
 	pipeline *ingest.Pipeline
-	jobs     []*Job
-	byID     map[int]*Job
+
+	// byID maps engine job IDs to the handles of the jobs not yet retired.
+	// Its own lock orders a submission's registration before the round
+	// loop's first event for the job, without making the loop wait on mu.
+	jobsMu sync.Mutex
+	byID   map[int]*Job
 
 	serveCancel context.CancelFunc
 	serveDone   chan struct{}
 
-	// progress observes every completed job iteration; ingestObs the
-	// ingestion path. Each registry has its own lock: ingest events fire
-	// from under s.mu, the pipeline lock, and the snapshot store lock, so
-	// neither registry may need s.mu.
+	// progress observes every job's admission, completed iterations and
+	// retirement; ingestObs the ingestion path. Each registry has its own
+	// lock: ingest events fire from under s.mu, the pipeline lock, and the
+	// snapshot store lock, so neither registry may need s.mu.
 	progress  observers[JobUpdate]
 	ingestObs observers[IngestEvent]
 }
@@ -315,20 +319,35 @@ func (s *System) OnIngestEvent(fn func(IngestEvent)) (unregister func()) {
 	return s.ingestObs.add(fn)
 }
 
-// JobUpdate reports one completed iteration of a submitted job (alias of
-// the engine's core.JobProgress).
-type JobUpdate = core.JobProgress
+// JobUpdate reports one step of a submitted job: its admission into the
+// round loop (State JobRunning, Iteration 0), a completed iteration (State
+// JobRunning, Iteration ≥ 1, with the running totals), or its retirement
+// (a terminal State; Err as Job.Err will report it).
+type JobUpdate struct {
+	JobID int
+	State JobState
+	// Iteration is the number of completed iterations (0 on admission and
+	// retirement updates); EdgesProcessed the job's running edge total and
+	// VirtualTimeUS the engine's virtual clock at the iteration close.
+	Iteration      int
+	EdgesProcessed int64
+	VirtualTimeUS  float64
+	Err            error
+}
 
-// OnJobProgress registers fn to observe every completed job iteration
-// (serve mode and batch runs alike). Observers accumulate: each
-// registered fn receives every update, so a server.Service and user code
-// can observe the same System without displacing one another. The
-// returned func unregisters fn — call it when the observer's lifetime
-// ends (a stopped service, say) so the System does not keep it alive.
-// fn runs on the engine's round-loop goroutine and must not block for
-// long; the final iteration's update is delivered strictly before the
-// job's Done channel closes. Resident services use this to feed
-// job-event streams without polling. A nil fn is ignored.
+// OnJobProgress registers fn to observe every job's admission, completed
+// iterations and retirement (serve mode and batch runs alike). Observers
+// accumulate: each registered fn receives every update, so a
+// server.Service and user code can observe the same System without
+// displacing one another. The returned func unregisters fn — call it when
+// the observer's lifetime ends (a stopped service, say) so the System does
+// not keep it alive. fn runs on the engine's round-loop goroutine (or, for
+// a job cancelled while queued, in Job.Cancel) and must not block for long.
+// Every observer sees a transition before the job's handle does: until fn
+// returns, State, Err and Metrics of that job wait for it, so fn must not
+// call them, and Done closes only afterwards. Resident services use this
+// to apply their own bookkeeping first and to feed job-event streams
+// without polling. A nil fn is ignored.
 func (s *System) OnJobProgress(fn func(JobUpdate)) (unregister func()) {
 	return s.progress.add(fn)
 }
@@ -339,7 +358,7 @@ func NewSystem(opts ...Option) *System {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return &System{cfg: cfg, tracer: span.New(span.Config{})}
+	return &System{cfg: cfg, tracer: span.New(span.Config{}), byID: make(map[int]*Job)}
 }
 
 // SpanTracer exposes the system's span tracer: services start transport and
@@ -686,6 +705,8 @@ type jobConfig struct {
 	ctx     context.Context
 	span    span.Context
 	spanJob string
+	// priority and maxRunning are the engine's admission terms.
+	priority, maxRunning int
 }
 
 // AtTimestamp binds the job to the newest snapshot not younger than ts.
@@ -707,6 +728,17 @@ func WithSpan(sc span.Context, jobID string) JobOption {
 	}
 }
 
+// WithAdmission sets the job's admission terms: the engine admits queued
+// jobs highest priority first, FIFO within a priority, and admits this one
+// only while fewer than maxRunning jobs run (0: no cap). Services pass
+// their in-flight cap here.
+func WithAdmission(priority, maxRunning int) JobOption {
+	return func(c *jobConfig) {
+		c.priority = priority
+		c.maxRunning = maxRunning
+	}
+}
+
 // JobState is the lifecycle state of a submitted job (alias of the
 // engine's core.JobState).
 type JobState = core.JobState
@@ -720,7 +752,9 @@ const (
 	JobFailed    = core.JobFailed
 )
 
-// Job is a handle to one submitted CGP job.
+// Job is a handle to one submitted CGP job: the only one. Its state moves
+// with the engine's events, after the System's observers have seen each
+// transition, and stays readable after Release.
 type Job struct {
 	sys  *System
 	id   int
@@ -729,11 +763,9 @@ type Job struct {
 	done chan struct{}
 
 	mu      sync.Mutex
+	state   JobState
 	err     error
 	metrics *JobReport
-	// terminal caches the final state once the engine retires the job, so
-	// State stays correct after Release drops the engine-side entry.
-	terminal JobState
 }
 
 // Submit registers a job against the current graph. Jobs may be submitted
@@ -752,13 +784,16 @@ func (s *System) Submit(p Program, opts ...JobOption) (*Job, error) {
 		o(&jc)
 	}
 	s.ensureEngineLocked()
+	s.jobsMu.Lock()
+	defer s.jobsMu.Unlock()
 	id := s.engine.SubmitWith(jc.ctx, p, core.SubmitOpts{
-		Arrival: jc.arrival,
-		Span:    jc.span,
-		SpanJob: jc.spanJob,
+		Arrival:    jc.arrival,
+		Span:       jc.span,
+		SpanJob:    jc.spanJob,
+		Priority:   jc.priority,
+		MaxRunning: jc.maxRunning,
 	})
 	j := &Job{sys: s, id: id, name: p.Name(), done: make(chan struct{})}
-	s.jobs = append(s.jobs, j)
 	s.byID[id] = j
 	return j, nil
 }
@@ -783,42 +818,56 @@ func (s *System) ensureEngineLocked() {
 			Cost:        memsim.DefaultCost(),
 		})
 	}
-	s.byID = make(map[int]*Job)
 	s.engine = core.New(core.Config{
 		Workers:       s.cfg.workers,
 		Hier:          hier,
 		OnJobEvent:    s.onJobEvent,
-		OnJobProgress: s.progress.fire,
+		OnJobProgress: s.onJobProgress,
 		TraceDepth:    s.cfg.traceDepth,
 		Tracer:        s.tracer,
 	}, s.store)
 }
 
-// onJobEvent runs on the engine's round-loop goroutine whenever a job
-// reaches a terminal state; it resolves the public handle.
+// onJobProgress forwards one completed iteration to the observers.
+func (s *System) onJobProgress(p core.JobProgress) {
+	s.progress.fire(JobUpdate{
+		JobID:          p.JobID,
+		State:          JobRunning,
+		Iteration:      p.Iteration,
+		EdgesProcessed: p.EdgesProcessed,
+		VirtualTimeUS:  p.VirtualTimeUS,
+	})
+}
+
+// onJobEvent moves a handle through an admission or a retirement: the
+// observers see the transition first, with the handle held so that no
+// reader sees it half-applied, then the handle takes it; a retired job's
+// handle leaves byID, and its Done closes last.
 func (s *System) onJobEvent(ev core.JobEvent) {
-	s.mu.Lock()
+	terminal := ev.State.Terminal()
+	s.jobsMu.Lock()
 	j := s.byID[ev.JobID]
-	s.mu.Unlock()
+	if terminal {
+		delete(s.byID, ev.JobID)
+	}
+	s.jobsMu.Unlock()
 	if j == nil {
 		return
 	}
+	err := ev.Err
+	if errors.Is(err, core.ErrCancelled) {
+		err = ErrCancelled
+	}
 	j.mu.Lock()
-	j.terminal = ev.State
-	switch ev.State {
-	case core.JobDone:
+	s.progress.fire(JobUpdate{JobID: ev.JobID, State: ev.State, Err: err})
+	j.state, j.err = ev.State, err
+	if ev.State == JobDone {
 		j.metrics = jobReportOf(ev.Metrics)
-	case core.JobCancelled:
-		if errors.Is(ev.Err, core.ErrCancelled) {
-			j.err = ErrCancelled
-		} else {
-			j.err = ev.Err
-		}
-	case core.JobFailed:
-		j.err = ev.Err
 	}
 	j.mu.Unlock()
-	close(j.done)
+	if terminal {
+		close(j.done)
+	}
 }
 
 // Run executes every submitted job to convergence and returns the run
@@ -1009,8 +1058,10 @@ func (s *System) Shutdown(ctx context.Context) error {
 	}
 }
 
-// Results returns the job's converged per-vertex values. Valid after the
-// job completes (batch Run, or Job.Wait/Done in serve mode).
+// Results returns the job's converged per-vertex values: an error until
+// the job is done and after Release. The engine keeps one vector per job,
+// built at convergence under Serve and at the first call after Run; every
+// call returns that same slice, which callers must not modify.
 func (j *Job) Results() ([]float64, error) {
 	eng := j.sys.currentEngine()
 	if eng == nil {
@@ -1050,25 +1101,17 @@ func (j *Job) Err() error {
 	return j.err
 }
 
-// State reports the job's lifecycle state. Once terminal it is served from
-// the handle itself, so it remains correct after Release.
+// State reports the job's lifecycle state; it remains correct after
+// Release.
 func (j *Job) State() JobState {
 	j.mu.Lock()
-	term := j.terminal
-	j.mu.Unlock()
-	if term.Terminal() {
-		return term
-	}
-	eng := j.sys.currentEngine()
-	st, ok := eng.JobState(j.id)
-	if !ok {
-		return JobQueued
-	}
-	return st
+	defer j.mu.Unlock()
+	return j.state
 }
 
-// Cancel retires the job at the next round boundary. Cancelling a job that
-// already reached a terminal state is an error.
+// Cancel retires the job: a queued one at once, before Cancel returns, and
+// a running one at the next round boundary. Cancelling a job that already
+// reached a terminal state is an error.
 func (j *Job) Cancel() error {
 	return j.sys.currentEngine().Cancel(j.id)
 }
@@ -1081,13 +1124,12 @@ func (j *Job) Metrics() *JobReport {
 	return j.metrics
 }
 
-// Release frees the engine-side state of a terminal job: for finished jobs
-// the private table, activity bitsets, and result backing, and for every
-// terminal job its lifecycle-map entry (compacted into aggregate Stats
-// counters). Extract Results first: they become unavailable afterwards.
-// Resident services use it to keep memory bounded as jobs flow through;
-// releasing an unfinished job is a no-op. The handle's State/Err/Metrics
-// remain valid.
+// Release frees the engine-side state of a terminal job: its results (and
+// the tables of a job that converged under Run and was never read), and
+// its engine entry, compacted into aggregate Stats counters. Results errs
+// afterwards. Resident services use it to keep memory bounded as jobs flow
+// through; releasing an unfinished job is a no-op. The handle's
+// State/Err/Metrics remain valid.
 func (j *Job) Release() {
 	j.sys.currentEngine().Release(j.id)
 }

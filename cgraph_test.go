@@ -214,10 +214,13 @@ func TestDeltaSnapshotParity(t *testing.T) {
 		t.Fatalf("ingest stats inconsistent: %+v (shared %d, slots %d)", ist, deltaShared, len(slots))
 	}
 
+	var jobs []*Job
 	for _, sys := range []*System{full, delta} {
-		if _, err := sys.Submit(algo.NewPageRank(), AtTimestamp(10)); err != nil {
+		j, err := sys.Submit(algo.NewPageRank(), AtTimestamp(10))
+		if err != nil {
 			t.Fatal(err)
 		}
+		jobs = append(jobs, j)
 	}
 	if _, err := full.Run(); err != nil {
 		t.Fatal(err)
@@ -225,8 +228,8 @@ func TestDeltaSnapshotParity(t *testing.T) {
 	if _, err := delta.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want, _ := full.jobs[0].Results()
-	got, _ := delta.jobs[0].Results()
+	want, _ := jobs[0].Results()
+	got, _ := jobs[1].Results()
 	for v := range want {
 		if got[v] != want[v] {
 			t.Fatalf("vertex %d: delta-built %v != full-list %v", v, got[v], want[v])
@@ -518,6 +521,42 @@ func TestServeModeLifecycle(t *testing.T) {
 	st := sys.Stats()
 	if st.Done < 1 || st.Cancelled < 1 || st.Rounds == 0 {
 		t.Fatalf("stats not populated: %+v", st)
+	}
+}
+
+// TestServeKeepsNoRetiredHandles: a serving system forgets each handle
+// once the job's retirement has resolved it, so a long-lived system's
+// handle index stays empty as jobs flow through it.
+func TestServeKeepsNoRetiredHandles(t *testing.T) {
+	sys := NewSystem(WithWorkers(2), WithCoreSubgraph(false))
+	if err := sys.LoadEdges(200, gen.RMAT(54, 200, 3000, 0.57, 0.19, 0.19)); err != nil {
+		t.Fatal(err)
+	}
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- sys.Serve(context.Background()) }()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	for i := range 20 {
+		j, err := sys.Submit(algo.NewBFS(model.VertexID(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+		j.Release()
+	}
+	sys.jobsMu.Lock()
+	n := len(sys.byID)
+	sys.jobsMu.Unlock()
+	if n != 0 {
+		t.Fatalf("the system still indexes %d handles of retired jobs", n)
+	}
+	if err := sys.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-serveDone; err != nil {
+		t.Fatal(err)
 	}
 }
 

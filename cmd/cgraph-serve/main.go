@@ -46,8 +46,10 @@
 //	curl localhost:8040/metrics                     # Prometheus text exposition
 //
 // Every round loads partitions in the paper's Eq. 1 order; there is no
-// policy to choose. A job's priority (submit ... priority=2) orders only
-// its admission while -max-inflight jobs are running.
+// policy to choose. The engine admits jobs at round boundaries: while
+// -max-inflight jobs run, the others wait in its admission queue, highest
+// priority (submit ... priority=2) first. A job's priority orders only that
+// queue, and the service keeps no queue of its own.
 //
 // The graph is partitioned without the core-subgraph split by default so
 // that snapshot ingestion works (slot-stable partitions); pass

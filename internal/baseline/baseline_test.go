@@ -173,7 +173,7 @@ func TestCGraphBeatsBaselinesOnSharedWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := smallHier()
-	e := core.NewSingle(core.Config{Workers: 4, Hier: h}, pg)
+	e := core.New(core.Config{Workers: 4, Hier: h}, storage.NewSnapshotStore(pg, 0))
 	for _, s := range fourSpecs() {
 		e.Submit(s.Prog, 0)
 	}

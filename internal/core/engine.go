@@ -46,20 +46,20 @@ import (
 )
 
 // ErrCancelled is the Err of a JobEvent for a job retired by Cancel (as
-// opposed to one whose context expired, which carries the context's error).
+// opposed to one whose context ended, which carries the context's cause).
 var ErrCancelled = errors.New("core: job cancelled")
 
 // JobState is the engine-side lifecycle of one submitted job.
 type JobState uint8
 
 const (
-	// JobQueued: submitted, awaiting admission at the next round boundary.
+	// JobQueued: submitted, awaiting admission at a round boundary.
 	JobQueued JobState = iota
 	// JobRunning: admitted into the round loop.
 	JobRunning
 	// JobDone: converged; results are available.
 	JobDone
-	// JobCancelled: retired by Cancel or an expired job context.
+	// JobCancelled: retired by Cancel or an ended job context.
 	JobCancelled
 	// JobFailed: retired by the engine (exceeded the MaxRounds budget).
 	JobFailed
@@ -83,15 +83,19 @@ func (s JobState) String() string {
 // Terminal reports whether the state is final.
 func (s JobState) Terminal() bool { return s >= JobDone }
 
-// JobEvent reports a job reaching a terminal state. Events fire from the
-// goroutine driving Run or Serve, outside engine locks, in retirement order.
+// JobEvent reports one transition of a job's lifecycle: its admission into
+// the round loop (State JobRunning) or its retirement (a terminal State).
+// Each job reports at most one of each, admission first. Events fire
+// outside engine locks from the goroutine driving Run or Serve — except the
+// retirement of a job cancelled while queued, which fires from the Cancel
+// call. A JobDone event fires once the job's results are ready.
 type JobEvent struct {
 	JobID int
 	State JobState
 	// Metrics is populated for JobDone events.
 	Metrics *metrics.JobMetrics
-	// Err explains JobCancelled (ErrCancelled or the job context's error)
-	// and JobFailed events; it is nil for JobDone.
+	// Err explains JobCancelled (ErrCancelled or the cause of the job
+	// context's end) and JobFailed events; it is nil otherwise.
 	Err error
 }
 
@@ -131,11 +135,10 @@ type Config struct {
 	MaxRounds int
 	// Label overrides the report's system name (default "CGraph").
 	Label string
-	// OnJobEvent, when set, is invoked for every job that reaches a
-	// terminal state (done, cancelled, failed). It is called from the
-	// Run/Serve goroutine with no engine locks held; implementations may
-	// call back into the engine but must not block for long, since the
-	// round loop waits on them.
+	// OnJobEvent, when set, is invoked for every admission and every
+	// retirement (see JobEvent). It is called with no engine locks held;
+	// implementations may call back into the engine but must not block for
+	// long, since the round loop waits on them.
 	OnJobEvent func(JobEvent)
 	// OnJobProgress, when set, is invoked after every completed job
 	// iteration (the terminal JobEvent follows the final one). Same
@@ -163,7 +166,7 @@ type runJob struct {
 	remaining map[int64]int
 	m         *metrics.JobMetrics
 	// ctx carries the job's cancellation/deadline; checked at round
-	// boundaries (never mid-round).
+	// boundaries (never mid-round), queued or running.
 	ctx context.Context
 	// snapSeq is the series index of the snapshot the job bound to; the
 	// engine holds a store reference under it until the job is terminal,
@@ -192,6 +195,19 @@ type runJob struct {
 	left   atomic.Int64
 	finish func(worker int)
 	push   exec.PushSummary
+
+	// The lifecycle, guarded by Engine.mu. cancel is a Cancel of the running
+	// job, honoured at the next boundary; priority and maxRunning are its
+	// admission terms (SubmitOpts). A retired job keeps only what its
+	// callers read: Job is nil, results holds a converged job's values and
+	// m its metrics, and seq orders the converged jobs for Run's report. A
+	// job that converged under Run keeps its Job until its first Results.
+	state      JobState
+	cancel     bool
+	priority   int
+	maxRunning int
+	results    []float64
+	seq        int
 }
 
 func (rj *runJob) finishIteration(int) { rj.push = rj.FinishIteration() }
@@ -206,28 +222,35 @@ type Engine struct {
 	store *storage.SnapshotStore
 	sched *sched.Scheduler
 
-	// mu guards pending, finished, state, cancelReq, nextID, lastSched, and
-	// the released counters — the fields shared between the round loop and
-	// concurrent Submit / Cancel / Results / Stats callers.
-	// jobs and the clocks below are touched only by the single goroutine
-	// driving Run or Serve.
-	mu        sync.Mutex
-	pending   []*runJob
-	nextID    int
-	state     map[int]JobState
-	cancelReq map[int]bool
+	// mu guards pending, index, nextID, converged, lastSched, the released
+	// counters and every job's lifecycle fields — what the round loop shares
+	// with concurrent Submit / Cancel / Results / Stats callers. jobs and the
+	// clocks below are touched only by the single goroutine driving Run or
+	// Serve.
+	mu sync.Mutex
+	// pending is the admission queue: highest priority first, FIFO within a
+	// priority. index holds every job from Submit until Release.
+	pending []*runJob
+	index   map[int]*runJob
+	nextID  int
+	// converged counts the jobs that reached JobDone, numbering them for
+	// Run's report.
+	converged int
 	// lastSched summarizes the plan of the most recent round for the
 	// control plane. Its slices are the engine's own and are rewritten in
 	// place every round; SchedInfo hands out copies.
 	lastSched SchedInfo
-	// released compacts the state entries of Release-d jobs into counters
-	// so ServeStats stays accurate while the state map stays bounded.
+	// released compacts the Release-d jobs into counters so ServeStats
+	// stays accurate while the index stays bounded.
 	releasedDone, releasedCancelled, releasedFailed int
 
 	// wake nudges an idle Serve loop after Submit or Cancel.
 	wake chan struct{}
-	// driving excludes concurrent Run/Serve calls.
+	// driving excludes concurrent Run/Serve calls; serving (loop-goroutine
+	// only) marks the loop resident, whose converged jobs keep only their
+	// results.
 	driving atomic.Bool
+	serving bool
 
 	// rounds and nowBits mirror the loop-private round counter and virtual
 	// clock for lock-free Stats reads.
@@ -278,10 +301,10 @@ type Engine struct {
 	foot []sched.JobFootprint
 	byID map[int]*runJob
 	pre  []jobPreRound
-	// done holds the terminal events of the jobs that converged this
-	// round; round fires them once the round is recorded, so that a job's
-	// last round is in its trace and spans before anyone hears it is done.
-	done []JobEvent
+	// done holds the jobs that converged this round; round retires them
+	// once the round is recorded, so that a job's last round is in its
+	// trace and spans before anyone hears it is done.
+	done []*runJob
 
 	now      float64
 	busyCore float64
@@ -309,8 +332,6 @@ type Engine struct {
 	// so it is fetched into the reserve buffer (the b term of the Pg
 	// formula) while cores process the current one.
 	prefetchCredit float64
-
-	finished []*runJob
 }
 
 // New builds an engine over the snapshot store. Defaults are applied for
@@ -336,8 +357,7 @@ func New(cfg Config, store *storage.SnapshotStore) *Engine {
 		store:     store,
 		sched:     sched.New(cfg.Scheduler),
 		cPrev:     make(map[int64]float64),
-		state:     make(map[int]JobState),
-		cancelReq: make(map[int]bool),
+		index:     make(map[int]*runJob),
 		wake:      make(chan struct{}, 1),
 		tracer:    trace.New(cfg.TraceDepth),
 		roundHist: metrics.NewHistogram(metrics.LatencyBuckets()),
@@ -354,11 +374,6 @@ func New(cfg Config, store *storage.SnapshotStore) *Engine {
 	return e
 }
 
-// NewSingle wraps a plain partitioned graph as a one-snapshot store.
-func NewSingle(cfg Config, pg *graph.PGraph) *Engine {
-	return New(cfg, storage.NewSnapshotStore(pg, 0))
-}
-
 // Submit registers a job. arrivalTS selects the snapshot: the job binds to
 // the newest snapshot with timestamp ≤ arrivalTS (§3.2.1). Submit may be
 // called before Run or concurrently while Run executes; runtime submissions
@@ -370,7 +385,7 @@ func (e *Engine) Submit(prog model.Program, arrivalTS int64) int {
 
 // SubmitCtx is Submit with a job-scoped context: when ctx is cancelled or
 // its deadline passes, the job is retired at the next round boundary with a
-// JobCancelled event carrying ctx's error.
+// JobCancelled event carrying context.Cause(ctx).
 func (e *Engine) SubmitCtx(ctx context.Context, prog model.Program, arrivalTS int64) int {
 	return e.SubmitWith(ctx, prog, SubmitOpts{Arrival: arrivalTS})
 }
@@ -385,6 +400,12 @@ type SubmitOpts struct {
 	Span span.Context
 	// SpanJob is the service-level job ID span records are attributed to.
 	SpanJob string
+	// Priority orders the admission queue: higher first, FIFO within a
+	// priority.
+	Priority int
+	// MaxRunning, when positive, admits the job only while fewer than
+	// MaxRunning jobs run; the jobs queued behind it wait too.
+	MaxRunning int
 }
 
 // SubmitWith is SubmitCtx with the full submission envelope. The job takes
@@ -397,36 +418,49 @@ func (e *Engine) SubmitWith(ctx context.Context, prog model.Program, opts Submit
 	snap := e.store.Acquire(opts.Arrival)
 	j := exec.NewJob(id, prog, snap.PG)
 	rj := &runJob{
-		Job:       j,
-		remaining: make(map[int64]int, len(snap.PG.Parts)),
-		m:         &metrics.JobMetrics{JobID: id, Name: prog.Name()},
-		ctx:       ctx,
-		snapSeq:   snap.Seq,
-		span:      opts.Span,
-		spanJob:   opts.SpanJob,
+		Job:        j,
+		remaining:  make(map[int64]int, len(snap.PG.Parts)),
+		m:          &metrics.JobMetrics{JobID: id, Name: prog.Name()},
+		ctx:        ctx,
+		snapSeq:    snap.Seq,
+		span:       opts.Span,
+		spanJob:    opts.SpanJob,
+		priority:   opts.Priority,
+		maxRunning: opts.MaxRunning,
 	}
 	rj.finish = rj.finishIteration
-	e.pending = append(e.pending, rj)
-	e.state[id] = JobQueued
+	at := len(e.pending)
+	for at > 0 && e.pending[at-1].priority < rj.priority {
+		at--
+	}
+	e.pending = slices.Insert(e.pending, at, rj)
+	e.index[id] = rj
 	e.mu.Unlock()
 	e.signalWake()
 	return id
 }
 
-// Cancel requests that the job be retired at the next round boundary. It is
-// an error to cancel an unknown or already-terminal job.
+// Cancel retires the job: a queued job at once, with its JobEvent fired
+// before Cancel returns, and a running one at the next round boundary. It
+// is an error to cancel an unknown or already-terminal job.
 func (e *Engine) Cancel(jobID int) error {
 	e.mu.Lock()
-	st, ok := e.state[jobID]
-	if !ok {
+	rj, ok := e.index[jobID]
+	switch {
+	case !ok:
 		e.mu.Unlock()
 		return fmt.Errorf("core: cancel: unknown job %d", jobID)
-	}
-	if st.Terminal() {
+	case rj.state.Terminal():
 		e.mu.Unlock()
-		return fmt.Errorf("core: cancel: job %d already %s", jobID, st)
+		return fmt.Errorf("core: cancel: job %d already %s", jobID, rj.state)
+	case rj.state == JobQueued:
+		e.pending = slices.DeleteFunc(e.pending, func(q *runJob) bool { return q == rj })
+		e.retireLocked(rj, JobCancelled)
+		e.mu.Unlock()
+		e.retired(JobEvent{JobID: jobID, State: JobCancelled, Err: ErrCancelled})
+		return nil
 	}
-	e.cancelReq[jobID] = true
+	rj.cancel = true
 	e.mu.Unlock()
 	e.signalWake()
 	return nil
@@ -439,71 +473,91 @@ func (e *Engine) signalWake() {
 	}
 }
 
+// admitPending admits queued jobs, in queue order, while the head's
+// MaxRunning allows, and reports each admission.
 func (e *Engine) admitPending() {
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	running, n := len(e.jobs), 0
 	for _, rj := range e.pending {
+		if rj.maxRunning > 0 && len(e.jobs) >= rj.maxRunning {
+			break
+		}
 		rj.SubmitTime = e.now
 		rj.m.SubmitAt = e.now
+		rj.state = JobRunning
 		e.jobs = append(e.jobs, rj)
-		e.state[rj.ID] = JobRunning
+		n++
 	}
-	e.pending = e.pending[:0]
+	e.pending = slices.Delete(e.pending, 0, n)
+	e.mu.Unlock()
+	for _, rj := range e.jobs[running:] {
+		e.fireEvent(JobEvent{JobID: rj.ID, State: JobRunning})
+	}
 }
 
-// reapRetired removes cancelled, context-expired, and (under Serve)
-// over-budget jobs from the pending queue and the round loop, firing their
-// terminal events. Called only at round boundaries, so a reaped job is
-// never mid-round.
+// reapRetired retires the queued and running jobs whose context ended, the
+// running ones cancelled, and (under Serve) the over-budget ones, firing
+// their events. Called only at round boundaries, so a reaped job is never
+// mid-round.
 func (e *Engine) reapRetired(enforceBudget bool) {
 	var events []JobEvent
 	e.mu.Lock()
-	keepPending := e.pending[:0]
-	for _, rj := range e.pending {
-		if ev, dead := e.retirementLocked(rj, false); dead {
-			events = append(events, ev)
-			continue
-		}
-		keepPending = append(keepPending, rj)
-	}
-	e.pending = keepPending
-	keepJobs := e.jobs[:0]
-	for _, rj := range e.jobs {
-		if ev, dead := e.retirementLocked(rj, enforceBudget); dead {
-			events = append(events, ev)
-			continue
-		}
-		keepJobs = append(keepJobs, rj)
-	}
-	e.jobs = keepJobs
+	e.pending = slices.DeleteFunc(e.pending, func(rj *runJob) bool {
+		return e.reapLocked(rj, false, &events)
+	})
+	e.jobs = slices.DeleteFunc(e.jobs, func(rj *runJob) bool {
+		return e.reapLocked(rj, enforceBudget, &events)
+	})
 	e.mu.Unlock()
 	for _, ev := range events {
-		if e.tracer != nil {
-			e.tracer.Retire(ev.JobID, ev.State.String())
-		}
-		e.fireEvent(ev)
+		e.retired(ev)
 	}
 }
 
-func (e *Engine) retirementLocked(rj *runJob, enforceBudget bool) (JobEvent, bool) {
+// reapLocked retires rj if it is due and appends its event.
+func (e *Engine) reapLocked(rj *runJob, enforceBudget bool, events *[]JobEvent) bool {
 	var err error
 	state := JobCancelled
 	switch {
-	case e.cancelReq[rj.ID]:
+	case rj.cancel:
 		err = ErrCancelled
 	case rj.ctx != nil && rj.ctx.Err() != nil:
-		err = rj.ctx.Err()
+		err = context.Cause(rj.ctx)
 	case enforceBudget && rj.Iterations >= e.cfg.MaxRounds:
 		state = JobFailed
 		err = fmt.Errorf("core: job %d exceeded %d iterations without convergence", rj.ID, e.cfg.MaxRounds)
 	default:
-		return JobEvent{}, false
+		return false
 	}
-	delete(e.cancelReq, rj.ID)
-	e.state[rj.ID] = state
-	e.store.Release(rj.snapSeq)
+	*events = append(*events, JobEvent{JobID: rj.ID, State: state, Err: err})
+	e.retireLocked(rj, state)
+	return true
+}
+
+// retireLocked moves rj to a terminal state and drops what a retired job no
+// longer needs: its snapshot reference, its simulated-cache items and its
+// tables. A converged job keeps its results first (settle).
+func (e *Engine) retireLocked(rj *runJob, state JobState) {
+	rj.state = state
+	if state != JobDone {
+		e.store.Release(rj.snapSeq)
+	}
 	e.dropPrivate(rj)
-	return JobEvent{JobID: rj.ID, State: state, Err: err}, true
+	rj.Job, rj.ctx = nil, nil
+}
+
+// settleLocked keeps a converged job's results and retires the rest of it.
+func (e *Engine) settleLocked(rj *runJob) {
+	rj.results = rj.Job.Results()
+	e.retireLocked(rj, JobDone)
+}
+
+// retired reports a retirement to the trace recorder and the observer.
+func (e *Engine) retired(ev JobEvent) {
+	if e.tracer != nil {
+		e.tracer.Retire(ev.JobID, ev.State.String())
+	}
+	e.fireEvent(ev)
 }
 
 // dropPrivate drops a terminal job's private item of every partition of its
@@ -557,7 +611,14 @@ func (e *Engine) Run() (*metrics.RunReport, error) {
 		WallClock:    time.Since(wall), //cgraph:wallclock wall stamp paired with the Run start above
 	}
 	e.mu.Lock()
-	for _, rj := range e.finished {
+	var done []*runJob
+	for _, rj := range e.index {
+		if rj.state == JobDone {
+			done = append(done, rj)
+		}
+	}
+	slices.SortFunc(done, func(a, b *runJob) int { return a.seq - b.seq })
+	for _, rj := range done {
 		rep.Jobs = append(rep.Jobs, *rj.m)
 	}
 	e.mu.Unlock()
@@ -566,26 +627,30 @@ func (e *Engine) Run() (*metrics.RunReport, error) {
 
 // Serve runs the engine as a resident service: it processes rounds while
 // any job is active, parks on the wake channel when the queue drains, and
-// admits newly submitted jobs at round boundaries. Cancel requests, expired
-// job contexts, and jobs exceeding the MaxRounds iteration budget are
-// retired between rounds. Serve returns nil when ctx is cancelled (a
-// graceful stop: in-flight jobs stay resident and a later Run or Serve
-// resumes them) and an error only on misuse.
+// admits queued jobs at round boundaries. Cancel requests, ended job
+// contexts, and jobs exceeding the MaxRounds iteration budget are retired
+// between rounds — and once more after ctx ends, so that a caller who ends
+// job contexts before ctx has those jobs retired by the time Serve returns.
+// Serve returns nil when ctx is cancelled (a graceful stop: the other jobs
+// stay resident and a later Run or Serve resumes them) and an error only on
+// misuse.
 func (e *Engine) Serve(ctx context.Context) error {
 	if err := e.acquireLoop("serve"); err != nil {
 		return err
 	}
 	defer e.driving.Store(false)
+	e.serving = true
+	defer func() { e.serving = false }()
 	for {
+		stopping := ctx.Err() != nil
 		e.reapRetired(true)
-		e.admitPending()
-		if ctx.Err() != nil {
+		if stopping {
 			return nil
 		}
+		e.admitPending()
 		if len(e.jobs) == 0 {
 			select {
 			case <-ctx.Done():
-				return nil
 			case <-e.wake:
 			}
 			continue
@@ -594,59 +659,51 @@ func (e *Engine) Serve(ctx context.Context) error {
 	}
 }
 
-// Results returns the converged per-vertex values of the given job once it
-// has finished. It is safe to call while the engine serves.
+// Results returns the converged per-vertex values of the given job. It is
+// safe to call while the engine serves. Every call returns the same slice,
+// which callers must not modify.
 func (e *Engine) Results(jobID int) ([]float64, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for _, rj := range e.finished {
-		if rj.ID == jobID {
-			return rj.Job.Results(), nil
-		}
+	rj, ok := e.index[jobID]
+	switch {
+	case !ok:
+		return nil, fmt.Errorf("core: job %d released or unknown", jobID)
+	case rj.state != JobDone:
+		return nil, fmt.Errorf("core: job %d is %s, results unavailable", jobID, rj.state)
+	case rj.Job != nil:
+		e.settleLocked(rj)
 	}
-	if st, ok := e.state[jobID]; ok {
-		return nil, fmt.Errorf("core: job %d is %s, results unavailable", jobID, st)
-	}
-	return nil, fmt.Errorf("core: job %d not finished, released, or unknown", jobID)
+	return rj.results, nil
 }
 
-// Release frees a terminal job's engine-side state: for finished jobs the
-// private table, activity bitsets, result backing and simulated-cache
-// items (cancelled and failed jobs drop theirs when reaped), and for every
-// terminal job its lifecycle-map entry, which is compacted into aggregate
-// counters so ServeStats stays accurate while the engine's memory stays
-// bounded as jobs flow through a long-lived service. Released jobs drop out
-// of later Run reports and report no per-job state; releasing an unfinished
-// or unknown job is a no-op.
+// Release forgets a terminal job: its results, and what a job that
+// converged under Run still holds, go, and its index entry is compacted
+// into aggregate counters, so ServeStats stays accurate while the engine's
+// memory stays bounded as jobs flow through a long-lived service. Released
+// jobs drop out of later Run reports; releasing an unfinished or unknown
+// job is a no-op.
 func (e *Engine) Release(jobID int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for i, rj := range e.finished {
-		if rj.ID == jobID {
-			e.finished = append(e.finished[:i], e.finished[i+1:]...)
-			e.dropPrivate(rj)
-			delete(e.state, jobID)
-			e.releasedDone++
-			return
+	rj, ok := e.index[jobID]
+	if !ok {
+		return
+	}
+	switch rj.state {
+	case JobDone:
+		if rj.Job != nil {
+			e.retireLocked(rj, JobDone)
 		}
-	}
-	switch st, ok := e.state[jobID]; {
-	case !ok:
-	case st == JobCancelled:
-		delete(e.state, jobID)
+		e.releasedDone++
+	case JobCancelled:
 		e.releasedCancelled++
-	case st == JobFailed:
-		delete(e.state, jobID)
+	case JobFailed:
 		e.releasedFailed++
+	default:
+		return
 	}
-}
-
-// JobState reports the engine-side lifecycle state of a submitted job.
-func (e *Engine) JobState(jobID int) (JobState, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	st, ok := e.state[jobID]
-	return st, ok
+	delete(e.index, jobID)
 }
 
 // AddSnapshot appends a newer graph version to the snapshot store, safely
@@ -683,8 +740,8 @@ func (e *Engine) ServeStats() Stats {
 	s.Done += e.releasedDone
 	s.Cancelled += e.releasedCancelled
 	s.Failed += e.releasedFailed
-	for _, st := range e.state {
-		switch st {
+	for _, rj := range e.index {
+		switch rj.state {
 		case JobQueued:
 			s.Queued++
 		case JobRunning:
@@ -699,18 +756,6 @@ func (e *Engine) ServeStats() Stats {
 	}
 	e.mu.Unlock()
 	return s
-}
-
-// Job returns the finished exec job (testing/inspection).
-func (e *Engine) Job(jobID int) (*exec.Job, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, rj := range e.finished {
-		if rj.ID == jobID {
-			return rj.Job, true
-		}
-	}
-	return nil, false
 }
 
 // Now returns the engine's virtual clock in microseconds, as of the last
@@ -768,8 +813,7 @@ func cloneOrNil[T any](s []T) []T {
 // job's iteration (Push) on its own worker.
 // Price replays the record on the virtual clock — one load per unit, its
 // batches, and each push where it closed — and fires the jobs' progress
-// events; the converged jobs' terminal events fire after the round is
-// recorded.
+// events; the converged jobs retire after the round is recorded.
 func (e *Engine) round() {
 	roundStart := time.Now() //cgraph:wallclock round wall-duration histogram measures real time per round
 	virtStart := e.now
@@ -808,8 +852,19 @@ func (e *Engine) round() {
 	}
 	clear(e.byID)
 	clear(e.pre)
-	for _, ev := range e.done {
-		e.fireEvent(ev)
+	// The converged jobs retire now: state, then results (a resident loop
+	// keeps only those), then the event that says they are ready. A cancel
+	// that raced with convergence loses: the job is done.
+	for _, rj := range e.done {
+		ev := JobEvent{JobID: rj.ID, State: JobDone, Metrics: rj.m}
+		e.mu.Lock()
+		rj.state, rj.seq = JobDone, e.converged
+		e.converged++
+		if e.serving {
+			e.settleLocked(rj)
+		}
+		e.mu.Unlock()
+		e.retired(ev)
 	}
 	clear(e.done)
 	e.done = e.done[:0]
@@ -1349,8 +1404,8 @@ func (e *Engine) ExecStats() ExecStats {
 
 // pricePush charges the Push (Algorithm 2) that closed one job iteration —
 // its sync entries and the private slices it touched — reports the
-// iteration, and retires the job if it converged; the job's terminal event
-// waits in e.done until the round is recorded.
+// iteration, and, if the job converged, releases its snapshot and books it
+// in e.done, where it waits to retire until the round is recorded.
 func (e *Engine) pricePush(rj *runJob) {
 	h := e.cfg.Hier
 	t := h.Cost().SyncTime(rj.push.Entries)
@@ -1379,16 +1434,7 @@ func (e *Engine) pricePush(rj *runJob) {
 		rj.m.Edges = rj.EdgesProcessed
 		rj.m.Vertices = rj.VerticesApplied
 		rj.m.SyncEntries = rj.SyncEntries
-		e.mu.Lock()
-		e.finished = append(e.finished, rj)
-		e.state[rj.ID] = JobDone
-		// A cancel that raced with convergence loses: the job is done.
-		delete(e.cancelReq, rj.ID)
-		e.mu.Unlock()
 		e.store.Release(rj.snapSeq)
-		if e.tracer != nil {
-			e.tracer.Retire(rj.ID, JobDone.String())
-		}
-		e.done = append(e.done, JobEvent{JobID: rj.ID, State: JobDone, Metrics: rj.m})
+		e.done = append(e.done, rj)
 	}
 }

@@ -30,6 +30,22 @@ func smallHier() *memsim.Hierarchy {
 	return memsim.New(memsim.Config{CacheBytes: 256 << 10, MemoryBytes: 0, Cost: memsim.DefaultCost()})
 }
 
+// NewSingle wraps a plain partitioned graph as a one-snapshot store.
+func NewSingle(cfg Config, pg *graph.PGraph) *Engine {
+	return New(cfg, storage.NewSnapshotStore(pg, 0))
+}
+
+// JobState reports the engine-side lifecycle state of a submitted job.
+func (e *Engine) JobState(jobID int) (JobState, bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	rj, ok := e.index[jobID]
+	if !ok {
+		return 0, false
+	}
+	return rj.state, true
+}
+
 func TestEngineFourConcurrentJobsCorrect(t *testing.T) {
 	edges := gen.RMAT(21, 400, 8000, 0.57, 0.19, 0.19)
 	pg := buildPG(t, edges, 400, 8, true)

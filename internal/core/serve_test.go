@@ -51,7 +51,7 @@ func (r *eventRecorder) wait(t *testing.T, jobID int) JobEvent {
 	for {
 		select {
 		case ev := <-r.ch:
-			if ev.JobID == jobID {
+			if ev.JobID == jobID && ev.State.Terminal() {
 				return ev
 			}
 		case <-deadline:
@@ -122,7 +122,7 @@ func TestProgressEventsPrecedeTerminal(t *testing.T) {
 	pg := buildPG(t, edges, 300, 6, false)
 	var mu sync.Mutex
 	var progress []JobProgress
-	terminalAt := -1
+	terminalAt, iterations := -1, -1
 	e := NewSingle(Config{
 		Workers: 2,
 		Hier:    smallHier(),
@@ -133,7 +133,10 @@ func TestProgressEventsPrecedeTerminal(t *testing.T) {
 		},
 		OnJobEvent: func(ev JobEvent) {
 			mu.Lock()
-			terminalAt = len(progress)
+			if ev.State.Terminal() {
+				terminalAt = len(progress)
+				iterations = ev.Metrics.Iterations
+			}
 			mu.Unlock()
 		},
 	}, pg)
@@ -157,10 +160,8 @@ func TestProgressEventsPrecedeTerminal(t *testing.T) {
 	if terminalAt != len(progress) {
 		t.Fatalf("terminal event at progress count %d, want after all %d", terminalAt, len(progress))
 	}
-	final := progress[len(progress)-1]
-	j, ok := e.Job(id)
-	if !ok || final.Iteration != j.Iterations {
-		t.Fatalf("final progress iteration %d, job ran %d", final.Iteration, j.Iterations)
+	if final := progress[len(progress)-1]; final.Iteration != iterations {
+		t.Fatalf("final progress iteration %d, job ran %d", final.Iteration, iterations)
 	}
 }
 
@@ -307,7 +308,7 @@ func TestServeSnapshotWithDifferentPartitionCount(t *testing.T) {
 	for len(states) < 2 {
 		select {
 		case ev := <-rec.ch:
-			if ev.JobID == ssNew || ev.JobID == ssOld {
+			if (ev.JobID == ssNew || ev.JobID == ssOld) && ev.State.Terminal() {
 				states[ev.JobID] = ev.State
 			}
 		case <-deadline:
@@ -614,7 +615,7 @@ func TestSchedInfoDoesNotAliasEngine(t *testing.T) {
 func TestDoneEventFollowsRoundRecord(t *testing.T) {
 	edges := gen.RMAT(46, 200, 3000, 0.57, 0.19, 0.19)
 	var e *Engine
-	traced := map[int]int{}
+	traced, iterations := map[int]int{}, map[int]int{}
 	e = NewSingle(Config{Workers: 2, TraceDepth: 1 << 10, OnJobEvent: func(ev JobEvent) {
 		if ev.State != JobDone {
 			return
@@ -623,15 +624,15 @@ func TestDoneEventFollowsRoundRecord(t *testing.T) {
 		for _, r := range tl.Rounds {
 			traced[ev.JobID] += r.Pushes
 		}
+		iterations[ev.JobID] = ev.Metrics.Iterations
 	}}, buildPG(t, edges, 200, 4, false))
 	ids := []int{e.Submit(algo.NewBFS(0), 0), e.Submit(&algo.PageRank{Damping: 0.85, Epsilon: 1e-6}, 0)}
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range ids {
-		j, _ := e.Job(id)
-		if traced[id] != j.Iterations {
-			t.Errorf("job %d: its done event saw %d traced iterations of %d", id, traced[id], j.Iterations)
+		if traced[id] != iterations[id] || traced[id] == 0 {
+			t.Errorf("job %d: its done event saw %d traced iterations of %d", id, traced[id], iterations[id])
 		}
 	}
 }

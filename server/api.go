@@ -72,8 +72,8 @@ func (s *Service) StatusOf(id string) (api.JobStatus, *api.Error) {
 	if j, ok := s.Get(id); ok {
 		return j.Status(), nil
 	}
-	if st, ok := s.historyLookup(id); ok {
-		return st, nil
+	if e, ok := s.historyEntry(id); ok {
+		return e.st, nil
 	}
 	return api.JobStatus{}, api.Errorf(api.CodeNotFound, "unknown job %q", id)
 }
@@ -84,8 +84,8 @@ func (s *Service) StatusOf(id string) (api.JobStatus, *api.Error) {
 func (s *Service) CancelJob(id string) (api.JobStatus, *api.Error) {
 	j, ok := s.Get(id)
 	if !ok {
-		if st, ok := s.historyLookup(id); ok {
-			return api.JobStatus{}, api.Errorf(api.CodeConflict, "job %s already %s (compacted)", id, st.State)
+		if e, ok := s.historyEntry(id); ok {
+			return api.JobStatus{}, api.Errorf(api.CodeConflict, "job %s already %s (compacted)", id, e.st.State)
 		}
 		return api.JobStatus{}, api.Errorf(api.CodeNotFound, "unknown job %q", id)
 	}
@@ -99,7 +99,7 @@ func (s *Service) CancelJob(id string) (api.JobStatus, *api.Error) {
 func (s *Service) ResultsOf(id string, opts api.ResultsOptions) (api.Results, *api.Error) {
 	j, ok := s.Get(id)
 	if !ok {
-		if _, ok := s.historyLookup(id); ok {
+		if _, ok := s.historyEntry(id); ok {
 			return api.Results{}, api.Errorf(api.CodeReleased, "job %s was compacted to history; results dropped", id)
 		}
 		return api.Results{}, api.Errorf(api.CodeNotFound, "unknown job %q", id)
@@ -243,8 +243,8 @@ func (s *Service) SpansOf(id string) (api.JobSpans, *api.Error) {
 	var traceID string
 	if j, ok := s.Get(id); ok {
 		traceID = j.TraceID()
-	} else if st, ok := s.historyLookup(id); ok {
-		traceID = st.TraceID
+	} else if e, ok := s.historyEntry(id); ok {
+		traceID = e.st.TraceID
 	} else {
 		return api.JobSpans{}, api.Errorf(api.CodeNotFound, "unknown job %q", id)
 	}
@@ -383,14 +383,10 @@ func (s *Service) Readyz() api.Health {
 }
 
 // VersionInfo identifies the build: the wire-contract version, the module
-// version or VCS revision baked in by the toolchain, and the Go version.
+// version or VCS revision baked in by the toolchain, and the Go version. It
+// reads the build info on every call — cheap (ReadBuildInfo returns a
+// cached parse) and dependency-free.
 func (s *Service) VersionInfo() api.VersionInfo {
-	return buildVersion()
-}
-
-// buildVersion reads the serving binary's build info once per call — cheap
-// (ReadBuildInfo returns a cached parse) and dependency-free.
-func buildVersion() api.VersionInfo {
 	v := api.VersionInfo{API: api.Version, Version: "devel"}
 	info, ok := debug.ReadBuildInfo()
 	if !ok {
@@ -473,18 +469,13 @@ func (s *Service) attributions() []api.JobAttribution {
 	return out
 }
 
-// WatchJob streams the job's events: a replay of its lifecycle so far,
+// WatchJobFrom streams the job's events: a replay of its lifecycle so far,
 // then live progress and state events. The channel closes after a
 // terminal state event or when ctx ends. Compacted jobs replay their
-// terminal summary.
-func (s *Service) WatchJob(ctx context.Context, id string) (<-chan api.Event, *api.Error) {
-	return s.WatchJobFrom(ctx, id, 0)
-}
-
-// WatchJobFrom is WatchJob resuming after a previously seen event: the
-// replay skips events with Seq ≤ after, so a reconnecting watcher (SSE
-// Last-Event-ID) picks up where its dropped stream left off instead of
-// re-reading the job's full history. after = 0 replays everything.
+// terminal summary. The replay skips events with Seq ≤ after, so a
+// reconnecting watcher (SSE Last-Event-ID) picks up where its dropped
+// stream left off instead of re-reading the job's full history; after = 0
+// replays everything.
 func (s *Service) WatchJobFrom(ctx context.Context, id string, after int64) (<-chan api.Event, *api.Error) {
 	if _, ok := s.Get(id); ok {
 		if ch, ok := s.events.subscribe(ctx, id, after); ok {
@@ -492,20 +483,14 @@ func (s *Service) WatchJobFrom(ctx context.Context, id string, after int64) (<-c
 		}
 		// Compacted between the lookup and the subscription; fall through.
 	}
-	if st, ok := s.historyLookup(id); ok {
-		return replayTerminal(st, after), nil
+	if e, ok := s.historyEntry(id); ok {
+		return replayTerminal(e.st, after), nil
 	}
 	return nil, api.Errorf(api.CodeNotFound, "unknown job %q", id)
 }
 
-// historyLookup finds a compacted job's summary in the history ring.
-func (s *Service) historyLookup(id string) (api.JobStatus, bool) {
-	e, ok := s.historyEntry(id)
-	return e.st, ok
-}
-
-// historyEntry finds a compacted job's full history entry — status summary
-// plus the engine job ID it ran under.
+// historyEntry finds a compacted job's history entry — status summary plus
+// the engine job ID it ran under.
 func (s *Service) historyEntry(id string) (histEntry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -525,7 +510,7 @@ func (s *Service) historyEntry(id string) (histEntry, bool) {
 // is disabled (TraceDepth 0).
 func (s *Service) TraceOf(id string) (api.JobTrace, *api.Error) {
 	if j, ok := s.Get(id); ok {
-		return s.jobTraceOf(j.Status(), j.engineJobID()), nil
+		return s.jobTraceOf(j.Status(), j.h.ID()), nil
 	}
 	if e, ok := s.historyEntry(id); ok {
 		return s.jobTraceOf(e.st, e.engineID), nil
@@ -555,12 +540,10 @@ func (s *Service) jobTraceOf(st api.JobStatus, engineID int) api.JobTrace {
 		}
 		tr.ExecMS = float64(end.Sub(*st.Started)) / float64(time.Millisecond)
 	}
-	if engineID >= 0 {
-		if jt, ok := s.sys.JobTrace(engineID); ok {
-			tr.DroppedRounds = jt.Dropped
-			for _, jr := range jt.Rounds {
-				tr.Rounds = append(tr.Rounds, wireJobRound(jr, ""))
-			}
+	if jt, ok := s.sys.JobTrace(engineID); ok {
+		tr.DroppedRounds = jt.Dropped
+		for _, jr := range jt.Rounds {
+			tr.Rounds = append(tr.Rounds, wireJobRound(jr, ""))
 		}
 	}
 	return tr

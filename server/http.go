@@ -61,48 +61,23 @@ func (s *Service) Handler(reg Registry) http.Handler {
 		http.MethodGet:    h.get,
 		http.MethodDelete: h.cancel,
 	}))
-	mux.HandleFunc(api.PathPrefix+"/jobs/{id}/results", methods(map[string]http.HandlerFunc{
-		http.MethodGet: h.results,
-	}))
-	mux.HandleFunc(api.PathPrefix+"/jobs/{id}/events", methods(map[string]http.HandlerFunc{
-		http.MethodGet: h.events,
-	}))
-	mux.HandleFunc(api.PathPrefix+"/jobs/{id}/trace", methods(map[string]http.HandlerFunc{
-		http.MethodGet: h.trace,
-	}))
-	mux.HandleFunc(api.PathPrefix+"/jobs/{id}/spans", methods(map[string]http.HandlerFunc{
-		http.MethodGet: h.jobSpans,
-	}))
-	mux.HandleFunc(api.PathPrefix+"/trace/spans", methods(map[string]http.HandlerFunc{
-		http.MethodGet: h.traceSpans,
-	}))
-	mux.HandleFunc(api.PathPrefix+"/trace/rounds", methods(map[string]http.HandlerFunc{
-		http.MethodGet: h.roundTraces,
-	}))
-	mux.HandleFunc(api.PathPrefix+"/snapshots", methods(map[string]http.HandlerFunc{
-		http.MethodPost: h.snapshot,
-	}))
-	mux.HandleFunc(api.PathPrefix+"/deltas", methods(map[string]http.HandlerFunc{
-		http.MethodPost: h.delta,
-	}))
-	mux.HandleFunc(api.PathPrefix+"/sched", methods(map[string]http.HandlerFunc{
-		http.MethodGet: h.sched,
-	}))
-	mux.HandleFunc(api.PathPrefix+"/metrics", methods(map[string]http.HandlerFunc{
-		http.MethodGet: h.metricsJSON,
-	}))
-	mux.HandleFunc(api.PathPrefix+"/healthz", methods(map[string]http.HandlerFunc{
-		http.MethodGet: h.healthz,
-	}))
-	mux.HandleFunc(api.PathPrefix+"/readyz", methods(map[string]http.HandlerFunc{
-		http.MethodGet: h.readyz,
-	}))
-	mux.HandleFunc(api.PathPrefix+"/version", methods(map[string]http.HandlerFunc{
-		http.MethodGet: h.version,
-	}))
-	mux.HandleFunc("/metrics", methods(map[string]http.HandlerFunc{
-		http.MethodGet: h.metrics,
-	}))
+	one := func(path, method string, fn http.HandlerFunc) {
+		mux.HandleFunc(path, methods(map[string]http.HandlerFunc{method: fn}))
+	}
+	one(api.PathPrefix+"/jobs/{id}/results", http.MethodGet, h.results)
+	one(api.PathPrefix+"/jobs/{id}/events", http.MethodGet, h.events)
+	one(api.PathPrefix+"/jobs/{id}/trace", http.MethodGet, h.trace)
+	one(api.PathPrefix+"/jobs/{id}/spans", http.MethodGet, h.jobSpans)
+	one(api.PathPrefix+"/trace/spans", http.MethodGet, h.traceSpans)
+	one(api.PathPrefix+"/trace/rounds", http.MethodGet, h.roundTraces)
+	one(api.PathPrefix+"/snapshots", http.MethodPost, h.snapshot)
+	one(api.PathPrefix+"/deltas", http.MethodPost, h.delta)
+	one(api.PathPrefix+"/sched", http.MethodGet, h.sched)
+	one(api.PathPrefix+"/metrics", http.MethodGet, h.metricsJSON)
+	one(api.PathPrefix+"/healthz", http.MethodGet, h.healthz)
+	one(api.PathPrefix+"/readyz", http.MethodGet, h.readyz)
+	one(api.PathPrefix+"/version", http.MethodGet, h.version)
+	one("/metrics", http.MethodGet, h.metrics)
 
 	// Pre-versioning routes redirect permanently to their /v1 successors;
 	// 308 preserves the method and body, so old clients keep working.
@@ -290,19 +265,11 @@ func methods(m map[string]http.HandlerFunc) http.HandlerFunc {
 }
 
 func (h *httpAPI) submit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var spec api.JobSpec
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, api.Errorf(api.CodeBadRequest, "bad request body: %v", err))
-		return
+	if decodeBody(w, r, &spec) {
+		st, aerr := h.svc.SubmitSpec(r.Context(), h.reg, spec)
+		reply(w, http.StatusAccepted, st, aerr)
 	}
-	st, aerr := h.svc.SubmitSpec(r.Context(), h.reg, spec)
-	if aerr != nil {
-		writeError(w, aerr)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, st)
 }
 
 func (h *httpAPI) list(w http.ResponseWriter, r *http.Request) {
@@ -336,11 +303,7 @@ func (h *httpAPI) list(w http.ResponseWriter, r *http.Request) {
 		opts.Labels[k] = v
 	}
 	list, aerr := h.svc.ListJobs(opts)
-	if aerr != nil {
-		writeError(w, aerr)
-		return
-	}
-	writeJSON(w, http.StatusOK, list)
+	reply(w, http.StatusOK, list, aerr)
 }
 
 func (h *httpAPI) sched(w http.ResponseWriter, r *http.Request) {
@@ -349,11 +312,7 @@ func (h *httpAPI) sched(w http.ResponseWriter, r *http.Request) {
 
 func (h *httpAPI) trace(w http.ResponseWriter, r *http.Request) {
 	tr, aerr := h.svc.TraceOf(r.PathValue("id"))
-	if aerr != nil {
-		writeError(w, aerr)
-		return
-	}
-	writeJSON(w, http.StatusOK, tr)
+	reply(w, http.StatusOK, tr, aerr)
 }
 
 func (h *httpAPI) roundTraces(w http.ResponseWriter, r *http.Request) {
@@ -367,11 +326,7 @@ func (h *httpAPI) roundTraces(w http.ResponseWriter, r *http.Request) {
 
 func (h *httpAPI) jobSpans(w http.ResponseWriter, r *http.Request) {
 	js, aerr := h.svc.SpansOf(r.PathValue("id"))
-	if aerr != nil {
-		writeError(w, aerr)
-		return
-	}
-	writeJSON(w, http.StatusOK, js)
+	reply(w, http.StatusOK, js, aerr)
 }
 
 func (h *httpAPI) traceSpans(w http.ResponseWriter, r *http.Request) {
@@ -381,11 +336,7 @@ func (h *httpAPI) traceSpans(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sl, aerr := h.svc.TraceSpansOf(traceID)
-	if aerr != nil {
-		writeError(w, aerr)
-		return
-	}
-	writeJSON(w, http.StatusOK, sl)
+	reply(w, http.StatusOK, sl, aerr)
 }
 
 // healthz is the liveness probe: a process that can run this handler at
@@ -412,20 +363,12 @@ func (h *httpAPI) version(w http.ResponseWriter, r *http.Request) {
 
 func (h *httpAPI) get(w http.ResponseWriter, r *http.Request) {
 	st, aerr := h.svc.StatusOf(r.PathValue("id"))
-	if aerr != nil {
-		writeError(w, aerr)
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
+	reply(w, http.StatusOK, st, aerr)
 }
 
 func (h *httpAPI) cancel(w http.ResponseWriter, r *http.Request) {
 	st, aerr := h.svc.CancelJob(r.PathValue("id"))
-	if aerr != nil {
-		writeError(w, aerr)
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
+	reply(w, http.StatusOK, st, aerr)
 }
 
 func (h *httpAPI) results(w http.ResponseWriter, r *http.Request) {
@@ -436,11 +379,7 @@ func (h *httpAPI) results(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res, aerr := h.svc.ResultsOf(r.PathValue("id"), opts)
-	if aerr != nil {
-		writeError(w, aerr)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
+	reply(w, http.StatusOK, res, aerr)
 }
 
 // events streams the job's event channel as server-sent events: the SSE
@@ -487,35 +426,19 @@ func (h *httpAPI) events(w http.ResponseWriter, r *http.Request) {
 }
 
 func (h *httpAPI) snapshot(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var snap api.Snapshot
-	if err := dec.Decode(&snap); err != nil {
-		writeError(w, api.Errorf(api.CodeBadRequest, "bad request body: %v", err))
-		return
+	if decodeBody(w, r, &snap) {
+		ack, aerr := h.svc.IngestSnapshot(snap)
+		reply(w, http.StatusOK, ack, aerr)
 	}
-	ack, aerr := h.svc.IngestSnapshot(snap)
-	if aerr != nil {
-		writeError(w, aerr)
-		return
-	}
-	writeJSON(w, http.StatusOK, ack)
 }
 
 func (h *httpAPI) delta(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var delta api.Delta
-	if err := dec.Decode(&delta); err != nil {
-		writeError(w, api.Errorf(api.CodeBadRequest, "bad request body: %v", err))
-		return
+	if decodeBody(w, r, &delta) {
+		ack, aerr := h.svc.IngestDelta(r.Context(), delta)
+		reply(w, http.StatusOK, ack, aerr)
 	}
-	ack, aerr := h.svc.IngestDelta(r.Context(), delta)
-	if aerr != nil {
-		writeError(w, aerr)
-		return
-	}
-	writeJSON(w, http.StatusOK, ack)
 }
 
 func (h *httpAPI) metricsJSON(w http.ResponseWriter, r *http.Request) {
@@ -637,7 +560,7 @@ func (h *httpAPI) metrics(w http.ResponseWriter, r *http.Request) {
 	}
 	e.Declare("cgraph_ready", "gauge", "1 when every readiness check passes, 0 otherwise.")
 	e.Add("cgraph_ready", nil, ready)
-	v := buildVersion()
+	v := h.svc.VersionInfo()
 	e.Declare("cgraph_build_info", "gauge", "Build identity carried in the labels; the value is always 1.")
 	e.Add("cgraph_build_info", map[string]string{"version": v.Version, "go_version": v.GoVersion, "api": v.API}, 1)
 	e.Declare("cgraph_job_attrib_queue_wait_seconds", "gauge", "Queue wait per job, from the retained span tree.")
@@ -679,6 +602,28 @@ func queryInt(r *http.Request, name string) (int, error) {
 		return 0, fmt.Errorf("bad %s %q", name, raw)
 	}
 	return v, nil
+}
+
+// decodeBody decodes the request body into v, refusing unknown fields; on
+// failure it answers 400 and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		writeError(w, api.Errorf(api.CodeBadRequest, "bad request body: %v", err))
+		return false
+	}
+	return true
+}
+
+// reply answers v with status, or aerr's envelope when the operation
+// failed.
+func reply(w http.ResponseWriter, status int, v any, aerr *api.Error) {
+	if aerr != nil {
+		writeError(w, aerr)
+		return
+	}
+	writeJSON(w, status, v)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -26,144 +26,78 @@ func NewLocalClient(svc *Service, reg Registry) cgraph.Client {
 	return &localClient{svc: svc, reg: reg}
 }
 
-func (c *localClient) Submit(ctx context.Context, spec api.JobSpec) (api.JobStatus, error) {
+// call runs one Service operation on behalf of the client: a done ctx
+// fails it before it starts, and a service-side failure comes back as the
+// *api.Error the HTTP client would decode from the same call.
+func call[T any](ctx context.Context, op func() (T, *api.Error)) (T, error) {
+	var zero T
 	if err := ctx.Err(); err != nil {
-		return api.JobStatus{}, err
+		return zero, err
 	}
-	st, aerr := c.svc.SubmitSpec(ctx, c.reg, spec)
+	v, aerr := op()
 	if aerr != nil {
-		return api.JobStatus{}, aerr
+		return zero, aerr
 	}
-	return st, nil
+	return v, nil
+}
+
+// infallible adapts an operation that cannot fail to call.
+func infallible[T any](op func() T) func() (T, *api.Error) {
+	return func() (T, *api.Error) { return op(), nil }
+}
+
+func (c *localClient) Submit(ctx context.Context, spec api.JobSpec) (api.JobStatus, error) {
+	return call(ctx, func() (api.JobStatus, *api.Error) { return c.svc.SubmitSpec(ctx, c.reg, spec) })
 }
 
 func (c *localClient) Get(ctx context.Context, id string) (api.JobStatus, error) {
-	if err := ctx.Err(); err != nil {
-		return api.JobStatus{}, err
-	}
-	st, aerr := c.svc.StatusOf(id)
-	if aerr != nil {
-		return api.JobStatus{}, aerr
-	}
-	return st, nil
+	return call(ctx, func() (api.JobStatus, *api.Error) { return c.svc.StatusOf(id) })
 }
 
 func (c *localClient) List(ctx context.Context, opts api.ListOptions) (api.JobList, error) {
-	if err := ctx.Err(); err != nil {
-		return api.JobList{}, err
-	}
-	list, aerr := c.svc.ListJobs(opts)
-	if aerr != nil {
-		return api.JobList{}, aerr
-	}
-	return list, nil
+	return call(ctx, func() (api.JobList, *api.Error) { return c.svc.ListJobs(opts) })
 }
 
 func (c *localClient) Watch(ctx context.Context, id string) (<-chan api.Event, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	ch, aerr := c.svc.WatchJob(ctx, id)
-	if aerr != nil {
-		return nil, aerr
-	}
-	return ch, nil
+	return call(ctx, func() (<-chan api.Event, *api.Error) { return c.svc.WatchJobFrom(ctx, id, 0) })
 }
 
 func (c *localClient) Results(ctx context.Context, id string, opts api.ResultsOptions) (api.Results, error) {
-	if err := ctx.Err(); err != nil {
-		return api.Results{}, err
-	}
-	res, aerr := c.svc.ResultsOf(id, opts)
-	if aerr != nil {
-		return api.Results{}, aerr
-	}
-	return res, nil
+	return call(ctx, func() (api.Results, *api.Error) { return c.svc.ResultsOf(id, opts) })
 }
 
 func (c *localClient) Cancel(ctx context.Context, id string) (api.JobStatus, error) {
-	if err := ctx.Err(); err != nil {
-		return api.JobStatus{}, err
-	}
-	st, aerr := c.svc.CancelJob(id)
-	if aerr != nil {
-		return api.JobStatus{}, aerr
-	}
-	return st, nil
+	return call(ctx, func() (api.JobStatus, *api.Error) { return c.svc.CancelJob(id) })
 }
 
 func (c *localClient) AddSnapshot(ctx context.Context, snap api.Snapshot) (api.SnapshotAck, error) {
-	if err := ctx.Err(); err != nil {
-		return api.SnapshotAck{}, err
-	}
-	ack, aerr := c.svc.IngestSnapshot(snap)
-	if aerr != nil {
-		return api.SnapshotAck{}, aerr
-	}
-	return ack, nil
+	return call(ctx, func() (api.SnapshotAck, *api.Error) { return c.svc.IngestSnapshot(snap) })
 }
 
 func (c *localClient) ApplyDelta(ctx context.Context, delta api.Delta) (api.DeltaAck, error) {
-	if err := ctx.Err(); err != nil {
-		return api.DeltaAck{}, err
-	}
-	ack, aerr := c.svc.IngestDelta(ctx, delta)
-	if aerr != nil {
-		return api.DeltaAck{}, aerr
-	}
-	return ack, nil
+	return call(ctx, func() (api.DeltaAck, *api.Error) { return c.svc.IngestDelta(ctx, delta) })
 }
 
 func (c *localClient) JobTrace(ctx context.Context, id string) (api.JobTrace, error) {
-	if err := ctx.Err(); err != nil {
-		return api.JobTrace{}, err
-	}
-	tr, aerr := c.svc.TraceOf(id)
-	if aerr != nil {
-		return api.JobTrace{}, aerr
-	}
-	return tr, nil
+	return call(ctx, func() (api.JobTrace, *api.Error) { return c.svc.TraceOf(id) })
 }
 
 func (c *localClient) JobSpans(ctx context.Context, id string) (api.JobSpans, error) {
-	if err := ctx.Err(); err != nil {
-		return api.JobSpans{}, err
-	}
-	js, aerr := c.svc.SpansOf(id)
-	if aerr != nil {
-		return api.JobSpans{}, aerr
-	}
-	return js, nil
+	return call(ctx, func() (api.JobSpans, *api.Error) { return c.svc.SpansOf(id) })
 }
 
 func (c *localClient) TraceSpans(ctx context.Context, traceID string) (api.SpanList, error) {
-	if err := ctx.Err(); err != nil {
-		return api.SpanList{}, err
-	}
-	sl, aerr := c.svc.TraceSpansOf(traceID)
-	if aerr != nil {
-		return api.SpanList{}, aerr
-	}
-	return sl, nil
+	return call(ctx, func() (api.SpanList, *api.Error) { return c.svc.TraceSpansOf(traceID) })
 }
 
 func (c *localClient) RoundTrace(ctx context.Context, opts api.TraceOptions) (api.RoundTraces, error) {
-	if err := ctx.Err(); err != nil {
-		return api.RoundTraces{}, err
-	}
-	return c.svc.RoundTraces(opts.Limit), nil
+	return call(ctx, infallible(func() api.RoundTraces { return c.svc.RoundTraces(opts.Limit) }))
 }
 
 func (c *localClient) SchedInfo(ctx context.Context) (api.SchedInfo, error) {
-	if err := ctx.Err(); err != nil {
-		return api.SchedInfo{}, err
-	}
-	return c.svc.SchedInfo(), nil
+	return call(ctx, infallible(c.svc.SchedInfo))
 }
 
 func (c *localClient) Metrics(ctx context.Context) (api.Metrics, error) {
-	if err := ctx.Err(); err != nil {
-		return api.Metrics{}, err
-	}
-	return c.svc.MetricsInfo(), nil
+	return call(ctx, infallible(c.svc.MetricsInfo))
 }

@@ -1,13 +1,17 @@
 // Package server is the CGraph job service: the "common platform" of §1
 // run as a resident subsystem rather than a batch library call. A Service
-// owns one serving cgraph.System and layers on top of it the job lifecycle
-// (Queued → Running → Done / Cancelled / Failed), durable string job IDs,
-// handles with Wait/Status/Results, admission control (a maximum number of
-// in-flight jobs with priority-then-FIFO backpressure, leaning on the
-// §3.2.3 more-jobs-than-workers batching to pick a useful in-flight
-// width), snapshot ingestion for evolving graphs while jobs run, a
-// per-job event stream (lifecycle transitions plus per-iteration
-// progress), and a bounded history ring of compacted terminal jobs.
+// owns one serving cgraph.System and layers on top of the engine's job
+// lifecycle (Queued → Running → Done / Cancelled / Failed) durable string
+// job IDs, labels, spans, logs and the wire mapping of that lifecycle,
+// snapshot ingestion for evolving graphs while jobs run, a per-job event
+// stream (lifecycle transitions plus per-iteration progress), and a
+// bounded history ring of compacted terminal jobs.
+//
+// Admission is the engine's, as Algorithm 3 has it: the service passes
+// Config.MaxInFlight and Spec.Priority with each submission, and the engine
+// admits queued jobs at round boundaries, highest priority first. The
+// service keeps no queue and runs no goroutine per job: every transition
+// reaches it as a callback on the engine's round loop.
 //
 // Every wire shape the service speaks lives in package api; the /v1
 // HTTP/JSON control plane over a Service lives in http.go, the in-process
@@ -21,6 +25,7 @@ import (
 	"fmt"
 	"log/slog"
 	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,9 +45,9 @@ var ErrStopped = errors.New("server: service stopped")
 type State = api.JobState
 
 const (
-	// StateQueued: accepted, waiting for an in-flight slot.
+	// StateQueued: accepted, waiting in the engine's admission queue.
 	StateQueued = api.JobQueued
-	// StateRunning: submitted to the engine and being iterated.
+	// StateRunning: admitted by the engine and being iterated.
 	StateRunning = api.JobRunning
 	// StateDone: converged; results are available.
 	StateDone = api.JobDone
@@ -62,21 +67,22 @@ type SchedInfo = api.SchedInfo
 
 // Config tunes a Service.
 type Config struct {
-	// MaxInFlight caps the jobs submitted to the engine at once; further
-	// submissions wait (highest priority first, FIFO within a priority)
-	// until a slot frees. Zero means unlimited — the engine batches jobs
-	// beyond the worker count per §3.2.3, so unlimited is safe, just
+	// MaxInFlight caps the jobs the engine runs at once; further
+	// submissions wait in the engine's admission queue (highest priority
+	// first, FIFO within a priority) and are admitted at a round boundary
+	// once a running job retires. Zero means unlimited — the engine batches
+	// jobs beyond the worker count per §3.2.3, so unlimited is safe, just
 	// unbounded in memory.
 	MaxInFlight int
 	// DefaultTimeout applies to submissions without an explicit timeout.
 	// Zero means no deadline.
 	DefaultTimeout time.Duration
 	// RetainTerminal caps the terminal jobs kept with full state (results
-	// included). Beyond it the oldest terminal jobs are compacted: their
-	// results are dropped and their status summaries move to a history
-	// ring, so listings paginate history instead of losing it. Zero keeps
-	// every terminal job forever (the library default; long-lived services
-	// should set a cap).
+	// included). Beyond it the oldest terminal jobs are compacted: the
+	// engine releases their results and their status summaries move to a
+	// history ring, so listings paginate history instead of losing it. Zero
+	// keeps every terminal job forever (the library default; long-lived
+	// services should set a cap).
 	RetainTerminal int
 	// HistoryLimit caps the ring of compacted terminal job summaries
 	// (default 256 when compaction is enabled). Summaries evicted off the
@@ -96,17 +102,18 @@ type Spec struct {
 	// job-private bookkeeping must not be shared between submissions.
 	Program model.Program
 	// Timeout, when positive, bounds the job's wall-clock lifetime from
-	// submission — queue wait included; on expiry the job fails with
+	// submission — queue wait included; on expiry the engine retires the
+	// job at its next round boundary and it fails with
 	// context.DeadlineExceeded.
 	Timeout time.Duration
 	// Arrival, when non-nil, binds the job to the newest snapshot not
-	// younger than *Arrival; nil binds to the latest snapshot at launch.
+	// younger than *Arrival; nil binds to the latest snapshot at submission.
 	Arrival *int64
 	// Labels are free-form annotations echoed back in the job's status.
 	Labels map[string]string
-	// Priority orders admission when the service is at MaxInFlight:
-	// higher-priority submissions leave the wait queue first, FIFO within
-	// a priority. Zero is the default.
+	// Priority orders the engine's admission queue when MaxInFlight jobs
+	// run: higher-priority submissions are admitted first, FIFO within a
+	// priority. Zero is the default.
 	Priority int
 	// Span, when valid, parents the job's span tree under the caller's
 	// trace (the HTTP layer passes the request span here); invalid starts
@@ -128,35 +135,29 @@ type Service struct {
 	// assigns when the caller did not send one.
 	reqSeq atomic.Uint64
 
-	mu       sync.Mutex
-	started  bool
-	stopped  bool
-	runErr   error // sticky: why the round loop died, if it failed
+	mu      sync.Mutex
+	started bool
+	stopped bool
+	runErr  error // sticky: why the round loop died, if it failed
+	nextID  int
+	// jobs holds every job not yet compacted, byEngine the same jobs by
+	// engine job ID, so that the engine's updates resolve to them.
 	jobs     map[string]*Job
-	order    []string
-	queue    []*Job
-	inflight int
-	nextID   int
-	// byEngine maps engine job IDs to service jobs while they run, so
-	// round-loop progress events resolve to service IDs.
 	byEngine map[int]*Job
+	// retained lists the terminal jobs still holding full state, oldest
+	// retirement first (only with RetainTerminal set).
+	retained []*Job
 	// history is the ring of compacted terminal job summaries, oldest
 	// first; evicted counts entries dropped off the ring per state, so
 	// job-count metrics stay monotone after eviction.
 	history []histEntry
 	evicted map[State]int
 	stop    context.CancelFunc
-	// stopProgress unregisters the service's System progress observer
-	// once the service stops, so a dead Service is not kept alive (or
-	// called into) by the engine's round loop; stopIngest does the same
-	// for the ingest-event observer.
-	stopProgress func()
-	stopIngest   func()
-	serveErr     chan error
-	// stopCh closes once the round loop has exited and resident jobs were
-	// failed; watchers parked on engine handles unblock on it.
-	stopCh   chan struct{}
-	stopOnce sync.Once
+	// unobserve unregisters the service's System observers once the round
+	// loop has exited, so a dead Service is not kept alive (or called into)
+	// by the engine or the ingest path.
+	unobserve func()
+	serveErr  chan error
 }
 
 // New builds a Service over sys. The graph must be loaded before Start;
@@ -170,7 +171,6 @@ func New(sys *cgraph.System, cfg Config) *Service {
 		byEngine: make(map[int]*Job),
 		evicted:  make(map[State]int),
 		serveErr: make(chan error, 1),
-		stopCh:   make(chan struct{}),
 	}
 	if s.cfg.RetainTerminal > 0 && s.cfg.HistoryLimit <= 0 {
 		s.cfg.HistoryLimit = 256
@@ -180,13 +180,14 @@ func New(sys *cgraph.System, cfg Config) *Service {
 		s.log = slog.New(slog.DiscardHandler)
 	}
 	s.obs = newServiceObs()
-	s.stopProgress = sys.OnJobProgress(s.onProgress)
-	s.stopIngest = sys.OnIngestEvent(s.onIngestEvent)
+	stopUpdates := sys.OnJobProgress(s.onUpdate)
+	stopIngest := sys.OnIngestEvent(s.onIngestEvent)
+	s.unobserve = func() {
+		stopUpdates()
+		stopIngest()
+	}
 	return s
 }
-
-// System returns the underlying cgraph.System (snapshot ingestion, stats).
-func (s *Service) System() *cgraph.System { return s.sys }
 
 // Start launches the resident round loop on its own goroutine and begins
 // accepting submissions. It is an error to start twice or after Stop.
@@ -207,16 +208,17 @@ func (s *Service) Start() error {
 		err := s.sys.Serve(ctx)
 		if err != nil {
 			// The loop never ran (e.g. the system was mid-batch-Run).
-			// Surface the cause: further submissions fail with it and
-			// every accepted job resolves instead of hanging.
+			// Surface the cause: further submissions fail with it, and the
+			// accepted jobs end with it once a loop drives the engine.
 			s.mu.Lock()
 			if !s.stopped {
 				s.stopped = true
 				s.runErr = err
-				s.queue = nil
 			}
+			s.endJobsLocked(err)
 			s.mu.Unlock()
-			s.finalizeStop(err)
+		} else {
+			s.unobserve()
 		}
 		s.serveErr <- err
 	}()
@@ -224,62 +226,44 @@ func (s *Service) Start() error {
 }
 
 // Stop gracefully shuts the service down: no further submissions are
-// accepted, the round loop exits at the next round boundary, and every job
-// not yet terminal fails with ErrStopped. Stop returns once the loop has
-// exited, or with ctx's error if ctx expires first (teardown then
-// completes in the background when the loop lands).
+// accepted, every job not yet terminal fails with ErrStopped — the engine
+// retires them at its last round boundary — and the round loop exits. Stop
+// returns once the loop has exited, or with ctx's error if ctx expires
+// first (the loop then lands in the background).
 func (s *Service) Stop(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.started || s.stopped {
 		s.stopped = true
 		s.mu.Unlock()
-		s.stopProgress()
-		s.stopIngest()
+		s.unobserve()
 		return nil
 	}
 	s.stopped = true
+	s.endJobsLocked(ErrStopped)
 	stop := s.stop
-	s.queue = nil
 	s.mu.Unlock()
 
 	stop()
 	select {
 	case err := <-s.serveErr:
-		s.finalizeStop(ErrStopped)
 		return err
 	case <-ctx.Done():
-		//cgraph:spawn at most one teardown waiter per service, exits when the loop lands
-		go func() {
-			<-s.serveErr
-			s.finalizeStop(ErrStopped)
-		}()
 		return ctx.Err()
 	}
 }
 
-// finalizeStop runs once the round loop has exited: every non-terminal job
-// fails with cause so waiters unblock, then stopCh releases the watchers
-// still parked on engine handles.
-func (s *Service) finalizeStop(cause error) {
-	s.stopOnce.Do(func() {
-		s.stopProgress()
-		s.stopIngest()
-		s.mu.Lock()
-		ids := append([]string(nil), s.order...)
-		s.mu.Unlock()
-		for _, id := range ids {
-			if j, ok := s.Get(id); ok {
-				j.finish(StateFailed, cause, nil)
-			}
-		}
-		close(s.stopCh)
-	})
+// endJobsLocked ends every job's context with cause, so the engine retires
+// the jobs not yet terminal at its next boundary.
+func (s *Service) endJobsLocked(cause error) {
+	for _, j := range s.jobs {
+		j.cancel(cause)
+	}
 }
 
-// Submit accepts a job. When the service has a free in-flight slot the job
-// launches immediately (Running as soon as the engine admits it at a round
-// boundary); otherwise it waits, highest priority first and FIFO within a
-// priority. The returned handle is valid for the lifetime of the service.
+// Submit accepts a job: the engine queues it, highest priority first and
+// FIFO within a priority, and admits it at a round boundary while fewer
+// than MaxInFlight jobs run. The returned handle is valid for the lifetime
+// of the service.
 func (s *Service) Submit(spec Spec) (*Job, error) {
 	if spec.Program == nil {
 		return nil, fmt.Errorf("server: submit: nil program")
@@ -289,152 +273,128 @@ func (s *Service) Submit(spec Spec) (*Job, error) {
 	}
 	// The stored labels must not alias the submitter's map.
 	spec.Labels = maps.Clone(spec.Labels)
+	// The engine's updates for the job resolve through byEngine, so s.mu is
+	// held until the job is registered there.
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if !s.started {
-		s.mu.Unlock()
 		return nil, fmt.Errorf("server: submit before Start")
 	}
 	if s.stopped {
-		err := s.runErr
-		s.mu.Unlock()
-		if err != nil {
-			return nil, err
+		if s.runErr != nil {
+			return nil, s.runErr
 		}
 		return nil, ErrStopped
 	}
-	id := fmt.Sprintf("job-%d", s.nextID)
-	s.nextID++
-	jctx := context.Background()
-	jcancel := context.CancelFunc(func() {})
-	if spec.Timeout > 0 {
-		// The deadline clock starts now, so time spent queued counts.
-		jctx, jcancel = context.WithTimeout(jctx, spec.Timeout)
-	}
 	j := &Job{
 		svc:       s,
-		id:        id,
+		id:        fmt.Sprintf("job-%d", s.nextID),
+		seq:       s.nextID,
 		name:      spec.Program.Name(),
 		spec:      spec,
-		state:     StateQueued,
-		engineID:  -1,
 		submitted: time.Now(),
-		done:      make(chan struct{}),
-		ctx:       jctx,
-		cancelCtx: jcancel,
+	}
+	ctx, cancel := context.WithCancelCause(context.Background())
+	j.cancel = cancel
+	if spec.Timeout > 0 {
+		// The deadline clock starts now, so time spent queued counts.
+		var stopTimer context.CancelFunc
+		ctx, stopTimer = context.WithTimeout(ctx, spec.Timeout)
+		j.cancel = func(cause error) {
+			cancel(cause)
+			stopTimer()
+		}
 	}
 	// The submit span roots the job's tree (under the caller's trace when
 	// one arrived); it stays open until the job retires, so its wall edges
 	// bound the job's full service-side lifetime. The queue-wait child ends
-	// at launch — or at retirement, for jobs that never launch.
+	// at the engine's admission — or at retirement, for jobs never admitted.
 	tracer := s.sys.SpanTracer()
-	j.rootSpan = tracer.StartSpan(spec.Span, "job.submit") //cgraph:spanend ended by finishIf when the job retires
-	j.rootSpan.SetJob(id)
+	j.rootSpan = tracer.StartSpan(spec.Span, "job.submit") //cgraph:spanend ended by retired when the job retires
+	j.rootSpan.SetJob(j.id)
 	j.rootSpan.Attr(span.Str("algo", j.name), span.Int("priority", int64(spec.Priority)))
-	j.queueSpan = tracer.StartSpan(j.rootSpan.Context(), "job.queue_wait") //cgraph:spanend ended by launch, or by finishIf for jobs that never launch
-	j.queueSpan.SetJob(id)
-	s.jobs[id] = j
-	s.order = append(s.order, id)
-	s.events.create(id)
-	s.events.publish(id, api.Event{Type: api.EventState, State: StateQueued})
-	if s.cfg.MaxInFlight > 0 && s.inflight >= s.cfg.MaxInFlight {
-		// Insert before the first waiter with a strictly lower priority:
-		// highest priority first, FIFO within a priority.
-		at := len(s.queue)
-		for i, q := range s.queue {
-			if q.spec.Priority < spec.Priority {
-				at = i
-				break
-			}
-		}
-		s.queue = append(s.queue, nil)
-		copy(s.queue[at+1:], s.queue[at:])
-		s.queue[at] = j
-		s.mu.Unlock()
-		if spec.Timeout > 0 {
-			// A queued job must honour its deadline even if no slot ever
-			// frees. AfterFunc parks no goroutine; whichever way the job
-			// retires, finishIf cancels j.ctx and the callback dissolves
-			// (failIfQueued loses to any terminal state).
-			context.AfterFunc(j.ctx, func() {
-				j.failIfQueued(context.Cause(j.ctx))
-			})
-		}
-		return j, nil
-	}
-	s.inflight++
-	s.mu.Unlock()
-	if err := s.launch(j); err != nil {
-		j.finish(StateFailed, err, nil)
-		s.releaseSlot()
-		return j, err
-	}
-	return j, nil
-}
-
-// launch submits j to the engine and spawns its completion watcher.
-func (s *Service) launch(j *Job) error {
+	j.queueSpan = tracer.StartSpan(j.rootSpan.Context(), "job.queue_wait") //cgraph:spanend ended by admitted, or by retired for jobs never admitted
+	j.queueSpan.SetJob(j.id)
 	opts := []cgraph.JobOption{
-		cgraph.WithContext(j.ctx),
+		cgraph.WithContext(ctx),
 		// The engine parents its per-round spans under the job's root, so
 		// the tree reads http.request → job.submit → job.round regardless
 		// of transport.
 		cgraph.WithSpan(j.rootSpan.Context(), j.id),
+		cgraph.WithAdmission(spec.Priority, s.cfg.MaxInFlight),
 	}
-	if j.spec.Arrival != nil {
-		opts = append(opts, cgraph.AtTimestamp(*j.spec.Arrival))
+	if spec.Arrival != nil {
+		opts = append(opts, cgraph.AtTimestamp(*spec.Arrival))
 	}
-	h, err := s.sys.Submit(j.spec.Program, opts...)
+	h, err := s.sys.Submit(spec.Program, opts...)
 	if err != nil {
-		return err
+		j.cancel(nil)
+		j.queueSpan.End()
+		j.rootSpan.Attr(span.Str("error", err.Error()))
+		j.rootSpan.End()
+		return nil, err
 	}
-	j.queueSpan.End()
+	j.h = h
+	s.nextID++
+	s.jobs[j.id] = j
+	s.byEngine[h.ID()] = j
+	s.events.create(j.id)
+	s.events.publish(j.id, api.Event{Type: api.EventState, State: StateQueued})
+	return j, nil
+}
+
+// onUpdate receives every update the System reports for a job — on the
+// engine's round loop, or in the Cancel call of a job retired while queued
+// — before the job's handle takes it. It does O(1) work.
+func (s *Service) onUpdate(u cgraph.JobUpdate) {
+	switch {
+	case u.State.Terminal():
+		s.retired(u)
+	case u.Iteration == 0:
+		s.admitted(u)
+	default:
+		s.progressed(u)
+	}
+}
+
+// record resolves an engine job ID; nil for a job submitted directly on
+// the System, outside this service.
+func (s *Service) record(engineID int) *Job {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.byEngine[engineID]
+}
+
+// admitted stamps the engine's admission of a job: the end of its queue
+// wait.
+func (s *Service) admitted(u cgraph.JobUpdate) {
+	j := s.record(u.JobID)
+	if j == nil {
+		return
+	}
+	now := time.Now()
 	j.mu.Lock()
-	// A cancel or deadline may have landed between the slot grab and the
-	// engine submission; the job is already terminal, so drop the
-	// engine-side twin and free the slot.
-	if j.state.Terminal() {
-		j.mu.Unlock()
-		h.Cancel()
-		s.releaseSlot()
-		return nil
-	}
-	j.state = StateRunning
-	j.handle = h
-	j.engineID = h.ID()
-	j.started = time.Now()
-	wait := j.started.Sub(j.submitted)
+	j.started = now
 	j.mu.Unlock()
+	j.queueSpan.End()
+	wait := now.Sub(j.submitted)
 	s.obs.queueWait.Observe(wait.Seconds())
 	s.log.Info("job admitted",
 		"job", j.id,
-		"engine_id", h.ID(),
+		"engine_id", u.JobID,
 		"algo", j.name,
 		"priority", j.spec.Priority,
 		"queue_wait_ms", durationMS(wait),
 		"request_id", j.spec.RequestID,
-		"trace_id", j.rootSpan.TraceID().String())
-	// Publish the state transition before registering the engine→job
-	// mapping: progress events only resolve through byEngine, so none can
-	// enter the stream ahead of "running" (an iteration completing in
-	// this window is dropped — the stream guarantees order, not density).
+		"trace_id", j.TraceID())
 	s.events.publish(j.id, api.Event{Type: api.EventState, State: StateRunning})
-	s.mu.Lock()
-	s.byEngine[h.ID()] = j
-	s.mu.Unlock()
-	//cgraph:spawn one watcher per admitted job, bounded by MaxInFlight slots
-	go s.watch(j, h)
-	return nil
 }
 
-// onProgress runs on the engine's round loop after every completed job
-// iteration: it refreshes the job's live counters and feeds the event
-// stream, so watchers observe progress without polling.
-func (s *Service) onProgress(u cgraph.JobUpdate) {
-	s.mu.Lock()
-	j := s.byEngine[u.JobID]
-	s.mu.Unlock()
+// progressed refreshes the job's live counters and feeds the event stream,
+// so watchers observe progress without polling.
+func (s *Service) progressed(u cgraph.JobUpdate) {
+	j := s.record(u.JobID)
 	if j == nil {
-		// A job submitted directly on the System, outside this service.
 		return
 	}
 	j.mu.Lock()
@@ -449,113 +409,100 @@ func (s *Service) onProgress(u cgraph.JobUpdate) {
 	})
 }
 
-// watch resolves j's terminal state once the engine retires its job — or,
-// if the service stops first, leaves j to finalizeStop and unparks.
-func (s *Service) watch(j *Job, h *cgraph.Job) {
-	select {
-	case <-h.Done():
-	case <-s.stopCh:
-		// The loop exited with this job resident; finalizeStop failed it.
+// retired closes a job's span tree and logs its retirement, then
+// publishes its terminal event and applies retention in one critical
+// section under s.mu: a reader that sees this job terminal also sees the
+// job it pushes out of retention compacted, and a job is compacted only
+// after its own terminal event is in its stream.
+func (s *Service) retired(u cgraph.JobUpdate) {
+	j := s.record(u.JobID)
+	if j == nil {
 		return
 	}
-	err := h.Err()
-	var state State
-	var results []float64
-	switch {
-	case err == nil:
-		results, err = h.Results()
-		if err != nil {
-			state = StateFailed
-		} else {
-			state = StateDone
-		}
-	case errors.Is(err, cgraph.ErrCancelled), errors.Is(err, context.Canceled):
-		state = StateCancelled
-	default:
-		// Deadline expiry and engine-side failures.
-		state = StateFailed
-	}
+	now := time.Now()
+	state := stateOf(u.State, u.Err)
 	j.mu.Lock()
-	j.metrics = h.Metrics()
+	j.finished = now
+	started, iters := j.started, j.iterations
 	j.mu.Unlock()
-	s.mu.Lock()
-	delete(s.byEngine, h.ID())
-	s.mu.Unlock()
-	j.finish(state, err, results)
-	// The service keeps the results; drop the engine-side private table so
-	// resident memory stays bounded as jobs flow through.
-	h.Release()
-	s.releaseSlot()
-}
-
-// releaseSlot frees one in-flight slot and launches waiting jobs while
-// capacity remains.
-func (s *Service) releaseSlot() {
-	s.mu.Lock()
-	s.inflight--
-	for !s.stopped && len(s.queue) > 0 && (s.cfg.MaxInFlight <= 0 || s.inflight < s.cfg.MaxInFlight) {
-		j := s.queue[0]
-		s.queue = s.queue[1:]
-		if j.State() != StateQueued {
-			continue // cancelled while waiting
-		}
-		s.inflight++
-		s.mu.Unlock()
-		if err := s.launch(j); err != nil {
-			j.finish(StateFailed, err, nil)
-			s.mu.Lock()
-			s.inflight--
-			continue
-		}
-		s.mu.Lock()
+	// Releases a deadline's timer; the engine no longer reads the context.
+	j.cancel(nil)
+	var exec time.Duration
+	if !started.IsZero() {
+		exec = now.Sub(started)
+		s.obs.exec.With(j.name).Observe(exec.Seconds())
 	}
+	// The queue-wait span (a no-op once the job was admitted), an instant
+	// retirement marker, then the root span with the terminal state.
+	j.queueSpan.End()
+	retire := span.Data{
+		Trace:     j.rootSpan.TraceID(),
+		Parent:    j.rootSpan.Context().Span,
+		Name:      "job.retire",
+		Job:       j.id,
+		StartWall: now,
+		EndWall:   now,
+		Attrs:     []span.Attr{span.Str("state", string(state))},
+	}
+	ev := api.Event{Type: api.EventState, State: state, Iteration: iters}
+	logAttrs := []any{
+		"job", j.id,
+		"algo", j.name,
+		"state", string(state),
+		"iterations", iters,
+		"exec_ms", durationMS(exec),
+		"request_id", j.spec.RequestID,
+		"trace_id", j.TraceID(),
+	}
+	if state != StateDone {
+		ev.Error = apiError(u.Err)
+		if u.Err != nil {
+			retire.Attrs = append(retire.Attrs, span.Str("error", u.Err.Error()))
+			logAttrs = append(logAttrs, "error", u.Err.Error())
+		}
+	}
+	s.sys.SpanTracer().Record(retire)
+	j.rootSpan.Attr(span.Str("state", string(state)), span.Int("iterations", int64(iters)))
+	j.rootSpan.End()
+	s.log.Info("job retired", logAttrs...)
+	s.mu.Lock()
+	s.events.publish(j.id, ev)
+	s.retainLocked(j)
 	s.mu.Unlock()
 }
 
-// compactTerminalLocked enforces Config.RetainTerminal: the oldest terminal
-// jobs beyond the cap lose their full state (results included) and their
-// status summaries move to the bounded history ring, so listings keep
-// paginating them while resident memory stays bounded. The caller holds
-// s.mu and no job's mu: it reads every job's state, so Service.mu orders
-// before Job.mu. It returns the IDs it compacted, whose event streams the
-// caller removes once it has published what it still owes them.
-func (s *Service) compactTerminalLocked() (compacted []string) {
+// retainLocked enforces Config.RetainTerminal for a job that just retired:
+// the oldest retained terminal job beyond the cap is compacted — the
+// engine releases its results, its event stream goes, and its status
+// summary moves to the bounded history ring — so listings keep paginating
+// it while resident memory stays bounded. The caller holds s.mu; reading
+// the compacted job's handle waits on nothing that waits on s.mu, since
+// that job's own retirement left this critical section long before.
+func (s *Service) retainLocked(j *Job) {
 	if s.cfg.RetainTerminal <= 0 {
-		return nil
+		return
 	}
-	terminal := 0
-	for _, id := range s.order {
-		if s.jobs[id].State().Terminal() {
-			terminal++
-		}
+	s.retained = append(s.retained, j)
+	if len(s.retained) <= s.cfg.RetainTerminal {
+		return
 	}
-	for over := terminal - s.cfg.RetainTerminal; over > 0; over-- {
-		at := -1
-		for i, id := range s.order {
-			if s.jobs[id].State().Terminal() {
-				at = i
-				break
-			}
-		}
-		if at < 0 {
-			return compacted
-		}
-		id := s.order[at]
-		j := s.jobs[id]
-		st := j.Status()
-		st.Released = true
-		delete(s.jobs, id)
-		s.order = append(s.order[:at], s.order[at+1:]...)
-		s.history = append(s.history, histEntry{st: st, engineID: j.engineJobID()})
-		for len(s.history) > s.cfg.HistoryLimit {
-			// Evicted summaries leave the listing but stay counted, so
-			// job-state metrics never run backwards.
-			s.evicted[s.history[0].st.State]++
-			s.history = s.history[1:]
-		}
-		compacted = append(compacted, id)
+	old := s.retained[0]
+	s.retained[0] = nil
+	s.retained = s.retained[1:]
+	st := old.Status()
+	st.Released = true
+	delete(s.jobs, old.id)
+	delete(s.byEngine, old.h.ID())
+	s.events.remove(old.id)
+	s.history = append(s.history, histEntry{st: st, engineID: old.h.ID()})
+	if len(s.history) > s.cfg.HistoryLimit {
+		// Evicted summaries leave the listing but stay counted, so
+		// job-state metrics never run backwards.
+		s.evicted[s.history[0].st.State]++
+		s.history[0] = histEntry{}
+		s.history = s.history[1:]
 	}
-	return compacted
+	old.h.Release()
 }
 
 // histEntry is one compacted terminal job: its status summary plus the
@@ -588,33 +535,32 @@ func (s *Service) Cancel(id string) error {
 // List returns the status of every live (non-compacted) job in submission
 // order. ListPage additionally paginates over the compacted history.
 func (s *Service) List() []Status {
-	s.mu.Lock()
-	ids := append([]string(nil), s.order...)
-	s.mu.Unlock()
-	out := make([]Status, 0, len(ids))
-	for _, id := range ids {
-		if j, ok := s.Get(id); ok {
-			out = append(out, j.Status())
-		}
+	_, jobs, _ := s.snapshotJobs()
+	out := make([]Status, 0, len(jobs))
+	for _, j := range jobs {
+		out = append(out, j.Status())
 	}
 	return out
 }
 
-// snapshotJobs copies the history ring, the live job handles, and the
-// eviction counters under one lock hold, so a concurrent compaction
-// cannot surface the same job in both halves or in neither.
+// snapshotJobs copies the history ring, the live job handles (in
+// submission order), and the eviction counters under one lock hold, so a
+// concurrent compaction cannot surface the same job in both halves or in
+// neither.
 func (s *Service) snapshotJobs() (history []api.JobStatus, live []*Job, evicted map[State]int) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	history = make([]api.JobStatus, len(s.history))
 	for i, h := range s.history {
 		history[i] = h.st
 	}
-	live = make([]*Job, 0, len(s.order))
-	for _, id := range s.order {
-		live = append(live, s.jobs[id])
+	live = make([]*Job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		live = append(live, j)
 	}
-	return history, live, maps.Clone(s.evicted)
+	evicted = maps.Clone(s.evicted)
+	s.mu.Unlock()
+	slices.SortFunc(live, func(a, b *Job) int { return a.seq - b.seq })
+	return history, live, evicted
 }
 
 // matchesFilter applies ListOptions' state and label filters to one job
@@ -673,21 +619,13 @@ func (s *Service) AddSnapshot(edges []model.Edge, timestamp int64) error {
 // the compacted history ring.
 func (s *Service) engineNameMap() map[int]string {
 	s.mu.Lock()
-	js := make([]*Job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		js = append(js, j)
-	}
-	byEngine := make(map[int]string, len(js))
+	defer s.mu.Unlock()
+	byEngine := make(map[int]string, len(s.byEngine)+len(s.history))
 	for _, h := range s.history {
-		if h.engineID >= 0 {
-			byEngine[h.engineID] = h.st.ID
-		}
+		byEngine[h.engineID] = h.st.ID
 	}
-	s.mu.Unlock()
-	for _, j := range js {
-		if id := j.engineJobID(); id >= 0 {
-			byEngine[id] = j.ID()
-		}
+	for id, j := range s.byEngine {
+		byEngine[id] = j.id
 	}
 	return byEngine
 }
@@ -718,50 +656,59 @@ func (s *Service) SchedInfo() SchedInfo {
 	return out
 }
 
-// Job is the service-side handle of one submitted job.
+// Job is the service's record of one submitted job. Its state, Done, Err
+// and Results are the engine's, read through the job's cgraph handle; the
+// record keeps what only the service knows: the service ID, the spec, the
+// spans, the timestamps and the live counters, and maps the engine's
+// lifecycle onto the wire's.
 type Job struct {
 	svc  *Service
 	id   string
+	seq  int
 	name string
 	spec Spec
-	done chan struct{}
-
-	// ctx carries the job's deadline from submission; cancelCtx releases
-	// its timer once the job is terminal.
-	ctx       context.Context
-	cancelCtx context.CancelFunc
+	h    *cgraph.Job
+	// cancel ends the job's context: with ErrStopped (or the loop's error)
+	// so that the engine retires the job, or with nil once it retired,
+	// which releases a deadline's timer.
+	cancel    context.CancelCauseFunc
+	submitted time.Time
 
 	// rootSpan ("job.submit") spans the job's full service-side lifetime;
-	// queueSpan ("job.queue_wait") its wait for an in-flight slot. Both are
+	// queueSpan ("job.queue_wait") its wait for admission. Both are
 	// assigned once at submission and never reassigned, so they are read
 	// without j.mu (the Span type has its own lock).
 	rootSpan  *span.Span
 	queueSpan *span.Span
 
 	mu         sync.Mutex
-	state      State
-	err        error
-	handle     *cgraph.Job
-	engineID   int // engine job ID once launched; -1 before
-	results    []float64
-	metrics    *cgraph.JobReport
 	iterations int
 	edges      int64
-	submitted  time.Time
 	started    time.Time
 	finished   time.Time
 }
 
+// stateOf maps the engine's lifecycle onto the wire's: a job retired by
+// Cancel is cancelled, and one whose context ended — a deadline, or the
+// service stopping — failed.
+func stateOf(st cgraph.JobState, err error) State {
+	switch st {
+	case cgraph.JobQueued:
+		return StateQueued
+	case cgraph.JobRunning:
+		return StateRunning
+	case cgraph.JobDone:
+		return StateDone
+	case cgraph.JobCancelled:
+		if errors.Is(err, cgraph.ErrCancelled) || errors.Is(err, context.Canceled) {
+			return StateCancelled
+		}
+	}
+	return StateFailed
+}
+
 // TraceID returns the job's trace ID in wire form (32 lowercase hex).
 func (j *Job) TraceID() string { return j.rootSpan.TraceID().String() }
-
-// engineJobID returns the engine job ID the job ran under, -1 if it never
-// launched.
-func (j *Job) engineJobID() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.engineID
-}
 
 // ID returns the service-assigned job ID.
 func (j *Job) ID() string { return j.id }
@@ -769,157 +716,46 @@ func (j *Job) ID() string { return j.id }
 // Name returns the program name.
 func (j *Job) Name() string { return j.name }
 
-// State returns the job's current lifecycle state.
-func (j *Job) State() State {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state
+// state reads the engine's state and, once terminal, its error.
+func (j *Job) state() (cgraph.JobState, error) {
+	st := j.h.State()
+	if !st.Terminal() {
+		return st, nil
+	}
+	return st, j.h.Err()
 }
+
+// State returns the job's current lifecycle state.
+func (j *Job) State() State { return stateOf(j.state()) }
 
 // Err reports why the job terminated; nil before termination and after a
 // clean convergence.
-func (j *Job) Err() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
-}
+func (j *Job) Err() error { return j.h.Err() }
 
 // Done returns a channel closed when the job reaches a terminal state.
-func (j *Job) Done() <-chan struct{} { return j.done }
+func (j *Job) Done() <-chan struct{} { return j.h.Done() }
 
 // Wait blocks until the job reaches a terminal state or ctx expires; on a
 // terminal state it returns Err.
-func (j *Job) Wait(ctx context.Context) error {
-	select {
-	case <-j.done:
-		return j.Err()
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
+func (j *Job) Wait(ctx context.Context) error { return j.h.Wait(ctx) }
 
 // Cancel retires the job. Queued jobs cancel immediately; running jobs at
 // the engine's next round boundary.
 func (j *Job) Cancel() error {
-	j.mu.Lock()
-	switch {
-	case j.state == StateQueued:
-		j.mu.Unlock()
-		j.finish(StateCancelled, cgraph.ErrCancelled, nil)
-		return nil
-	case j.state == StateRunning:
-		h := j.handle
-		j.mu.Unlock()
-		return h.Cancel()
-	default:
-		st := j.state
-		j.mu.Unlock()
-		return fmt.Errorf("server: cancel: job %s already %s", j.id, st)
+	if err := j.h.Cancel(); err != nil {
+		return fmt.Errorf("server: cancel: job %s already %s", j.id, j.State())
 	}
+	return nil
 }
 
-// Results returns the converged per-vertex values; an error before the job
-// is done.
+// Results returns the converged per-vertex values, the engine's own copy,
+// which callers must not modify; an error before the job is done and once
+// it is compacted.
 func (j *Job) Results() ([]float64, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != StateDone {
-		return nil, fmt.Errorf("server: job %s is %s, results unavailable", j.id, j.state)
+	if st := j.State(); st != StateDone {
+		return nil, fmt.Errorf("server: job %s is %s, results unavailable", j.id, st)
 	}
-	return j.results, nil
-}
-
-// finish transitions the job to a terminal state exactly once.
-func (j *Job) finish(state State, err error, results []float64) {
-	j.finishIf(nil, state, err, results)
-}
-
-// failIfQueued fails the job only if it is still waiting in the FIFO —
-// the deadline watcher's transition, which must lose to a concurrent
-// launch.
-func (j *Job) failIfQueued(err error) {
-	j.finishIf(func(s State) bool { return s == StateQueued }, StateFailed, err, nil)
-}
-
-// finishIf moves the job to state unless it is terminal already or cond
-// rejects its current state. The terminal state and the retention it
-// triggers become visible together: both happen under the service's mu,
-// taken before the job's, so no reader sees this job terminal while a job
-// it pushes out of retention still answers.
-func (j *Job) finishIf(cond func(State) bool, state State, err error, results []float64) {
-	svc := j.svc
-	svc.mu.Lock()
-	j.mu.Lock()
-	if j.state.Terminal() || (cond != nil && !cond(j.state)) {
-		j.mu.Unlock()
-		svc.mu.Unlock()
-		return
-	}
-	j.state = state
-	if state != StateDone {
-		j.err = err
-	}
-	j.results = results
-	j.finished = time.Now()
-	iters := j.iterations
-	if j.metrics != nil {
-		iters = j.metrics.Iterations
-	}
-	var exec time.Duration
-	if !j.started.IsZero() {
-		exec = j.finished.Sub(j.started)
-	}
-	j.mu.Unlock()
-	compacted := svc.compactTerminalLocked()
-	svc.mu.Unlock()
-	j.cancelCtx()
-	close(j.done)
-	if exec > 0 {
-		j.svc.obs.exec.With(j.name).Observe(exec.Seconds())
-	}
-	// Close out the job's span tree: the queue-wait span (a no-op when
-	// launch already ended it), an instant retirement marker, then the root
-	// span with the terminal state stamped on it.
-	j.queueSpan.End()
-	now := time.Now() //cgraph:wallclock span edges are wall-stamped by design
-	retire := span.Data{
-		Trace:     j.rootSpan.TraceID(),
-		Parent:    j.rootSpan.Context().Span,
-		Name:      "job.retire",
-		Job:       j.id,
-		StartWall: now,
-		EndWall:   now,
-		Attrs:     []span.Attr{span.Str("state", string(state))},
-	}
-	if state != StateDone && err != nil {
-		retire.Attrs = append(retire.Attrs, span.Str("error", err.Error()))
-	}
-	j.svc.sys.SpanTracer().Record(retire)
-	j.rootSpan.Attr(span.Str("state", string(state)), span.Int("iterations", int64(iters)))
-	j.rootSpan.End()
-	logAttrs := []any{
-		"job", j.id,
-		"algo", j.name,
-		"state", string(state),
-		"iterations", iters,
-		"exec_ms", durationMS(exec),
-		"request_id", j.spec.RequestID,
-		"trace_id", j.TraceID(),
-	}
-	if state != StateDone && err != nil {
-		logAttrs = append(logAttrs, "error", err.Error())
-	}
-	j.svc.log.Info("job retired", logAttrs...)
-	ev := api.Event{Type: api.EventState, State: state, Iteration: iters}
-	if state != StateDone {
-		ev.Error = apiError(err)
-	}
-	j.svc.events.publish(j.id, ev)
-	// The job may have compacted itself: its stream goes only after its
-	// terminal event is in it.
-	for _, id := range compacted {
-		j.svc.events.remove(id)
-	}
+	return j.h.Results()
 }
 
 // apiError converts a job's terminal error to its wire form.
@@ -941,20 +777,22 @@ func apiError(err error) *api.Error {
 
 // Status snapshots the job in its wire form.
 func (j *Job) Status() Status {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	engState, err := j.state()
+	m := j.h.Metrics()
 	st := Status{
 		ID:   j.id,
 		Algo: j.name,
 		// Cloned so a caller mutating the snapshot (in-process clients
 		// skip the JSON copy HTTP clients get) cannot alter the job.
-		Labels:     maps.Clone(j.spec.Labels),
-		State:      j.state,
-		Priority:   j.spec.Priority,
-		Submitted:  j.submitted,
-		Iterations: j.iterations,
+		Labels:    maps.Clone(j.spec.Labels),
+		State:     stateOf(engState, err),
+		Priority:  j.spec.Priority,
+		Submitted: j.submitted,
+		Error:     apiError(err),
+		TraceID:   j.TraceID(),
 	}
-	st.Error = apiError(j.err)
+	j.mu.Lock()
+	st.Iterations, st.EdgesProcessed = j.iterations, j.edges
 	if !j.started.IsZero() {
 		t := j.started
 		st.Started = &t
@@ -963,13 +801,12 @@ func (j *Job) Status() Status {
 		t := j.finished
 		st.Finished = &t
 	}
-	st.TraceID = j.TraceID()
-	st.EdgesProcessed = j.edges
-	if j.metrics != nil {
-		st.Iterations = j.metrics.Iterations
-		st.EdgesProcessed = j.metrics.EdgesProcessed
-		st.SimulatedAccessUS = j.metrics.SimulatedAccessUS
-		st.SimulatedComputeUS = j.metrics.SimulatedComputeUS
+	j.mu.Unlock()
+	if m != nil {
+		st.Iterations = m.Iterations
+		st.EdgesProcessed = m.EdgesProcessed
+		st.SimulatedAccessUS = m.SimulatedAccessUS
+		st.SimulatedComputeUS = m.SimulatedComputeUS
 	}
 	return st
 }

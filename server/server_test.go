@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -421,5 +422,39 @@ func TestServiceReleasesEngineStateAfterDone(t *testing.T) {
 	}
 	if st := j.Status(); st.Iterations == 0 {
 		t.Fatalf("metrics lost on release: %+v", st)
+	}
+}
+
+// TestServiceRunsNoGoroutinePerJob: admission, progress and retirement
+// reach the service as callbacks on the engine's round loop, so running
+// jobs cost the process no goroutines of their own.
+func TestServiceRunsNoGoroutinePerJob(t *testing.T) {
+	svc := startService(t, server.Config{}, testEdges(), 300)
+	before := runtime.NumGoroutine()
+	const n = 32
+	jobs := make([]*server.Job, n)
+	for i := range jobs {
+		j, err := svc.Submit(server.Spec{Program: spinProgram{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs[i] = j
+	}
+	testutil.WaitFor(t, 30*time.Second, func() bool {
+		for _, j := range jobs {
+			if j.State() != server.StateRunning {
+				return false
+			}
+		}
+		return true
+	}, "spinning jobs never all admitted")
+	// The round loop's pool spawns its workers per round; allow for them.
+	if after := runtime.NumGoroutine(); after-before > 4 {
+		t.Fatalf("%d running jobs raised the goroutine count %d → %d", n, before, after)
+	}
+	for _, j := range jobs {
+		if err := j.Cancel(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
