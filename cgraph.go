@@ -343,9 +343,9 @@ type JobUpdate struct {
 // the observer's lifetime ends (a stopped service, say) so the System does
 // not keep it alive. fn runs on the engine's round-loop goroutine (or, for
 // a job cancelled while queued, in Job.Cancel) and must not block for long.
-// Every observer sees a transition before the job's handle does: until fn
-// returns, State, Err and Metrics of that job wait for it, so fn must not
-// call them, and Done closes only afterwards. Resident services use this
+// Every observer sees a transition before the job's handle does: until the
+// observers return, State, Err and Metrics of that job wait for them, so fn
+// must not call them, and Done closes only afterwards. Resident services use this
 // to apply their own bookkeeping first and to feed job-event streams
 // without polling. A nil fn is ignored.
 func (s *System) OnJobProgress(fn func(JobUpdate)) (unregister func()) {
@@ -752,9 +752,9 @@ const (
 	JobFailed    = core.JobFailed
 )
 
-// Job is a handle to one submitted CGP job: the only one. Its state moves
-// with the engine's events, after the System's observers have seen each
-// transition, and stays readable after Release.
+// Job is a handle to one submitted CGP job. Its state moves with the
+// engine's events, after the System's observers have seen each transition,
+// and stays readable after Release.
 type Job struct {
 	sys  *System
 	id   int
@@ -766,6 +766,9 @@ type Job struct {
 	state   JobState
 	err     error
 	metrics *JobReport
+	// moving is set while the observers see a transition the handle has
+	// not taken yet; it closes once the handle has.
+	moving chan struct{}
 }
 
 // Submit registers a job against the current graph. Jobs may be submitted
@@ -840,9 +843,10 @@ func (s *System) onJobProgress(p core.JobProgress) {
 }
 
 // onJobEvent moves a handle through an admission or a retirement: the
-// observers see the transition first, with the handle held so that no
-// reader sees it half-applied, then the handle takes it; a retired job's
-// handle leaves byID, and its Done closes last.
+// observers see the transition first, while the handle's readers wait for
+// it, then the handle takes it; a retired job's handle leaves byID, and
+// its Done closes last. A job's transitions never overlap: the engine
+// reports its admission and its retirement one after the other.
 func (s *System) onJobEvent(ev core.JobEvent) {
 	terminal := ev.State.Terminal()
 	s.jobsMu.Lock()
@@ -858,13 +862,18 @@ func (s *System) onJobEvent(ev core.JobEvent) {
 	if errors.Is(err, core.ErrCancelled) {
 		err = ErrCancelled
 	}
+	moved := make(chan struct{})
 	j.mu.Lock()
+	j.moving = moved
+	j.mu.Unlock()
 	s.progress.fire(JobUpdate{JobID: ev.JobID, State: ev.State, Err: err})
-	j.state, j.err = ev.State, err
+	j.mu.Lock()
+	j.state, j.err, j.moving = ev.State, err, nil
 	if ev.State == JobDone {
 		j.metrics = jobReportOf(ev.Metrics)
 	}
 	j.mu.Unlock()
+	close(moved)
 	if terminal {
 		close(j.done)
 	}
@@ -1093,20 +1102,33 @@ func (j *Job) Wait(ctx context.Context) error {
 }
 
 // Err reports why the job terminated: nil after convergence, ErrCancelled
-// after Cancel, the job context's error after an expired WithContext, or an
-// engine error for failed jobs. Before termination it returns nil.
+// after Cancel, the cause of the job context's end after an expired or
+// cancelled WithContext, or an engine error for failed jobs. Before
+// termination it returns nil.
 func (j *Job) Err() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
+	_, _, err := j.settled()
+	return err
 }
 
 // State reports the job's lifecycle state; it remains correct after
 // Release.
 func (j *Job) State() JobState {
+	st, _, _ := j.settled()
+	return st
+}
+
+// settled reads the handle once no transition is in flight, so that a
+// reader never sees one before every observer has.
+func (j *Job) settled() (JobState, *JobReport, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.state
+	for j.moving != nil {
+		moving := j.moving
+		j.mu.Unlock()
+		<-moving
+		j.mu.Lock()
+	}
+	return j.state, j.metrics, j.err
 }
 
 // Cancel retires the job: a queued one at once, before Cancel returns, and
@@ -1119,9 +1141,8 @@ func (j *Job) Cancel() error {
 // Metrics returns the job's report after it converged, or nil before then
 // and for cancelled/failed jobs.
 func (j *Job) Metrics() *JobReport {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.metrics
+	_, m, _ := j.settled()
+	return m
 }
 
 // Release frees the engine-side state of a terminal job: its results (and

@@ -475,9 +475,10 @@ func (s *Service) retired(u cgraph.JobUpdate) {
 // the oldest retained terminal job beyond the cap is compacted — the
 // engine releases its results, its event stream goes, and its status
 // summary moves to the bounded history ring — so listings keep paginating
-// it while resident memory stays bounded. The caller holds s.mu; reading
-// the compacted job's handle waits on nothing that waits on s.mu, since
-// that job's own retirement left this critical section long before.
+// it while resident memory stays bounded. The caller holds s.mu. Reading
+// the compacted job's handle can wait only for that job's own retirement
+// to reach its handle, and that retirement has left this critical section
+// already.
 func (s *Service) retainLocked(j *Job) {
 	if s.cfg.RetainTerminal <= 0 {
 		return

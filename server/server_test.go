@@ -415,10 +415,10 @@ func TestServiceReleasesEngineStateAfterDone(t *testing.T) {
 	if err := j.Wait(waitCtx(t)); err != nil {
 		t.Fatal(err)
 	}
-	// The service retains the results after the engine copy is dropped.
+	// The engine keeps the results until retention compacts the job.
 	res, err := j.Results()
 	if err != nil || len(res) != 300 {
-		t.Fatalf("cached results broken: %d values, err %v", len(res), err)
+		t.Fatalf("retained results broken: %d values, err %v", len(res), err)
 	}
 	if st := j.Status(); st.Iterations == 0 {
 		t.Fatalf("metrics lost on release: %+v", st)
