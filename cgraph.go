@@ -321,18 +321,12 @@ func (s *System) OnIngestEvent(fn func(IngestEvent)) (unregister func()) {
 
 // JobUpdate reports one step of a submitted job: its admission into the
 // round loop (State JobRunning, Iteration 0), a completed iteration (State
-// JobRunning, Iteration ≥ 1, with the running totals), or its retirement
-// (a terminal State; Err as Job.Err will report it).
+// JobRunning, the engine's core.JobProgress totals), or its retirement (a
+// terminal State; Err as Job.Err will report it).
 type JobUpdate struct {
-	JobID int
+	core.JobProgress
 	State JobState
-	// Iteration is the number of completed iterations (0 on admission and
-	// retirement updates); EdgesProcessed the job's running edge total and
-	// VirtualTimeUS the engine's virtual clock at the iteration close.
-	Iteration      int
-	EdgesProcessed int64
-	VirtualTimeUS  float64
-	Err            error
+	Err   error
 }
 
 // OnJobProgress registers fn to observe every job's admission, completed
@@ -825,21 +819,10 @@ func (s *System) ensureEngineLocked() {
 		Workers:       s.cfg.workers,
 		Hier:          hier,
 		OnJobEvent:    s.onJobEvent,
-		OnJobProgress: s.onJobProgress,
+		OnJobProgress: func(p core.JobProgress) { s.progress.fire(JobUpdate{JobProgress: p, State: JobRunning}) },
 		TraceDepth:    s.cfg.traceDepth,
 		Tracer:        s.tracer,
 	}, s.store)
-}
-
-// onJobProgress forwards one completed iteration to the observers.
-func (s *System) onJobProgress(p core.JobProgress) {
-	s.progress.fire(JobUpdate{
-		JobID:          p.JobID,
-		State:          JobRunning,
-		Iteration:      p.Iteration,
-		EdgesProcessed: p.EdgesProcessed,
-		VirtualTimeUS:  p.VirtualTimeUS,
-	})
 }
 
 // onJobEvent moves a handle through an admission or a retirement: the
@@ -866,7 +849,7 @@ func (s *System) onJobEvent(ev core.JobEvent) {
 	j.mu.Lock()
 	j.moving = moved
 	j.mu.Unlock()
-	s.progress.fire(JobUpdate{JobID: ev.JobID, State: ev.State, Err: err})
+	s.progress.fire(JobUpdate{JobProgress: core.JobProgress{JobID: ev.JobID}, State: ev.State, Err: err})
 	j.mu.Lock()
 	j.state, j.err, j.moving = ev.State, err, nil
 	if ev.State == JobDone {

@@ -380,14 +380,7 @@ func New(cfg Config, store *storage.SnapshotStore) *Engine {
 // are admitted at the next round boundary (Algorithm 3 "allows to add new
 // jobs into SJobs at runtime"). It returns the job ID.
 func (e *Engine) Submit(prog model.Program, arrivalTS int64) int {
-	return e.SubmitCtx(context.Background(), prog, arrivalTS)
-}
-
-// SubmitCtx is Submit with a job-scoped context: when ctx is cancelled or
-// its deadline passes, the job is retired at the next round boundary with a
-// JobCancelled event carrying context.Cause(ctx).
-func (e *Engine) SubmitCtx(ctx context.Context, prog model.Program, arrivalTS int64) int {
-	return e.SubmitWith(ctx, prog, SubmitOpts{Arrival: arrivalTS})
+	return e.SubmitWith(context.Background(), prog, SubmitOpts{Arrival: arrivalTS})
 }
 
 // SubmitOpts carries the optional envelope of a submission.
@@ -408,7 +401,9 @@ type SubmitOpts struct {
 	MaxRunning int
 }
 
-// SubmitWith is SubmitCtx with the full submission envelope. The job takes
+// SubmitWith is Submit with a job-scoped context and the full submission
+// envelope: when ctx ends, the job is retired at the next round boundary
+// with a JobCancelled event carrying context.Cause(ctx). The job takes
 // a reference on the snapshot it binds to, released when it is retired, so
 // snapshot retention GC cannot evict the version under a live job.
 func (e *Engine) SubmitWith(ctx context.Context, prog model.Program, opts SubmitOpts) int {
@@ -482,7 +477,6 @@ func (e *Engine) admitPending() {
 		if rj.maxRunning > 0 && len(e.jobs) >= rj.maxRunning {
 			break
 		}
-		rj.SubmitTime = e.now
 		rj.m.SubmitAt = e.now
 		rj.state = JobRunning
 		e.jobs = append(e.jobs, rj)
@@ -1428,7 +1422,6 @@ func (e *Engine) pricePush(rj *runJob) {
 		})
 	}
 	if rj.Done {
-		rj.FinishTime = e.now
 		rj.m.FinishAt = e.now
 		rj.m.Iterations = rj.Iterations
 		rj.m.Edges = rj.EdgesProcessed

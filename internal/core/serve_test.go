@@ -205,7 +205,7 @@ func TestServeJobContextDeadline(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	spin := e.SubmitCtx(ctx, spinProgram{}, 0)
+	spin := e.SubmitWith(ctx, spinProgram{}, SubmitOpts{})
 	ev := rec.wait(t, spin)
 	if ev.State != JobCancelled || !errors.Is(ev.Err, context.DeadlineExceeded) {
 		t.Fatalf("deadline event %+v, want cancelled/DeadlineExceeded", ev)

@@ -105,10 +105,6 @@ type Job struct {
 	Phases     int
 	Done       bool
 
-	// SubmitTime/FinishTime are virtual timestamps managed by engines.
-	SubmitTime float64
-	FinishTime float64
-
 	// DeltaSum[p] accumulates |contribution| scattered into partition p
 	// this iteration; it feeds C(P) of the Eq. 1 scheduler.
 	DeltaSum []float64
