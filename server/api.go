@@ -506,7 +506,7 @@ func (s *Service) historyEntry(id string) (histEntry, bool) {
 // exec, derived from the service-side timestamps) plus the engine's
 // retained round-by-round timeline. It works for live jobs and for jobs
 // compacted to history — the engine's terminal trace ring outlives the
-// service-side results — and degrades to the envelope alone when tracing
+// job's results — and degrades to the envelope alone when tracing
 // is disabled (TraceDepth 0).
 func (s *Service) TraceOf(id string) (api.JobTrace, *api.Error) {
 	if j, ok := s.Get(id); ok {

@@ -287,7 +287,6 @@ func (s *Service) Submit(spec Spec) (*Job, error) {
 		return nil, ErrStopped
 	}
 	j := &Job{
-		svc:       s,
 		id:        fmt.Sprintf("job-%d", s.nextID),
 		seq:       s.nextID,
 		name:      spec.Program.Name(),
@@ -663,7 +662,6 @@ func (s *Service) SchedInfo() SchedInfo {
 // spans, the timestamps and the live counters, and maps the engine's
 // lifecycle onto the wire's.
 type Job struct {
-	svc  *Service
 	id   string
 	seq  int
 	name string
