@@ -529,8 +529,9 @@ func (e *Engine) reapLocked(rj *runJob, enforceBudget bool, events *[]JobEvent) 
 }
 
 // retireLocked moves rj to a terminal state and drops what a retired job no
-// longer needs: its snapshot reference, its simulated-cache items and its
-// tables. A converged job keeps its results first (settle).
+// longer needs: its snapshot reference (a converged job's went when it
+// converged), its simulated-cache items and its tables. A converged job
+// keeps its results first (settleLocked).
 func (e *Engine) retireLocked(rj *runJob, state JobState) {
 	rj.state = state
 	if state != JobDone {
@@ -671,12 +672,12 @@ func (e *Engine) Results(jobID int) ([]float64, error) {
 	return rj.results, nil
 }
 
-// Release forgets a terminal job: its results, and what a job that
-// converged under Run still holds, go, and its index entry is compacted
-// into aggregate counters, so ServeStats stays accurate while the engine's
-// memory stays bounded as jobs flow through a long-lived service. Released
-// jobs drop out of later Run reports; releasing an unfinished or unknown
-// job is a no-op.
+// Release forgets a terminal job: it drops the job's results (and, for a
+// job that converged under Run and was never read, its tables and
+// simulated-cache items) and compacts its index entry into aggregate
+// counters, so ServeStats stays accurate while the engine's memory stays
+// bounded as jobs flow through a long-lived service. Released jobs drop out
+// of later Run reports; releasing an unfinished or unknown job is a no-op.
 func (e *Engine) Release(jobID int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
