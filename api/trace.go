@@ -61,7 +61,7 @@ type RoundTrace struct {
 
 // RoundTraces is the GET /v1/trace/rounds payload.
 type RoundTraces struct {
-	// TraceDepth is the configured ring depth (0 = tracing disabled).
+	// TraceDepth is the configured ring depth (0 = ring disabled).
 	TraceDepth int `json:"trace_depth"`
 	// Rounds are the retained round records, oldest first.
 	Rounds []RoundTrace `json:"rounds"`
@@ -80,14 +80,15 @@ type JobTrace struct {
 	Finished    *time.Time `json:"finished_at,omitempty"`
 	QueueWaitMS float64    `json:"queue_wait_ms,omitempty"`
 	ExecMS      float64    `json:"exec_ms,omitempty"`
-	// Released reports the job's results were compacted; the trace is
-	// served from the retained terminal ring.
+	// Released reports the job's results were compacted; its rounds are
+	// still served while the span store keeps them.
 	Released bool `json:"released,omitempty"`
-	// DroppedRounds counts rounds truncated off the front of the bounded
-	// timeline.
+	// DroppedRounds counts the job's rounds whose spans the bounded span
+	// store has evicted (oldest first): its iterations less len(Rounds).
 	DroppedRounds int `json:"dropped_rounds,omitempty"`
-	// Rounds is the retained timeline, oldest first. Empty when tracing is
-	// disabled (TraceDepth 0) or the job never entered a round.
+	// Rounds is the job's round-by-round timeline, oldest first, read from
+	// its retained "job.round" spans at any trace depth. Empty when the job
+	// never entered a round or all its round spans were evicted.
 	Rounds []JobRoundTrace `json:"rounds"`
 	// Error carries the terminal error of failed/cancelled jobs.
 	Error *Error `json:"error,omitempty"`

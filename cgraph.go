@@ -112,9 +112,9 @@ type Client interface {
 	Metrics(ctx context.Context) (api.Metrics, error)
 	// JobTrace returns a job's round-by-round timeline (queue wait, admit,
 	// per-round durations and work split, terminal state), retrievable
-	// while the job runs and after it compacts. Requires the service to
-	// trace (TraceDepth > 0) for per-round entries; the lifecycle envelope
-	// is always populated.
+	// while the job runs and after it compacts. The rounds are the job's
+	// "job.round" spans, retained as long as the span store keeps them, at
+	// any trace depth; the lifecycle envelope is always populated.
 	JobTrace(ctx context.Context, id string) (api.JobTrace, error)
 	// RoundTrace returns the service's retained per-round trace records,
 	// oldest first.
@@ -220,11 +220,11 @@ func WithIngestCap(n int) Option { return func(c *config) { c.ingestCap = n } }
 // evicted. Zero (the default) keeps every snapshot.
 func WithRetainSnapshots(n int) Option { return func(c *config) { c.retainSnapshots = n } }
 
-// WithTraceDepth enables round/job tracing with a ring of the last n round
-// records and per-job timelines bounded at n rounds (retained after the job
-// retires, in a terminal ring also bounded at n). Zero (the default)
-// disables tracing: the round loop then skips all per-round trace
-// bookkeeping, so an untraced system pays nothing.
+// WithTraceDepth enables the round trace: a ring of the last n round
+// records, each with every active job's share of the round. Zero (the
+// default) disables it, and the round loop then builds no round record.
+// The depth bounds only this ring: a job's own round history is its
+// "job.round" spans, which the span store keeps at any depth.
 func WithTraceDepth(n int) Option { return func(c *config) { c.traceDepth = n } }
 
 // System is a CGraph instance: one shared (possibly evolving) graph plus
@@ -904,8 +904,8 @@ func jobReportOf(jm *metrics.JobMetrics) *JobReport {
 // core.Stats).
 type Stats = core.Stats
 
-// Stats reports current job-state counts and round-loop progress; safe to
-// call while the system serves. Before any submission it returns zeros.
+// Stats reports round-loop progress; safe to call while the system serves.
+// Before any submission it returns zeros.
 func (s *System) Stats() Stats {
 	eng := s.currentEngine()
 	if eng == nil {
@@ -947,14 +947,12 @@ func (s *System) SchedInfo() SchedInfo {
 	return eng.SchedInfo()
 }
 
-// RoundTrace is one engine round's trace record (see WithTraceDepth),
-// JobRoundTrace one job's share of it, and JobTrace one job's retained
-// round-by-round timeline (aliases of the trace recorder's Round, JobRound
-// and Timeline).
+// RoundTrace is one engine round's trace record (see WithTraceDepth) and
+// JobRoundTrace one job's share of it (aliases of the trace recorder's
+// Round and JobRound).
 type (
 	RoundTrace    = trace.Round
 	JobRoundTrace = trace.JobRound
-	JobTrace      = trace.Timeline
 )
 
 // TraceDepth reports the configured trace ring depth (0 = disabled).
@@ -969,17 +967,6 @@ func (s *System) RoundTraces(limit int) []RoundTrace {
 		return nil
 	}
 	return eng.RoundTraces(limit)
-}
-
-// JobTrace returns the round-by-round timeline recorded for an engine job
-// ID — live while it runs, retained after it retires — or false when
-// tracing is disabled or the timeline was evicted from the terminal ring.
-func (s *System) JobTrace(jobID int) (JobTrace, bool) {
-	eng := s.currentEngine()
-	if eng == nil {
-		return JobTrace{}, false
-	}
-	return eng.JobTrace(jobID)
 }
 
 // HistogramStat is a point-in-time copy of an internal latency histogram

@@ -390,8 +390,7 @@ func (c *Client) ApplyDelta(ctx context.Context, delta api.Delta) (api.DeltaAck,
 }
 
 // JobTrace returns one job's round-by-round timeline: the lifecycle
-// envelope plus the engine's retained per-round records, live or
-// compacted.
+// envelope plus the job's retained "job.round" spans, live or compacted.
 func (c *Client) JobTrace(ctx context.Context, id string) (api.JobTrace, error) {
 	var tr api.JobTrace
 	err := c.do(ctx, http.MethodGet, api.PathPrefix+"/jobs/"+url.PathEscape(id)+"/trace", nil, nil, &tr)

@@ -94,7 +94,7 @@ func main() {
 	ingestBatch := flag.Int("ingest-batch", 0, "delta count trigger: flush once this many distinct slots are buffered (default 256)")
 	ingestCap := flag.Int("ingest-cap", 0, "delta admission cap: shed batches (429 ingest_saturated) once this many mutations are pending, 0 = unbounded")
 	coreSubgraph := flag.Bool("core-subgraph", false, "enable §3.3 core-subgraph partitioning (disables snapshot ingestion)")
-	traceDepth := flag.Int("trace-depth", 256, "round-trace ring depth for /v1/trace/rounds and /v1/jobs/{id}/trace, 0 disables tracing")
+	traceDepth := flag.Int("trace-depth", 256, "round-trace ring depth for /v1/trace/rounds, 0 disables the ring (job traces read the span store at any depth)")
 	logFormat := flag.String("log-format", "text", "structured log format: text or json")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")
 	pprofAddr := flag.String("pprof-addr", "", "listen address for net/http/pprof on a separate listener, empty disables")
@@ -570,14 +570,14 @@ func renderJobTrace(w io.Writer, tr api.JobTrace) {
 		fmt.Fprintf(w, "  error      %s: %s\n", tr.Error.Code, tr.Error.Message)
 	}
 	if tr.Released {
-		fmt.Fprintf(w, "  released   (results compacted; trace from the terminal ring)\n")
+		fmt.Fprintf(w, "  released   (results compacted; rounds from the span store)\n")
 	}
 	if len(tr.Rounds) == 0 {
-		fmt.Fprintf(w, "  no round records (tracing disabled or no rounds yet)\n")
+		fmt.Fprintf(w, "  no round records (no rounds yet, or their spans were evicted)\n")
 		return
 	}
 	if tr.DroppedRounds > 0 {
-		fmt.Fprintf(w, "  %d older round(s) dropped off the bounded timeline\n", tr.DroppedRounds)
+		fmt.Fprintf(w, "  %d older round(s) evicted from the span store\n", tr.DroppedRounds)
 	}
 	fmt.Fprintf(w, "  %8s %12s %6s %7s %12s %12s %14s\n",
 		"round", "wall_us", "parts", "pushes", "access_us", "compute_us", "virtual_us")

@@ -76,13 +76,6 @@ func (s *Set) SetAll() {
 	}
 }
 
-// Or merges other into s. The sets must have the same capacity.
-func (s *Set) Or(other *Set) {
-	for i, w := range other.words {
-		s.words[i] |= w
-	}
-}
-
 // CopyFrom makes s an exact copy of other. The sets must have the same capacity.
 func (s *Set) CopyFrom(other *Set) {
 	copy(s.words, other.words)

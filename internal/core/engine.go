@@ -145,9 +145,9 @@ type Config struct {
 	// calling discipline as OnJobEvent: round-loop goroutine, no engine
 	// locks held, must not block for long.
 	OnJobProgress func(JobProgress)
-	// TraceDepth bounds the round-trace ring and the per-job timeline
-	// length (0 disables tracing entirely; the round loop then skips all
-	// per-round trace bookkeeping).
+	// TraceDepth bounds the round-trace ring (0 disables it; the round loop
+	// then builds no round record). A job's own round history is its
+	// "job.round" spans, which Tracer records at any depth.
 	TraceDepth int
 	// Tracer, when set, receives distributed spans: one "job.round" span
 	// per (job, round) and sampled "pool.task" spans, all parented to the
@@ -222,17 +222,18 @@ type Engine struct {
 	store *storage.SnapshotStore
 	sched *sched.Scheduler
 
-	// mu guards pending, index, nextID, converged, lastSched, the released
-	// counters and every job's lifecycle fields — what the round loop shares
-	// with concurrent Submit / Cancel / Results / Stats callers. jobs and the
-	// clocks below are touched only by the single goroutine driving Run or
-	// Serve.
+	// mu guards pending, index, converged, lastSched and every job's
+	// lifecycle fields — what the round loop shares with concurrent Submit /
+	// Cancel / Results / SchedInfo callers. jobs and the clocks below are
+	// touched only by the single goroutine driving Run or Serve.
 	mu sync.Mutex
 	// pending is the admission queue: highest priority first, FIFO within a
 	// priority. index holds every job from Submit until Release.
 	pending []*runJob
 	index   map[int]*runJob
-	nextID  int
+	// nextID numbers submissions; SubmitWith takes an ID before e.mu, so
+	// that building the job's private table does not hold the lock.
+	nextID atomic.Int64
 	// converged counts the jobs that reached JobDone, numbering them for
 	// Run's report.
 	converged int
@@ -240,9 +241,6 @@ type Engine struct {
 	// control plane. Its slices are the engine's own and are rewritten in
 	// place every round; SchedInfo hands out copies.
 	lastSched SchedInfo
-	// released compacts the Release-d jobs into counters so ServeStats
-	// stays accurate while the index stays bounded.
-	releasedDone, releasedCancelled, releasedFailed int
 
 	// wake nudges an idle Serve loop after Submit or Cancel.
 	wake chan struct{}
@@ -318,9 +316,9 @@ type Engine struct {
 	ClockTrigger float64
 	ClockPush    float64
 
-	// tracer records per-round and per-job traces when Config.TraceDepth
-	// is set; nil when tracing is disabled. The recorder is internally
-	// locked, so control-plane reads race-freely with the round loop.
+	// tracer keeps the round ring when Config.TraceDepth is set; nil when
+	// it is not. The recorder is internally locked, so control-plane reads
+	// race-freely with the round loop.
 	tracer *trace.Recorder
 	// roundHist observes the wall-clock duration of every round (always
 	// on: two clock reads and one bucket increment per round).
@@ -407,13 +405,10 @@ type SubmitOpts struct {
 // a reference on the snapshot it binds to, released when it is retired, so
 // snapshot retention GC cannot evict the version under a live job.
 func (e *Engine) SubmitWith(ctx context.Context, prog model.Program, opts SubmitOpts) int {
-	e.mu.Lock()
-	id := e.nextID
-	e.nextID++
+	id := int(e.nextID.Add(1) - 1)
 	snap := e.store.Acquire(opts.Arrival)
-	j := exec.NewJob(id, prog, snap.PG)
 	rj := &runJob{
-		Job:        j,
+		Job:        exec.NewJob(id, prog, snap.PG),
 		remaining:  make(map[int64]int, len(snap.PG.Parts)),
 		m:          &metrics.JobMetrics{JobID: id, Name: prog.Name()},
 		ctx:        ctx,
@@ -424,6 +419,7 @@ func (e *Engine) SubmitWith(ctx context.Context, prog model.Program, opts Submit
 		maxRunning: opts.MaxRunning,
 	}
 	rj.finish = rj.finishIteration
+	e.mu.Lock()
 	at := len(e.pending)
 	for at > 0 && e.pending[at-1].priority < rj.priority {
 		at--
@@ -452,7 +448,7 @@ func (e *Engine) Cancel(jobID int) error {
 		e.pending = slices.DeleteFunc(e.pending, func(q *runJob) bool { return q == rj })
 		e.retireLocked(rj, JobCancelled)
 		e.mu.Unlock()
-		e.retired(JobEvent{JobID: jobID, State: JobCancelled, Err: ErrCancelled})
+		e.fireEvent(JobEvent{JobID: jobID, State: JobCancelled, Err: ErrCancelled})
 		return nil
 	}
 	rj.cancel = true
@@ -504,7 +500,7 @@ func (e *Engine) reapRetired(enforceBudget bool) {
 	})
 	e.mu.Unlock()
 	for _, ev := range events {
-		e.retired(ev)
+		e.fireEvent(ev)
 	}
 }
 
@@ -545,14 +541,6 @@ func (e *Engine) retireLocked(rj *runJob, state JobState) {
 func (e *Engine) settleLocked(rj *runJob) {
 	rj.results = rj.Job.Results()
 	e.retireLocked(rj, JobDone)
-}
-
-// retired reports a retirement to the trace recorder and the observer.
-func (e *Engine) retired(ev JobEvent) {
-	if e.tracer != nil {
-		e.tracer.Retire(ev.JobID, ev.State.String())
-	}
-	e.fireEvent(ev)
 }
 
 // dropPrivate drops a terminal job's private item of every partition of its
@@ -672,31 +660,21 @@ func (e *Engine) Results(jobID int) ([]float64, error) {
 	return rj.results, nil
 }
 
-// Release forgets a terminal job: it drops the job's results (and, for a
-// job that converged under Run and was never read, its tables and
-// simulated-cache items) and compacts its index entry into aggregate
-// counters, so ServeStats stays accurate while the engine's memory stays
-// bounded as jobs flow through a long-lived service. Released jobs drop out
-// of later Run reports; releasing an unfinished or unknown job is a no-op.
+// Release forgets a terminal job: it drops the job's index entry and
+// results (and, for a job that converged under Run and was never read, its
+// tables and simulated-cache items), so the engine's memory stays bounded
+// as jobs flow through a long-lived service. Released jobs drop out of
+// later Run reports; releasing an unfinished or unknown job is a no-op.
 func (e *Engine) Release(jobID int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	rj, ok := e.index[jobID]
-	if !ok {
+	if !ok || !rj.state.Terminal() {
 		return
 	}
-	switch rj.state {
-	case JobDone:
-		if rj.Job != nil {
-			e.retireLocked(rj, JobDone)
-		}
-		e.releasedDone++
-	case JobCancelled:
-		e.releasedCancelled++
-	case JobFailed:
-		e.releasedFailed++
-	default:
-		return
+	// Only a job that converged under Run and was never read keeps its Job.
+	if rj.Job != nil {
+		e.retireLocked(rj, JobDone)
 	}
 	delete(e.index, jobID)
 }
@@ -708,49 +686,22 @@ func (e *Engine) AddSnapshot(pg *graph.PGraph, timestamp int64) error {
 	return e.store.Add(pg, timestamp)
 }
 
-// Stats is a point-in-time snapshot of the engine's counters — jobs by
-// lifecycle state and round-loop progress — populated under Serve and after
-// batch runs alike.
+// Stats is a point-in-time snapshot of the engine's round-loop progress,
+// populated under Serve and after batch runs alike.
 type Stats struct {
-	Queued    int
-	Running   int
-	Done      int
-	Cancelled int
-	Failed    int
 	// Rounds is the number of LTP rounds processed so far.
 	Rounds int64
 	// VirtualTimeUS is the engine's virtual clock in simulated microseconds.
 	VirtualTimeUS float64
 }
 
-// ServeStats reports current job-state counts and loop progress. Safe to
-// call concurrently with Run or Serve. Released jobs stay counted in their
-// terminal bucket.
+// ServeStats reports loop progress. Safe to call concurrently with Run or
+// Serve: it reads the atomic mirrors, not e.mu.
 func (e *Engine) ServeStats() Stats {
-	s := Stats{
+	return Stats{
 		Rounds:        e.rounds.Load(),
 		VirtualTimeUS: math.Float64frombits(e.nowBits.Load()),
 	}
-	e.mu.Lock()
-	s.Done += e.releasedDone
-	s.Cancelled += e.releasedCancelled
-	s.Failed += e.releasedFailed
-	for _, rj := range e.index {
-		switch rj.state {
-		case JobQueued:
-			s.Queued++
-		case JobRunning:
-			s.Running++
-		case JobDone:
-			s.Done++
-		case JobCancelled:
-			s.Cancelled++
-		case JobFailed:
-			s.Failed++
-		}
-	}
-	e.mu.Unlock()
-	return s
 }
 
 // Now returns the engine's virtual clock in microseconds, as of the last
@@ -859,7 +810,7 @@ func (e *Engine) round() {
 			e.settleLocked(rj)
 		}
 		e.mu.Unlock()
-		e.retired(ev)
+		e.fireEvent(ev)
 	}
 	clear(e.done)
 	e.done = e.done[:0]
@@ -1023,19 +974,6 @@ func (e *Engine) RoundTraces(limit int) []trace.Round {
 	}
 	return e.tracer.Rounds(limit)
 }
-
-// JobTrace returns the round-by-round timeline recorded for a job — live
-// while it runs, retained after it retires — or false when tracing is
-// disabled or the timeline has been evicted from the terminal ring.
-func (e *Engine) JobTrace(jobID int) (trace.Timeline, bool) {
-	if e.tracer == nil {
-		return trace.Timeline{}, false
-	}
-	return e.tracer.Job(jobID)
-}
-
-// TraceDepth reports the configured trace ring depth (0 = disabled).
-func (e *Engine) TraceDepth() int { return e.cfg.TraceDepth }
 
 // RoundDurations returns the wall-clock round-duration histogram.
 func (e *Engine) RoundDurations() metrics.HistogramSnapshot {

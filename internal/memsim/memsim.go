@@ -23,19 +23,13 @@ const (
 	Struct Kind = iota
 	// Private is a job's private-table slice for one partition.
 	Private
-	// SyncBuf is a job's buffered Snew sync queue.
-	SyncBuf
 )
 
 func (k Kind) String() string {
-	switch k {
-	case Struct:
+	if k == Struct {
 		return "struct"
-	case Private:
-		return "private"
-	default:
-		return "syncbuf"
 	}
+	return "private"
 }
 
 // ItemID identifies one cacheable item. Shared structure partitions carry

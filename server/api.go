@@ -1,11 +1,13 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"time"
 
@@ -118,15 +120,7 @@ func (s *Service) ResultsOf(id string, opts api.ResultsOptions) (api.Results, *a
 	}
 	res := api.Results{ID: j.ID(), Algo: j.Name(), NumVertices: len(values)}
 	if opts.Top > 0 {
-		top := make([]api.VertexValue, 0, len(values))
-		for v, x := range values {
-			top = append(top, api.VertexValue{Vertex: v, Value: api.Float(x)})
-		}
-		sort.Slice(top, func(i, j int) bool { return top[i].Value > top[j].Value })
-		if opts.Top < len(top) {
-			top = top[:opts.Top]
-		}
-		res.Top = top
+		res.Top = topK(values, opts.Top)
 		return res, nil
 	}
 	res.Values = make([]api.Float, len(values))
@@ -134,6 +128,52 @@ func (s *Service) ResultsOf(id string, opts api.ResultsOptions) (api.Results, *a
 		res.Values[i] = api.Float(x)
 	}
 	return res, nil
+}
+
+// topK returns the k highest-ranked vertices, best first (see rank). It
+// keeps them in a k-sized heap whose root is the worst kept, so a request
+// costs O(V log k) time and O(k) space instead of a sort of every vertex.
+func topK(values []float64, k int) []api.VertexValue {
+	h := make([]api.VertexValue, 0, min(k, len(values)))
+	for v, x := range values {
+		c := api.VertexValue{Vertex: v, Value: api.Float(x)}
+		if len(h) < k {
+			h = append(h, c)
+			for i := len(h) - 1; i > 0 && rank(h[i], h[(i-1)/2]) > 0; i = (i - 1) / 2 {
+				h[i], h[(i-1)/2] = h[(i-1)/2], h[i]
+			}
+			continue
+		}
+		if rank(c, h[0]) >= 0 {
+			continue
+		}
+		h[0] = c
+		for i := 0; ; {
+			w, l, r := i, 2*i+1, 2*i+2
+			if l < len(h) && rank(h[l], h[w]) > 0 {
+				w = l
+			}
+			if r < len(h) && rank(h[r], h[w]) > 0 {
+				w = r
+			}
+			if w == i {
+				break
+			}
+			h[i], h[w] = h[w], h[i]
+			i = w
+		}
+	}
+	slices.SortFunc(h, rank)
+	return h
+}
+
+// rank orders results for ?top=K: value descending, NaN below every
+// number, ties by vertex ID ascending. It is negative when a ranks first.
+func rank(a, b api.VertexValue) int {
+	if c := cmp.Compare(b.Value, a.Value); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Vertex, b.Vertex)
 }
 
 // wireVertexID converts a wire float to a vertex id, rejecting values an
@@ -310,10 +350,6 @@ func attributionOf(id, traceID string, spans []span.Data) (api.JobAttribution, b
 	}
 	a := api.JobAttribution{ID: id, TraceID: traceID}
 	var totalMS, roundsUS float64
-	num := func(d span.Data, key string) float64 {
-		at, _ := d.Attr(key)
-		return at.Num
-	}
 	for _, d := range spans {
 		switch d.Name {
 		case "job.submit":
@@ -326,11 +362,11 @@ func attributionOf(id, traceID string, spans []span.Data) (api.JobAttribution, b
 			}
 		case "job.round":
 			a.Rounds++
-			a.Tasks += int64(num(d, "tasks"))
-			a.TasksStolen += int64(num(d, "stolen"))
-			a.SkippedPartitions += int64(num(d, "skipped_parts"))
-			a.AccessUS += num(d, "access_us")
-			a.ComputeUS += num(d, "compute_us")
+			a.Tasks += int64(spanNum(d, "tasks"))
+			a.TasksStolen += int64(spanNum(d, "stolen"))
+			a.SkippedPartitions += int64(spanNum(d, "skipped_parts"))
+			a.AccessUS += spanNum(d, "access_us")
+			a.ComputeUS += spanNum(d, "compute_us")
 			roundsUS += d.EndVirtualUS - d.StartVirtualUS
 		}
 	}
@@ -503,24 +539,25 @@ func (s *Service) historyEntry(id string) (histEntry, bool) {
 }
 
 // TraceOf builds one job's trace: the lifecycle envelope (wait → admit →
-// exec, derived from the service-side timestamps) plus the engine's
-// retained round-by-round timeline. It works for live jobs and for jobs
-// compacted to history — the engine's terminal trace ring outlives the
-// job's results — and degrades to the envelope alone when tracing
-// is disabled (TraceDepth 0).
+// exec, derived from the service-side timestamps) plus its rounds, read
+// from the job's retained "job.round" spans. It works at any trace depth,
+// for live jobs and for jobs compacted to history.
 func (s *Service) TraceOf(id string) (api.JobTrace, *api.Error) {
 	if j, ok := s.Get(id); ok {
-		return s.jobTraceOf(j.Status(), j.h.ID()), nil
+		return s.jobTraceOf(j.Status()), nil
 	}
 	if e, ok := s.historyEntry(id); ok {
-		return s.jobTraceOf(e.st, e.engineID), nil
+		return s.jobTraceOf(e.st), nil
 	}
 	return api.JobTrace{}, api.Errorf(api.CodeNotFound, "unknown job %q", id)
 }
 
-// jobTraceOf assembles the wire trace from a status snapshot and the
-// engine-side timeline.
-func (s *Service) jobTraceOf(st api.JobStatus, engineID int) api.JobTrace {
+// jobTraceOf assembles the wire trace from a status snapshot and the job's
+// "job.round" spans — the records attributionOf folds, so the trace, the
+// span tree and the attribution cannot disagree. Each round a job runs
+// closes one of its iterations, so the rounds the span store evicted are
+// its iterations less the spans retained.
+func (s *Service) jobTraceOf(st api.JobStatus) api.JobTrace {
 	tr := api.JobTrace{
 		ID:        st.ID,
 		Algo:      st.Algo,
@@ -540,13 +577,31 @@ func (s *Service) jobTraceOf(st api.JobStatus, engineID int) api.JobTrace {
 		}
 		tr.ExecMS = float64(end.Sub(*st.Started)) / float64(time.Millisecond)
 	}
-	if jt, ok := s.sys.JobTrace(engineID); ok {
-		tr.DroppedRounds = jt.Dropped
-		for _, jr := range jt.Rounds {
-			tr.Rounds = append(tr.Rounds, wireJobRound(jr, ""))
+	for _, d := range s.sys.SpanTracer().JobSpans(st.ID) {
+		if d.Name != "job.round" {
+			continue
 		}
+		tr.Rounds = append(tr.Rounds, api.JobRoundTrace{
+			Round:         int64(spanNum(d, "round")),
+			WallUS:        float64(d.EndWall.Sub(d.StartWall)) / float64(time.Microsecond),
+			Parts:         int(spanNum(d, "parts")),
+			Pushes:        int(spanNum(d, "pushes")),
+			AccessUS:      spanNum(d, "access_us"),
+			ComputeUS:     spanNum(d, "compute_us"),
+			VirtualTimeUS: d.EndVirtualUS,
+		})
 	}
+	// A running job's status, read first, may already count the iteration
+	// of a round whose span is still to be recorded, or miss one recorded
+	// since; a terminal job's count is final.
+	tr.DroppedRounds = max(st.Iterations-len(tr.Rounds), 0)
 	return tr
+}
+
+// spanNum reads a numeric span attribute (0 when absent).
+func spanNum(d span.Data, key string) float64 {
+	a, _ := d.Attr(key)
+	return a.Num
 }
 
 // RoundTraces reports the engine's retained round-trace ring in wire form,
@@ -580,8 +635,7 @@ func (s *Service) RoundTraces(limit int) api.RoundTraces {
 }
 
 // wireJobRound converts one engine job-round record to its wire form; job
-// is the resolved service job ID (empty inside a JobTrace, where the whole
-// timeline belongs to one job).
+// is the resolved service job ID.
 func wireJobRound(jr cgraph.JobRoundTrace, job string) api.JobRoundTrace {
 	return api.JobRoundTrace{
 		Job:           job,

@@ -14,14 +14,15 @@ import (
 
 	"cgraph"
 	"cgraph/api"
+	"cgraph/internal/span"
 	"cgraph/internal/testutil"
 	"cgraph/model"
 	"cgraph/server"
 )
 
 // startTracedService is startService with round tracing enabled at the
-// given ring depth.
-func startTracedService(t *testing.T, cfg server.Config, depth int) *server.Service {
+// given ring depth. It returns the system too, for its span tracer.
+func startTracedService(t *testing.T, cfg server.Config, depth int) (*server.Service, *cgraph.System) {
 	t.Helper()
 	sys := cgraph.NewSystem(cgraph.WithWorkers(2), cgraph.WithCoreSubgraph(false), cgraph.WithTraceDepth(depth))
 	if err := sys.LoadEdges(300, testEdges()); err != nil {
@@ -36,7 +37,7 @@ func startTracedService(t *testing.T, cfg server.Config, depth int) *server.Serv
 		defer cancel()
 		svc.Stop(ctx)
 	})
-	return svc
+	return svc, sys
 }
 
 func getTrace(t *testing.T, c *http.Client, url string) (int, api.JobTrace) {
@@ -60,7 +61,7 @@ func getTrace(t *testing.T, c *http.Client, url string) (int, api.JobTrace) {
 // survives result release, and the round ring reports scheduler-level
 // records with service job names.
 func TestHTTPJobAndRoundTraces(t *testing.T) {
-	svc := startTracedService(t, server.Config{RetainTerminal: 1}, 128)
+	svc, _ := startTracedService(t, server.Config{RetainTerminal: 1}, 128)
 	reg := server.DefaultRegistry()
 	reg["spin"] = func(server.ProgramParams) model.Program { return spinProgram{} }
 	ts := httptest.NewServer(svc.Handler(reg))
@@ -122,9 +123,8 @@ func TestHTTPJobAndRoundTraces(t *testing.T) {
 	if compacted.State != api.JobDone || compacted.Finished == nil || compacted.ExecMS <= 0 {
 		t.Fatalf("compacted trace envelope = %+v", compacted)
 	}
-	// A converged PageRank ran many rounds; a single trailing entry means
-	// the final round resurrected a fresh timeline instead of folding into
-	// the retained one.
+	// A converged PageRank ran many rounds, and the span store still holds
+	// them after the results were released.
 	if len(compacted.Rounds) < 2 {
 		t.Fatalf("compacted job lost its round timeline: %+v", compacted.Rounds)
 	}
@@ -181,6 +181,141 @@ func TestHTTPJobAndRoundTraces(t *testing.T) {
 	if code, body := httpJSON(t, c, "GET", ts.URL+"/v1/jobs/nope/trace", nil); code != http.StatusNotFound || errCode(t, body) != string(api.CodeNotFound) {
 		t.Fatalf("unknown trace = %d (%v)", code, body)
 	}
+}
+
+// TestJobTraceMatchesRoundRing: a job's trace is read from its job.round
+// spans, and the round ring is built from the same per-round record, so
+// every round of /v1/jobs/{id}/trace equals, field by field, that job's
+// entry in /v1/trace/rounds; and since each round a job runs closes one of
+// its iterations, the rounds retained plus dropped_rounds are the job's
+// iterations. Checked for a converged job, a cancelled one, and a converged
+// one whose earliest round spans the span store evicted.
+func TestJobTraceMatchesRoundRing(t *testing.T) {
+	svc, sys := startTracedService(t, server.Config{}, 1<<12)
+	reg := server.DefaultRegistry()
+	reg["spin"] = func(server.ProgramParams) model.Program { return spinProgram{} }
+	ts := httptest.NewServer(svc.Handler(reg))
+	defer ts.Close()
+	c := ts.Client()
+
+	submit := func(algo string) string {
+		t.Helper()
+		code, st := httpJSON(t, c, "POST", ts.URL+"/v1/jobs", map[string]any{"algo": algo})
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %s = %d (%v)", algo, code, st)
+		}
+		return st["id"].(string)
+	}
+	check := func(id string) api.JobTrace {
+		t.Helper()
+		code, tr := getTrace(t, c, ts.URL+"/v1/jobs/"+id+"/trace")
+		if code != http.StatusOK {
+			t.Fatalf("GET trace %s = %d", id, code)
+		}
+		var st api.JobStatus
+		if code := getJSON(t, c, ts.URL+"/v1/jobs/"+id, &st); code != http.StatusOK {
+			t.Fatalf("GET status %s = %d", id, code)
+		}
+		if !st.State.Terminal() || st.Iterations == 0 || len(tr.Rounds) == 0 {
+			t.Fatalf("job %s: state %s, %d iterations, %d traced rounds", id, st.State, st.Iterations, len(tr.Rounds))
+		}
+		if got := len(tr.Rounds) + tr.DroppedRounds; got != st.Iterations {
+			t.Fatalf("job %s: %d rounds + %d dropped = %d, want its %d iterations",
+				id, len(tr.Rounds), tr.DroppedRounds, got, st.Iterations)
+		}
+		var ring api.RoundTraces
+		if code := getJSON(t, c, ts.URL+"/v1/trace/rounds", &ring); code != http.StatusOK {
+			t.Fatalf("GET round ring = %d", code)
+		}
+		inRing := map[int64]api.JobRoundTrace{}
+		for _, rd := range ring.Rounds {
+			for _, jr := range rd.Jobs {
+				if jr.Job == id {
+					jr.Job = ""
+					inRing[rd.Round] = jr
+				}
+			}
+		}
+		for _, r := range tr.Rounds {
+			if want, ok := inRing[r.Round]; !ok || r != want {
+				t.Fatalf("job %s round %d: trace %+v, ring %+v (in ring %v)", id, r.Round, r, want, ok)
+			}
+		}
+		return tr
+	}
+
+	done := submit("pagerank")
+	pollState(t, c, ts.URL, done, server.StateDone)
+	if tr := check(done); tr.DroppedRounds != 0 {
+		t.Fatalf("converged job dropped %d rounds with nothing evicted", tr.DroppedRounds)
+	}
+
+	spin := submit("spin")
+	testutil.WaitFor(t, 60*time.Second, func() bool {
+		_, tr := getTrace(t, c, ts.URL+"/v1/jobs/"+spin+"/trace")
+		return len(tr.Rounds) >= 3
+	}, "spin job never ran 3 rounds")
+	if code, _ := httpJSON(t, c, "DELETE", ts.URL+"/v1/jobs/"+spin, nil); code != http.StatusOK {
+		t.Fatalf("cancel spin = %d", code)
+	}
+	pollState(t, c, ts.URL, spin, server.StateCancelled)
+	check(spin)
+
+	// Unrelated spans push the converged job's earliest job.round spans out
+	// of the FIFO store; the rounds left still match the ring, and the
+	// evicted ones are counted as dropped.
+	rounds := func() int {
+		n := 0
+		for _, d := range sys.SpanTracer().JobSpans(done) {
+			if d.Name == "job.round" {
+				n++
+			}
+		}
+		return n
+	}
+	full := rounds()
+	for rounds() > full-2 {
+		sys.SpanTracer().Record(span.Data{Name: "filler"})
+	}
+	if tr := check(done); tr.DroppedRounds != 2 {
+		t.Fatalf("after evicting 2 round spans: %d dropped, %d retained of %d", tr.DroppedRounds, len(tr.Rounds), full)
+	}
+}
+
+// TestJobTraceWithoutRoundRing: trace depth bounds only the round ring; at
+// depth 0 a job's trace still carries every round from its spans.
+func TestJobTraceWithoutRoundRing(t *testing.T) {
+	svc, _ := startTracedService(t, server.Config{}, 0)
+	ts := httptest.NewServer(svc.Handler(nil))
+	defer ts.Close()
+	c := ts.Client()
+	_, pr := httpJSON(t, c, "POST", ts.URL+"/v1/jobs", map[string]any{"algo": "pagerank"})
+	id := pr["id"].(string)
+	st := pollState(t, c, ts.URL, id, server.StateDone)
+	_, tr := getTrace(t, c, ts.URL+"/v1/jobs/"+id+"/trace")
+	if iters := int(st["iterations"].(float64)); len(tr.Rounds) != iters || tr.DroppedRounds != 0 {
+		t.Fatalf("depth 0: %d rounds, %d dropped, want all %d iterations", len(tr.Rounds), tr.DroppedRounds, iters)
+	}
+	var ring api.RoundTraces
+	if code := getJSON(t, c, ts.URL+"/v1/trace/rounds", &ring); code != http.StatusOK || ring.TraceDepth != 0 || len(ring.Rounds) != 0 {
+		t.Fatalf("depth 0 round ring = %d, %+v", code, ring)
+	}
+}
+
+// getJSON decodes a 200 body into out and returns the status code.
+func getJSON(t *testing.T, c *http.Client, url string, out any) int {
+	t.Helper()
+	resp, err := c.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Fatalf("decode %s: %v", url, err)
+		}
+	}
+	return resp.StatusCode
 }
 
 // TestHTTPRequestIDHeader checks the instrumentation middleware assigns a
@@ -282,7 +417,7 @@ func labelsKey(labels map[string]string) string {
 // # TYPE exactly once, histogram buckets are cumulative with the +Inf
 // bucket equal to _count, and all expected histogram families exist.
 func TestMetricsExpositionWellFormed(t *testing.T) {
-	svc := startTracedService(t, server.Config{}, 64)
+	svc, _ := startTracedService(t, server.Config{}, 64)
 	ts := httptest.NewServer(svc.Handler(nil))
 	defer ts.Close()
 	c := ts.Client()
