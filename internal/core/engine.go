@@ -161,9 +161,13 @@ const taskSpanEvery = 64
 
 type runJob struct {
 	*exec.Job
-	// remaining maps the UID of each partition version still to be loaded
-	// this round to its index within the job's own snapshot.
-	remaining map[int64]int
+	// remaining counts the units of the job's round-set — its partitions
+	// with an active vertex — that build has yet to record; the one that
+	// brings it to zero arms the job's close. A unit's partition is at index
+	// Part.ID in every snapshot that holds it (graph.Cut builds partition i
+	// as ID i, and a derived snapshot shares a partition at its index), so
+	// build reads the job's partition index off the unit.
+	remaining int
 	m         *metrics.JobMetrics
 	// ctx carries the job's cancellation/deadline; checked at round
 	// boundaries (never mid-round), queued or running.
@@ -293,12 +297,13 @@ type Engine struct {
 	scs     []exec.Scratch
 	tasks   []pool.Task
 	// planRound fills foot with the round's job footprints (each entry keeps
-	// its Units and Active capacity), byID with the round's jobs and pre with
-	// their counters when tracing; round drops their job and partition
-	// references once the round is recorded.
-	foot []sched.JobFootprint
-	byID map[int]*runJob
-	pre  []jobPreRound
+	// its Units and Active capacity), planned with the round's jobs in
+	// footprint order — a footprint's JobID, and so the plan's, is the job's
+	// index here — and pre with their counters when tracing; round drops
+	// their job and partition references once the round is recorded.
+	foot    []sched.JobFootprint
+	planned []*runJob
+	pre     []jobPreRound
 	// done holds the jobs that converged this round; round retires them
 	// once the round is recorded, so that a job's last round is in its
 	// trace and spans before anyone hears it is done.
@@ -361,7 +366,6 @@ func New(cfg Config, store *storage.SnapshotStore) *Engine {
 		roundHist: metrics.NewHistogram(metrics.LatencyBuckets()),
 		pool:      pool.New(cfg.Workers),
 		scs:       make([]exec.Scratch, cfg.Workers),
-		byID:      make(map[int]*runJob),
 	}
 	e.imbBits.Store(math.Float64bits(1))
 	// Spans carry virtual-time edges alongside their wall stamps; the
@@ -409,7 +413,6 @@ func (e *Engine) SubmitWith(ctx context.Context, prog model.Program, opts Submit
 	snap := e.store.Acquire(opts.Arrival)
 	rj := &runJob{
 		Job:        exec.NewJob(id, prog, snap.PG),
-		remaining:  make(map[int64]int, len(snap.PG.Parts)),
 		m:          &metrics.JobMetrics{JobID: id, Name: prog.Name()},
 		ctx:        ctx,
 		snapSeq:    snap.Seq,
@@ -796,7 +799,8 @@ func (e *Engine) round() {
 	for i := range e.foot {
 		clear(e.foot[i].Units)
 	}
-	clear(e.byID)
+	clear(e.planned)
+	e.planned = e.planned[:0]
 	clear(e.pre)
 	// The converged jobs retire now: state, then results (a resident loop
 	// keeps only those), then the event that says they are ready. A cancel
@@ -818,27 +822,25 @@ func (e *Engine) round() {
 
 // planRound registers each job's active partitions as its round-set and
 // plans their loads: the one group sched.Plan returns, or the zero Group
-// when there are no jobs. It refills the engine's foot, byID and pre; pre
+// when there are no jobs. It refills the engine's foot, planned and pre; pre
 // snapshots each job's counters so the tracer can attribute this round's
 // deltas, and is only populated when tracing is on. The plan belongs to the
 // scheduler and is valid until the next round's planRound.
 func (e *Engine) planRound() (plan sched.Group) {
 	foot, pre := e.foot[:0], e.pre[:0]
-	for _, rj := range e.jobs {
-		e.byID[rj.ID] = rj
-		clear(rj.remaining)
+	e.planned = append(e.planned[:0], e.jobs...)
+	for i, rj := range e.planned {
 		foot = slices.Grow(foot, 1)[:len(foot)+1]
 		jf := &foot[len(foot)-1]
-		jf.JobID, jf.Units, jf.Active = rj.ID, jf.Units[:0], jf.Active[:0]
+		jf.JobID, jf.Units, jf.Active = i, jf.Units[:0], jf.Active[:0]
 		for pid, n := range rj.PT.ActiveCount {
 			if n == 0 {
 				continue
 			}
-			p := rj.PG.Parts[pid]
-			rj.remaining[p.UID] = pid
-			jf.Units = append(jf.Units, p)
+			jf.Units = append(jf.Units, rj.PG.Parts[pid])
 			jf.Active = append(jf.Active, n)
 		}
+		rj.remaining = len(jf.Units)
 		// Converged regions: partitions with an empty frontier never
 		// become scheduling units, let alone tasks.
 		skipped := len(rj.PG.Parts) - len(jf.Units)
@@ -848,7 +850,7 @@ func (e *Engine) planRound() (plan sched.Group) {
 		if e.tracer != nil || e.cfg.Tracer != nil {
 			pre = append(pre, jobPreRound{
 				rj:      rj,
-				parts:   len(rj.remaining),
+				parts:   rj.remaining,
 				iters:   rj.Iterations,
 				access:  rj.m.AccessTime,
 				compute: rj.m.ComputeTime,
@@ -893,7 +895,11 @@ func (e *Engine) recordRound(start time.Time, virtStart float64, plan sched.Grou
 	info.Policy = e.cfg.Scheduler.String()
 	info.Round = e.rounds.Load() + 1
 	info.MakespanUS = e.now - virtStart
-	info.JobIDs = append(info.JobIDs[:0], plan.Jobs...)
+	info.JobIDs = info.JobIDs[:0]
+	for _, i := range plan.Jobs {
+		info.JobIDs = append(info.JobIDs, e.planned[i].ID)
+	}
+	slices.Sort(info.JobIDs)
 	info.Parts, info.UIDs = info.Parts[:0], info.UIDs[:0]
 	for _, u := range plan.Units {
 		info.Parts = append(info.Parts, u.Part.ID)
@@ -1072,28 +1078,21 @@ func (e *Engine) build(plan sched.Group) (light bool) {
 	var roundW int64
 	for _, u := range plan.Units {
 		lo := n
-		for _, id := range u.Jobs {
-			rj := e.byID[id]
-			pid, ok := rj.remaining[u.Part.UID]
-			if !ok {
-				continue
-			}
+		pid := u.Part.ID
+		for _, i := range u.Jobs {
+			rj := e.planned[i]
 			t := e.sweepAt(n)
 			t.rj, t.pid, t.weight = rj, pid, rj.ActiveWeight(pid)
 			rj.sweeps++
 			maxActive = max(maxActive, rj.PT.ActiveCount[pid])
 			n++
 		}
-		if n == lo {
-			continue
-		}
 		rec := unitRec{p: u.Part, lo: lo, hi: n, push: len(e.pushes)}
 		for b := lo; b < n; b += e.cfg.Workers {
 			roundW += e.straggle(e.sweeps[b:min(b+e.cfg.Workers, n)])
 		}
 		for _, t := range e.sweeps[lo:n] {
-			delete(t.rj.remaining, u.Part.UID)
-			if len(t.rj.remaining) == 0 {
+			if t.rj.remaining--; t.rj.remaining == 0 {
 				t.rj.left.Store(t.rj.sweeps)
 				e.pushes = append(e.pushes, t.rj)
 			}
@@ -1102,8 +1101,8 @@ func (e *Engine) build(plan sched.Group) (light bool) {
 		e.units = append(e.units, rec)
 	}
 	e.nsweeps, e.idle = n, len(e.pushes)
-	for _, rj := range e.jobs {
-		if len(rj.remaining) == 0 && !rj.PT.HasActive() {
+	for _, rj := range e.planned {
+		if rj.sweeps == 0 {
 			e.pushes = append(e.pushes, rj)
 		}
 	}

@@ -599,8 +599,10 @@ func TestSchedInfoDoesNotAliasEngine(t *testing.T) {
 			t.Fatalf("sweep %d still holds job %d", i, tk.rj.ID)
 		}
 	}
-	if len(e.byID) != 0 {
-		t.Fatalf("byID still holds %d jobs", len(e.byID))
+	for i, rj := range e.planned[:cap(e.planned)] {
+		if rj != nil {
+			t.Fatalf("planned entry %d still holds job %d", i, rj.ID)
+		}
 	}
 }
 

@@ -334,6 +334,11 @@ func FuzzEvolveMatchesCut(f *testing.F) {
 				}
 			}
 			for id, p := range pg.Parts {
+				// The engine reads a job's partition index off a unit's
+				// partition, whichever snapshot the unit came from.
+				if p.ID != id {
+					t.Fatalf("partition at index %d has ID %d", id, p.ID)
+				}
 				for li, v := range p.Globals {
 					if pg.Shared[id].Test(li) != (holders[v] > 1) {
 						t.Fatalf("part %d: vertex %d shared bit %v with %d holders", id, v, pg.Shared[id].Test(li), holders[v])

@@ -50,9 +50,12 @@
 // Scratch at most once, to the range's weight, and Sweep to the partition's
 // active count; callers that keep their scratches (the engine keeps one per
 // pool worker) stop allocating after the first sweep. A job keeps its
-// frontier's weight per partition (ActiveWeight), refreshed where the
-// frontier changes — at the end of every iteration, on whichever goroutine
-// closes it — so planning a round reads it without a walk. Push folds each
+// frontier's size and weight per partition (PT.ActiveCount, ActiveWeight),
+// tallied where each bit of the next frontier is set — settle for the
+// single-replica receivers, Push's broadcast for the replicas, two disjoint
+// sets — and swapped in when the iteration closes. So neither closing an
+// iteration nor planning a round walks the frontier; only a phase change,
+// whose NextPhase may rewrite Active wholesale, recounts it. Push folds each
 // mirror's Δ directly into its master's slot while walking the receivers in
 // ascending (partition, local) order — a master sits in the lowest partition
 // holding its vertex, so its folds arrive in ascending source-partition
@@ -123,9 +126,13 @@ type Job struct {
 	touched      []bool
 	touchedParts []int
 
-	// weight[p] is ActiveWeight(p), recomputed wherever the frontier or the
-	// direction changes: in NewJob and at the end of every advance.
-	weight []int64
+	// weight[p] is ActiveWeight(p). nextCount[p] and nextWeight[p] tally the
+	// bits set in PT.Next[p] this iteration and their weight, where they are
+	// set: settle writes only its own partition's, and Push runs after every
+	// settle of the iteration. advance swaps them in; NewJob and a phase
+	// change, which may rewrite Active and the direction, recount by a walk.
+	weight, nextWeight []int64
+	nextCount          []int
 }
 
 // NewJob builds a job over the given snapshot, initializing its private
@@ -133,16 +140,18 @@ type Job struct {
 func NewJob(id int, prog model.Program, pg *graph.PGraph) *Job {
 	filter, _ := prog.(model.Filterer)
 	j := &Job{
-		ID:       id,
-		Prog:     prog,
-		PG:       pg,
-		PT:       storage.NewPrivateTable(id, pg, prog),
-		Dir:      prog.Direction(),
-		alg:      algebraOf(prog),
-		filter:   filter,
-		DeltaSum: make([]float64, len(pg.Parts)),
-		weight:   make([]int64, len(pg.Parts)),
-		touched:  make([]bool, len(pg.Parts)),
+		ID:         id,
+		Prog:       prog,
+		PG:         pg,
+		PT:         storage.NewPrivateTable(id, pg, prog),
+		Dir:        prog.Direction(),
+		alg:        algebraOf(prog),
+		filter:     filter,
+		DeltaSum:   make([]float64, len(pg.Parts)),
+		weight:     make([]int64, len(pg.Parts)),
+		nextWeight: make([]int64, len(pg.Parts)),
+		nextCount:  make([]int, len(pg.Parts)),
+		touched:    make([]bool, len(pg.Parts)),
 	}
 	j.reweigh()
 	return j
@@ -232,13 +241,15 @@ func (j *Job) SliceWeighted(pid int, target, total int64, buf []Range) []Range {
 
 // ActiveWeight returns the total weight of partition pid's active frontier:
 // the sum of the Range weights SliceActive cuts it into, whatever the target.
-// It is read from a per-partition cache that NewJob and every advance
-// refresh, so a caller planning a round does not walk the frontier.
+// It is read from a per-partition cache, summed where the iteration that
+// built the frontier set its bits, so a caller planning a round does not
+// walk the frontier.
 func (j *Job) ActiveWeight(pid int) int64 { return j.weight[pid] }
 
-// reweigh recomputes the ActiveWeight cache. A full frontier — the steady
-// state of the dense programs — is read off the partition's edge counts, an
-// empty one is zero, and only a partial one walks its bitset.
+// reweigh recomputes the ActiveWeight cache from PT.ActiveCount and Active,
+// for a frontier no iteration tallied: a new job's, or one a phase change
+// rewrote. A full frontier is read off the partition's edge counts, an empty
+// one is zero, and only a partial one walks its bitset.
 func (j *Job) reweigh() {
 	for pid, p := range j.PG.Parts {
 		n, c := p.NumVertices(), j.PT.ActiveCount[pid]
@@ -366,16 +377,20 @@ func (j *Job) SweepRanges(pid int, sc *Scratch, cut int64, ranges []Stats) (Stat
 // its own master. What Push would do for one — flag the partition touched
 // when its Δ is not the identity, mark it in Next when IsActive holds —
 // settle does here, a word of Received &^ Shared at a time, while the
-// partition's states are still in the sweeping worker's cache. Push then
-// walks only Received & Shared, so every received bit is visited once. It
-// runs after the partition's last fold of the iteration and writes only
-// partition pid's Next and touched flag: one goroutine per (job, partition).
+// partition's states are still in the sweeping worker's cache, and it
+// tallies each bit it sets into the partition's next count and weight. Push
+// then walks only Received & Shared, so every received bit is visited once.
+// It runs once per iteration, after the partition's last fold, so each bit
+// it sets is new to Next; and it writes only partition pid's Next, tallies
+// and touched flag: one goroutine per (job, partition).
 func (j *Job) settle(pid int) {
 	ident := j.Prog.Identity()
+	p := j.PG.Parts[pid]
 	states := j.PT.States[pid]
 	shared := j.PG.Shared[pid].Words()
 	next := j.PT.Next[pid].Words()
 	touched := false
+	count, weight := 0, int64(0)
 	for wi, w := range j.PT.Received[pid].Words() {
 		var act uint64
 		for w &^= shared[wi]; w != 0; w &= w - 1 {
@@ -386,12 +401,16 @@ func (j *Job) settle(pid int) {
 			touched = true
 			if j.Prog.IsActive(states[li]) {
 				act |= w & -w
+				weight += 1 + p.EdgeWork(uint32(li), j.Dir)
 			}
 		}
 		if act != 0 {
 			next[wi] |= act
+			count += bits.OnesCount64(act)
 		}
 	}
+	j.nextCount[pid] += count
+	j.nextWeight[pid] += weight
 	if touched {
 		j.touched[pid] = true
 	}
@@ -432,9 +451,11 @@ type PushSummary struct {
 // every replica of each still-active vertex and those replicas are marked
 // active for the next iteration: every replica applies the same Δ to the
 // same value itself, so replicas stay value-identical (the tests'
-// CheckReplicaConsistency) without a second state write-back. Residual
-// sub-threshold deltas stay accumulated at the master so no contribution
-// mass is ever lost. A steady-state call allocates nothing.
+// CheckReplicaConsistency) without a second state write-back. Each Next bit
+// the broadcast sets is tallied into the partition's next count and weight;
+// those are replica bits, which settle never sets. Residual sub-threshold
+// deltas stay accumulated at the master so no contribution mass is ever lost.
+// A steady-state call allocates nothing.
 func (j *Job) Push() PushSummary {
 	ident := j.Prog.Identity()
 	pg := j.PG
@@ -493,6 +514,8 @@ func (j *Job) Push() PushSummary {
 			for _, loc := range pg.ReplicaLocations(p.Globals[li]) {
 				j.PT.States[loc.Part][loc.Local].Delta = st.Delta
 				j.PT.Next[loc.Part].Set(int(loc.Local))
+				j.nextCount[loc.Part]++
+				j.nextWeight[loc.Part] += 1 + pg.Parts[loc.Part].EdgeWork(loc.Local, j.Dir)
 				touched[loc.Part] = true
 			}
 		}
@@ -519,14 +542,17 @@ func (j *Job) FinishIteration() PushSummary {
 	return sum
 }
 
-// advance moves the job past a pushed iteration.
+// advance moves the job past a pushed iteration: the next frontier becomes
+// the active one, with the counts and weights settle and Push tallied for
+// it.
 func (j *Job) advance() {
-	j.PT.Advance()
+	j.PT.Advance(j.nextCount)
+	j.weight, j.nextWeight = j.nextWeight, j.weight
+	clear(j.nextWeight)
 	j.Iterations++
 	if !j.PT.HasActive() {
 		j.advancePhaseOrFinish()
 	}
-	j.reweigh()
 }
 
 func (j *Job) advancePhaseOrFinish() {
@@ -541,14 +567,18 @@ func (j *Job) advancePhaseOrFinish() {
 		}
 		j.Phases++
 		j.Dir = j.Prog.Direction()
-		j.recountActive()
+		j.recount()
 	}
 }
 
-func (j *Job) recountActive() {
+// recount walks the frontier a phase change left — NextPhase may rewrite
+// Active through stateView.Set, and the direction with it — into
+// PT.ActiveCount and the ActiveWeight cache.
+func (j *Job) recount() {
 	for pid := range j.PT.Active {
 		j.PT.ActiveCount[pid] = j.PT.Active[pid].Count()
 	}
+	j.reweigh()
 }
 
 // DrainDeltaStats hands every non-zero per-partition |Δ| sum — the C(P)

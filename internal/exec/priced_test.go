@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cgraph/algo"
+	"cgraph/internal/gen"
 	"cgraph/internal/graph"
 	"cgraph/model"
 )
@@ -172,6 +173,80 @@ func TestActiveWeightCached(t *testing.T) {
 						for pid := range pg.Parts {
 							if j.PT.ActiveCount[pid] > 0 {
 								j.ProcessPartition(pid, sc)
+							}
+						}
+						j.FinishIteration()
+						check(fmt.Sprintf("iteration %d (phase %d)", it, j.Phases))
+					}
+					if _, phased := j.Prog.(model.Phased); phased && j.Phases == 0 {
+						t.Fatal("setup: a phased program never changed phase")
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestFrontierTallyMatchesWalk holds the frontier tallies to a walk: every
+// bundled program runs to convergence over random graphs — RMATs and
+// Erdős–Rényi graphs of random size, some with isolated vertices — cut into
+// 1, 4 and 32 partitions, each partition's step taken at random as a Sweep,
+// as ApplyRange over SliceWeighted's ranges plus Merge, or as CLIP's
+// ProcessPartitionReentrant, so that every settle path sets Next bits. After
+// NewJob and after every FinishIteration, each partition's PT.ActiveCount and
+// ActiveWeight must equal a fresh walk of its Active bitset, through the
+// phase changes of HITS and SCC.
+func TestFrontierTallyMatchesWalk(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 60 + rng.Intn(300)
+		m := n * (2 + rng.Intn(10))
+		var edges []model.Edge
+		if seed%2 == 0 {
+			edges = gen.ER(seed, n, m)
+		} else {
+			edges = gen.RMAT(seed, n, m, 0.57, 0.19, 0.19)
+		}
+		n += rng.Intn(20) // isolated vertices past the generated ones
+		for _, parts := range []int{1, 4, 32} {
+			pg := buildPG(t, edges, n, parts)
+			for _, p := range bundled {
+				t.Run(fmt.Sprintf("seed%d/p%d/%s", seed, parts, p.name), func(t *testing.T) {
+					j := NewJob(0, p.mk(), pg)
+					check := func(when string) {
+						t.Helper()
+						for pid := range pg.Parts {
+							if got, want := j.PT.ActiveCount[pid], j.PT.Active[pid].Count(); got != want {
+								t.Fatalf("%s: partition %d ActiveCount %d, walk %d", when, pid, got, want)
+							}
+							if got, want := j.ActiveWeight(pid), walkedWeight(j, pid); got != want {
+								t.Fatalf("%s: partition %d ActiveWeight %d, walk %d", when, pid, got, want)
+							}
+						}
+					}
+					check("NewJob")
+					sc := &Scratch{}
+					for it := 0; !j.Done; it++ {
+						if it >= 10000 {
+							t.Fatal("no convergence")
+						}
+						for pid := range pg.Parts {
+							if j.PT.ActiveCount[pid] == 0 {
+								continue
+							}
+							switch rng.Intn(3) {
+							case 0:
+								j.ProcessPartition(pid, sc)
+							case 1:
+								rs := j.SliceWeighted(pid, 1+rng.Int63n(64), j.ActiveWeight(pid), nil)
+								scs := make([]*Scratch, len(rs))
+								for i, r := range rs {
+									scs[i] = &Scratch{}
+									j.ApplyRange(pid, r, scs[i])
+								}
+								j.Merge(pid, scs...)
+							default:
+								j.ProcessPartitionReentrant(pid, 1+rng.Intn(3))
 							}
 						}
 						j.FinishIteration()

@@ -215,18 +215,17 @@ func (p *Partition) LocalOf(v model.VertexID) (uint32, bool) {
 // EdgeWork returns the number of edges local vertex li touches when a
 // program scatters in direction d — the per-vertex weight the executor
 // uses to slice active frontiers into edge-balanced tasks. The CSR offset
-// arrays are the prefix sums, so this is O(1).
+// arrays are the prefix sums, so this is O(1), and it reads only the
+// offsets of the direction it counts.
 func (p *Partition) EdgeWork(li uint32, d model.Direction) int64 {
-	out := int64(p.OutOff[li+1] - p.OutOff[li])
-	in := int64(p.InOff[li+1] - p.InOff[li])
-	switch d {
-	case model.Out:
-		return out
-	case model.In:
-		return in
-	default:
-		return out + in
+	var w int64
+	if d != model.In {
+		w += int64(p.OutOff[li+1] - p.OutOff[li])
 	}
+	if d != model.Out {
+		w += int64(p.InOff[li+1] - p.InOff[li])
+	}
+	return w
 }
 
 // computeBytes accounts the structure bytes of the partition: 9 bytes per

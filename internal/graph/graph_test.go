@@ -109,7 +109,9 @@ func TestPartitionErrors(t *testing.T) {
 // master replica (isolated vertices none), the replica index equals a
 // brute-force scan of the vertex tables with the lowest partition as master,
 // and every replica's Shared bit is set exactly when its vertex has more
-// than one.
+// than one. Every partition's ID is its index, shared ones included: the
+// engine reads a job's partition index off a unit's partition, whichever
+// snapshot the unit came from.
 func checkInvariants(t *testing.T, g *Graph, edges []model.Edge, pg *PGraph) {
 	t.Helper()
 	if d := pg.G; !reflect.DeepEqual(d, g.DegreeTable) {
@@ -118,7 +120,10 @@ func checkInvariants(t *testing.T, g *Graph, edges []model.Edge, pg *PGraph) {
 	}
 	// Every edge appears exactly once across partitions.
 	totalEdges := 0
-	for _, p := range pg.Parts {
+	for pi, p := range pg.Parts {
+		if p.ID != pi {
+			t.Fatalf("partition at index %d has ID %d", pi, p.ID)
+		}
 		totalEdges += p.NumEdges
 		if int(p.OutOff[len(p.Globals)]) != p.NumEdges {
 			t.Fatalf("part %d: out CSR edge count mismatch", p.ID)

@@ -162,49 +162,33 @@ type LoadResult struct {
 	Time float64
 }
 
-type entry struct {
-	id    ItemID
-	bytes int64
-	pins  int
-	// LRU list links.
-	prev, next *entry
+// slot is one item's record in the hierarchy's slab, for as long as the
+// item is resident in the cache, in memory, or both. Each level has its own
+// LRU list (int32 links into the slab, -1 for none), its own copy of the
+// item's size — a resize reloads the cache copy while memory may keep the old
+// one — and its own membership flag, so one lookup finds both.
+type slot struct {
+	key  key
+	pins int
+	lv   [levels]place
 }
 
-// lruList is an intrusive doubly-linked LRU list (front = most recent).
-type lruList struct {
-	head, tail *entry
+// place is a slot's membership of one level.
+type place struct {
+	in         bool
+	bytes      int64
+	prev, next int32
 }
 
-func (l *lruList) pushFront(e *entry) {
-	e.prev = nil
-	e.next = l.head
-	if l.head != nil {
-		l.head.prev = e
-	}
-	l.head = e
-	if l.tail == nil {
-		l.tail = e
-	}
-}
+// The levels a slot can be resident in.
+const (
+	cacheLv = iota
+	memLv
+	levels
+)
 
-func (l *lruList) remove(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		l.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		l.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (l *lruList) moveFront(e *entry) {
-	l.remove(e)
-	l.pushFront(e)
-}
+// lru is one level's list over the slab, front = most recent.
+type lru struct{ head, tail int32 }
 
 // Hierarchy is the simulated cache + memory + disk stack. It is safe for
 // concurrent use.
@@ -212,13 +196,14 @@ type Hierarchy struct {
 	mu  sync.Mutex
 	cfg Config
 
-	cacheUsed  int64
-	cacheItems map[ItemID]*entry
-	cacheLRU   lruList
+	// index maps the key of each item with a slot to it.
+	index map[key]int32
+	slots []slot
+	// free heads the list of unused slots, linked through their cache next.
+	free int32
 
-	memUsed  int64
-	memItems map[ItemID]*entry
-	memLRU   lruList
+	lists [levels]lru
+	used  [levels]int64
 
 	counters Counters
 }
@@ -229,9 +214,10 @@ func New(cfg Config) *Hierarchy {
 		cfg.BlockBytes = 64
 	}
 	return &Hierarchy{
-		cfg:        cfg,
-		cacheItems: make(map[ItemID]*entry),
-		memItems:   make(map[ItemID]*entry),
+		cfg:   cfg,
+		index: make(map[key]int32),
+		free:  -1,
+		lists: [levels]lru{{-1, -1}, {-1, -1}},
 	}
 }
 
@@ -261,27 +247,31 @@ func (h *Hierarchy) Load(id ItemID, bytes int64, pin bool) LoadResult {
 	h.counters.AccessBlocks += h.blocks(bytes)
 	h.counters.LoadOps++
 
-	if e, ok := h.cacheItems[id]; ok {
+	s := h.slotOf(id)
+	if c := &h.slots[s].lv[cacheLv]; c.in {
 		// Size change (snapshot swap or private-table growth) forces a
 		// reload of the difference; same size is a pure hit.
-		if e.bytes == bytes {
-			h.cacheLRU.moveFront(e)
+		if c.bytes == bytes {
+			h.moveFront(cacheLv, s)
 			if pin {
-				e.pins++
+				h.slots[s].pins++
 			}
-			h.touchMemory(id, bytes)
+			h.touchMemory(s, bytes)
 			return LoadResult{Hit: true}
 		}
-		h.evictCacheEntry(e)
+		h.evictCache(s)
 	}
 
 	var res LoadResult
 	// Job-specific data (private tables, sync buffers) is memory-resident
 	// by construction — jobs allocate it, only the far larger shared graph
 	// structure pages to and from disk (§2: structure is 71-83% of the
-	// footprint). Only Struct items traverse the memory level.
+	// footprint). So only Struct items are read from disk on a miss. A
+	// Private item still enters the memory LRU on its first cache hit
+	// (touchMemory), without evicting anything; from then on its bytes count
+	// against MemoryBytes beside the structure's.
 	if id.Kind == Struct {
-		res.DiskBytes = h.ensureMemory(id, bytes)
+		res.DiskBytes = h.ensureMemory(s, bytes)
 	}
 	res.BytesLoaded = bytes
 	res.Time = h.cfg.Cost.LoadTime(bytes)
@@ -294,13 +284,12 @@ func (h *Hierarchy) Load(id ItemID, bytes int64, pin bool) LoadResult {
 	// Items larger than the cache stream through without residency.
 	if bytes <= h.cfg.CacheBytes {
 		h.makeRoom(bytes)
-		e := &entry{id: id, bytes: bytes}
 		if pin {
-			e.pins = 1
+			h.slots[s].pins = 1 // an item out of the cache holds no pins
 		}
-		h.cacheItems[id] = e
-		h.cacheLRU.pushFront(e)
-		h.cacheUsed += bytes
+		h.insert(cacheLv, s, bytes)
+	} else {
+		h.release(s)
 	}
 	return res
 }
@@ -309,8 +298,8 @@ func (h *Hierarchy) Load(id ItemID, bytes int64, pin bool) LoadResult {
 func (h *Hierarchy) Unpin(id ItemID) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if e, ok := h.cacheItems[id]; ok && e.pins > 0 {
-		e.pins--
+	if s, ok := h.lookup(id); ok && h.slots[s].lv[cacheLv].in && h.slots[s].pins > 0 {
+		h.slots[s].pins--
 	}
 }
 
@@ -319,22 +308,25 @@ func (h *Hierarchy) Unpin(id ItemID) {
 func (h *Hierarchy) Drop(id ItemID) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if e, ok := h.cacheItems[id]; ok {
-		h.evictCacheEntry(e)
+	s, ok := h.lookup(id)
+	if !ok {
+		return
 	}
-	if e, ok := h.memItems[id]; ok {
-		h.memLRU.remove(e)
-		delete(h.memItems, id)
-		h.memUsed -= e.bytes
+	if h.slots[s].lv[cacheLv].in {
+		h.evictCache(s)
 	}
+	if h.slots[s].lv[memLv].in {
+		h.remove(memLv, s)
+	}
+	h.release(s)
 }
 
 // Resident reports whether the item is currently cache-resident.
 func (h *Hierarchy) Resident(id ItemID) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	_, ok := h.cacheItems[id]
-	return ok
+	s, ok := h.lookup(id)
+	return ok && h.slots[s].lv[cacheLv].in
 }
 
 // Counters returns a snapshot of the aggregate counters.
@@ -344,24 +336,111 @@ func (h *Hierarchy) Counters() Counters {
 	return h.counters
 }
 
-// ResetCounters zeroes the counters, keeping residency state.
-func (h *Hierarchy) ResetCounters() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.counters = Counters{}
-}
-
 // CacheUsed returns the bytes currently cache-resident.
 func (h *Hierarchy) CacheUsed() int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.cacheUsed
+	return h.used[cacheLv]
 }
 
-func (h *Hierarchy) evictCacheEntry(e *entry) {
-	h.cacheLRU.remove(e)
-	delete(h.cacheItems, e.id)
-	h.cacheUsed -= e.bytes
+// key is an ItemID without padding: a probe hashes its 16 bytes in one go
+// and compares them as two words, where a padded struct key is hashed and
+// compared field by field.
+type key struct{ uid, tag int64 }
+
+func keyOf(id ItemID) key { return key{id.UID, int64(id.Job)<<8 | int64(id.Kind)} }
+
+// lookup returns the item's slot, if it has one.
+func (h *Hierarchy) lookup(id ItemID) (int32, bool) {
+	s, ok := h.index[keyOf(id)]
+	return s, ok
+}
+
+// slotOf returns the item's slot, taking a free one if it has none.
+func (h *Hierarchy) slotOf(id ItemID) int32 {
+	k := keyOf(id)
+	if s, ok := h.index[k]; ok {
+		return s
+	}
+	var s int32
+	if h.free >= 0 {
+		s = h.free
+		h.free = h.slots[s].lv[cacheLv].next
+	} else {
+		s = int32(len(h.slots))
+		h.slots = append(h.slots, slot{})
+	}
+	h.slots[s] = slot{key: k}
+	h.index[k] = s
+	return s
+}
+
+// release frees slot s once the item is resident at no level.
+func (h *Hierarchy) release(s int32) {
+	sl := &h.slots[s]
+	if sl.lv[cacheLv].in || sl.lv[memLv].in {
+		return
+	}
+	delete(h.index, sl.key)
+	sl.lv[cacheLv].next = h.free
+	h.free = s
+}
+
+// insert makes slot s resident at level lv, most recent first.
+func (h *Hierarchy) insert(lv int, s int32, bytes int64) {
+	p := &h.slots[s].lv[lv]
+	p.in, p.bytes = true, bytes
+	h.pushFront(lv, s)
+	h.used[lv] += bytes
+}
+
+// remove takes slot s out of level lv; the caller releases the slot.
+func (h *Hierarchy) remove(lv int, s int32) {
+	p := &h.slots[s].lv[lv]
+	h.unlink(lv, s)
+	p.in = false
+	h.used[lv] -= p.bytes
+}
+
+func (h *Hierarchy) pushFront(lv int, s int32) {
+	l, p := &h.lists[lv], &h.slots[s].lv[lv]
+	p.prev, p.next = -1, l.head
+	if l.head >= 0 {
+		h.slots[l.head].lv[lv].prev = s
+	}
+	l.head = s
+	if l.tail < 0 {
+		l.tail = s
+	}
+}
+
+func (h *Hierarchy) unlink(lv int, s int32) {
+	l, p := &h.lists[lv], &h.slots[s].lv[lv]
+	if p.prev >= 0 {
+		h.slots[p.prev].lv[lv].next = p.next
+	} else {
+		l.head = p.next
+	}
+	if p.next >= 0 {
+		h.slots[p.next].lv[lv].prev = p.prev
+	} else {
+		l.tail = p.prev
+	}
+	p.prev, p.next = -1, -1
+}
+
+func (h *Hierarchy) moveFront(lv int, s int32) {
+	if h.lists[lv].head == s {
+		return
+	}
+	h.unlink(lv, s)
+	h.pushFront(lv, s)
+}
+
+// evictCache takes slot s out of the cache; its memory residency stays.
+func (h *Hierarchy) evictCache(s int32) {
+	h.remove(cacheLv, s)
+	h.slots[s].pins = 0
 	h.counters.Evictions++
 }
 
@@ -369,61 +448,55 @@ func (h *Hierarchy) evictCacheEntry(e *entry) {
 // block eviction the cache is allowed to overflow: engines size partitions
 // with the Pg formula precisely so this stays rare.
 func (h *Hierarchy) makeRoom(bytes int64) {
-	for h.cacheUsed+bytes > h.cfg.CacheBytes {
-		e := h.cacheLRU.tail
-		for e != nil && e.pins > 0 {
-			e = e.prev
+	for h.used[cacheLv]+bytes > h.cfg.CacheBytes {
+		s := h.lists[cacheLv].tail
+		for s >= 0 && h.slots[s].pins > 0 {
+			s = h.slots[s].lv[cacheLv].prev
 		}
-		if e == nil {
+		if s < 0 {
 			return
 		}
-		h.evictCacheEntry(e)
+		h.evictCache(s)
+		h.release(s)
 	}
 }
 
-// ensureMemory makes the item memory-resident, returning the disk bytes read
-// (0 if it was already resident). Memory eviction to disk is free (write
-// traffic is not modelled).
-func (h *Hierarchy) ensureMemory(id ItemID, bytes int64) int64 {
-	if e, ok := h.memItems[id]; ok && e.bytes == bytes {
-		h.memLRU.moveFront(e)
-		return 0
-	}
-	if e, ok := h.memItems[id]; ok {
-		h.memLRU.remove(e)
-		delete(h.memItems, id)
-		h.memUsed -= e.bytes
+// ensureMemory makes slot s memory-resident at bytes, returning the disk
+// bytes read (0 if it was already resident at that size). Memory eviction to
+// disk is free (write traffic is not modelled).
+func (h *Hierarchy) ensureMemory(s int32, bytes int64) int64 {
+	if m := &h.slots[s].lv[memLv]; m.in {
+		if m.bytes == bytes {
+			h.moveFront(memLv, s)
+			return 0
+		}
+		h.remove(memLv, s)
 	}
 	if h.cfg.MemoryBytes > 0 {
-		for h.memUsed+bytes > h.cfg.MemoryBytes && h.memLRU.tail != nil {
-			t := h.memLRU.tail
-			h.memLRU.remove(t)
-			delete(h.memItems, t.id)
-			h.memUsed -= t.bytes
+		for h.used[memLv]+bytes > h.cfg.MemoryBytes && h.lists[memLv].tail >= 0 {
+			t := h.lists[memLv].tail
+			h.remove(memLv, t)
+			h.release(t)
 		}
 	}
-	e := &entry{id: id, bytes: bytes}
-	h.memItems[id] = e
-	h.memLRU.pushFront(e)
-	h.memUsed += bytes
+	h.insert(memLv, s, bytes)
 	h.counters.BytesFromDisk += bytes
 	h.counters.DiskOps++
 	return bytes
 }
 
 // touchMemory refreshes the memory-LRU position on cache hits so hot items
-// stay memory-resident.
-func (h *Hierarchy) touchMemory(id ItemID, bytes int64) {
-	if e, ok := h.memItems[id]; ok {
-		h.memLRU.moveFront(e)
+// stay memory-resident. A cache-resident item not tracked in memory — every
+// Private item on its first hit, or an item memory evicted — is registered
+// at its cache size without disk charge and without evicting anything, so
+// memory may then hold more than MemoryBytes until the next Struct miss
+// makes room.
+func (h *Hierarchy) touchMemory(s int32, bytes int64) {
+	if h.slots[s].lv[memLv].in {
+		h.moveFront(memLv, s)
 		return
 	}
-	// Cache-resident but not tracked in memory (e.g. after a Drop race);
-	// re-register without disk charge.
-	e := &entry{id: id, bytes: bytes}
-	h.memItems[id] = e
-	h.memLRU.pushFront(e)
-	h.memUsed += bytes
+	h.insert(memLv, s, bytes)
 }
 
 // RandomTouch models block-granularity scattered accesses into a flat array

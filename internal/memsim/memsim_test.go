@@ -228,23 +228,33 @@ func TestCountersConsistencyRandomized(t *testing.T) {
 	}
 }
 
-func TestResetCounters(t *testing.T) {
-	h := newTest(1024, 0)
-	h.Load(sid(1), 512, false)
-	h.ResetCounters()
-	if c := h.Counters(); c != (Counters{}) {
-		t.Fatalf("counters not reset: %+v", c)
-	}
-	// Residency survives the reset.
-	if r := h.Load(sid(1), 512, false); !r.Hit {
-		t.Fatal("residency lost on counter reset")
-	}
-}
-
 func TestUnlimited(t *testing.T) {
 	h := Unlimited()
 	h.Load(sid(1), 1<<30, false)
 	if r := h.Load(sid(1), 1<<30, false); !r.Hit {
 		t.Fatal("unlimited hierarchy must always hit after first touch")
+	}
+}
+
+// TestLoadAllocations holds a warmed hierarchy's Load to zero allocations:
+// a hit, a re-load of a known item at a new size, and a miss that reuses the
+// slot an eviction freed all run on the slab and the index the warm-up
+// grew.
+func TestLoadAllocations(t *testing.T) {
+	h := newTest(1024, 4096)
+	for uid := int64(1); uid <= 4; uid++ {
+		h.Load(sid(uid), 256, false)
+		h.Load(pid(uid, 0), 128, false)
+	}
+	size := int64(256)
+	allocs := testing.AllocsPerRun(100, func() {
+		h.Load(sid(1), 256, true) // hit
+		h.Unpin(sid(1))
+		size ^= 64
+		h.Load(pid(2, 0), size, false) // known item, new size
+		h.Load(sid(3), 256, false)     // evicted by the re-load's room: a miss
+	})
+	if allocs != 0 {
+		t.Fatalf("warmed Load allocates %v times per run, want 0", allocs)
 	}
 }

@@ -296,15 +296,18 @@ func (pt *PrivateTable) ActiveParts() []int {
 	return out
 }
 
-// Advance moves the job to its next iteration: Next becomes Active, Next and
-// Received are cleared, and the cached counts refresh.
-func (pt *PrivateTable) Advance() {
+// Advance moves the job to its next iteration: Next becomes Active, and Next
+// and Received are cleared. counts[p] is the number of bits set in Next[p],
+// tallied by the caller where it set them; it becomes ActiveCount[p], so no
+// partition is recounted, and counts is zeroed for the next tally.
+func (pt *PrivateTable) Advance(counts []int) {
 	for pi := range pt.Active {
 		pt.Active[pi].Swap(pt.Next[pi])
 		pt.Next[pi].Reset()
 		pt.Received[pi].Reset()
-		pt.ActiveCount[pi] = pt.Active[pi].Count()
 	}
+	copy(pt.ActiveCount, counts)
+	clear(counts)
 }
 
 // Result returns the converged value of vertex v: its master replica's

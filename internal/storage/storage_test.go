@@ -348,9 +348,14 @@ func TestPrivateTableAdvance(t *testing.T) {
 	pt.Next[1].Set(0)
 	pt.Next[1].Set(1)
 	pt.Received[1].Set(2)
-	pt.Advance()
+	counts := make([]int, len(pt.Active))
+	counts[1] = 2 // the caller's tally of the bits it set
+	pt.Advance(counts)
 	if pt.ActiveCount[1] != 2 || !pt.Active[1].Test(0) || !pt.Active[1].Test(1) {
 		t.Fatal("Advance did not promote Next")
+	}
+	if slices.ContainsFunc(counts, func(c int) bool { return c != 0 }) {
+		t.Fatalf("Advance left the tally %v, want it zeroed", counts)
 	}
 	if pt.Next[1].Any() || pt.Received[1].Any() {
 		t.Fatal("Advance did not clear Next/Received")
